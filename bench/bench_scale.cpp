@@ -1,10 +1,14 @@
-// Scale-out throughput bench: the perf trajectory behind BENCH_scale.json.
+// Scale-out throughput bench: the perf trajectory behind BENCH_scale.json
+// and BENCH_noc.json.
 //
-// Runs a (core count x sharing pattern) grid on the MoT fabric — the only
-// fabric with scale-out shapes — at `FullNx2N` power states, one cluster
-// simulation per cell, and reports modeled results (cycles, instructions)
-// next to simulator throughput (wall seconds, simulated cycles/s).  The
-// committed baseline (BENCH_scale.json at the repo root) pins both:
+// Runs a (sharing pattern x core count x fabric) grid at `FullNx2N` power
+// states, one cluster simulation per cell, and reports modeled results
+// (cycles, instructions) next to simulator throughput (wall seconds,
+// simulated cycles/s).  The fabric axis defaults to the MoT, the only
+// fabric with scale-out shapes; the packet-switched fabrics run only the
+// paper's 16x32 shape.  The committed baselines (BENCH_scale.json for the
+// MoT at 64-1024 cores, BENCH_noc.json for the packet fabrics at 16 cores)
+// pin both:
 //
 //  * modeled metrics are deterministic, so they must match the baseline
 //    EXACTLY — any drift means simulator behaviour changed and the golden
@@ -20,6 +24,7 @@
 // shared harness rejects unknown flags by design):
 //
 //   bench_scale [--cores=64,256,1024] [--patterns=all_to_all,...]
+//               [--fabrics=mot,mesh3d,busmesh,bustree]
 //               [--scale=<f>] [--seed=<u64>] [--scheduler=event|dense]
 //               [--timeout=<seconds>] [--json=<path>]
 //               [--baseline=<path>] [--update-baseline]
@@ -30,8 +35,10 @@
 //   0  grid ran; no baseline requested, or baseline matched
 //   1  regression: modeled mismatch, throughput below tolerance, or a
 //      cell's simulation failed (watchdog timeout, config error)
-//   2  usage error (unknown flag, malformed value)
+//   2  usage error (unknown flag or fabric, malformed value, a packet
+//      fabric with --cores other than 16)
 //   3  baseline missing, unparsable, or incompatible with this invocation
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -64,6 +71,7 @@ struct Options {
   std::vector<std::size_t> cores{64, 256, 1024};
   std::vector<std::string> patterns{"all_to_all", "producer_consumer",
                                     "read_mostly", "migratory"};
+  std::vector<mot3d::cluster::Fabric> fabrics{mot3d::cluster::Fabric::kMot};
   double scale = kDefaultScale;
   std::uint64_t seed = 42;
   mot3d::cluster::SchedulerMode scheduler =
@@ -77,13 +85,16 @@ struct Options {
 
 void print_usage(std::ostream& os) {
   os << "usage: bench_scale [--cores=<list>] [--patterns=<list>]\n"
-     << "                   [--scale=<double>] [--seed=<u64>]\n"
+     << "                   [--fabrics=<list>] [--scale=<double>] [--seed=<u64>]\n"
      << "                   [--scheduler=event|dense] [--timeout=<seconds>]\n"
      << "                   [--json=<path>] [--baseline=<path>]\n"
      << "                   [--update-baseline] [--tolerance=<frac>]\n"
      << "  --cores       comma list of core counts (powers of two >= 16)\n"
      << "  --patterns    comma list of sharing workloads (see --patterns=help)\n"
-     << "  --baseline    compare against a committed BENCH_scale.json;\n"
+     << "  --fabrics     comma list of mot|mesh3d|busmesh|bustree (default mot);\n"
+     << "                mesh3d, busmesh and bustree need --cores=16\n"
+     << "  --baseline    compare against a committed BENCH_scale.json or\n"
+     << "                BENCH_noc.json;\n"
      << "                with --update-baseline, (re)write it instead\n"
      << "  --tolerance   allowed relative cycles/s drop per cell (default "
      << kDefaultTolerance << ")\n";
@@ -147,6 +158,16 @@ Options parse_options(int argc, char** argv) {
       }
       opt.patterns = split_list(arg.substr(11));
       if (opt.patterns.empty()) usage_error("--patterns= needs at least one name");
+    } else if (arg.rfind("--fabrics=", 0) == 0) {
+      opt.fabrics.clear();
+      for (const std::string& f : split_list(arg.substr(10))) {
+        try {
+          opt.fabrics.push_back(mot3d::sim::fabric_by_key(f));
+        } catch (const std::invalid_argument& e) {
+          usage_error(e.what());
+        }
+      }
+      if (opt.fabrics.empty()) usage_error("--fabrics= needs at least one fabric");
     } else if (arg.rfind("--scale=", 0) == 0) {
       opt.scale = parse_double(arg, arg.substr(8));
       if (!std::isfinite(opt.scale) || opt.scale <= 0.0) {
@@ -192,6 +213,16 @@ Options parse_options(int argc, char** argv) {
   if (opt.update_baseline && opt.baseline_path.empty()) {
     usage_error("--update-baseline needs --baseline=<path>");
   }
+  const bool packet_fabric =
+      std::any_of(opt.fabrics.begin(), opt.fabrics.end(), [](auto f) {
+        return f != mot3d::cluster::Fabric::kMot;
+      });
+  const bool paper_shape_only =
+      std::all_of(opt.cores.begin(), opt.cores.end(),
+                  [](std::size_t c) { return c == 16; });
+  if (packet_fabric && !paper_shape_only) {
+    usage_error("mesh3d, busmesh and bustree run only --cores=16");
+  }
   return opt;
 }
 
@@ -201,6 +232,7 @@ Options parse_options(int argc, char** argv) {
 
 struct Cell {
   std::string app;
+  std::string fabric;  ///< fabric_key(): "mot", "mesh3d", ...
   std::size_t cores = 0;
   std::size_t banks = 0;
   std::string state;
@@ -214,6 +246,15 @@ struct Cell {
   std::string error;  ///< non-empty if the simulation failed
 };
 
+/// Baseline key: `app@cores`, plus `@fabric` for a packet-switched cell, so
+/// MoT baselines recorded before the fabric axis existed still match.
+std::string cell_key(const std::string& app, std::size_t cores,
+                     const std::string& fabric) {
+  std::string key = app + "@" + std::to_string(cores);
+  if (fabric != "mot") key += "@" + fabric;
+  return key;
+}
+
 std::string state_name_for(std::size_t cores) {
   // The paper's native shape is 16x32 ("Full"); scale-out shapes keep the
   // 2 banks/core ratio the MoT geometry assumes.
@@ -221,9 +262,11 @@ std::string state_name_for(std::size_t cores) {
   return "Full" + std::to_string(cores) + "x" + std::to_string(2 * cores);
 }
 
-Cell run_cell(const Options& opt, const std::string& app, std::size_t cores) {
+Cell run_cell(const Options& opt, const std::string& app, std::size_t cores,
+              mot3d::cluster::Fabric fabric) {
   Cell cell;
   cell.app = app;
+  cell.fabric = mot3d::sim::fabric_key(fabric);
   cell.cores = cores;
   cell.banks = 2 * cores;
   cell.state = state_name_for(cores);
@@ -233,7 +276,7 @@ Cell run_cell(const Options& opt, const std::string& app, std::size_t cores) {
   spec.description = "scale-out throughput cell";
   spec.kind = mot3d::sim::ScenarioSpec::Kind::kSweep;
   spec.apps = {app};
-  spec.fabrics = {mot3d::cluster::Fabric::kMot};
+  spec.fabrics = {fabric};
   spec.dram_presets = {mot3d::mem::DramPreset::kDdr3_200ns};
   spec.has_golden = false;
   try {
@@ -276,6 +319,7 @@ Cell run_cell(const Options& opt, const std::string& app, std::size_t cores) {
 JsonObject cell_to_json(const Cell& c) {
   JsonObject o;
   o.set("app", c.app)
+      .set("fabric", c.fabric)
       .set("cores", static_cast<std::uint64_t>(c.cores))
       .set("banks", static_cast<std::uint64_t>(c.banks))
       .set("state", c.state)
@@ -373,22 +417,25 @@ int compare_against_baseline(const Options& opt, const std::vector<Cell>& cells)
                    "; rerun with matching flags or refresh it");
   }
 
-  // Index baseline cells by (app, cores).  Modeled u64s round-trip exactly
-  // through double for any value < 2^53 — far above any cell's budget.
+  // Index baseline cells by cell_key(); a cell without "fabric" is a MoT
+  // cell.  Modeled u64s round-trip exactly through double for any value
+  // < 2^53 — far above any cell's budget.
   std::vector<std::pair<std::string, BaselineCell>> base;
   for (const JsonValue& c : cells_v->array) {
     const JsonValue* app = c.find("app");
+    const JsonValue* fabric = c.find("fabric");
     const JsonValue* cores = c.find("cores");
     const JsonValue* cycles = c.find("cycles");
     const JsonValue* instrs = c.find("instructions");
     const JsonValue* cps = c.find("cycles_per_second");
     if (!app || app->type != JsonValue::Type::kString || !cores || !cycles ||
-        !instrs || !cps) {
+        !instrs || !cps ||
+        (fabric && fabric->type != JsonValue::Type::kString)) {
       baseline_error("malformed cell in '" + opt.baseline_path + "'");
     }
     const std::string key =
-        app->string + "@" +
-        std::to_string(static_cast<std::size_t>(cores->number));
+        cell_key(app->string, static_cast<std::size_t>(cores->number),
+                 fabric ? fabric->string : "mot");
     base.emplace_back(key, BaselineCell{
         static_cast<std::uint64_t>(cycles->number),
         static_cast<std::uint64_t>(instrs->number), cps->number});
@@ -396,7 +443,7 @@ int compare_against_baseline(const Options& opt, const std::vector<Cell>& cells)
 
   int regressions = 0;
   for (const Cell& c : cells) {
-    const std::string key = c.app + "@" + std::to_string(c.cores);
+    const std::string key = cell_key(c.app, c.cores, c.fabric);
     const BaselineCell* b = nullptr;
     for (const auto& [k, v] : base) {
       if (k == key) { b = &v; break; }
@@ -442,28 +489,32 @@ int main(int argc, char** argv) {
   std::vector<Cell> cells;
   int failed = 0;
   std::cout << "bench_scale: " << opt.cores.size() << " core count(s) x "
-            << opt.patterns.size() << " pattern(s), scale=" << opt.scale
+            << opt.patterns.size() << " pattern(s) x " << opt.fabrics.size()
+            << " fabric(s), scale=" << opt.scale
             << ", scheduler="
             << (opt.scheduler == mot3d::cluster::SchedulerMode::kEventDriven
                     ? "event"
                     : "dense")
             << "\n";
-  std::cout << "  app                 cores   banks        cycles  "
+  std::cout << "  app                fabric    cores   banks        cycles  "
             << "   wall_s      cycles/s\n";
   for (const std::string& app : opt.patterns) {
     for (const std::size_t cores : opt.cores) {
-      Cell cell = run_cell(opt, app, cores);
-      if (!cell.error.empty()) {
-        std::cerr << "FAILED " << app << "@" << cores << ": " << cell.error
-                  << "\n";
-        ++failed;
-      } else {
-        std::printf("  %-18s %6zu  %6zu  %12llu  %9.3f  %12.0f\n",
-                    cell.app.c_str(), cell.cores, cell.banks,
-                    static_cast<unsigned long long>(cell.cycles),
-                    cell.wall_seconds, cell.cycles_per_second);
+      for (const mot3d::cluster::Fabric fabric : opt.fabrics) {
+        Cell cell = run_cell(opt, app, cores, fabric);
+        if (!cell.error.empty()) {
+          std::cerr << "FAILED " << cell_key(app, cores, cell.fabric) << ": "
+                    << cell.error << "\n";
+          ++failed;
+        } else {
+          std::printf("  %-18s %-8s %6zu  %6zu  %12llu  %9.3f  %12.0f\n",
+                      cell.app.c_str(), cell.fabric.c_str(), cell.cores,
+                      cell.banks,
+                      static_cast<unsigned long long>(cell.cycles),
+                      cell.wall_seconds, cell.cycles_per_second);
+        }
+        cells.push_back(std::move(cell));
       }
-      cells.push_back(std::move(cell));
     }
   }
   if (failed > 0) {

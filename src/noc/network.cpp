@@ -1,8 +1,10 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace mot3d::noc {
 
@@ -10,6 +12,11 @@ NocNetwork::NocNetwork(const NocConfig& cfg)
     : cfg_(cfg), endpoints_(cfg.num_endpoints()) {}
 
 std::uint32_t NocNetwork::add_router(std::size_t num_ports) {
+  if (num_ports > kMaxRouterPorts) {
+    throw std::invalid_argument(
+        "router with " + std::to_string(num_ports) + " ports: at most " +
+        std::to_string(kMaxRouterPorts) + " fit its occupancy masks");
+  }
   Router r;
   r.in.resize(num_ports);
   r.out.resize(num_ports);
@@ -68,9 +75,42 @@ bool NocNetwork::try_inject(const Packet& p, Cycle now) {
     flit.tail = (f + 1 == p.length_flits);
     flit.vc = p.kind == PacketKind::kRequest ? kRequestVc : kResponseVc;
     flit.ready_at = now;
-    ni.inject_q.push_back(flit);
+    push(ni, flit);
   }
   return true;
+}
+
+void NocNetwork::push(Router& r, std::uint32_t port, const Flit& flit) {
+  r.in[port].q[flit.vc].push_back(flit);
+  ++r.buffered;
+  r.occupied[flit.vc] |= PortMask{1} << port;
+}
+
+void NocNetwork::pop(Router& r, std::uint32_t port, std::uint8_t vc) {
+  FlitQueue& q = r.in[port].q[vc];
+  q.pop_front();
+  --r.buffered;
+  if (q.empty()) r.occupied[vc] &= ~(PortMask{1} << port);
+}
+
+void NocNetwork::push(Bus& bus, std::uint32_t slot, const Flit& flit) {
+  bus.slots[slot].push_back(flit);
+  ++bus.buffered;
+}
+
+void NocNetwork::pop(Bus& bus, std::uint32_t slot) {
+  bus.slots[slot].pop_front();
+  --bus.buffered;
+}
+
+void NocNetwork::push(EndpointNi& ni, const Flit& flit) {
+  ni.inject_q.push_back(flit);
+  ++ni_flits_;
+}
+
+void NocNetwork::pop(EndpointNi& ni) {
+  ni.inject_q.pop_front();
+  --ni_flits_;
 }
 
 bool NocNetwork::router_in_has_space(std::uint32_t router, std::uint32_t port,
@@ -78,14 +118,10 @@ bool NocNetwork::router_in_has_space(std::uint32_t router, std::uint32_t port,
   return routers_.at(router).in.at(port).q[vc].size() < cfg_.buffer_flits;
 }
 
-void NocNetwork::eject(NodeId e, const Flit& flit, Cycle now) {
-  EndpointNi& ni = endpoints_.at(e);
-  ++ni.assembled;
+void NocNetwork::eject(const Flit& flit, Cycle now) {
   if (!flit.tail) return;
-  ni.assembled = 0;
   auto it = packets_.find(flit.packet);
   assert(it != packets_.end());
-  stats_.packet_latency.add(now - it->second.created);
   ++stats_.packets_delivered;
   if (delivery_) delivery_(it->second, now);
   packets_.erase(it);
@@ -96,20 +132,19 @@ bool NocNetwork::deliver_to_target(const Target& t, Flit flit, Cycle now) {
     case Target::Kind::kRouterPort: {
       if (!router_in_has_space(t.index, t.port, flit.vc)) return false;
       flit.ready_at = now + cfg_.link_cycles + cfg_.router_pipeline_cycles;
-      routers_[t.index].in[t.port].q[flit.vc].push_back(flit);
+      push(routers_[t.index], t.port, flit);
       stats_.flit_link_mm += t.wire_mm;
       return true;
     }
     case Target::Kind::kEndpoint:
-      eject(t.index, flit, now);
+      eject(flit, now);
       stats_.flit_link_mm += t.wire_mm;
       return true;
     case Target::Kind::kBus: {
       Bus& bus = buses_[t.index];
-      Bus::Slot& slot = bus.slots.at(t.port);
-      if (slot.q.size() >= cfg_.buffer_flits) return false;
+      if (bus.slots.at(t.port).size() >= cfg_.buffer_flits) return false;
       flit.ready_at = now + 1;  // bus request/arbitration setup
-      slot.q.push_back(flit);
+      push(bus, t.port, flit);
       return true;
     }
     case Target::Kind::kNone:
@@ -132,23 +167,29 @@ bool NocNetwork::router_output_step(std::uint32_t ri, std::uint32_t po,
       chosen = op.locked_in[vc];
     }
   } else {
-    const std::size_t np = r.in.size();
-    for (std::size_t k = 0; k < np; ++k) {
-      const std::size_t pi = (op.rr + k) % np;
-      InPort& ip = r.in[pi];
-      if (ip.q[vc].empty() || ip.q[vc].front().ready_at > now) continue;
-      if (!ip.q[vc].front().head) continue;  // body flits follow their lock
-      if (r.route.at(ip.q[vc].front().dst) != po) continue;
-      chosen = static_cast<int>(pi);
-      break;
-    }
+    // Round-robin from `rr`: the occupied inputs at or after it in port
+    // order, then those before it.  Empty inputs are never visited.
+    auto first_eligible = [&](PortMask inputs) {
+      for (; inputs != 0; inputs &= inputs - 1) {
+        const auto pi = static_cast<std::size_t>(std::countr_zero(inputs));
+        const Flit& f = r.in[pi].q[vc].front();
+        if (f.ready_at > now) continue;
+        if (!f.head) continue;  // body flits follow their lock
+        if (r.route.at(f.dst) != po) continue;
+        return static_cast<int>(pi);
+      }
+      return -1;
+    };
+    const PortMask from_rr = r.occupied[vc] & (~PortMask{0} << op.rr);
+    chosen = first_eligible(from_rr);
+    if (chosen < 0) chosen = first_eligible(r.occupied[vc] & ~from_rr);
   }
   if (chosen < 0) return false;
 
-  InPort& ip = r.in[static_cast<std::size_t>(chosen)];
-  Flit flit = ip.q[vc].front();
+  const auto in_port = static_cast<std::uint32_t>(chosen);
+  Flit flit = r.in[in_port].q[vc].front();
   if (!deliver_to_target(op.target, flit, now)) return false;  // back-pressure
-  ip.q[vc].pop_front();
+  pop(r, in_port, vc);
   ++stats_.flit_router_traversals;
   if (flit.head && !flit.tail) {
     op.locked_in[vc] = chosen;
@@ -160,30 +201,35 @@ bool NocNetwork::router_output_step(std::uint32_t ri, std::uint32_t po,
 }
 
 void NocNetwork::tick(Cycle now) {
+  // Buses, routers and the NI phase whose occupancy is zero at their turn
+  // are skipped: an empty component moves nothing, and its round-robin
+  // pointers, wormhole locks and busy_until change only when a flit moves.
+  // Occupancy is read at each turn, not once per tick, so a flit handed on
+  // earlier in this tick is still seen (it may be ready now when
+  // link_cycles = router_pipeline_cycles = 0).
+  //
   // 1. Buses: one flit per bus per cycle, wormhole-locked to the granted
   //    slot so multi-flit packets stay contiguous at the receiving router.
   //    The lock is *hard*: even if the owning slot has no flit ready this
   //    cycle, no other slot may use the bus — otherwise two packets
   //    interleave into one router input queue and break worm framing.
-  for (std::uint32_t bi = 0; bi < buses_.size(); ++bi) {
-    Bus& bus = buses_[bi];
+  for (Bus& bus : buses_) {
+    if (bus.buffered == 0 || bus.busy_until > now) continue;
     const std::size_t n = bus.slots.size();
-    if (n == 0 || bus.busy_until > now) continue;
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t s = bus.locked_slot >= 0
                                 ? static_cast<std::size_t>(bus.locked_slot)
                                 : (bus.rr + k) % n;
-      Bus::Slot& slot = bus.slots[s];
-      if (bus.locked_slot < 0 && (slot.q.empty() || slot.q.front().ready_at > now ||
-                                  !slot.q.front().head)) {
+      const FlitQueue& q = bus.slots[s];
+      if (bus.locked_slot < 0 &&
+          (q.empty() || q.front().ready_at > now || !q.front().head)) {
         continue;  // unlocked bus only grants a fresh head flit
       }
-      if (slot.q.empty() || slot.q.front().ready_at > now) break;  // hold bus
-      const Flit& head = slot.q.front();
-      const Target& t = bus.route.at(head.dst);
-      Flit moving = head;
+      if (q.empty() || q.front().ready_at > now) break;  // hold bus
+      const Flit moving = q.front();
+      const Target& t = bus.route.at(moving.dst);
       if (!deliver_to_target(t, moving, now)) break;  // blocked: hold the bus
-      slot.q.pop_front();
+      pop(bus, static_cast<std::uint32_t>(s));
       ++stats_.flit_bus_transfers;
       bus.busy_until = now + bus.cycles_per_flit;
       if (moving.tail) {
@@ -203,7 +249,7 @@ void NocNetwork::tick(Cycle now) {
   //    `throttle` cycles (degraded link retrains every transfer).
   for (std::uint32_t ri = 0; ri < routers_.size(); ++ri) {
     Router& r = routers_[ri];
-    if (r.throttle > 0 && r.busy_until > now) continue;
+    if (r.buffered == 0 || (r.throttle > 0 && r.busy_until > now)) continue;
     bool moved = false;
     for (std::uint32_t po = 0; po < r.out.size(); ++po) {
       OutPort& op = r.out[po];
@@ -223,23 +269,22 @@ void NocNetwork::tick(Cycle now) {
   }
 
   // 3. Endpoint NIs: one flit per cycle enters the fabric.
-  for (NodeId e = 0; e < endpoints_.size(); ++e) {
-    EndpointNi& ni = endpoints_[e];
+  if (ni_flits_ == 0) return;
+  for (EndpointNi& ni : endpoints_) {
     if (ni.inject_q.empty() || ni.inject_q.front().ready_at > now) continue;
     const Target& t = ni.injection;
     Flit flit = ni.inject_q.front();
     if (t.kind == Target::Kind::kRouterPort) {
       if (!router_in_has_space(t.index, t.port, flit.vc)) continue;
       flit.ready_at = now + cfg_.router_pipeline_cycles;
-      routers_[t.index].in[t.port].q[flit.vc].push_back(flit);
-      ni.inject_q.pop_front();
+      push(routers_[t.index], t.port, flit);
+      pop(ni);
     } else if (t.kind == Target::Kind::kBus) {
       Bus& bus = buses_[t.index];
-      Bus::Slot& slot = bus.slots.at(*ni.bus_slot);
-      if (slot.q.size() >= cfg_.buffer_flits) continue;
+      if (bus.slots.at(*ni.bus_slot).size() >= cfg_.buffer_flits) continue;
       flit.ready_at = now + 1;
-      slot.q.push_back(flit);
-      ni.inject_q.pop_front();
+      push(bus, *ni.bus_slot, flit);
+      pop(ni);
     } else {
       assert(false && "endpoint without injection wiring");
     }
@@ -251,29 +296,34 @@ bool NocNetwork::idle() const { return packets_.empty(); }
 Cycle NocNetwork::next_event(Cycle now) const {
   if (packets_.empty()) return kNeverCycle;
   Cycle next = kNeverCycle;
-  // Every queued flit sits at the head of exactly one FIFO (NI inject
-  // queue, bus slot, or router input buffer); only heads can move, so the
-  // earliest head ready_at bounds the next state change.  A head that is
-  // already ready may still be blocked by back-pressure or wormhole locks,
-  // which this bound conservatively reports as "event now".
-  for (const EndpointNi& ni : endpoints_) {
-    if (ni.inject_q.empty()) continue;
-    if (ni.inject_q.front().ready_at <= now) return now;
-    next = std::min(next, ni.inject_q.front().ready_at);
+  // Every queued flit sits in exactly one FIFO (NI inject queue, bus
+  // slot, or router input buffer); only heads can move, so the earliest
+  // head ready_at bounds the next state change.  A head that is already
+  // ready may still be blocked by back-pressure or wormhole locks, which
+  // this bound conservatively reports as "event now".  Empty NIs, buses
+  // and routers hold no head and are skipped via their occupancy.
+  if (ni_flits_ > 0) {
+    for (const EndpointNi& ni : endpoints_) {
+      if (ni.inject_q.empty()) continue;
+      if (ni.inject_q.front().ready_at <= now) return now;
+      next = std::min(next, ni.inject_q.front().ready_at);
+    }
   }
   for (const Bus& bus : buses_) {
-    for (const Bus::Slot& slot : bus.slots) {
-      if (slot.q.empty()) continue;
-      const Cycle ready = std::max(slot.q.front().ready_at, bus.busy_until);
+    if (bus.buffered == 0) continue;
+    for (const FlitQueue& q : bus.slots) {
+      if (q.empty()) continue;
+      const Cycle ready = std::max(q.front().ready_at, bus.busy_until);
       if (ready <= now) return now;
       next = std::min(next, ready);
     }
   }
   for (const Router& r : routers_) {
-    for (const InPort& ip : r.in) {
-      for (const auto& q : ip.q) {
-        if (q.empty()) continue;
-        Cycle ready = q.front().ready_at;
+    if (r.buffered == 0) continue;
+    for (std::uint8_t vc = 0; vc < kNumVcs; ++vc) {
+      for (PortMask m = r.occupied[vc]; m != 0; m &= m - 1) {
+        const auto pi = static_cast<std::size_t>(std::countr_zero(m));
+        Cycle ready = r.in[pi].q[vc].front().ready_at;
         if (r.throttle > 0) ready = std::max(ready, r.busy_until);
         if (ready <= now) return now;
         next = std::min(next, ready);

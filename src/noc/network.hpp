@@ -19,13 +19,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.hpp"
+#include "common/ring_buffer.hpp"
 #include "common/types.hpp"
 #include "noc/flit.hpp"
 
@@ -57,7 +56,6 @@ struct NocTransportStats {
   std::uint64_t flit_router_traversals = 0;  ///< buffer+xbar energy events
   std::uint64_t flit_bus_transfers = 0;
   double flit_link_mm = 0.0;                 ///< wire-length-weighted flits
-  Histogram packet_latency{1, 512};
 };
 
 /// Where an output port / bus grant sends a flit.
@@ -75,8 +73,12 @@ class NocNetwork {
  public:
   explicit NocNetwork(const NocConfig& cfg);
 
+  /// Most ports a router may have: one bit each in its occupancy masks.
+  static constexpr std::size_t kMaxRouterPorts = 32;
+
   // ---- construction (builders only) ----
-  /// Adds a router with `num_ports` ports; returns its id.
+  /// Adds a router with `num_ports` ports; returns its id.  Throws
+  /// std::invalid_argument above kMaxRouterPorts.
   std::uint32_t add_router(std::size_t num_ports);
   /// Wire router output (r, port) to `target`.
   void set_output(std::uint32_t router, std::uint32_t port, Target target);
@@ -127,8 +129,11 @@ class NocNetwork {
   double total_link_mm() const { return total_link_mm_; }
 
  private:
+  using FlitQueue = RingBuffer<Flit>;
+  using PortMask = std::uint32_t;  ///< bit i = router input port i
+
   struct InPort {
-    std::array<std::deque<Flit>, kNumVcs> q;  ///< one buffer per virtual net
+    std::array<FlitQueue, kNumVcs> q;  ///< one buffer per virtual net
   };
   struct OutPort {
     Target target;
@@ -142,29 +147,41 @@ class NocNetwork {
     std::vector<std::uint32_t> route;  ///< per endpoint -> out port
     unsigned throttle = 0;   ///< fault: extra cycles per moved flit (0 = healthy)
     Cycle busy_until = 0;    ///< fault: serialisation pacing
+    // Occupancy, kept by push()/pop(): flits buffered over every input and
+    // VC, and per VC the inputs whose queue is non-empty.
+    std::size_t buffered = 0;
+    std::array<PortMask, kNumVcs> occupied{};
   };
   struct Bus {
-    struct Slot {
-      std::deque<Flit> q;
-    };
-    std::vector<Slot> slots;
+    std::vector<FlitQueue> slots;  ///< one FIFO per attachment
     std::uint32_t rr = 0;
     int locked_slot = -1;  ///< wormhole: slot owning the bus until tail
     Cycle busy_until = 0;  ///< dTDMA slot pacing
     unsigned cycles_per_flit = 2;
     std::vector<Target> route;  ///< per endpoint -> delivery target
     double wire_mm = 0.0;
+    std::size_t buffered = 0;  ///< flits over every slot (push()/pop())
   };
   struct EndpointNi {
     Target injection;                      ///< router port or bus slot
     std::optional<std::uint32_t> bus_slot; ///< slot id when injecting via bus
-    std::deque<Flit> inject_q;
-    std::size_t assembled = 0;             ///< flits of the arriving packet
+    FlitQueue inject_q;
     static constexpr std::size_t kMaxInjectQ = 64;
   };
 
+  // Every flit enters and leaves a FIFO through push()/pop(), which keep
+  // the occupancy summaries (Router::buffered/occupied, Bus::buffered,
+  // ni_flits_) equal to what a scan of the queues would find.  tick() and
+  // next_event() skip whatever they say is empty.
+  static void push(Router& r, std::uint32_t port, const Flit& flit);
+  static void pop(Router& r, std::uint32_t port, std::uint8_t vc);
+  static void push(Bus& bus, std::uint32_t slot, const Flit& flit);
+  static void pop(Bus& bus, std::uint32_t slot);
+  void push(EndpointNi& ni, const Flit& flit);
+  void pop(EndpointNi& ni);
+
   bool deliver_to_target(const Target& t, Flit flit, Cycle now);
-  void eject(NodeId e, const Flit& flit, Cycle now);
+  void eject(const Flit& flit, Cycle now);
   bool router_in_has_space(std::uint32_t router, std::uint32_t port,
                            std::uint8_t vc) const;
   /// Try to move one flit of virtual network `vc` through output `po` of
@@ -180,10 +197,12 @@ class NocNetwork {
   Delivery delivery_;
   NocTransportStats stats_;
   double total_link_mm_ = 0.0;
+  std::size_t ni_flits_ = 0;  ///< flits in every NI inject queue (push()/pop())
 };
 
 /// Builders for the paper's three baselines (16 cores, 32 banks over two
-/// stacked tiers).  Each returns a fully wired network.
+/// stacked tiers).  Each returns a fully wired network, and throws
+/// std::invalid_argument for any other shape.
 NocNetwork build_true_mesh_3d(const NocConfig& cfg);
 NocNetwork build_hybrid_bus_mesh(const NocConfig& cfg);
 NocNetwork build_hybrid_bus_tree(const NocConfig& cfg);

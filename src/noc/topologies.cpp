@@ -2,9 +2,11 @@
 //
 // Geometry: a 4x4 grid of tiles on the core tier (one core per tile) and
 // two stacked bank tiers of 16 banks each (bank b sits at tile b%16, tier
-// 1 + b/16), mirroring the MoT cluster's floorplan.
+// 1 + b/16), mirroring the MoT cluster's floorplan.  Any other shape is
+// rejected at construction: it would leave endpoints unwired.
 #include <array>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "noc/network.hpp"
 
@@ -25,6 +27,14 @@ Tile tile_of_bank(std::uint32_t b) {
   return {static_cast<int>(t % 4), static_cast<int>(t / 4)};
 }
 int tier_of_bank(std::uint32_t b) { return 1 + static_cast<int>(b / 16); }
+
+void require_table1_shape(const NocConfig& cfg) {
+  if (cfg.num_cores != 16 || cfg.num_banks != 32) {
+    throw std::invalid_argument(
+        "packet-switched baselines are hardwired to the 16-core/32-bank "
+        "Table I cluster; scale-out shapes run the MoT fabric only");
+  }
+}
 
 NodeId bank_endpoint(const NocConfig& cfg, std::uint32_t b) {
   return static_cast<NodeId>(cfg.num_cores + b);
@@ -47,6 +57,7 @@ int xy_next_port(Tile at, Tile to) {
 // dimension-order routing (deadlock-free).
 // ---------------------------------------------------------------------------
 NocNetwork build_true_mesh_3d(const NocConfig& cfg) {
+  require_table1_shape(cfg);
   NocNetwork net(cfg);
   constexpr std::uint32_t kUp = 4, kDown = 5, kLocal = 6;
   const double pitch = cfg.mesh_pitch_mm;
@@ -141,6 +152,7 @@ NocNetwork build_true_mesh_3d(const NocConfig& cfg) {
 // by the two banks stacked above its tile.
 // ---------------------------------------------------------------------------
 NocNetwork build_hybrid_bus_mesh(const NocConfig& cfg) {
+  require_table1_shape(cfg);
   NocNetwork net(cfg);
   constexpr std::uint32_t kLocal = 4, kBusPort = 5;
   const double pitch = cfg.mesh_pitch_mm;
@@ -211,6 +223,7 @@ NocNetwork build_hybrid_bus_mesh(const NocConfig& cfg) {
 // mesh but far more bus sharing, which is why it performs worst.
 // ---------------------------------------------------------------------------
 NocNetwork build_hybrid_bus_tree(const NocConfig& cfg) {
+  require_table1_shape(cfg);
   NocNetwork net(cfg);
   constexpr std::uint32_t kUpPort = 4, kBusPort = 5;
   const double link = cfg.tree_link_mm;

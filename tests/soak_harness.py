@@ -347,6 +347,45 @@ def bench_tests(bench_binary):
             BENCH_GRID + ["--tolerance=2.0"],
             expect_exit=2,
             expect_patterns=[r"--tolerance must be in"]))
+        # Packet-fabric cells are keyed app@cores@fabric: drift in the
+        # bustree cell must be reported against that cell, not the MoT one.
+        noc_grid = ["--cores=16", "--patterns=all_to_all", "--scale=0.005",
+                    "--fabrics=mot,bustree"]
+        noc_base = os.path.join(tmp, "noc_baseline.json")
+        results.append(run_test(
+            bench_binary, "bench_scale records a MoT + bustree baseline",
+            noc_grid + [f"--baseline={noc_base}", "--update-baseline"],
+            expect_patterns=[r"baseline updated"]))
+        noc_drift = os.path.join(tmp, "noc_drifted.json")
+        try:
+            with open(noc_base, encoding="utf-8") as f:
+                doc = json.load(f)
+            for cell in doc["cells"]:
+                if cell.get("fabric") == "bustree":
+                    cell["cycles"] += 1
+            with open(noc_drift, "w", encoding="utf-8") as f:
+                json.dump(doc, f)
+        except (OSError, ValueError, KeyError) as e:
+            results.append(TestResult("doctor bustree baseline", False, str(e)))
+        else:
+            results.append(run_test(
+                bench_binary, "bustree drift is reported by its fabric key",
+                noc_grid + [f"--baseline={noc_drift}"],
+                expect_exit=1,
+                expect_patterns=[r"REGRESSION all_to_all@16@bustree: modeled"],
+                forbid_patterns=[r"REGRESSION all_to_all@16:"]))
+
+        results.append(run_test(
+            bench_binary, "unknown fabric exits 2",
+            BENCH_GRID + ["--fabrics=mot,ring"],
+            expect_exit=2,
+            expect_patterns=[r"unknown fabric 'ring'"]))
+        # The packet-switched builders wire only the paper's 16x32 shape.
+        results.append(run_test(
+            bench_binary, "packet fabric at 64 cores exits 2",
+            ["--fabrics=mesh3d", "--cores=64"],
+            expect_exit=2,
+            expect_patterns=[r"run only --cores=16"]))
     return results
 
 

@@ -1,12 +1,18 @@
 // Unit tests for the packet-switched baselines: reachability on all three
 // topologies, zero-load latency ordering, wormhole integrity, bus
-// round-robin sharing, back-pressure, and energy/stat accounting.
+// round-robin sharing, back-pressure, energy/stat accounting, the exact
+// delivery order under saturation, and construction-time shape checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "common/sha256.hpp"
 #include "noc/noc_interconnect.hpp"
 
 namespace mot3d::noc {
@@ -239,6 +245,194 @@ TEST(NocOrdering, BusTreeSaturatesUnderLoad) {
   const Cycle tree_time = run(NocTopology::kHybridBusTree);
   const Cycle mesh_time = run(NocTopology::kHybridBusMesh);
   EXPECT_GT(tree_time, mesh_time * 3 / 2);
+}
+
+// ---------------------------------------------------------------------------
+// Arbitration-order pin.  The goldens pin aggregates at light load; this
+// saturates each fabric in both directions (1- and 5-flit worms on both
+// virtual networks) and hashes the exact (kind, id, cycle) sequence of
+// deliveries.  Any change to round-robin order, wormhole locking,
+// back-pressure, throttle pacing or next_event()'s drain bound moves the
+// digest.  The digests were recorded from the all-inputs scan that the
+// occupancy-driven tick replaced; only a deliberate model change may move
+// them.
+// ---------------------------------------------------------------------------
+struct OrderCase {
+  const char* name;
+  NocTopology topology;
+  unsigned link_cycles = 1;
+  unsigned router_pipeline_cycles = 1;
+  std::uint32_t throttled_router = 0;
+  unsigned throttle_cycles = 0;  ///< 0 = every router healthy
+  const char* digest = "";
+};
+
+std::string delivery_order_digest(const OrderCase& c) {
+  constexpr Cycle kInjectCycles = 1200;
+  constexpr Cycle kDrainLimit = 200000;
+  NocConfig cfg;
+  cfg.link_cycles = c.link_cycles;
+  cfg.router_pipeline_cycles = c.router_pipeline_cycles;
+  auto icn = make_noc(c.topology, cfg, power_model());
+  if (c.throttle_cycles > 0) {
+    icn->set_router_throttle(c.throttled_router, c.throttle_cycles);
+  }
+  std::string log;
+  std::size_t delivered = 0;
+  auto record = [&](char kind, std::uint64_t id, Cycle t) {
+    log += kind;
+    log += ' ' + std::to_string(id) + ' ' + std::to_string(t) + '\n';
+    ++delivered;
+  };
+  icn->set_request_sink(
+      [&](const MemRequest& r, Cycle t) { record('q', r.id, t); });
+  icn->set_response_sink(
+      [&](const MemResponse& r, Cycle t) { record('r', r.id, t); });
+
+  // Every endpoint offers a packet with probability 0.6 per cycle, far
+  // above what one NI can drain, so injection queues stay full and every
+  // router and bus arbitrates under back-pressure.
+  Rng rng(20161);
+  std::uint64_t id = 0;
+  std::size_t injected = 0, refused = 0;
+  Cycle t = 0;
+  for (; t < kInjectCycles; ++t) {
+    for (CoreId core = 0; core < cfg.num_cores; ++core) {
+      const bool offer = rng.next_bool(0.6);
+      const auto bank = static_cast<BankId>(rng.next_below(cfg.num_banks));
+      const bool write = rng.next_bool(0.5);  // 5-flit worm, else 1 flit
+      if (!offer) continue;
+      MemRequest r{.id = ++id, .core = core, .bank = bank, .addr = 0,
+                   .is_write = write, .issue_cycle = t};
+      ++(icn->try_inject_request(r, t) ? injected : refused);
+    }
+    for (BankId bank = 0; bank < cfg.num_banks; ++bank) {
+      const bool offer = rng.next_bool(0.6);
+      const auto core = static_cast<CoreId>(rng.next_below(cfg.num_cores));
+      const bool write_ack = rng.next_bool(0.5);  // 1 flit, else 5 flits
+      if (!offer) continue;
+      MemResponse resp{.id = ++id, .core = core, .bank = bank, .addr = 0,
+                       .is_write = write_ack, .l2_hit = true,
+                       .issue_cycle = t};
+      ++(icn->try_inject_response(resp, t) ? injected : refused);
+    }
+    icn->tick(t);
+  }
+  // Drain, jumping over the cycles next_event() reports as quiet.
+  while (!icn->idle() && t < kDrainLimit) {
+    const Cycle next = icn->next_event(t);
+    if (next == kNeverCycle) break;
+    t = std::max(t, next);
+    icn->tick(t++);
+  }
+  EXPECT_TRUE(icn->idle()) << c.name << " wedged at cycle " << t;
+  EXPECT_EQ(delivered, injected) << c.name;
+  EXPECT_GT(refused, 0u) << c.name << " never filled an injection queue";
+  return sha256_hex(log);
+}
+
+void PrintTo(const OrderCase& c, std::ostream* os) { *os << c.name; }
+
+class NocOrderPin : public ::testing::TestWithParam<OrderCase> {};
+
+TEST_P(NocOrderPin, SaturatedDeliveryOrderIsPinned) {
+  EXPECT_EQ(delivery_order_digest(GetParam()), GetParam().digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, NocOrderPin,
+    ::testing::Values(
+        OrderCase{.name = "TrueMesh3d", .topology = NocTopology::kTrueMesh3d,
+                  .digest =
+                      "f2f6f17781a4d6d91841243679d2e0942d28a991b4065f3c3eb3c76d868d3e84"},
+        OrderCase{.name = "BusMesh", .topology = NocTopology::kHybridBusMesh,
+                  .digest =
+                      "2dd955aee8f242085ac6168a071dc94ca7149ecb053e9711c11e7bd1d07c8600"},
+        OrderCase{.name = "BusTree", .topology = NocTopology::kHybridBusTree,
+                  .digest =
+                      "3aba6a4a98f8b1d21dee65b9ca0ae2c73d4683f20d18736d1e49c3efdb8d37ca"},
+        // Router 5 is tile (1,1) of the core tier: on most XY paths.
+        OrderCase{.name = "TrueMesh3dThrottled",
+                  .topology = NocTopology::kTrueMesh3d,
+                  .throttled_router = 5, .throttle_cycles = 2,
+                  .digest =
+                      "9abcd5c12e2da47795d999a05d3d497ba669e8e80151122a99dc0f4db1641855"},
+        // Zero-latency hops: a flit handed on is ready in the same tick,
+        // so the order in which buses and routers take their turns shows.
+        OrderCase{.name = "TrueMesh3dZeroLatency",
+                  .topology = NocTopology::kTrueMesh3d, .link_cycles = 0,
+                  .router_pipeline_cycles = 0,
+                  .digest =
+                      "8dcd88a602eb8b5b6bcbad2cfb50cac028e15d26a938d31d3fcba0db03e9d778"},
+        OrderCase{.name = "BusMeshZeroLatency",
+                  .topology = NocTopology::kHybridBusMesh, .link_cycles = 0,
+                  .router_pipeline_cycles = 0,
+                  .digest =
+                      "3cfd19a4c82484cd8e93360696044ebd088b589b69adc0b46c5bb176b1fee2a5"}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(NocConstruction, BuildersRejectShapesTheyCannotWire) {
+  // The builders lay out the 4x4 tile grid of the 16x32 cluster.  A 32x32
+  // shape used to build and then never deliver bank 4 -> core 20; 64x128
+  // died on an out-of-range routing-table write.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {32, 32}, {64, 128}, {16, 16}, {8, 32}};
+  for (const NocTopology topo :
+       {NocTopology::kTrueMesh3d, NocTopology::kHybridBusMesh,
+        NocTopology::kHybridBusTree}) {
+    for (const auto& [cores, banks] : shapes) {
+      NocConfig cfg;
+      cfg.num_cores = cores;
+      cfg.num_banks = banks;
+      try {
+        (void)make_noc(topo, cfg, power_model());
+        ADD_FAILURE() << topology_name(topo) << " built " << cores << "x"
+                      << banks;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("16-core/32-bank"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST(NocConstruction, RouterPortsAreBoundedByTheOccupancyMask) {
+  NocNetwork net(NocConfig{});
+  EXPECT_NO_THROW(net.add_router(NocNetwork::kMaxRouterPorts));
+  EXPECT_THROW(net.add_router(NocNetwork::kMaxRouterPorts + 1),
+               std::invalid_argument);
+  EXPECT_EQ(net.num_routers(), 1u);
+}
+
+TEST(NocConstruction, WidestRouterServesEveryPortInRoundRobinOrder) {
+  // Port 31 is the top bit of the occupancy masks.  Every port of a
+  // 32-port crossbar sends one flit to port 0 at cycle 0; they must leave
+  // one per cycle in port order.
+  constexpr std::uint32_t kPorts = NocNetwork::kMaxRouterPorts;
+  NocNetwork net(NocConfig{});
+  const std::uint32_t r = net.add_router(kPorts);
+  for (std::uint32_t p = 0; p < kPorts; ++p) {
+    net.set_output(r, p, {Target::Kind::kEndpoint, p, 0, 0.1});
+    net.set_endpoint_injection(p, {Target::Kind::kRouterPort, r, p, 0.1});
+    net.set_route(r, p, p);
+  }
+  std::vector<std::pair<PacketId, Cycle>> got;
+  net.set_delivery(
+      [&](const Packet& pk, Cycle t) { got.emplace_back(pk.id, t); });
+  for (std::uint32_t p = 0; p < kPorts; ++p) {
+    Packet pk;
+    pk.id = p + 1;
+    pk.src = p;
+    pk.dst = 0;
+    ASSERT_TRUE(net.try_inject(pk, 0));
+  }
+  for (Cycle t = 0; t < 200 && !net.idle(); ++t) net.tick(t);
+  ASSERT_EQ(got.size(), kPorts);
+  for (std::uint32_t i = 0; i < kPorts; ++i) {
+    EXPECT_EQ(got[i].first, i + 1);
+    EXPECT_EQ(got[i].second, got[0].second + i);
+  }
 }
 
 }  // namespace
