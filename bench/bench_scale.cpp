@@ -20,8 +20,8 @@
 //    order-of-magnitude regressions that matter (an accidental O(cores)
 //    scan re-entering the per-cycle hot path).
 //
-// Unlike the per-figure benches this binary owns its command line (the
-// shared harness rejects unknown flags by design):
+// This binary owns its command line (mot3d_experiments rejects flags it
+// does not know by design):
 //
 //   bench_scale [--cores=64,256,1024] [--patterns=all_to_all,...]
 //               [--fabrics=mot,mesh3d,busmesh,bustree]

@@ -7,10 +7,26 @@
 //   mot3d_experiments update-golden [name...]   # regenerate golden baselines
 //   mot3d_experiments check-golden [name...]    # compare against baselines
 //
-// `run` takes the same flags as the bench binaries (--scale/--seed/
-// --threads/--json/--scheduler/--trace/--metrics) plus --golden to force a
-// scenario's pinned golden options (golden_scale + registry seed) — handy
-// to eyeball exactly what the regression suite compares.
+// `run`, `trace` and `grid` take the run flags:
+//   --scale=<double>    fraction of each app's full instruction budget
+//                       (default = the scenario's registered default)
+//   --seed=<u64>        workload RNG seed (default 42)
+//   --threads=<n>       sweep worker threads; 0 = hardware concurrency
+//   --json=<path>       write a perf + metrics JSON report
+//   --scheduler=event|dense
+//                       cluster time-advance mode (default: event; results
+//                       are bit-identical, only wall-clock differs)
+//   --timeout=<seconds> per-run wall-clock budget (0 = none); a run over
+//                       budget dies with a watchdog error recorded against
+//                       that run, and the command exits non-zero
+//   --trace=<path>      write a Chrome-trace-event JSON of every run
+//   --metrics=<path>    write the interval-metrics time series (JSON, or
+//                       long-format CSV when the path ends in .csv)
+// Unknown flags are rejected with an error — a typo like --sacle=0.5 must
+// never silently fall back to the default.  `run` and `trace` also take
+// --golden to force a scenario's pinned golden options (golden_scale +
+// registry seed) — handy to eyeball exactly what the regression suite
+// compares.
 //
 // `trace` is `run` for one scenario with observability on by default:
 // --trace/--metrics fall back to <name>.trace.json / <name>.metrics.json.
@@ -28,14 +44,26 @@
 // at its pinned golden options and rewrites tests/golden/<name>.json.
 // This is the one sanctioned way to change a baseline: do it on purpose,
 // look at the diff, and say why in the commit message (see DESIGN.md).
+//
+// Results are shape-stable in scale — the paper's absolute testbed numbers
+// are not reproducible by construction (see DESIGN.md), so each scenario
+// prints our measured series next to the paper's reported deltas.
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/table.hpp"
-#include "harness.hpp"
+#include "sim/scenario.hpp"
+#include "sim/scenario_registry.hpp"
 #include "sim/sweep_service.hpp"
 
 namespace {
@@ -187,83 +215,127 @@ int cmd_describe(const std::vector<std::string>& names) {
   return 0;
 }
 
-/// CLI-only flags peeled off per command; everything else passes through to
-/// bench::parse_options, which rejects flags it does not know — so a flag
-/// given to the wrong subcommand (`run --apps=...`, `update-golden
-/// --scale=...`) fails loudly instead of being silently ignored.
+/// Every flag is parsed straight into its destination.  Each command
+/// allows its own flag groups (CliFlagSet); a flag outside them is
+/// reported by the command itself, so a flag given to the wrong subcommand
+/// (`run --apps=...`, `update-golden --scale=...`) fails loudly instead of
+/// being silently ignored.
 struct CliArgs {
-  std::vector<std::string> names;       ///< positional scenario names
-  std::vector<std::string> bench_args;  ///< pass-through flags
+  std::vector<std::string> names;        ///< positional scenario names
+  std::vector<std::string> stray_flags;  ///< flags the command does not take
+  /// Run flags; the scale is resolved per scenario (see run_options).
+  sim::ScenarioOptions run;
+  std::optional<double> scale;
   std::vector<std::string> apps;
   std::vector<std::string> fabrics;
   std::vector<std::string> states;
   std::vector<std::string> dram;
   std::string golden_dir = MOT3D_SOURCE_DIR "/tests/golden";
   bool use_golden_options = false;
-  // serve/batch/cache flags (CliFlagSet::service)
+  // serve/batch/cache flags (--threads and --scheduler land in `run`)
   std::string cache_dir;
   std::string requests_path;
   std::uint64_t max_cache_bytes = 0;
-  unsigned threads = 0;
-  cluster::SchedulerMode scheduler = cluster::SchedulerMode::kEventDriven;
 };
 
-/// Which CLI-only flags a subcommand understands.
+/// Which flag groups a subcommand understands.
 struct CliFlagSet {
+  bool run = false;      ///< --scale/--seed/--json/...          (run/trace/grid)
   bool axes = false;     ///< --apps/--fabrics/--states/--dram  (grid)
-  bool golden = false;   ///< --golden                          (run)
-  bool dir = false;      ///< --dir                             (update-golden)
+  bool golden = false;   ///< --golden                          (run/trace)
+  bool dir = false;      ///< --dir                             (*-golden)
   bool service = false;  ///< --cache-dir/--requests/...        (serve/batch)
 };
 
-std::uint64_t parse_u64_flag(const std::string& flag, const std::string& v) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t out = std::stoull(v, &used);
-    if (used != v.size() || v.empty()) throw std::invalid_argument(v);
-    return out;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("malformed value in '" + flag +
-                                "' (want a non-negative integer)");
+/// Whole-string numeric parse of a flag's value: trailing junk
+/// (--scale=0,75, --seed=5abc) must fail loudly, not silently truncate at
+/// the first bad character.
+template <typename T>
+T parse_number(const std::string& arg, const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [stop, ec] = std::from_chars(value.data(), end, out);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument("value out of range in '" + arg + "'");
   }
+  if (ec != std::errc{} || stop != end) {
+    throw std::invalid_argument("malformed value in '" + arg + "'");
+  }
+  return out;
 }
 
-CliArgs parse_cli(int argc, char** argv, int first, const CliFlagSet& allow) {
+std::string path_value(const std::string& flag, const std::string& value) {
+  if (value.empty()) throw std::invalid_argument(flag + " needs a path");
+  return value;
+}
+
+CliArgs parse_cli(int argc, char** argv, const CliFlagSet& allow) {
   CliArgs out;
-  for (int i = first; i < argc; ++i) {
+  const bool sweep = allow.run || allow.service;  // --threads, --scheduler
+  for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (allow.axes && arg.rfind("--apps=", 0) == 0) {
-      out.apps = split_csv(arg, arg.substr(7));
-    } else if (allow.axes && arg.rfind("--fabrics=", 0) == 0) {
-      out.fabrics = split_csv(arg, arg.substr(10));
-    } else if (allow.axes && arg.rfind("--states=", 0) == 0) {
-      out.states = split_csv(arg, arg.substr(9));
-    } else if (allow.axes && arg.rfind("--dram=", 0) == 0) {
-      out.dram = split_csv(arg, arg.substr(7));
-    } else if (allow.dir && arg.rfind("--dir=", 0) == 0) {
-      out.golden_dir = arg.substr(6);
-    } else if (allow.service && arg.rfind("--cache-dir=", 0) == 0) {
-      out.cache_dir = arg.substr(12);
-    } else if (allow.service && arg.rfind("--requests=", 0) == 0) {
-      out.requests_path = arg.substr(11);
-    } else if (allow.service && arg.rfind("--max-cache-bytes=", 0) == 0) {
-      out.max_cache_bytes = parse_u64_flag(arg, arg.substr(18));
-    } else if (allow.service && arg.rfind("--threads=", 0) == 0) {
-      out.threads = static_cast<unsigned>(parse_u64_flag(arg, arg.substr(10)));
-    } else if (allow.service && arg.rfind("--scheduler=", 0) == 0) {
-      const std::string mode = arg.substr(12);
-      if (mode == "event") {
-        out.scheduler = cluster::SchedulerMode::kEventDriven;
-      } else if (mode == "dense") {
-        out.scheduler = cluster::SchedulerMode::kDenseTick;
+    // Valued flags match on "--name=" and take everything after the '='.
+    const std::size_t eq = arg.find('=');
+    const std::string flag = eq == std::string::npos ? arg : arg.substr(0, eq + 1);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    if (allow.axes && flag == "--apps=") {
+      out.apps = split_csv(arg, value);
+    } else if (allow.axes && flag == "--fabrics=") {
+      out.fabrics = split_csv(arg, value);
+    } else if (allow.axes && flag == "--states=") {
+      out.states = split_csv(arg, value);
+    } else if (allow.axes && flag == "--dram=") {
+      out.dram = split_csv(arg, value);
+    } else if (allow.dir && flag == "--dir=") {
+      out.golden_dir = value;
+    } else if (allow.service && flag == "--cache-dir=") {
+      out.cache_dir = value;
+    } else if (allow.service && flag == "--requests=") {
+      out.requests_path = value;
+    } else if (allow.service && flag == "--max-cache-bytes=") {
+      out.max_cache_bytes = parse_number<std::uint64_t>(arg, value);
+    } else if (sweep && flag == "--threads=") {
+      out.run.threads = parse_number<unsigned>(arg, value);
+      if (out.run.threads > 1024) {
+        throw std::invalid_argument(arg + " is out of range (max 1024)");
+      }
+    } else if (sweep && flag == "--scheduler=") {
+      if (value == "event") {
+        out.run.scheduler = cluster::SchedulerMode::kEventDriven;
+      } else if (value == "dense") {
+        out.run.scheduler = cluster::SchedulerMode::kDenseTick;
       } else {
-        throw std::invalid_argument("unknown scheduler '" + mode +
+        throw std::invalid_argument("unknown scheduler '" + value +
                                     "' (want event|dense)");
       }
+    } else if (allow.run && flag == "--scale=") {
+      // The workload plan scales an instruction budget, so the fraction
+      // must be a positive finite number.
+      out.scale = parse_number<double>(arg, value);
+      if (!std::isfinite(*out.scale) || *out.scale <= 0.0) {
+        throw std::invalid_argument(
+            "scale must be a positive finite number, got " + value);
+      }
+    } else if (allow.run && flag == "--seed=") {
+      out.run.seed = parse_number<std::uint64_t>(arg, value);
+    } else if (allow.run && flag == "--timeout=") {
+      out.run.timeout_seconds = parse_number<double>(arg, value);
+      if (!std::isfinite(out.run.timeout_seconds) ||
+          out.run.timeout_seconds < 0.0) {
+        throw std::invalid_argument(
+            "--timeout must be a non-negative finite number of seconds");
+      }
+    } else if (allow.run && flag == "--json=") {
+      out.run.json_path = path_value(flag, value);
+    } else if (allow.run && flag == "--trace=") {
+      out.run.trace_path = path_value(flag, value);
+    } else if (allow.run && flag == "--metrics=") {
+      out.run.metrics_path = path_value(flag, value);
     } else if (allow.golden && arg == "--golden") {
       out.use_golden_options = true;
     } else if (arg.rfind("--", 0) == 0) {
-      out.bench_args.push_back(arg);  // parse_options rejects unknown flags
+      if (allow.run) throw std::invalid_argument("unknown option '" + arg + "'");
+      out.stray_flags.push_back(arg);  // the command names it in its error
     } else {
       out.names.push_back(arg);
     }
@@ -271,13 +343,20 @@ CliArgs parse_cli(int argc, char** argv, int first, const CliFlagSet& allow) {
   return out;
 }
 
-/// Re-pack the pass-through flags into an argv for bench::parse_options.
-bench::Options parse_bench_flags(const CliArgs& cli, double default_scale) {
-  std::vector<std::string> storage = cli.bench_args;
-  std::vector<char*> argv = {const_cast<char*>("mot3d_experiments")};
-  for (std::string& s : storage) argv.push_back(s.data());
-  return bench::parse_options(static_cast<int>(argv.size()), argv.data(),
-                              default_scale);
+/// The options one scenario runs under: the run flags, at the scenario's
+/// default scale unless --scale was given.  --golden swaps in the pinned
+/// golden options (scale, seed); output paths and the scheduler are
+/// observer-side and survive the override.
+sim::ScenarioOptions run_options(const CliArgs& cli, const sim::ScenarioSpec& spec) {
+  sim::ScenarioOptions opt = cli.run;
+  opt.scale = cli.scale.value_or(spec.default_scale);
+  if (!cli.use_golden_options) return opt;
+  sim::ScenarioOptions golden = sim::golden_options(spec);
+  golden.json_path = opt.json_path;
+  golden.trace_path = opt.trace_path;
+  golden.metrics_path = opt.metrics_path;
+  golden.scheduler = opt.scheduler;
+  return golden;
 }
 
 int cmd_run(const CliArgs& cli) {
@@ -288,14 +367,14 @@ int cmd_run(const CliArgs& cli) {
   // One output path cannot hold several scenarios' files; refuse rather
   // than silently keep only the last one written.
   if (cli.names.size() > 1) {
-    for (const std::string& arg : cli.bench_args) {
-      for (const char* flag : {"--json=", "--trace=", "--metrics="}) {
-        if (arg.rfind(flag, 0) == 0) {
-          std::cerr << "error: " << arg.substr(0, arg.find('='))
-                    << " with multiple scenarios would overwrite the same "
-                       "file; run them one at a time\n";
-          return 2;
-        }
+    for (const auto& [flag, path] : {std::pair{"--json", &cli.run.json_path},
+                                     std::pair{"--trace", &cli.run.trace_path},
+                                     std::pair{"--metrics", &cli.run.metrics_path}}) {
+      if (!path->empty()) {
+        std::cerr << "error: " << flag
+                  << " with multiple scenarios would overwrite the same "
+                     "file; run them one at a time\n";
+        return 2;
       }
     }
   }
@@ -309,23 +388,8 @@ int cmd_run(const CliArgs& cli) {
     }
   }
   for (const std::string& name : cli.names) {
-    const sim::ScenarioSpec* spec = sim::find_scenario(name);
-    sim::ScenarioOptions opt =
-        bench::to_scenario_options(parse_bench_flags(cli, spec->default_scale));
-    if (cli.use_golden_options) {
-      // Golden options pin the modeled inputs (scale, seed); output paths
-      // and the scheduler are observer-side and survive the override.
-      const std::string json = opt.json_path;
-      const std::string trace = opt.trace_path;
-      const std::string metrics = opt.metrics_path;
-      const auto scheduler = opt.scheduler;
-      opt = sim::golden_options(*spec);
-      opt.json_path = json;
-      opt.trace_path = trace;
-      opt.metrics_path = metrics;
-      opt.scheduler = scheduler;
-    }
-    const int rc = sim::run_and_present(*spec, opt, std::cout);
+    const sim::ScenarioSpec& spec = *sim::find_scenario(name);
+    const int rc = sim::run_and_present(spec, run_options(cli, spec), std::cout);
     if (rc != 0) return rc;
   }
   return 0;
@@ -353,19 +417,7 @@ int cmd_trace(const CliArgs& cli) {
               << ", nothing to trace)\n";
     return 2;
   }
-  sim::ScenarioOptions opt =
-      bench::to_scenario_options(parse_bench_flags(cli, spec->default_scale));
-  if (cli.use_golden_options) {
-    const std::string json = opt.json_path;
-    const std::string trace = opt.trace_path;
-    const std::string metrics = opt.metrics_path;
-    const auto scheduler = opt.scheduler;
-    opt = sim::golden_options(*spec);
-    opt.json_path = json;
-    opt.trace_path = trace;
-    opt.metrics_path = metrics;
-    opt.scheduler = scheduler;
-  }
+  sim::ScenarioOptions opt = run_options(cli, *spec);
   if (opt.trace_path.empty()) opt.trace_path = name + ".trace.json";
   if (opt.metrics_path.empty()) opt.metrics_path = name + ".metrics.json";
   return sim::run_and_present(*spec, opt, std::cout);
@@ -419,17 +471,15 @@ int cmd_grid(const CliArgs& cli) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
-  const sim::ScenarioOptions opt =
-      bench::to_scenario_options(parse_bench_flags(cli, spec.default_scale));
-  return sim::run_and_present(spec, opt, std::cout);
+  return sim::run_and_present(spec, run_options(cli, spec), std::cout);
 }
 
 int cmd_update_golden(const CliArgs& cli) {
   // Baselines are only valid at each scenario's pinned golden options —
   // reject any attempt to bend them with run-time flags.
-  if (!cli.bench_args.empty()) {
+  if (!cli.stray_flags.empty()) {
     std::cerr << "error: update-golden takes no run flags (got '"
-              << cli.bench_args.front()
+              << cli.stray_flags.front()
               << "'); baselines always use each scenario's golden options\n";
     return 2;
   }
@@ -469,9 +519,9 @@ int cmd_update_golden(const CliArgs& cli) {
 /// structured "error: ..." line (missing file, mismatch, unknown name), so
 /// scripts and CI steps can gate on it without parsing tables.
 int cmd_check_golden(const CliArgs& cli) {
-  if (!cli.bench_args.empty()) {
+  if (!cli.stray_flags.empty()) {
     std::cerr << "error: check-golden takes no run flags (got '"
-              << cli.bench_args.front()
+              << cli.stray_flags.front()
               << "'); baselines always use each scenario's golden options\n";
     return 2;
   }
@@ -525,9 +575,9 @@ int cmd_service(const CliArgs& cli, sim::ServiceLoopMode mode) {
               << cli.names.front() << "')\n";
     return 2;
   }
-  if (!cli.bench_args.empty()) {
+  if (!cli.stray_flags.empty()) {
     std::cerr << "error: " << verb << " takes no run flags (got '"
-              << cli.bench_args.front()
+              << cli.stray_flags.front()
               << "'); scale/seed/timeout_seconds are per-request fields\n";
     return 2;
   }
@@ -537,8 +587,8 @@ int cmd_service(const CliArgs& cli, sim::ServiceLoopMode mode) {
   }
   sim::ServiceConfig cfg;
   cfg.cache_dir = cli.cache_dir;
-  cfg.threads = cli.threads;
-  cfg.scheduler = cli.scheduler;
+  cfg.threads = cli.run.threads;
+  cfg.scheduler = cli.run.scheduler;
   cfg.max_cache_bytes = cli.max_cache_bytes;
   sim::SweepService service(cfg);  // throws on unwritable cache dir
   if (!cli.requests_path.empty()) {
@@ -561,9 +611,9 @@ int cmd_cache(const CliArgs& cli) {
     std::cerr << "error: cache takes one verb: stats|clear\n";
     return 2;
   }
-  if (!cli.bench_args.empty()) {
+  if (!cli.stray_flags.empty()) {
     std::cerr << "error: cache " << cli.names.front()
-              << " takes no run flags (got '" << cli.bench_args.front()
+              << " takes no run flags (got '" << cli.stray_flags.front()
               << "')\n";
     return 2;
   }
@@ -600,40 +650,50 @@ int main(int argc, char** argv) {
     print_cli_usage(std::cout);
     return 0;
   }
+  for (int i = 2; i < argc; ++i) {
+    if (std::string(argv[i]) == "--help") {
+      print_cli_usage(std::cout);
+      return 0;
+    }
+  }
   try {
     if (cmd == "describe") {
-      const CliArgs cli = parse_cli(argc, argv, 2, {});
-      if (!cli.bench_args.empty()) {
+      const CliArgs cli = parse_cli(argc, argv, {});
+      if (!cli.stray_flags.empty()) {
         std::cerr << "error: describe takes no flags (got '"
-                  << cli.bench_args.front() << "')\n";
+                  << cli.stray_flags.front() << "')\n";
         return 2;
       }
       return cmd_describe(cli.names);
     }
-    if (cmd == "run") return cmd_run(parse_cli(argc, argv, 2, {.golden = true}));
-    if (cmd == "trace") {
-      return cmd_trace(parse_cli(argc, argv, 2, {.golden = true}));
+    if (cmd == "run") {
+      return cmd_run(parse_cli(argc, argv, {.run = true, .golden = true}));
     }
-    if (cmd == "grid") return cmd_grid(parse_cli(argc, argv, 2, {.axes = true}));
+    if (cmd == "trace") {
+      return cmd_trace(parse_cli(argc, argv, {.run = true, .golden = true}));
+    }
+    if (cmd == "grid") {
+      return cmd_grid(parse_cli(argc, argv, {.run = true, .axes = true}));
+    }
     if (cmd == "update-golden") {
-      return cmd_update_golden(parse_cli(argc, argv, 2, {.dir = true}));
+      return cmd_update_golden(parse_cli(argc, argv, {.dir = true}));
     }
     if (cmd == "check-golden") {
-      return cmd_check_golden(parse_cli(argc, argv, 2, {.dir = true}));
+      return cmd_check_golden(parse_cli(argc, argv, {.dir = true}));
     }
     if (cmd == "serve") {
-      return cmd_service(parse_cli(argc, argv, 2, {.service = true}),
+      return cmd_service(parse_cli(argc, argv, {.service = true}),
                          sim::ServiceLoopMode::kServe);
     }
     if (cmd == "batch") {
-      return cmd_service(parse_cli(argc, argv, 2, {.service = true}),
+      return cmd_service(parse_cli(argc, argv, {.service = true}),
                          sim::ServiceLoopMode::kBatch);
     }
     if (cmd == "cache") {
-      return cmd_cache(parse_cli(argc, argv, 2, {.service = true}));
+      return cmd_cache(parse_cli(argc, argv, {.service = true}));
     }
   } catch (const std::invalid_argument& e) {
-    // Malformed CLI-level flag values (e.g. an empty axis list).
+    // Malformed or unknown flags (an empty axis list, --sacle=0.5, ...).
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   } catch (const std::exception& e) {

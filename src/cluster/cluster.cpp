@@ -190,11 +190,15 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
     if (mot_ != nullptr) {
       mot_->set_fault_retry_energy_pj(cfg_.fault.retry_energy_pj);
     }
+    if (!fault_sched_->events().empty()) {
+      next_fault_cycle_ = fault_sched_->events().front().cycle;
+    }
   }
   // The watchdog auto-engages on fault runs: a fault schedule can wedge the
   // simulation by construction, so those runs always get progress checks.
   if (cfg_.watchdog.enabled || cfg_.fault.enabled) {
     watchdog_ = std::make_unique<fault::Watchdog>(cfg_.watchdog);
+    next_watchdog_cycle_ = watchdog_->next_check_cycle();
   }
 
   // ---- observability (opt-in; inert otherwise) ----
@@ -329,11 +333,6 @@ void Cluster::drain_fabric_deliveries() {
   interconnect_->clear_deliveries();
 }
 
-void Cluster::inject_core_traffic() {
-  inject_coherence_acks();
-  inject_demand_requests();
-}
-
 void Cluster::inject_coherence_acks() {
   // Coherence acknowledgements first: they unblock stalled directory
   // transactions and flow even while the cores' clocks are held (the L1
@@ -369,108 +368,56 @@ void Cluster::inject_demand_requests() {
   }
 }
 
-void Cluster::tick_once() {
-  if (phase_timer_ != nullptr && phase_timer_->should_sample()) {
-    tick_once_timed(/*event_mode=*/false);
-    return;
-  }
+template <bool kGated, bool kTimed>
+void Cluster::tick() {
+  // Untimed ticks compile the stamps away.  drain_fabric_deliveries()
+  // touches core and bank state but runs on behalf of the fabric's
+  // deliveries, so its cost is charged to the fabric phase (documented
+  // convention).
+  using PT = obs::PhaseTimer;
+  [[maybe_unused]] PT::clock::time_point mark;
+  if constexpr (kTimed) mark = PT::clock::now();
+  const auto phase_done = [&]([[maybe_unused]] PT::Phase phase) {
+    if constexpr (kTimed) {
+      const PT::clock::time_point t = PT::clock::now();
+      phase_timer_->add(phase, mark, t);
+      mark = t;
+    }
+  };
   // Frozen cores are clock-held: no tick, no injection retry.  They are
   // also excluded from event-mode skip accounting, so both schedulers see
   // identical (frozen) core statistics.
   if (!cores_frozen_) {
     for (cpu::Core& core : core_arena_) core.tick(now_);
   }
-  inject_core_traffic();
-  interconnect_->tick(now_);
-  drain_fabric_deliveries();
-  l2_->tick(now_);
-  dram_->tick(now_);
-  ++now_;
-}
-
-// Identical to tick_once() except that each component is ticked only when
-// its next-event contract says this cycle can change its state — skipped
-// ticks are no-ops by that contract, so results are unchanged.  The gates
-// are evaluated just-in-time because earlier phases of the same cycle may
-// stimulate later components (core -> interconnect -> L2 -> DRAM).
-void Cluster::tick_once_event() {
-  if (phase_timer_ != nullptr && phase_timer_->should_sample()) {
-    tick_once_timed(/*event_mode=*/true);
-    return;
-  }
-  if (!cores_frozen_) {
-    for (cpu::Core& core : core_arena_) core.tick(now_);
-  }
-  inject_core_traffic();
-  if (interconnect_->next_event(now_) <= now_) {
-    interconnect_->tick(now_);
-    drain_fabric_deliveries();
-  }
-  if (l2_->next_event(now_) <= now_) l2_->tick(now_);
-  if (dram_->next_event(now_) <= now_) dram_->tick(now_);
-  ++now_;
-}
-
-void Cluster::tick_once_timed(bool event_mode) {
-  // Same phase order as the untimed ticks; steady_clock stamps between
-  // phases attribute host wall time.  drain_fabric_deliveries() touches
-  // core and bank state but runs on behalf of the fabric's deliveries, so
-  // its cost is charged to the fabric phase (documented convention).
-  using PT = obs::PhaseTimer;
-  const auto t0 = PT::clock::now();
-  if (!cores_frozen_) {
-    for (cpu::Core& core : core_arena_) core.tick(now_);
-  }
-  const auto t1 = PT::clock::now();
-  phase_timer_->add(PT::kWorkload, t0, t1);
+  phase_done(PT::kWorkload);
   inject_coherence_acks();
-  const auto t2 = PT::clock::now();
-  phase_timer_->add(PT::kCoherence, t1, t2);
+  phase_done(PT::kCoherence);
   inject_demand_requests();
-  if (!event_mode || interconnect_->next_event(now_) <= now_) {
+  // Gated: a component ticks only when its next-event contract says this
+  // cycle can change its state — skipped ticks are no-ops by that
+  // contract.  The gates are evaluated just-in-time because earlier
+  // phases of the same cycle may stimulate later components (core ->
+  // interconnect -> L2 -> DRAM).
+  if (!kGated || interconnect_->next_event(now_) <= now_) {
     interconnect_->tick(now_);
     drain_fabric_deliveries();
   }
-  const auto t3 = PT::clock::now();
-  phase_timer_->add(PT::kFabric, t2, t3);
-  if (!event_mode || l2_->next_event(now_) <= now_) l2_->tick(now_);
-  const auto t4 = PT::clock::now();
-  phase_timer_->add(PT::kL2, t3, t4);
-  if (!event_mode || dram_->next_event(now_) <= now_) dram_->tick(now_);
-  const auto t5 = PT::clock::now();
-  phase_timer_->add(PT::kDram, t4, t5);
+  phase_done(PT::kFabric);
+  if (!kGated || l2_->next_event(now_) <= now_) l2_->tick(now_);
+  phase_done(PT::kL2);
+  if (!kGated || dram_->next_event(now_) <= now_) dram_->tick(now_);
+  phase_done(PT::kDram);
   ++now_;
 }
 
 Cycle Cluster::next_event_cycle() const {
-  Cycle next = kNeverCycle;
-  // Thermal boundaries and the post-reconfiguration unfreeze point are
-  // events: the jump must land on them exactly, as the dense loop does.
-  if (thermal_ != nullptr) {
-    next = std::min(next, next_thermal_cycle_);
-  }
-  if (metrics_ != nullptr) {
-    // Metrics epoch boundaries are events exactly like thermal boundaries,
-    // so both schedulers sample at identical cycles.
-    next = std::min(next, next_metrics_cycle_);
-  }
-  if (fault_sched_ != nullptr) {
-    // The next scheduled fault is an event: the jump must land on it so
-    // both schedulers inject at the same cycle.  A drain in progress (or a
-    // deferred hard fault behind it) resolves through component events, but
-    // the post-reconfiguration unfreeze point is time-only.
-    const auto& evs = fault_sched_->events();
-    if (fault_event_idx_ < evs.size()) {
-      next = std::min(next, std::max(evs[fault_event_idx_].cycle, now_));
-    }
-  }
-  if ((thermal_ != nullptr || fault_sched_ != nullptr) && cores_frozen_ &&
-      frozen_until_ > now_) {
-    next = std::min(next, frozen_until_);
-  }
-  if (watchdog_ != nullptr) {
-    next = std::min(next, watchdog_->next_check_cycle());
-  }
+  // Subsystem boundaries are events: the jump must land on them exactly,
+  // as the dense loop does.  Each is kNeverCycle while its subsystem is
+  // off.  The unfreeze point is time-only: no component event marks it.
+  Cycle next = std::min({next_thermal_cycle_, next_metrics_cycle_,
+                         next_fault_cycle_, next_watchdog_cycle_,
+                         frozen_until_ > now_ ? frozen_until_ : kNeverCycle});
   if (!cores_frozen_) {
     for (const cpu::Core& core : core_arena_) {
       next = std::min(next, core.next_event(now_));
@@ -491,10 +438,47 @@ Cycle Cluster::next_event_cycle() const {
   return std::max(next, now_);
 }
 
+bool Cluster::advance(bool event) {
+  if (now_ >= cfg_.max_cycles) {
+    throw std::runtime_error("simulation exceeded max_cycles — livelock?\n" +
+                             progress_dump());
+  }
+  poll();
+  if (run_failed_) return false;  // unrecoverable fault: structured outcome
+  if (event) {
+    // Whenever nothing can happen this cycle, jump straight to the
+    // earliest future event, batch-accounting the skipped cycles on every
+    // core so all statistics stay bit-identical to the dense reference.
+    const Cycle next = next_event_cycle();
+    if (next > now_) {
+      if (next == kNeverCycle) {
+        // With a watchdog engaged its next check is always a future
+        // event, so this branch only fires on watchdog-less wedges.
+        throw std::runtime_error(
+            "deadlock: no component reports a future event but the run "
+            "has not finished\n" +
+            progress_dump());
+      }
+      const Cycle target = std::min(next, cfg_.max_cycles);
+      if (!cores_frozen_) {
+        for (cpu::Core& core : core_arena_) core.skip(now_, target);
+      }
+      now_ = target;
+      return true;
+    }
+  }
+  const bool timed = phase_timer_ != nullptr && phase_timer_->should_sample();
+  if (event) {
+    timed ? tick<true, true>() : tick<true, false>();
+  } else {
+    timed ? tick<false, true>() : tick<false, false>();
+  }
+  return true;
+}
+
 void Cluster::step(Cycle cycles) {
-  // Always dense: examples and reconfiguration demos rely on exact
-  // cycle-by-cycle stepping regardless of the configured scheduler.
-  for (Cycle i = 0; i < cycles; ++i) tick_once();
+  for (Cycle i = 0; i < cycles && advance(/*event=*/false); ++i) {
+  }
 }
 
 bool Cluster::finished() const {
@@ -506,47 +490,8 @@ bool Cluster::finished() const {
 }
 
 SimResult Cluster::run() {
-  if (cfg_.scheduler == SchedulerMode::kDenseTick) {
-    while (!finished()) {
-      if (now_ >= cfg_.max_cycles) {
-        throw std::runtime_error("simulation exceeded max_cycles — livelock?\n" +
-                                 progress_dump());
-      }
-      poll();
-      if (run_failed_) break;  // unrecoverable fault: structured outcome
-      tick_once();
-    }
-  } else {
-    // Event-driven: whenever nothing can happen this cycle, jump straight
-    // to the earliest future event, batch-accounting the skipped cycles on
-    // every core so all statistics stay bit-identical to the dense
-    // reference.
-    while (!finished()) {
-      if (now_ >= cfg_.max_cycles) {
-        throw std::runtime_error("simulation exceeded max_cycles — livelock?\n" +
-                                 progress_dump());
-      }
-      poll();
-      if (run_failed_) break;
-      const Cycle next = next_event_cycle();
-      if (next > now_) {
-        if (next == kNeverCycle) {
-          // With a watchdog engaged its next check is always a future
-          // event, so this branch only fires on watchdog-less wedges.
-          throw std::runtime_error(
-              "deadlock: no component reports a future event but the run "
-              "has not finished\n" +
-              progress_dump());
-        }
-        const Cycle target = std::min(next, cfg_.max_cycles);
-        if (!cores_frozen_) {
-          for (cpu::Core& core : core_arena_) core.skip(now_, target);
-        }
-        now_ = target;
-        continue;
-      }
-      tick_once_event();
-    }
+  const bool event = cfg_.scheduler == SchedulerMode::kEventDriven;
+  while (!finished() && advance(event)) {
   }
   thermal_finalize();
   obs_finalize();
@@ -554,26 +499,27 @@ SimResult Cluster::run() {
 }
 
 void Cluster::poll() {
-  // thermal_poll() is the exact pre-fault sequence: keeping it byte-for-
-  // byte intact keeps every thermal-only golden byte-identical.  Fault
-  // polling re-folds the freeze signal afterwards because a fault-initiated
-  // drain freezes the cores through the same machinery.
-  thermal_poll();
-  if (fault_sched_ != nullptr) {
-    fault_poll();
-    set_frozen(draining_ || governor_hold_ || now_ < frozen_until_);
+  // 1) A pending drain completes once the transport is quiescent (the
+  //    component tick that emptied it is an event, so both schedulers
+  //    poll the cycle after it).
+  if (draining()) try_complete_drain();
+  // 2) Thermal sampling boundary.
+  if (now_ == next_thermal_cycle_) thermal_boundary();
+  // 3) Deferred and scheduled faults.
+  if (fault_sched_ != nullptr) fault_poll();
+  // 4) Cores are clock-held while draining, while the governor demands a
+  //    hold, and through the reprogramming delay after a reconfiguration.
+  const bool frozen = draining() || governor_hold_ || now_ < frozen_until_;
+  if (frozen != cores_frozen_) set_frozen(frozen);
+  // 5) Watchdog check boundary.
+  if (now_ >= next_watchdog_cycle_) watchdog_poll();
+  // 6) Metrics epoch boundary.  Like the thermal boundary it is matched
+  //    exactly: the dense loop walks every cycle and the event loop's jump
+  //    lands on it (next_event_cycle() includes it).
+  if (now_ == next_metrics_cycle_) {
+    metrics_->sample(now_);
+    next_metrics_cycle_ = now_ + cfg_.obs.metrics_epoch_cycles;
   }
-  if (watchdog_ != nullptr) watchdog_poll();
-  metrics_poll();
-}
-
-void Cluster::metrics_poll() {
-  // Exact boundary match, mirroring thermal sampling: the dense loop walks
-  // every cycle and the event loop's jump lands on the boundary exactly
-  // (next_event_cycle() includes it), so `==` holds for both.
-  if (metrics_ == nullptr || now_ != next_metrics_cycle_) return;
-  metrics_->sample(now_);
-  next_metrics_cycle_ = now_ + cfg_.obs.metrics_epoch_cycles;
 }
 
 void Cluster::obs_finalize() {
@@ -596,12 +542,12 @@ void Cluster::set_frozen(bool frozen) {
 }
 
 void Cluster::try_complete_drain() {
-  // A pending drain completes once the transport is quiescent.  Two kinds
-  // ride the same machinery (mutually exclusive): a reconfiguration drain
-  // (apply the power state, pay the ctr reprogramming delay frozen) and a
-  // stacked-DRAM vault swap (exchange the logical map, pay the migration
-  // freeze).
-  if (!(draining_ && interconnect_->idle() && l2_->idle() && dram_->idle())) {
+  // Two kinds of drain ride the same machinery (mutually exclusive: the
+  // governor and the remap policy defer to an in-flight drain): a
+  // reconfiguration (apply the power state, pay the ctr reprogramming
+  // delay frozen) and a stacked-DRAM vault swap (exchange the logical map,
+  // pay the migration freeze).
+  if (!draining() || !interconnect_->idle() || !l2_->idle() || !dram_->idle()) {
     return;
   }
   if (drain_target_.has_value()) {
@@ -613,9 +559,8 @@ void Cluster::try_complete_drain() {
                        now_ - drain_begin_, "reprogram_cycles",
                        cost.reprogram_cycles);
     }
-    draining_ = false;
     drain_target_.reset();
-  } else if (pending_vault_swap_.has_value()) {
+  } else {
     stacked_->swap_physical(pending_vault_swap_->hot, pending_vault_swap_->cool,
                             now_);
     frozen_until_ = now_ + cfg_.vault_remap.migrate_freeze_cycles;
@@ -624,46 +569,39 @@ void Cluster::try_complete_drain() {
                        now_ - drain_begin_, "hot", pending_vault_swap_->hot,
                        "cool", pending_vault_swap_->cool);
     }
-    draining_ = false;
     pending_vault_swap_.reset();
-  } else {
-    draining_ = false;  // defensive: drain with no payload
   }
 }
 
 void Cluster::fault_poll() {
-  // 1) Mid-drain completion: identical contract to the thermal governor's
-  //    drain (the component tick that emptied the transport is an event,
-  //    so both schedulers poll the cycle after it).
-  try_complete_drain();
-
-  // 2) A hard fault that arrived while an earlier drain was in flight was
-  //    deferred; re-evaluate it against the *current* state now that the
-  //    transport is reconfigurable again.  One per poll keeps the drain
-  //    sequencing simple and deterministic.
-  if (!draining_ && !deferred_faults_.empty()) {
+  // A hard fault that arrived while an earlier drain was in flight was
+  // deferred; re-evaluate it against the *current* state now that the
+  // transport is reconfigurable again.  One per poll keeps the drain
+  // sequencing simple and deterministic.
+  if (!draining() && !deferred_faults_.empty()) {
     const fault::FaultEvent ev = deferred_faults_.front();
     deferred_faults_.pop_front();
     apply_fault(ev);
     try_complete_drain();
   }
 
-  // 3) Fire every scheduled fault due at or before this cycle (the event
-  //    scheduler lands on each fault cycle exactly; the dense loop walks
-  //    through it).
-  const auto& evs = fault_sched_->events();
-  while (fault_event_idx_ < evs.size() && evs[fault_event_idx_].cycle <= now_) {
+  // Fire every scheduled fault due at or before this cycle (the event
+  // scheduler lands on each fault cycle exactly; the dense loop walks
+  // through it).
+  const std::vector<fault::FaultEvent>& evs = fault_sched_->events();
+  while (now_ >= next_fault_cycle_) {
+    const fault::FaultEvent& ev = evs[fault_event_idx_++];
+    next_fault_cycle_ =
+        fault_event_idx_ < evs.size() ? evs[fault_event_idx_].cycle : kNeverCycle;
     ++fault_summary_.injected;
     if (trace_ != nullptr) {
       // Recorded at the injection poll, not inside apply_fault(): a bank
       // gate deferred behind a drain re-applies later and would otherwise
       // emit twice.
-      const fault::FaultEvent& ev = evs[fault_event_idx_];
       trace_->instant(fault::fault_kind_name(ev.kind), trk_fault_, now_,
                       "target", ev.target, "magnitude", ev.magnitude);
     }
-    apply_fault(evs[fault_event_idx_]);
-    ++fault_event_idx_;
+    apply_fault(ev);
     // If the fabric happens to be idle the drain completes *now* — waiting
     // for a later poll would desynchronise the schedulers (no component
     // events exist while everything is idle).
@@ -699,7 +637,7 @@ void Cluster::apply_fault(const fault::FaultEvent& ev) {
       drop_invalidates_remaining_ += ev.magnitude == 0 ? 1 : ev.magnitude;
       break;
     case fault::DegradeActionKind::kGateBanks:
-      if (draining_) {
+      if (draining()) {
         // A drain is already in flight (thermal governor or an earlier
         // fault); queue this one behind it and re-react later.
         deferred_faults_.push_back(ev);
@@ -710,7 +648,6 @@ void Cluster::apply_fault(const fault::FaultEvent& ev) {
       ++fault_summary_.bank_gate_events;
       fault_repair_pj_ += cfg_.fault.repair_energy_pj;
       mark_degraded();
-      draining_ = true;
       drain_target_ = act.target;
       drain_begin_ = now_;
       break;
@@ -742,10 +679,10 @@ void Cluster::apply_fault(const fault::FaultEvent& ev) {
 }
 
 void Cluster::watchdog_poll() {
-  // Cheap guard first: the signature walk is O(cores + banks) and must not
-  // run every dense-mode cycle.
-  if (now_ < watchdog_->next_check_cycle()) return;
-  switch (watchdog_->poll(now_, progress_signature())) {
+  const fault::WatchdogVerdict verdict =
+      watchdog_->poll(now_, progress_signature());
+  next_watchdog_cycle_ = watchdog_->next_check_cycle();
+  switch (verdict) {
     case fault::WatchdogVerdict::kOk:
       break;
     case fault::WatchdogVerdict::kStalled:
@@ -817,70 +754,54 @@ std::string Cluster::progress_dump() const {
   return os.str();
 }
 
-void Cluster::thermal_poll() {
-  if (thermal_ == nullptr) return;
-
-  // 1) Mid-interval drain completion (the component tick that emptied the
-  //    transport is an event, so both schedulers poll the cycle after it).
-  try_complete_drain();
-
-  // 2) Sampling boundary: close the interval's power books, step the RC
-  //    model, let the governor react.
-  if (now_ == next_thermal_cycle_) {
-    thermal_sample_interval();
-    if (!draining_) {
-      const thermal::GovernorDecision d = governor_->decide(thermal_->peak_c());
-      if (d.reconfigure.has_value() && reconfig_ != nullptr &&
-          !(*d.reconfigure == mot_->state())) {
-        draining_ = true;
-        drain_target_ = d.reconfigure;
-        drain_begin_ = now_;
-        if (trace_ != nullptr) {
-          trace_->instant("demote", trk_governor_, now_, "peak_c_x100",
-                          static_cast<std::uint64_t>(thermal_->peak_c() * 100.0),
-                          "banks", d.reconfigure->active_banks());
-        }
-      }
-      if (trace_ != nullptr && d.hold_cores && !governor_hold_) {
-        trace_->instant("core_hold", trk_governor_, now_, "peak_c_x100",
-                        static_cast<std::uint64_t>(thermal_->peak_c() * 100.0));
-      }
-      governor_hold_ = d.hold_cores;
-    }
-    update_vault_thermal();
-    if (vault_remap_ != nullptr && !draining_ && !run_failed_) {
-      std::vector<bool> alive(stacked_->num_vaults());
-      for (std::size_t v = 0; v < alive.size(); ++v) {
-        alive[v] = stacked_->vault_alive(v);
-      }
-      const std::optional<dram3d::VaultSwap> swap =
-          vault_remap_->decide(vault_temp_c_, alive, now_);
-      if (swap.has_value()) {
-        draining_ = true;
-        pending_vault_swap_ = swap;
-        drain_begin_ = now_;
-        if (trace_ != nullptr) {
-          trace_->instant("vault_too_hot", trk_dram_, now_, "hot", swap->hot,
-                          "cool", swap->cool);
-        }
+void Cluster::thermal_boundary() {
+  thermal_sample_interval();
+  if (!draining()) {
+    const thermal::GovernorDecision d = governor_->decide(thermal_->peak_c());
+    if (d.reconfigure.has_value() && reconfig_ != nullptr &&
+        !(*d.reconfigure == mot_->state())) {
+      drain_target_ = d.reconfigure;
+      drain_begin_ = now_;
+      if (trace_ != nullptr) {
+        trace_->instant("demote", trk_governor_, now_, "peak_c_x100",
+                        static_cast<std::uint64_t>(thermal_->peak_c() * 100.0),
+                        "banks", d.reconfigure->active_banks());
       }
     }
-    // If the transport happens to be idle at the decision boundary the
-    // drain is already complete: apply it *now*, in the poll itself.
-    // Waiting for a later poll would desynchronise the schedulers — the
-    // event loop sees no component events while everything is idle and
-    // would only look again at the next sampling boundary.
-    try_complete_drain();
-    next_thermal_cycle_ = now_ + cfg_.thermal.sample_interval_cycles;
+    if (trace_ != nullptr && d.hold_cores && !governor_hold_) {
+      trace_->instant("core_hold", trk_governor_, now_, "peak_c_x100",
+                      static_cast<std::uint64_t>(thermal_->peak_c() * 100.0));
+    }
+    governor_hold_ = d.hold_cores;
   }
-
-  // 3) Cores are clock-held while draining, while the governor demands a
-  //    hold, and through the reprogramming delay after a reconfiguration.
-  set_frozen(draining_ || governor_hold_ || now_ < frozen_until_);
+  update_vault_thermal();
+  if (vault_remap_ != nullptr && !draining() && !run_failed_) {
+    std::vector<bool> alive(stacked_->num_vaults());
+    for (std::size_t v = 0; v < alive.size(); ++v) {
+      alive[v] = stacked_->vault_alive(v);
+    }
+    const std::optional<dram3d::VaultSwap> swap =
+        vault_remap_->decide(vault_temp_c_, alive, now_);
+    if (swap.has_value()) {
+      pending_vault_swap_ = swap;
+      drain_begin_ = now_;
+      if (trace_ != nullptr) {
+        trace_->instant("vault_too_hot", trk_dram_, now_, "hot", swap->hot,
+                        "cool", swap->cool);
+      }
+    }
+  }
+  // If the transport happens to be idle at the decision boundary the
+  // drain is already complete: apply it *now*, in the poll itself.
+  // Waiting for a later poll would desynchronise the schedulers — the
+  // event loop sees no component events while everything is idle and
+  // would only look again at the next sampling boundary.
+  try_complete_drain();
+  next_thermal_cycle_ = now_ + cfg_.thermal.sample_interval_cycles;
 }
 
 void Cluster::update_vault_thermal() {
-  if (stacked_ == nullptr || thermal_ == nullptr) return;
+  if (stacked_ == nullptr) return;
   const thermal::ThermalFloorplan& flp = thermal_->floorplan();
   for (std::size_t v = 0; v < vault_temp_c_.size(); ++v) {
     vault_temp_c_[v] = thermal_->solver().tile_c(flp.vault_tile(v));

@@ -199,7 +199,9 @@ class Cluster {
   /// Run to completion (all cores done, all queues drained).
   SimResult run();
 
-  /// Step the system `cycles` forward (examples / reconfiguration demos).
+  /// Advance `cycles` dense iterations of the run loop, polls included,
+  /// regardless of the configured scheduler (examples / reconfiguration
+  /// demos); stops early if an unrecoverable fault failed the run.
   void step(Cycle cycles);
 
   /// Current simulation time.
@@ -218,14 +220,20 @@ class Cluster {
   SimResult collect_result() const;
 
  private:
-  void tick_once();
-  void tick_once_event();
+  /// One iteration of the run loop, the whole body of run() and step():
+  /// the max-cycles guard, poll(), the failed-run exit, then (event mode)
+  /// a jump to the next event when nothing can happen this cycle, else one
+  /// tick.  Returns false once an unrecoverable fault failed the run.
+  bool advance(bool event);
 
-  /// Instrumented tick (1-in-64 sampled when phase timing is on): the same
-  /// phase order as tick_once / tick_once_event with steady_clock stamps
-  /// between phases.  Clock reads never touch model state, so timing a run
-  /// cannot perturb its modeled metrics.
-  void tick_once_timed(bool event_mode);
+  /// One cycle in the fixed phase order: cores, coherence acks, demand
+  /// injection, interconnect (+ delivery drain), L2, DRAM.  kGated ticks
+  /// a component only when its next-event contract says this cycle can
+  /// change its state (event mode).  kTimed stamps steady_clock between
+  /// phases for the 1-in-64 PhaseTimer sample; clock reads never touch
+  /// model state, so timing a run cannot perturb its modeled metrics.
+  template <bool kGated, bool kTimed>
+  void tick();
 
   /// Hand one fabric-delivered response to its core (or the L1 snoop
   /// controller for invalidations), recording the latency sample.
@@ -236,34 +244,41 @@ class Cluster {
   /// equivalence note in common/interconnect.hpp).
   void drain_fabric_deliveries();
 
-  /// Shared per-cycle injection phase of both schedulers: coherence
-  /// acknowledgements first (they flow even while cores are clock-held),
-  /// then the demand request of each unfrozen core.  Split so the timed
-  /// tick can attribute the two halves to different phases.
-  void inject_core_traffic();
+  /// Per-cycle injection phase: coherence acknowledgements first (they
+  /// flow even while cores are clock-held), then the demand request of
+  /// each unfrozen core.  Split so the timed tick can attribute the two
+  /// halves to different phases.
   void inject_coherence_acks();
   void inject_demand_requests();
 
-  /// Minimum over every component's next_event(now_); never below now_.
-  /// Thermal sampling boundaries, the governor's unfreeze point, fault
-  /// injection times and watchdog check boundaries are events too, so both
-  /// schedulers visit them at the exact same cycles.
+  /// Minimum over every component's next_event(now_) and every subsystem
+  /// boundary (thermal sample, metrics epoch, next fault, watchdog check,
+  /// unfreeze point); never below now_.  The boundaries are events, so
+  /// both schedulers visit them at the exact same cycles.
   Cycle next_event_cycle() const;
 
-  /// Top-of-iteration poll of both schedulers: thermal steps, then fault
-  /// injection, then the watchdog.  Strictly ordered so the byte-identical
-  /// guarantee holds per subsystem combination.
+  /// Top of every loop iteration, strictly ordered so the byte-identical
+  /// guarantee holds for every subsystem combination: drain completion,
+  /// thermal boundary, faults, the freeze fold, watchdog, metrics.  The
+  /// idle path is a handful of compares: it runs every iteration.
   void poll();
 
-  // -- thermal subsystem plumbing (all no-ops when thermal_ is null) --
+  // -- drain / freeze state shared by the governor, vault remap and faults --
 
-  /// Run at the top of every scheduler iteration: completes pending
-  /// reconfiguration drains, unfreezes cores whose reprogramming delay
-  /// elapsed, and processes a sampling boundary when now_ is one.
-  void thermal_poll();
+  /// A reconfiguration or vault swap is waiting for the transport to drain.
+  bool draining() const {
+    return drain_target_.has_value() || pending_vault_swap_.has_value();
+  }
 
-  /// Apply a pending governor reconfiguration once the transport drained.
+  /// Apply the pending drain's payload (reconfiguration or vault swap)
+  /// once the transport is quiescent; the reconfiguration's reprogramming
+  /// delay or the swap's migration freeze sets frozen_until_.
   void try_complete_drain();
+
+  /// Cores are clock-held (governor throttle or reconfiguration drain).
+  void set_frozen(bool frozen);
+
+  // -- thermal subsystem plumbing (only reached when thermal_ is set) --
 
   /// Close the power books of [last_thermal_cycle_, now_) and feed the
   /// interval into the thermal model's leakage fixed point.
@@ -277,6 +292,11 @@ class Cluster {
   /// step and track the running peak (no-op without the stacked backend).
   void update_vault_thermal();
 
+  /// Sampling boundary (now_ == next_thermal_cycle_): close the interval's
+  /// power books, step the RC model, let the governor and the vault remap
+  /// policy react.
+  void thermal_boundary();
+
   /// Account the final partial interval and stop throttle accounting.
   void thermal_finalize();
 
@@ -285,13 +305,10 @@ class Cluster {
   /// last bit).  Used for interval deltas via EnergyLedger::delta_since.
   void accumulate_dynamic_energy(power::EnergyLedger& ledger) const;
 
-  /// Cores are clock-held (governor throttle or reconfiguration drain).
-  void set_frozen(bool frozen);
+  // -- fault subsystem plumbing (only reached when fault_sched_ is set) --
 
-  // -- fault subsystem plumbing (all no-ops when fault_sched_ is null) --
-
-  /// Complete fault-initiated drains, promote deferred hard faults, and
-  /// inject every fault event scheduled for this exact cycle.
+  /// Promote a deferred hard fault once no drain is in flight, then inject
+  /// every fault event due by now_.
   void fault_poll();
 
   /// Execute the degradation policy's reaction to one fault event.
@@ -305,11 +322,6 @@ class Cluster {
   void watchdog_poll();
 
   // -- observability plumbing (all no-ops when cfg_.obs is all-off) --
-
-  /// Take an interval metrics sample when now_ is an epoch boundary.
-  /// The boundary participates in next_event_cycle() exactly like thermal
-  /// sampling, so both schedulers sample at identical cycles.
-  void metrics_poll();
 
   /// Tail metrics sample at the run's final cycle (if not already on a
   /// boundary) so short runs export at least one row.
@@ -357,8 +369,7 @@ class Cluster {
   std::vector<std::uint64_t> prev_bank_accesses_;
   Cycle next_thermal_cycle_ = kNeverCycle;
   Cycle last_thermal_cycle_ = 0;
-  bool draining_ = false;                   ///< quiescing for reconfiguration
-  std::optional<core::PowerState> drain_target_;
+  std::optional<core::PowerState> drain_target_;  ///< reconfiguration drain
   /// A thermal vault swap waiting for the same drain (never set together
   /// with drain_target_: the governor and the remap policy defer to an
   /// in-flight drain and re-decide at a later boundary).
@@ -381,6 +392,7 @@ class Cluster {
   std::unique_ptr<fault::FaultSchedule> fault_sched_;
   std::unique_ptr<fault::DegradationManager> degrade_;
   std::size_t fault_event_idx_ = 0;         ///< next schedule entry to fire
+  Cycle next_fault_cycle_ = kNeverCycle;    ///< its cycle
   std::deque<fault::FaultEvent> deferred_faults_;  ///< queued behind a drain
   fault::FaultSummary fault_summary_;
   std::uint64_t drop_invalidates_remaining_ = 0;  ///< directed-test wedge
@@ -391,6 +403,7 @@ class Cluster {
 
   // -- watchdog (engaged when cfg_.watchdog.enabled or faults are on) --
   std::unique_ptr<fault::Watchdog> watchdog_;
+  Cycle next_watchdog_cycle_ = kNeverCycle;  ///< watchdog_->next_check_cycle()
 
   // -- observability state (engaged only via cfg_.obs; see src/obs/) --
   /// Trace sink: unbounded under cfg_.obs.trace, a bounded flight-recorder

@@ -1,7 +1,7 @@
-// Plain-text table rendering for the bench harnesses.
+// Plain-text table rendering for the scenario presenters.
 //
 // The paper's figures are bar charts over (benchmark x configuration); every
-// bench binary prints the corresponding series as an aligned text table plus
+// scenario prints the corresponding series as an aligned text table plus
 // normalised columns, so EXPERIMENTS.md can quote the rows directly.
 #pragma once
 

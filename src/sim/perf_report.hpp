@@ -1,6 +1,6 @@
-// Perf-trajectory JSON reports for the bench harness (--json=).
+// Perf-trajectory JSON reports for `mot3d_experiments --json=`.
 //
-// Each bench binary can dump one flat JSON object with its identity, knobs
+// Each scenario run can dump one flat JSON object with its identity, knobs
 // and SweepRunner telemetry (wall seconds, simulated cycles, cycles/s) so
 // successive PRs can chart simulator throughput over time (BENCH_*.json).
 // The writer is deliberately tiny: flat objects, insertion-ordered keys,

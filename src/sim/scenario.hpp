@@ -91,7 +91,7 @@ struct ScenarioSpec {
   std::vector<DramBackendMode> dram_backends;
 
   // -- run knobs --
-  double default_scale = 0.5;  ///< bench-binary default (--scale overrides)
+  double default_scale = 0.5;  ///< CLI default (--scale overrides)
   double golden_scale = 0.02;  ///< reduced scale pinned by the golden suite
   std::uint64_t seed = 42;
 

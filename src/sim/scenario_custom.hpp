@@ -13,16 +13,19 @@ namespace mot3d::sim {
 struct ScenarioOptions;
 struct ScenarioSpec;
 
-/// Repeater insertion vs Elmore wire delay (bench_ablation_wire).
+/// Repeater insertion vs Elmore wire delay
+/// (`mot3d_experiments run ablation_wire`).
 int run_ablation_wire(const ScenarioSpec& spec, const ScenarioOptions& opt,
                       std::ostream& os);
 
-/// MoT contention vs offered load across power states (bench_ablation_pipeline).
+/// MoT contention vs offered load across power states
+/// (`mot3d_experiments run ablation_pipeline`).
 int run_ablation_pipeline(const ScenarioSpec& spec, const ScenarioOptions& opt,
                           std::ostream& os);
 
 /// Hot-path microbenchmarks + dense-vs-event scheduler speedup on the
-/// Fig. 6 sweep, with a differential identity check (bench_micro_sim).
+/// Fig. 6 sweep, with a differential identity check
+/// (`mot3d_experiments run micro_sim`).
 int run_micro_sim(const ScenarioSpec& spec, const ScenarioOptions& opt,
                   std::ostream& os);
 

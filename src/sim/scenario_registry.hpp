@@ -1,7 +1,6 @@
 // Registry of the paper's experiments as declarative ScenarioSpecs: one
 // entry per figure/table (plus the custom microbenchmark/ablation bodies).
-// Every bench binary is a thin wrapper over one of these entries, the
-// `mot3d_experiments` CLI lists/runs them by name, and the golden suite
+// The `mot3d_experiments` CLI lists/runs them by name, and the golden suite
 // (tests/test_golden_figures.cpp) pins the metrics JSON of every entry
 // with `has_golden`.
 #pragma once

@@ -4,7 +4,13 @@
 // cycles, latency histograms, every counter and every energy ledger entry.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "cluster/cluster.hpp"
+#include "common/sha256.hpp"
+#include "sim/scenario.hpp"
 
 namespace mot3d::cluster {
 namespace {
@@ -221,6 +227,131 @@ TEST(SchedulerDifferential, OpenPagePolicyBitIdentical) {
   EXPECT_EQ(d.dram.page_hits, e.dram.page_hits);
   EXPECT_EQ(d.dram.page_misses, e.dram.page_misses);
   EXPECT_GT(d.dram.page_hits + d.dram.page_misses, 0u);
+}
+
+// -- one run loop: the poll order and step() --
+//
+// Each golden runs at most one optional subsystem, so none pins the order
+// in which Cluster::poll() serves several of them.  These runs switch on
+// thermal control, seeded faults, interval metrics and the watchdog at
+// once: governor demotions, fault bank gates and core holds meet in the
+// same run.  Each digest covers the canonical run JSON plus every metrics
+// row and must hold under both schedulers.
+
+struct PollPin {
+  const char* app;
+  Fabric fabric;
+  sim::DramBackendMode backend;
+  fault::FaultEnvelope faults;
+  std::vector<fault::FaultEvent> directed = {};  ///< on top of the seeded ones
+
+  sim::ScenarioRun run() const {
+    sim::ScenarioRun r;
+    r.app = app;
+    r.fabric = fabric;
+    r.thermal = thermal::ThermalEnvelope{true, 60.0, 70.0};
+    r.fault = faults;
+    r.dram_backend = backend;
+    return r;
+  }
+
+  ClusterConfig config(SchedulerMode scheduler) const {
+    sim::ScenarioOptions opt;
+    opt.scale = 0.02;
+    opt.scheduler = scheduler;
+    opt.metrics_path = "metrics.csv";  // only engages the metrics registry
+    ClusterConfig cfg = sim::make_run_config(run(), opt);
+    cfg.fault.events = directed;
+    cfg.watchdog.enabled = true;
+    return cfg;
+  }
+};
+
+std::string metrics_rows(const SimResult& r) {
+  std::ostringstream os;
+  r.metrics->write_csv_rows(os, r.app);
+  return os.str();
+}
+
+constexpr fault::FaultEnvelope kMixedFaults{true, 2.0, 1.0, 202};
+
+const PollPin kMotConstantFft{"fft", Fabric::kMot,
+                              sim::DramBackendMode::kConstant, kMixedFaults};
+
+/// Runs `pin` under both schedulers, checks both against `sha256`, and
+/// returns the event-mode result for the caller's coverage checks.
+SimResult expect_pinned(const PollPin& pin, const char* sha256) {
+  SimResult event;
+  for (SchedulerMode mode : {SchedulerMode::kDenseTick, SchedulerMode::kEventDriven}) {
+    SimResult r = Cluster(pin.config(mode)).run();
+    EXPECT_EQ(sha256_hex(sim::run_metrics_json(pin.run(), r) + metrics_rows(r)),
+              sha256)
+        << scheduler_name(mode);
+    event = std::move(r);
+  }
+  return event;
+}
+
+TEST(PollOrderPin, MotConstantDramFft) {
+  const SimResult r = expect_pinned(
+      kMotConstantFft,
+      "6f9a342906c67ee8ae97e5a77ecd37dcfeb6da88cd19ebd5e43596ccb715608d");
+  // The pin is only worth something if the subsystems actually interleave.
+  EXPECT_GT(r.thermal.bank_gate_events, 0u);
+  EXPECT_GT(r.thermal.core_hold_events, 0u);
+  EXPECT_GT(r.fault.bank_gate_events, 0u);
+}
+
+TEST(PollOrderPin, MotStackedRemapFft) {
+  expect_pinned(
+      {"fft", Fabric::kMot, sim::DramBackendMode::kStackedRemap, kMixedFaults},
+      "6ff2a53228791aec4e3efdce384d465478af4860267ae42b3127c629a5d7b0a1");
+}
+
+TEST(PollOrderPin, MotStackedRemapProducerConsumer) {
+  expect_pinned({"producer_consumer", Fabric::kMot,
+                 sim::DramBackendMode::kStackedRemap, kMixedFaults},
+                "d518599d91c21d9ddd5554a8f841b55eefde6a21c981145432465da395a78d43");
+}
+
+TEST(PollOrderPin, Mesh3dDegradeOnlyFaults) {
+  const SimResult r = expect_pinned(
+      {"fft", Fabric::kTrueMesh3d, sim::DramBackendMode::kConstant,
+       fault::FaultEnvelope{true, 2.0, 0.0, 202}},
+      "86d7c2c3b5dcc6673a5323b430e9b411f1dfd769bbc95c3f580021436380f050");
+  EXPECT_EQ(r.fault.outcome, "degraded");
+}
+
+// Seeded faults rarely land on a thermal boundary, so these directed ones
+// do: a governor demotion and a fault bank gate then contend for the same
+// drain in the same poll, and serving faults before the thermal boundary
+// changes the digest.
+TEST(PollOrderPin, MotFaultsOnThermalBoundaries) {
+  PollPin pin = kMotConstantFft;
+  pin.directed = {{10'000, fault::FaultKind::kBankFail, 3, 0},
+                  {20'000, fault::FaultKind::kBankFail, 28, 0},
+                  {30'000, fault::FaultKind::kTsvDegrade, 12, 2}};
+  expect_pinned(
+      pin, "54ff5fb0a31043daf9989570f5d70ba6684bf5bffafdd511613926349c07b53c");
+}
+
+// step() is the dense loop iteration, polls included: stepping past the
+// first 10 000-cycle thermal and metrics boundary and then running to the
+// end must reproduce a plain run() exactly.
+TEST(RunLoop, StepThenRunMatchesRun) {
+  const sim::ScenarioRun run = kMotConstantFft.run();
+  for (SchedulerMode mode : {SchedulerMode::kDenseTick, SchedulerMode::kEventDriven}) {
+    const SimResult whole = Cluster(kMotConstantFft.config(mode)).run();
+    Cluster stepped(kMotConstantFft.config(mode));
+    stepped.step(15'000);
+    const SimResult split = stepped.run();
+    EXPECT_EQ(split.thermal.samples, whole.thermal.samples) << scheduler_name(mode);
+    EXPECT_EQ(split.metrics->sample_count(), whole.metrics->sample_count())
+        << scheduler_name(mode);
+    EXPECT_EQ(metrics_rows(split), metrics_rows(whole)) << scheduler_name(mode);
+    EXPECT_EQ(sim::run_metrics_json(run, split), sim::run_metrics_json(run, whole))
+        << scheduler_name(mode);
+  }
 }
 
 TEST(SchedulerDifferential, EventModeIsTheDefault) {
