@@ -52,17 +52,9 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
     throw std::invalid_argument(
         "packet-switched baselines only run the full (ungated) configuration");
   }
-  // The packet-switched topology builders lay out a fixed 4x4x3 tile grid;
-  // only the MoT's tree construction is parametric in the cluster shape.
-  if (cfg_.fabric != Fabric::kMot &&
-      (cfg_.total_cores != 16 || cfg_.total_banks != 32)) {
-    throw std::invalid_argument(
-        "packet-switched baselines are hardwired to the 16-core/32-bank "
-        "Table I cluster; scale-out shapes run the MoT fabric only");
-  }
-
   // ---- memory system ----
-  // DRAM requesters: one Miss-bus slot per bank + one per core (I-refills).
+  // DRAM requesters: one Miss-bus slot per bank + one per core (I-refills);
+  // every read ends in on_read_done().
   if (cfg_.stacked_dram) {
     auto stacked = std::make_unique<dram3d::StackedDram>(
         cfg_.dram3d, cfg_.total_banks + cfg_.total_cores);
@@ -72,7 +64,8 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
     dram_ = std::make_unique<mem::DramBackend>(
         cfg_.dram, cfg_.total_banks + cfg_.total_cores);
   }
-  l2_ = std::make_unique<mem::L2System>(cfg_.l2, *dram_, /*dram_requester_base=*/0);
+  dram_->set_read_sink(this);
+  l2_ = std::make_unique<mem::L2System>(cfg_.l2, *dram_);
   l2_->set_active_banks(cfg_.power_state.bank_mask());
 
   // Sharing-pattern workloads engage the directory-MESI subsystem; without
@@ -127,9 +120,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
     // Instruction refills ride the Miss bus straight to DRAM (paper §II);
     // requester slots for cores sit after the banks.
     dram_->read(static_cast<std::uint32_t>(cfg_.total_banks + c), addr, now,
-                [this, c](std::uint32_t, Addr a, Cycle done) {
-                  cores_[c]->on_ifetch_refill(a, done);
-                });
+                /*tag=*/0);
   };
   // Reserve up front: cores_[] holds raw pointers into the arena, which
   // must therefore never reallocate.
@@ -229,11 +220,10 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   }
   obs_hist_ = cfg_.obs.enabled();
   if (obs_hist_) {
-    dram_->set_service_observer([this](Cycle lat) { obs_dram_.record(lat); });
+    dram_->set_service_histogram(&obs_dram_);
     if (stacked_ != nullptr) {
       obs_vault_.resize(stacked_->num_vaults());
-      stacked_->set_vault_service_observer(
-          [this](std::size_t v, Cycle lat) { obs_vault_[v].record(lat); });
+      stacked_->set_vault_service_histograms(obs_vault_.data());
     }
   }
   if (cfg_.obs.metrics) {
@@ -272,6 +262,15 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
 }
 
 Cluster::~Cluster() = default;
+
+void Cluster::on_read_done(std::uint32_t requester, std::uint64_t tag,
+                           Addr addr, Cycle now) {
+  if (requester < cfg_.total_banks) {
+    l2_->on_read_done(requester, tag, addr, now);
+  } else {
+    cores_[requester - cfg_.total_banks]->on_ifetch_refill(addr, now);
+  }
+}
 
 void Cluster::deliver_response(const MemResponse& resp) {
   assert(cores_[resp.core] != nullptr);
@@ -733,12 +732,12 @@ std::string Cluster::progress_dump() const {
   for (BankId b = 0; b < cfg_.total_banks; ++b) {
     if (!l2_->active_banks()[b]) continue;
     const mem::L2System::BankDebug dbg = l2_->bank_debug(b);
-    if (dbg.in_queue == 0 && dbg.out_queue == 0 && dbg.misses_in_flight == 0 &&
+    if (dbg.in_queue == 0 && dbg.out_queue == 0 && dbg.misses == 0 &&
         !dbg.coh_stalled) {
       continue;
     }
     os << "  bank " << b << ": in=" << dbg.in_queue << " out=" << dbg.out_queue
-       << " misses=" << dbg.misses_in_flight;
+       << " misses=" << dbg.misses;
     if (dbg.coh_stalled) {
       os << " coh-stalled (" << dbg.coh_acks_remaining << " acks outstanding)";
     }

@@ -188,7 +188,7 @@ struct SimResult {
 };
 
 /// Build-and-run system simulator.
-class Cluster {
+class Cluster final : private mem::ReadSink {
  public:
   explicit Cluster(ClusterConfig cfg);
   ~Cluster();
@@ -234,6 +234,13 @@ class Cluster {
   /// model state, so timing a run cannot perturb its modeled metrics.
   template <bool kGated, bool kTimed>
   void tick();
+
+  /// Where every DRAM read ends, called from inside the backend's tick()
+  /// before its arbitration (so a refill's dirty victim is granted this
+  /// cycle): bank refills (requesters below total_banks) go to the L2,
+  /// instruction refills to their core.
+  void on_read_done(std::uint32_t requester, std::uint64_t tag, Addr addr,
+                    Cycle now) override;
 
   /// Hand one fabric-delivered response to its core (or the L1 snoop
   /// controller for invalidations), recording the latency sample.

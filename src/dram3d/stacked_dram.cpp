@@ -38,24 +38,12 @@ StackedDram::StackedDram(const Dram3dConfig& cfg, std::size_t num_requesters)
   timing_view_.energy_per_access_pj = cfg_.energy_per_access_pj;
 }
 
-void StackedDram::enqueue(std::uint32_t requester, Addr addr, bool is_write,
-                          Cycle now, Callback cb) {
-  if (requester >= num_requesters_) {
+void StackedDram::enqueue(const Txn& txn) {
+  if (txn.requester >= num_requesters_) {
     throw std::out_of_range("stacked-DRAM requester out of range");
   }
-  const std::size_t phys = map_[logical_vault(addr)];
-  vaults_[phys].queue.push_back(
-      Txn{requester, addr, is_write, now, std::move(cb)});
+  vaults_[map_[logical_vault(txn.addr)]].queue.push_back(txn);
   ++pending_count_;
-}
-
-void StackedDram::read(std::uint32_t requester, Addr addr, Cycle now,
-                       Callback cb) {
-  enqueue(requester, addr, /*is_write=*/false, now, std::move(cb));
-}
-
-void StackedDram::write(std::uint32_t requester, Addr addr, Cycle now) {
-  enqueue(requester, addr, /*is_write=*/true, now, {});
 }
 
 void StackedDram::run_refresh(std::size_t v, Cycle now) {
@@ -94,7 +82,7 @@ void StackedDram::serve_vault(std::size_t v, Cycle now) {
     }
   }
 
-  Txn txn = std::move(vault.queue[pick]);
+  const Txn txn = vault.queue[pick];
   vault.queue.erase(vault.queue.begin() +
                     static_cast<std::ptrdiff_t>(pick));
   --pending_count_;
@@ -127,22 +115,13 @@ void StackedDram::serve_vault(std::size_t v, Cycle now) {
   } else {
     ++stats_.reads;
     ++vs.reads;
-    const Cycle latency = done - txn.enqueued;
-    if (service_obs_) service_obs_(latency);
-    if (vault_service_obs_) vault_service_obs_(v, latency);
-    completions_.push(
-        Completion{done, txn.requester, txn.addr, std::move(txn.cb)});
-    ++in_flight_;
+    const Cycle latency = schedule_read(txn, done);
+    if (vault_hist_ != nullptr) vault_hist_[v].record(latency);
   }
 }
 
 void StackedDram::tick(Cycle now) {
-  while (!completions_.empty() && completions_.top().due <= now) {
-    Completion c = completions_.top();
-    completions_.pop();
-    --in_flight_;
-    if (c.cb) c.cb(c.requester, c.addr, now);
-  }
+  complete_due(now);
   for (std::size_t v = 0; v < vaults_.size(); ++v) {
     if (!alive_[v]) continue;
     run_refresh(v, now);
@@ -150,13 +129,8 @@ void StackedDram::tick(Cycle now) {
   }
 }
 
-bool StackedDram::idle() const {
-  return pending_count_ == 0 && in_flight_ == 0;
-}
-
 Cycle StackedDram::next_event(Cycle now) const {
-  Cycle next = kNeverCycle;
-  if (!completions_.empty()) next = std::max(completions_.top().due, now);
+  Cycle next = next_completion(now);
   for (std::size_t v = 0; v < vaults_.size(); ++v) {
     if (!alive_[v]) continue;
     const Vault& vault = vaults_[v];
@@ -180,18 +154,7 @@ std::uint64_t StackedDram::total_refreshes() const {
 
 void StackedDram::register_metrics(obs::MetricsRegistry& m,
                                    const std::string& prefix) const {
-  m.add(prefix + ".reads",
-        [this] { return static_cast<double>(stats_.reads); });
-  m.add(prefix + ".writes",
-        [this] { return static_cast<double>(stats_.writes); });
-  m.add(prefix + ".page_hits",
-        [this] { return static_cast<double>(stats_.page_hits); });
-  m.add(prefix + ".page_misses",
-        [this] { return static_cast<double>(stats_.page_misses); });
-  m.add(prefix + ".total_wait_cycles",
-        [this] { return static_cast<double>(stats_.total_wait_cycles); });
-  m.add(prefix + ".dynamic_energy_pj",
-        [this] { return stats_.dynamic_energy_pj; });
+  MemoryBackend::register_metrics(m, prefix);
   m.add(prefix + ".refreshes",
         [this] { return static_cast<double>(total_refreshes()); });
   m.add(prefix + ".remaps",

@@ -23,13 +23,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
 #include "mem/memory_backend.hpp"
-#include "obs/metrics.hpp"
 
 namespace mot3d::dram3d {
 
@@ -80,22 +78,13 @@ class StackedDram final : public mem::MemoryBackend {
  public:
   StackedDram(const Dram3dConfig& cfg, std::size_t num_requesters);
 
-  void read(std::uint32_t requester, Addr addr, Cycle now,
-            Callback cb) override;
-  void write(std::uint32_t requester, Addr addr, Cycle now) override;
   void tick(Cycle now) override;
-  bool idle() const override;
   Cycle next_event(Cycle now) const override;
-
-  const mem::DramStats& stats() const override { return stats_; }
 
   /// Timing view for the reconfiguration planner's flush-cost math.
   const mem::DramConfig& config() const override { return timing_view_; }
 
-  void set_service_observer(std::function<void(Cycle)> obs) override {
-    service_obs_ = std::move(obs);
-  }
-
+  /// The shared counters plus refreshes, remaps and per-vault probes.
   void register_metrics(obs::MetricsRegistry& m,
                         const std::string& prefix) const override;
 
@@ -123,27 +112,13 @@ class StackedDram final : public mem::MemoryBackend {
   /// last alive vault died.  A fault on an already-dead vault is benign.
   bool fail_vault(std::size_t phys, Cycle now, std::string* note);
 
-  /// Per-vault service-latency observer: (physical vault, latency).
-  void set_vault_service_observer(
-      std::function<void(std::size_t, Cycle)> obs) {
-    vault_service_obs_ = std::move(obs);
+  /// Per-vault service latencies: `per_vault[v]` records the reads served
+  /// by physical vault v (one histogram per vault); null (default) = off.
+  void set_vault_service_histograms(obs::LatencyHistogram* per_vault) {
+    vault_hist_ = per_vault;
   }
 
  private:
-  struct Txn {
-    std::uint32_t requester = 0;
-    Addr addr = 0;
-    bool is_write = false;
-    Cycle enqueued = 0;
-    Callback cb;  ///< empty for writes
-  };
-  struct Completion {
-    Cycle due;
-    std::uint32_t requester;
-    Addr addr;
-    Callback cb;
-    bool operator>(const Completion& o) const { return due > o.due; }
-  };
   struct Vault {
     std::deque<Txn> queue;
     std::vector<Addr> open_rows;  ///< per bank; kNoOpenPage = closed
@@ -159,8 +134,7 @@ class StackedDram final : public mem::MemoryBackend {
     const Addr local = chunk / cfg_.num_vaults;
     return (local * cfg_.vault_interleave_bytes) / cfg_.row_bytes;
   }
-  void enqueue(std::uint32_t requester, Addr addr, bool is_write, Cycle now,
-               Callback cb);
+  void enqueue(const Txn& txn) override;
   void run_refresh(std::size_t v, Cycle now);
   void serve_vault(std::size_t v, Cycle now);
 
@@ -171,16 +145,10 @@ class StackedDram final : public mem::MemoryBackend {
   std::vector<std::size_t> map_;  ///< logical -> physical vault
   std::vector<bool> alive_;
   std::size_t alive_count_;
-  std::size_t pending_count_ = 0;
-  std::priority_queue<Completion, std::vector<Completion>, std::greater<>>
-      completions_;
-  std::size_t in_flight_ = 0;
-  mem::DramStats stats_;
   std::vector<VaultStats> vault_stats_;
   std::uint64_t remap_count_ = 0;
   std::uint64_t vault_fault_count_ = 0;
-  std::function<void(Cycle)> service_obs_;
-  std::function<void(std::size_t, Cycle)> vault_service_obs_;
+  obs::LatencyHistogram* vault_hist_ = nullptr;
 };
 
 }  // namespace mot3d::dram3d

@@ -29,14 +29,8 @@ DramBackend::DramBackend(const DramConfig& cfg, std::size_t num_requesters)
   if (num_requesters == 0) throw std::invalid_argument("need >= 1 requester");
 }
 
-void DramBackend::read(std::uint32_t requester, Addr addr, Cycle now, Callback cb) {
-  queues_.at(requester).push_back(
-      Txn{requester, addr, /*is_write=*/false, now, std::move(cb)});
-  ++pending_count_;
-}
-
-void DramBackend::write(std::uint32_t requester, Addr addr, Cycle now) {
-  queues_.at(requester).push_back(Txn{requester, addr, /*is_write=*/true, now, {}});
+void DramBackend::enqueue(const Txn& txn) {
+  queues_.at(txn.requester).push_back(txn);
   ++pending_count_;
 }
 
@@ -56,13 +50,7 @@ Cycle DramBackend::access_latency_cycles(Addr addr) {
 }
 
 void DramBackend::tick(Cycle now) {
-  // Fire completions due now (or earlier, defensively).
-  while (!completions_.empty() && completions_.top().due <= now) {
-    Completion c = completions_.top();
-    completions_.pop();
-    --in_flight_;
-    if (c.cb) c.cb(c.requester, c.addr, now);
-  }
+  complete_due(now);
 
   // Miss-bus arbitration: one grant per bus-free window, round-robin over
   // requester queues (the paper's round-robin line-refill policy).  A
@@ -73,7 +61,7 @@ void DramBackend::tick(Cycle now) {
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t q = (rr_next_ + i) % n;
     if (queues_[q].empty() || queues_[q].front().enqueued > now) continue;
-    Txn txn = std::move(queues_[q].front());
+    const Txn txn = queues_[q].front();
     queues_[q].pop_front();
     --pending_count_;
     rr_next_ = (q + 1) % n;
@@ -91,20 +79,14 @@ void DramBackend::tick(Cycle now) {
       // Posted: occupies bandwidth only.
     } else {
       ++stats_.reads;
-      const Cycle done = start + access_latency_cycles(txn.addr);
-      if (service_obs_) service_obs_(done - txn.enqueued);
-      completions_.push(Completion{done, txn.requester, txn.addr, std::move(txn.cb)});
-      ++in_flight_;
+      schedule_read(txn, start + access_latency_cycles(txn.addr));
     }
     break;  // one bus grant per cycle window
   }
 }
 
-bool DramBackend::idle() const { return pending_count_ == 0 && in_flight_ == 0; }
-
 Cycle DramBackend::next_event(Cycle now) const {
-  Cycle next = kNeverCycle;
-  if (!completions_.empty()) next = std::max(completions_.top().due, now);
+  Cycle next = next_completion(now);
   if (pending_count_ > 0) {
     // Per-requester FIFOs grant strictly from the head; the earliest
     // grant is bounded by the bus and the earliest head arrival.

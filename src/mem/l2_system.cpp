@@ -10,8 +10,8 @@
 
 namespace mot3d::mem {
 
-L2System::L2System(const L2Config& cfg, MemoryBackend& dram, std::uint32_t dram_requester_base)
-    : cfg_(cfg), dram_(dram), dram_base_(dram_requester_base) {
+L2System::L2System(const L2Config& cfg, MemoryBackend& dram)
+    : cfg_(cfg), dram_(dram) {
   if (!is_pow2(cfg.total_banks)) {
     throw std::invalid_argument("bank count must be a power of two");
   }
@@ -52,20 +52,28 @@ void L2System::deliver(const MemRequest& req, Cycle now) {
   mark_live(req.bank);
 }
 
-void L2System::on_refill(BankId bank_id, const MemRequest& req, Cycle now,
-                         bool install_shared) {
+void L2System::on_read_done(std::uint32_t bank_id, std::uint64_t tag,
+                            Addr /*addr*/, Cycle now) {
+  // Match on the request id: under the open-page policy a second miss on
+  // the same line can be a row hit and complete before the first.
   Bank& bank = banks_[bank_id];
-  --bank.misses_in_flight;
+  const auto it =
+      std::find_if(bank.misses.begin(), bank.misses.end(),
+                   [tag](const Miss& m) { return m.req.id == tag; });
+  assert(it != bank.misses.end() && "refill without an outstanding miss");
+  const Miss miss = *it;
+  bank.misses.erase(it);
   --misses_total_;
+  const MemRequest& req = miss.req;
   const InsertResult ins = bank.cache.insert(req.addr, /*dirty=*/req.is_write);
   stats_.dynamic_energy_pj += cfg_.write_energy_pj;  // fill write
   if (ins.evicted_dirty) {
     ++stats_.writebacks;
     stats_.dynamic_energy_pj += cfg_.read_energy_pj;  // victim read-out
-    dram_.write(dram_base_ + bank_id, ins.evicted_line_addr, now);
+    dram_.write(bank_id, ins.evicted_line_addr, now);
   }
   respond(bank_id, req, now, RespKind::kData, /*l2_hit=*/false, req.is_write,
-          install_shared);
+          miss.install_shared);
 }
 
 void L2System::respond(BankId bank_id, const MemRequest& req, Cycle now,
@@ -107,7 +115,7 @@ void L2System::finish_request(BankId bank_id, const MemRequest& req, Cycle now,
     if (ins.evicted_dirty) {
       ++stats_.writebacks;
       stats_.dynamic_energy_pj += cfg_.read_energy_pj;  // victim read-out
-      dram_.write(dram_base_ + bank_id, ins.evicted_line_addr, now);
+      dram_.write(bank_id, ins.evicted_line_addr, now);
     }
     respond(bank_id, req, now, RespKind::kData, /*l2_hit=*/true, req.is_write,
             install_shared);
@@ -125,7 +133,7 @@ void L2System::finish_request(BankId bank_id, const MemRequest& req, Cycle now,
             install_shared);
   } else {
     ++stats_.misses;
-    ++bank.misses_in_flight;
+    bank.misses.push_back(Miss{req, install_shared});
     ++misses_total_;
     if (trace_ != nullptr) {
       trace_->instant("l2_miss", trace_bank_base_ + bank_id, now, "core",
@@ -133,12 +141,7 @@ void L2System::finish_request(BankId bank_id, const MemRequest& req, Cycle now,
     }
     // Tag check took access_cycles; then the line refill goes out on
     // the round-robin Miss bus.
-    const MemRequest miss_req = req;
-    dram_.read(dram_base_ + bank_id, req.addr, now + cfg_.access_cycles,
-               [this, bank_id, miss_req, install_shared](std::uint32_t, Addr,
-                                                         Cycle done) {
-                 on_refill(bank_id, miss_req, done, install_shared);
-               });
+    dram_.read(bank_id, req.addr, now + cfg_.access_cycles, req.id);
   }
 }
 
@@ -212,13 +215,9 @@ void L2System::tick(Cycle now) {
       }
 
       // Push ready responses into the interconnect, preserving order.
-      while (!bank.out_queue.empty() && bank.out_queue.front().due <= now) {
-        const MemResponse& head = bank.out_queue.front().resp;
-        const bool accepted = injector_ ? injector_(head, now)
-                              : transport_ != nullptr
-                                  ? transport_->try_inject_response(head, now)
-                                  : false;
-        if (!accepted) break;
+      while (!bank.out_queue.empty() && bank.out_queue.front().due <= now &&
+             transport_->try_inject_response(bank.out_queue.front().resp,
+                                             now)) {
         bank.out_queue.pop_front();
       }
 
@@ -320,7 +319,7 @@ L2System::BankDebug L2System::bank_debug(BankId b) const {
   BankDebug d;
   d.in_queue = bank.in_queue.size();
   d.out_queue = bank.out_queue.size();
-  d.misses_in_flight = bank.misses_in_flight;
+  d.misses = bank.misses.size();
   d.coh_stalled = bank.coh_pending.has_value();
   d.coh_acks_remaining =
       bank.coh_pending.has_value() ? bank.coh_pending->acks_remaining : 0;

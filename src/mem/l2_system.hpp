@@ -10,12 +10,13 @@
 // The L2System is interconnect-agnostic: requests arrive via deliver()
 // already carrying the *physical* bank id (the MoT routing switches, or
 // their simulated equivalent, perform the logical->physical remap), and
-// responses leave through an injection callback that may exert
-// back-pressure.
+// responses leave through the transport's try_inject_response(), which may
+// exert back-pressure.  Bank b is DRAM requester b; each bank keeps its
+// outstanding misses and matches a refill to one by request id (the read's
+// tag), never by address.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -64,24 +65,13 @@ struct L2Stats {
 };
 
 /// The stacked L2: banks + miss path.  Cycle-driven via tick().
-class L2System {
+class L2System final : public ReadSink {
  public:
-  /// Tries to hand a response to the interconnect; returns false if the
-  /// bank's response port is blocked this cycle.
-  using ResponseInjector = std::function<bool(const MemResponse&, Cycle)>;
+  /// Bank b issues its line refills as DRAM requester b.
+  L2System(const L2Config& cfg, MemoryBackend& dram);
 
-  /// `dram_requester_base`: this system uses DRAM requester ids
-  /// [base, base + total_banks) on the shared Miss bus.
-  L2System(const L2Config& cfg, MemoryBackend& dram, std::uint32_t dram_requester_base = 0);
-
-  void set_response_injector(ResponseInjector injector) {
-    injector_ = std::move(injector);
-  }
-
-  /// Hot-path alternative to set_response_injector: responses go straight
-  /// to `t->try_inject_response()` with no std::function indirection.  A
-  /// registered injector (unit tests, custom back-pressure harnesses)
-  /// takes precedence.
+  /// Responses leave through `t->try_inject_response()`; set before the
+  /// first response is due.
   void set_transport(Interconnect* t) { transport_ = t; }
 
   /// Engage directory-based coherence: each bank consults its co-located
@@ -94,6 +84,11 @@ class L2System {
 
   /// Interconnect delivers a request whose `bank` is the physical bank.
   void deliver(const MemRequest& req, Cycle now);
+
+  /// The refill of bank `bank`'s miss on request id `tag` is back from
+  /// DRAM: install the line (writing back a dirty victim) and answer.
+  void on_read_done(std::uint32_t bank, std::uint64_t tag, Addr addr,
+                    Cycle now) override;
 
   /// Advance one cycle: start bank accesses, retire completed ones, push
   /// ready responses into the interconnect.
@@ -160,7 +155,7 @@ class L2System {
   struct BankDebug {
     std::size_t in_queue = 0;
     std::size_t out_queue = 0;
-    std::size_t misses_in_flight = 0;
+    std::size_t misses = 0;
     bool coh_stalled = false;       ///< transaction parked on invalidations
     unsigned coh_acks_remaining = 0;
   };
@@ -190,6 +185,11 @@ class L2System {
     bool upgrade_ack = false;      ///< answer kUpgradeAck instead of data
     bool install_shared = false;   ///< kData grant must install Shared
   };
+  /// A miss waiting for its DRAM refill.
+  struct Miss {
+    MemRequest req;
+    bool install_shared = false;  ///< the kData grant must install Shared
+  };
   struct Bank {
     explicit Bank(const CacheConfig& cc) : cache(cc) {}
     Cache cache;
@@ -197,11 +197,8 @@ class L2System {
     RingBuffer<ReadyResponse> out_queue;
     std::optional<CohPending> coh_pending;
     Cycle busy_until = 0;
-    std::size_t misses_in_flight = 0;
+    std::vector<Miss> misses;  ///< in issue order; refills may overtake
   };
-
-  void on_refill(BankId bank, const MemRequest& req, Cycle now,
-                 bool install_shared);
 
   /// Queue `req`'s answer on its bank's out-queue, due after the array
   /// access latency.
@@ -228,13 +225,11 @@ class L2System {
 
   L2Config cfg_;
   MemoryBackend& dram_;
-  std::uint32_t dram_base_;
   std::vector<Bank> banks_;
   std::vector<bool> active_;
   std::vector<std::uint64_t> live_;
-  std::size_t misses_total_ = 0;   ///< sum of banks' misses_in_flight
+  std::size_t misses_total_ = 0;   ///< sum of banks' misses.size()
   std::size_t coh_stalls_ = 0;     ///< banks with a parked CohPending
-  ResponseInjector injector_;
   Interconnect* transport_ = nullptr;
   coherence::CoherenceDirectory* dir_ = nullptr;
   L2Stats stats_;

@@ -4,6 +4,9 @@
 // power-state plumbing and basic cross-fabric sanity.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "cluster/cluster.hpp"
 
 namespace mot3d::cluster {
@@ -123,6 +126,19 @@ TEST(Cluster, GatedStatesRejectedOnNocFabrics) {
   EXPECT_THROW(
       Cluster(small_cfg("fft", Fabric::kTrueMesh3d, core::PowerState::pc16_mb8())),
       std::invalid_argument);
+}
+
+TEST(Cluster, ScaleOutShapesRejectedOnNocFabrics) {
+  // The packet-switched topology builders lay out the 16x32 tile grid
+  // only; the MoT is the one fabric that scales out.
+  try {
+    Cluster(small_cfg("fft", Fabric::kTrueMesh3d,
+                      core::PowerState("Full64x128", 64, 64, 128, 128)));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("16-core/32-bank"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Cluster, DramPresetWiredThrough) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "mem/dram.hpp"
+#include "memory_test_doubles.hpp"
 
 namespace mot3d::mem {
 namespace {
@@ -28,12 +29,16 @@ TEST(DramPresets, PaperLatencies) {
 
 TEST(Dram, SingleReadLatency) {
   DramBackend dram(cfg_200(), 4);
-  Cycle done_at = 0;
-  dram.read(0, 0x1000, 0, [&](std::uint32_t, Addr, Cycle done) { done_at = done; });
-  for (Cycle t = 0; t <= 300 && done_at == 0; ++t) dram.tick(t);
+  RecordingSink sink;
+  dram.set_read_sink(&sink);
+  dram.read(0, 0x1000, 0, /*tag=*/7);
+  for (Cycle t = 0; t <= 300 && sink.done.empty(); ++t) dram.tick(t);
+  ASSERT_EQ(sink.done.size(), 1u);
+  EXPECT_EQ(sink.done[0].tag, 7u);
+  EXPECT_EQ(sink.done[0].addr, 0x1000u);
   // bus (2) + latency (200); completion fires on the tick after due.
-  EXPECT_GE(done_at, 202u);
-  EXPECT_LE(done_at, 208u);
+  EXPECT_GE(sink.done[0].at, 202u);
+  EXPECT_LE(sink.done[0].at, 208u);
   EXPECT_TRUE(dram.idle());
   EXPECT_EQ(dram.stats().reads, 1u);
 }
@@ -51,40 +56,41 @@ TEST(Dram, RoundRobinAcrossRequesters) {
   // Three requesters each enqueue 2 reads at t=0; grants must interleave
   // 0,1,2,0,1,2 (the paper's round-robin Miss bus).
   DramBackend dram(cfg_200(), 3);
-  std::vector<std::uint32_t> completion_order;
+  RecordingSink sink;
+  dram.set_read_sink(&sink);
   for (std::uint32_t r = 0; r < 3; ++r) {
-    for (int k = 0; k < 2; ++k) {
-      dram.read(r, 0x1000 * r + 0x10 * k, 0,
-                [&](std::uint32_t req, Addr, Cycle) { completion_order.push_back(req); });
-    }
+    for (int k = 0; k < 2; ++k) dram.read(r, 0x1000 * r + 0x10 * k, 0, 0);
   }
   for (Cycle t = 0; t <= 400; ++t) dram.tick(t);
+  std::vector<std::uint32_t> completion_order;
+  for (const RecordingSink::Done& d : sink.done) {
+    completion_order.push_back(d.requester);
+  }
   ASSERT_EQ(completion_order.size(), 6u);
   EXPECT_EQ(completion_order, (std::vector<std::uint32_t>{0, 1, 2, 0, 1, 2}));
 }
 
 TEST(Dram, QueueingDelaysLaterRequests) {
   DramBackend dram(cfg_200(), 1);
-  std::vector<Cycle> done;
-  for (int k = 0; k < 4; ++k) {
-    dram.read(0, 0x40u * k, 0, [&](std::uint32_t, Addr, Cycle d) { done.push_back(d); });
-  }
+  RecordingSink sink;
+  dram.set_read_sink(&sink);
+  for (int k = 0; k < 4; ++k) dram.read(0, 0x40u * k, 0, 0);
   for (Cycle t = 0; t <= 600; ++t) dram.tick(t);
+  const std::vector<RecordingSink::Done>& done = sink.done;
   ASSERT_EQ(done.size(), 4u);
   // Channel serialisation spaces completions by >= burst cycles.
   for (std::size_t i = 1; i < done.size(); ++i) {
-    EXPECT_GE(done[i], done[i - 1] + 4);
+    EXPECT_GE(done[i].at, done[i - 1].at + 4);
   }
 }
 
 TEST(Dram, WaitCyclesAccounted) {
   DramBackend dram(cfg_200(), 1);
-  int completions = 0;
-  for (int k = 0; k < 3; ++k) {
-    dram.read(0, 0x40u * k, 0, [&](std::uint32_t, Addr, Cycle) { ++completions; });
-  }
+  RecordingSink sink;
+  dram.set_read_sink(&sink);
+  for (int k = 0; k < 3; ++k) dram.read(0, 0x40u * k, 0, 0);
   for (Cycle t = 0; t <= 600; ++t) dram.tick(t);
-  EXPECT_EQ(completions, 3);
+  EXPECT_EQ(sink.done.size(), 3u);
   EXPECT_GT(dram.stats().total_wait_cycles, 0u);
 }
 
@@ -93,13 +99,18 @@ TEST(Dram, FasterPresetCompletesSooner) {
   fast.access_latency_ns = 42.0;
   DramBackend d42(fast, 1);
   DramBackend d200(cfg_200(), 1);
-  Cycle c42 = 0, c200 = 0;
-  d42.read(0, 0, 0, [&](std::uint32_t, Addr, Cycle d) { c42 = d; });
-  d200.read(0, 0, 0, [&](std::uint32_t, Addr, Cycle d) { c200 = d; });
+  RecordingSink s42, s200;
+  d42.set_read_sink(&s42);
+  d200.set_read_sink(&s200);
+  d42.read(0, 0, 0, 0);
+  d200.read(0, 0, 0, 0);
   for (Cycle t = 0; t <= 300; ++t) {
     d42.tick(t);
     d200.tick(t);
   }
+  ASSERT_EQ(s42.done.size(), 1u);
+  ASSERT_EQ(s200.done.size(), 1u);
+  const Cycle c42 = s42.done[0].at, c200 = s200.done[0].at;
   EXPECT_LT(c42, c200);
   EXPECT_NEAR(static_cast<double>(c200 - c42), 158.0, 3.0);
 }
@@ -108,17 +119,19 @@ TEST(Dram, OpenPagePolicyTracksRowHits) {
   DramConfig c = cfg_200();
   c.open_page_policy = true;
   DramBackend dram(c, 1);
-  std::vector<Cycle> done;
+  RecordingSink sink;
+  dram.set_read_sink(&sink);
   // Same 4 KB page twice, then a different page.
-  dram.read(0, 0x0000, 0, [&](std::uint32_t, Addr, Cycle d) { done.push_back(d); });
-  dram.read(0, 0x0100, 0, [&](std::uint32_t, Addr, Cycle d) { done.push_back(d); });
-  dram.read(0, 0x9000, 0, [&](std::uint32_t, Addr, Cycle d) { done.push_back(d); });
+  dram.read(0, 0x0000, 0, 0);
+  dram.read(0, 0x0100, 0, 0);
+  dram.read(0, 0x9000, 0, 0);
   for (Cycle t = 0; t <= 800; ++t) dram.tick(t);
+  const std::vector<RecordingSink::Done>& done = sink.done;
   ASSERT_EQ(done.size(), 3u);
   EXPECT_EQ(dram.stats().page_hits, 1u);
   EXPECT_EQ(dram.stats().page_misses, 2u);
   // The row hit is served faster than a full access.
-  EXPECT_LT(done[1] - done[0], 200u);
+  EXPECT_LT(done[1].at - done[0].at, 200u);
 }
 
 TEST(Dram, FirstAccessIsAlwaysAPageMiss) {
@@ -128,30 +141,34 @@ TEST(Dram, FirstAccessIsAlwaysAPageMiss) {
   DramConfig c = cfg_200();
   c.open_page_policy = true;
   DramBackend dram(c, 1);
-  Cycle done = 0;
-  dram.read(0, 0x0000, 0, [&](std::uint32_t, Addr, Cycle d) { done = d; });
+  RecordingSink sink;
+  dram.set_read_sink(&sink);
+  dram.read(0, 0x0000, 0, 0);
   for (Cycle t = 0; t <= 300; ++t) dram.tick(t);
   EXPECT_EQ(dram.stats().page_misses, 1u);
   EXPECT_EQ(dram.stats().page_hits, 0u);
   // The miss pays the full access latency, not the row-hit discount.
-  EXPECT_GE(done, 202u);
+  ASSERT_EQ(sink.done.size(), 1u);
+  EXPECT_GE(sink.done[0].at, 202u);
 }
 
 TEST(Dram, RowHitSavingMatchesConfiguredFraction) {
   DramConfig c = cfg_200();
   c.open_page_policy = true;
   DramBackend dram(c, 1);
-  Cycle done_miss = 0, done_hit = 0;
-  dram.read(0, 0x0000, 0, [&](std::uint32_t, Addr, Cycle d) { done_miss = d; });
+  RecordingSink sink;
+  dram.set_read_sink(&sink);
+  dram.read(0, 0x0000, 0, 0);
   for (Cycle t = 0; t <= 300; ++t) dram.tick(t);
   ASSERT_TRUE(dram.idle());
-  dram.read(0, 0x0040, 300, [&](std::uint32_t, Addr, Cycle d) { done_hit = d; });
+  dram.read(0, 0x0040, 300, 0);
   for (Cycle t = 300; t <= 600; ++t) dram.tick(t);
   ASSERT_EQ(dram.stats().page_hits, 1u);
+  ASSERT_EQ(sink.done.size(), 2u);
   // Identical pipelines except the access latency: the service-time delta
   // is exactly the configured row-hit saving.
-  const Cycle miss_lat = done_miss - 0;
-  const Cycle hit_lat = done_hit - 300;
+  const Cycle miss_lat = sink.done[0].at - 0;
+  const Cycle hit_lat = sink.done[1].at - 300;
   EXPECT_EQ(miss_lat - hit_lat,
             static_cast<Cycle>(std::llround(c.access_latency_ns *
                                             c.row_hit_fraction_saved)));
@@ -163,19 +180,18 @@ TEST(Dram, OpenPageSequenceHitsAndMissesDirected) {
   DramBackend dram(c, 1);
   // Page sequence 0,0,1,1,0: hits at the two repeats, misses elsewhere.
   const Addr seq[] = {0x0000, 0x0800, 0x1000, 0x1800, 0x0000};
-  int completions = 0;
-  for (Addr a : seq) {
-    dram.read(0, a, 0, [&](std::uint32_t, Addr, Cycle) { ++completions; });
-  }
+  RecordingSink sink;
+  dram.set_read_sink(&sink);
+  for (Addr a : seq) dram.read(0, a, 0, 0);
   for (Cycle t = 0; t <= 2000; ++t) dram.tick(t);
-  EXPECT_EQ(completions, 5);
+  EXPECT_EQ(sink.done.size(), 5u);
   EXPECT_EQ(dram.stats().page_hits, 2u);
   EXPECT_EQ(dram.stats().page_misses, 3u);
 }
 
 TEST(Dram, EnergyAccounted) {
   DramBackend dram(cfg_200(), 1);
-  dram.read(0, 0, 0, [](std::uint32_t, Addr, Cycle) {});
+  dram.read(0, 0, 0, 0);
   dram.write(0, 64, 0);
   for (Cycle t = 0; t <= 300; ++t) dram.tick(t);
   EXPECT_DOUBLE_EQ(dram.stats().dynamic_energy_pj,

@@ -10,6 +10,7 @@
 #include "cluster/cluster.hpp"
 #include "dram3d/stacked_dram.hpp"
 #include "dram3d/vault_remap.hpp"
+#include "memory_test_doubles.hpp"
 #include "workload/app_profile.hpp"
 
 namespace mot3d::dram3d {
@@ -38,10 +39,12 @@ void tick_until(StackedDram& d, Cycle last) {
 
 TEST(StackedDram, SingleReadIsLinkPlusRowMiss) {
   StackedDram d(small_cfg(), 4);
-  Cycle done = 0;
-  d.read(0, 0, 0, [&](std::uint32_t, Addr, Cycle at) { done = at; });
+  RecordingSink sink;
+  d.set_read_sink(&sink);
+  d.read(0, 0, 0, 0);
   tick_until(d, 100);
-  EXPECT_EQ(done, 2u + 30u);  // link + row miss (cold bank)
+  ASSERT_EQ(sink.done.size(), 1u);
+  EXPECT_EQ(sink.done[0].at, 2u + 30u);  // link + row miss (cold bank)
   EXPECT_TRUE(d.idle());
   EXPECT_EQ(d.stats().reads, 1u);
   EXPECT_EQ(d.stats().page_misses, 1u);
@@ -50,13 +53,14 @@ TEST(StackedDram, SingleReadIsLinkPlusRowMiss) {
 
 TEST(StackedDram, OpenRowHitIsServedFaster) {
   StackedDram d(small_cfg(), 1);
-  std::vector<Cycle> done;
-  d.read(0, 0, 0, [&](std::uint32_t, Addr, Cycle at) { done.push_back(at); });
-  d.read(0, 32, 0, [&](std::uint32_t, Addr, Cycle at) { done.push_back(at); });
+  RecordingSink sink;
+  d.set_read_sink(&sink);
+  d.read(0, 0, 0, 0);
+  d.read(0, 32, 0, 0);
   tick_until(d, 200);
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_EQ(done[0], 32u);        // miss
-  EXPECT_EQ(done[1], 32u + 12u);  // served at 32, link 2 + hit 10
+  ASSERT_EQ(sink.done.size(), 2u);
+  EXPECT_EQ(sink.done[0].at, 32u);        // miss
+  EXPECT_EQ(sink.done[1].at, 32u + 12u);  // served at 32, link 2 + hit 10
   EXPECT_EQ(d.stats().page_hits, 1u);
   EXPECT_EQ(d.stats().page_misses, 1u);
 }
@@ -65,12 +69,14 @@ TEST(StackedDram, FrFcfsServesRowHitBeforeOlderMiss) {
   // Same vault: A opens row 0; B (row 1) is older than C (row 0), but C
   // hits the open row and is granted first — FCFS only among misses.
   StackedDram d(small_cfg(), 1);
-  std::vector<Addr> order;
-  auto record = [&](std::uint32_t, Addr a, Cycle) { order.push_back(a); };
-  d.read(0, 0, 0, record);     // A: vault 0, row 0
-  d.read(0, 128, 0, record);   // B: vault 0, row 1
-  d.read(0, 32, 0, record);    // C: vault 0, row 0 again
+  RecordingSink sink;
+  d.set_read_sink(&sink);
+  d.read(0, 0, 0, 0);     // A: vault 0, row 0
+  d.read(0, 128, 0, 0);   // B: vault 0, row 1
+  d.read(0, 32, 0, 0);    // C: vault 0, row 0 again
   tick_until(d, 300);
+  std::vector<Addr> order;
+  for (const RecordingSink::Done& done : sink.done) order.push_back(done.addr);
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order, (std::vector<Addr>{0, 32, 128}));
   EXPECT_EQ(d.stats().page_hits, 1u);
@@ -78,13 +84,14 @@ TEST(StackedDram, FrFcfsServesRowHitBeforeOlderMiss) {
 
 TEST(StackedDram, VaultsServeInParallel) {
   StackedDram d(small_cfg(), 2);
-  std::vector<Cycle> done;
-  d.read(0, 0, 0, [&](std::uint32_t, Addr, Cycle at) { done.push_back(at); });
-  d.read(1, 64, 0, [&](std::uint32_t, Addr, Cycle at) { done.push_back(at); });
+  RecordingSink sink;
+  d.set_read_sink(&sink);
+  d.read(0, 0, 0, 0);
+  d.read(1, 64, 0, 0);
   tick_until(d, 100);
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_EQ(done[0], 32u);  // both vaults grant at t=0: no serialisation
-  EXPECT_EQ(done[1], 32u);
+  ASSERT_EQ(sink.done.size(), 2u);
+  EXPECT_EQ(sink.done[0].at, 32u);  // both vaults grant at t=0: no serialisation
+  EXPECT_EQ(sink.done[1].at, 32u);
   EXPECT_EQ(d.vault_stats()[0].reads, 1u);
   EXPECT_EQ(d.vault_stats()[1].reads, 1u);
 }
@@ -96,10 +103,10 @@ TEST(StackedDram, RefreshIsDeterministicAndClosesRows) {
   StackedDram d(cfg, 1);
   // Open row 0, let a refresh boundary pass, then re-touch the row: the
   // refresh closed it, so the second access must be a miss again.
-  d.read(0, 0, 0, {});
+  d.read(0, 0, 0, 0);
   tick_until(d, 250);
   EXPECT_EQ(d.total_refreshes(), 1u);  // the 200-cycle boundary fired once
-  d.read(0, 32, 251, {});
+  d.read(0, 32, 251, 0);
   for (Cycle t = 251; t <= 400; ++t) d.tick(t);
   EXPECT_EQ(d.stats().page_misses, 2u);
   EXPECT_EQ(d.stats().page_hits, 0u);
@@ -131,7 +138,7 @@ TEST(StackedDram, SwapPhysicalExchangesVaultTraffic) {
   EXPECT_EQ(d.physical_vault(0), 1u);
   EXPECT_EQ(d.physical_vault(1), 0u);
   // Logical vault 0 traffic now lands on physical vault 1.
-  d.read(0, 0, 0, {});
+  d.read(0, 0, 0, 0);
   tick_until(d, 100);
   EXPECT_EQ(d.vault_stats()[1].reads, 1u);
   EXPECT_EQ(d.vault_stats()[0].reads, 0u);
@@ -144,26 +151,26 @@ TEST(StackedDram, SwapValidatesArgumentsAndIdleness) {
   StackedDram d(small_cfg(), 1);
   EXPECT_THROW(d.swap_physical(0, 0, 0), std::invalid_argument);
   EXPECT_THROW(d.swap_physical(0, 9, 0), std::invalid_argument);
-  d.read(0, 0, 0, {});  // pending work: the backend is not drained
+  d.read(0, 0, 0, 0);  // pending work: the backend is not drained
   EXPECT_THROW(d.swap_physical(0, 1, 0), std::logic_error);
 }
 
 TEST(StackedDram, FailVaultRemapsQueuedTraffic) {
   StackedDram d(small_cfg(), 1);
-  int completions = 0;
-  auto count = [&](std::uint32_t, Addr, Cycle) { ++completions; };
-  d.read(0, 0, 0, count);   // vault 0
-  d.read(0, 64, 0, count);  // vault 1
+  RecordingSink sink;
+  d.set_read_sink(&sink);
+  d.read(0, 0, 0, 0);   // vault 0
+  d.read(0, 64, 0, 0);  // vault 1
   std::string note;
   ASSERT_TRUE(d.fail_vault(0, 0, &note));
   EXPECT_NE(note.find("remapped onto vault 1"), std::string::npos);
   EXPECT_EQ(d.alive_vaults(), 1u);
   EXPECT_EQ(d.vault_fault_count(), 1u);
   tick_until(d, 300);
-  EXPECT_EQ(completions, 2);  // the queued request migrated and completed
+  EXPECT_EQ(sink.done.size(), 2u);  // the queued request migrated and completed
   EXPECT_TRUE(d.idle());
   // All traffic — including logical vault 0 — now serves from vault 1.
-  d.read(0, 0, 301, count);
+  d.read(0, 0, 301, 0);
   for (Cycle t = 301; t <= 400; ++t) d.tick(t);
   EXPECT_EQ(d.vault_stats()[1].reads, 3u);
 

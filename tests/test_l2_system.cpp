@@ -1,6 +1,8 @@
 // Unit tests for the banked stacked L2: hit/miss timing, bank conflicts,
 // miss refills over the Miss bus, dirty write-backs, flush for
-// power-gating, and response back-pressure.
+// power-gating, response back-pressure, and the two orderings of the DRAM
+// completion path (victim write-back granted in the refill's cycle;
+// refills matched by request id, not address).
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -8,6 +10,7 @@
 
 #include "mem/dram.hpp"
 #include "mem/l2_system.hpp"
+#include "memory_test_doubles.hpp"
 
 namespace mot3d::mem {
 namespace {
@@ -17,22 +20,19 @@ struct Harness {
   L2Config l2_cfg;
   DramBackend dram;
   L2System l2;
-  std::vector<MemResponse> responses;
-  bool block_responses = false;
+  FakeTransport transport;
 
-  explicit Harness(double dram_ns = 200.0)
-      : dram_cfg(make_dram(dram_ns)), l2_cfg(make_l2()), dram(dram_cfg, 32),
-        l2(l2_cfg, dram, 0) {
-    l2.set_response_injector([this](const MemResponse& r, Cycle) {
-      if (block_responses) return false;
-      responses.push_back(r);
-      return true;
-    });
+  explicit Harness(double dram_ns = 200.0, bool open_page = false)
+      : dram_cfg(make_dram(dram_ns, open_page)), l2_cfg(make_l2()),
+        dram(dram_cfg, 32), l2(l2_cfg, dram) {
+    dram.set_read_sink(&l2);
+    l2.set_transport(&transport);
   }
 
-  static DramConfig make_dram(double ns) {
+  static DramConfig make_dram(double ns, bool open_page) {
     DramConfig c;
     c.access_latency_ns = ns;
+    c.open_page_policy = open_page;
     return c;
   }
   static L2Config make_l2() {
@@ -66,20 +66,20 @@ TEST(L2System, MissThenHitTiming) {
   Harness h;
   h.l2.deliver(h.req(0, 0x1000), 0);
   h.run_until(400);
-  ASSERT_EQ(h.responses.size(), 1u);
-  EXPECT_FALSE(h.responses[0].l2_hit);
+  ASSERT_EQ(h.transport.responses.size(), 1u);
+  EXPECT_FALSE(h.transport.responses[0].l2_hit);
   EXPECT_EQ(h.l2.stats().misses, 1u);
 
   // Same line again: now a hit, served in ~access_cycles.
-  h.responses.clear();
+  h.transport.responses.clear();
   const Cycle start = 500;
   h.l2.deliver(h.req(0, 0x1000, false, 2), start);
   for (Cycle t = start; t <= start + 20; ++t) {
     h.l2.tick(t);
     h.dram.tick(t);
   }
-  ASSERT_EQ(h.responses.size(), 1u);
-  EXPECT_TRUE(h.responses[0].l2_hit);
+  ASSERT_EQ(h.transport.responses.size(), 1u);
+  EXPECT_TRUE(h.transport.responses[0].l2_hit);
   EXPECT_EQ(h.l2.stats().hits, 1u);
 }
 
@@ -92,10 +92,10 @@ TEST(L2System, MissLatencyIncludesDram) {
   for (Cycle t = 0; t <= 400; ++t) {
     h200.l2.tick(t);
     h200.dram.tick(t);
-    if (done200 == 0 && !h200.responses.empty()) done200 = t;
+    if (done200 == 0 && !h200.transport.responses.empty()) done200 = t;
     h42.l2.tick(t);
     h42.dram.tick(t);
-    if (done42 == 0 && !h42.responses.empty()) done42 = t;
+    if (done42 == 0 && !h42.transport.responses.empty()) done42 = t;
   }
   ASSERT_GT(done200, 0u);
   ASSERT_GT(done42, 0u);
@@ -108,7 +108,7 @@ TEST(L2System, BankConflictSerialises) {
   h.l2.deliver(h.req(0, 0x0000, false, 1), 0);
   h.l2.deliver(h.req(0, 0x0400, false, 2), 0);
   h.run_until(500);
-  h.responses.clear();
+  h.transport.responses.clear();
 
   // Two simultaneous hits on the same bank: second waits service_cycles.
   h.l2.deliver(h.req(0, 0x0000, false, 3), 1000);
@@ -117,7 +117,7 @@ TEST(L2System, BankConflictSerialises) {
     h.l2.tick(t);
     h.dram.tick(t);
   }
-  EXPECT_EQ(h.responses.size(), 2u);
+  EXPECT_EQ(h.transport.responses.size(), 2u);
   EXPECT_GT(h.l2.stats().bank_conflict_cycles, 0u);
 }
 
@@ -126,7 +126,7 @@ TEST(L2System, DistinctBanksProceedInParallel) {
   h.l2.deliver(h.req(0, 0x0000, false, 1), 0);
   h.l2.deliver(h.req(1, 0x0020, false, 2), 0);
   h.run_until(400);
-  EXPECT_EQ(h.responses.size(), 2u);
+  EXPECT_EQ(h.transport.responses.size(), 2u);
   EXPECT_EQ(h.l2.stats().bank_conflict_cycles, 0u);
 }
 
@@ -156,16 +156,61 @@ TEST(L2System, CapacityEvictionWritesBackDirtyLines) {
   EXPECT_GE(h.dram.stats().writes, 1u);
 }
 
+TEST(L2System, DirtyVictimOfARefillIsGrantedThatCycle) {
+  // Two dirty lines fill both ways of set 0 in bank 0; a read of a third
+  // line in that set misses, and its refill (due at 1205) evicts a dirty
+  // victim.  The write-back is posted from inside the DRAM completion, and
+  // that same tick's Miss-bus arbitration must grant it — completions fire
+  // before arbitration, not after.
+  Harness h;
+  h.l2.deliver(h.req(0, 0x0000, true, 1), 0);
+  h.run_until(400);
+  h.l2.deliver(h.req(0, 0x0800, true, 2), 500);
+  h.run_until(900);
+  ASSERT_EQ(h.dram.stats().writes, 0u);
+  h.l2.deliver(h.req(0, 0x1000, false, 3), 1000);
+  Cycle granted = kNeverCycle;
+  for (Cycle t = 1000; t <= 1400 && granted == kNeverCycle; ++t) {
+    h.l2.tick(t);
+    h.dram.tick(t);
+    if (h.dram.stats().writes > 0) granted = t;
+  }
+  EXPECT_EQ(h.l2.stats().writebacks, 1u);
+  EXPECT_EQ(granted, 1205u);
+}
+
+TEST(L2System, SameLineMissesPairByRequestNotAddress) {
+  // Two cores miss on line 0x0 of bank 0 in the same cycle.  Under the
+  // open-page policy the second refill is a row hit and overtakes the
+  // first, so each refill must answer the request it was issued for:
+  // id 11 at cycle 140, then id 10 at cycle 208.
+  Harness h(200.0, /*open_page=*/true);
+  MemRequest first = h.req(0, 0x0, false, 10);
+  MemRequest second = h.req(0, 0x0, false, 11);
+  second.core = 1;
+  h.l2.deliver(first, 0);
+  h.l2.deliver(second, 0);
+  h.run_until(400);
+  ASSERT_EQ(h.transport.responses.size(), 2u);
+  EXPECT_EQ(h.transport.responses[0].id, 11u);
+  EXPECT_EQ(h.transport.responses[0].core, 1u);
+  EXPECT_EQ(h.transport.answered_at[0], 140u);
+  EXPECT_EQ(h.transport.responses[1].id, 10u);
+  EXPECT_EQ(h.transport.responses[1].core, 0u);
+  EXPECT_EQ(h.transport.answered_at[1], 208u);
+  EXPECT_EQ(h.dram.stats().page_hits, 1u);
+}
+
 TEST(L2System, ResponseBackpressureRetries) {
   Harness h;
-  h.block_responses = true;
+  h.transport.block = true;
   h.l2.deliver(h.req(0, 0x0000), 0);
   h.run_until(300);
-  EXPECT_TRUE(h.responses.empty());
+  EXPECT_TRUE(h.transport.responses.empty());
   EXPECT_FALSE(h.l2.idle());  // response stuck in the bank's out-queue
-  h.block_responses = false;
+  h.transport.block = false;
   h.run_until(310);
-  EXPECT_EQ(h.responses.size(), 1u);
+  EXPECT_EQ(h.transport.responses.size(), 1u);
   EXPECT_TRUE(h.l2.idle());
 }
 
@@ -201,7 +246,7 @@ TEST(L2System, RejectsNonPow2Banks) {
   DramBackend dram(dc, 4);
   L2Config lc;
   lc.total_banks = 3;
-  EXPECT_THROW(L2System(lc, dram, 0), std::invalid_argument);
+  EXPECT_THROW(L2System(lc, dram), std::invalid_argument);
 }
 
 }  // namespace

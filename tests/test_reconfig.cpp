@@ -10,6 +10,7 @@
 #include "core/reconfig.hpp"
 #include "mem/dram.hpp"
 #include "mem/l2_system.hpp"
+#include "memory_test_doubles.hpp"
 
 namespace mot3d::core {
 namespace {
@@ -20,8 +21,11 @@ class ReconfigTest : public ::testing::Test {
       : model(tech, fp, bank_cfg),
         icn(model, PowerState::full()),
         dram(dram_cfg(), 32),
-        l2(l2_cfg(), dram, 0),
-        mgr(icn, l2, dram) {}
+        l2(l2_cfg(), dram),
+        mgr(icn, l2, dram) {
+    dram.set_read_sink(&l2);
+    l2.set_transport(&transport);
+  }
 
   static mem::DramConfig dram_cfg() {
     mem::DramConfig c;
@@ -62,12 +66,12 @@ class ReconfigTest : public ::testing::Test {
   MotInterconnect icn;
   mem::DramBackend dram;
   mem::L2System l2;
+  FakeTransport transport;
   ReconfigManager mgr;
   Cycle now = 0;
 };
 
 TEST_F(ReconfigTest, FlushWritesBackExactlyDirtyLines) {
-  l2.set_response_injector([](const MemResponse&, Cycle) { return true; });
   dirty_lines(0, 3);   // bank 0 will be gated by PC16-MB8
   dirty_lines(15, 2);  // bank 15 survives (centre group 12..19)
   const std::uint64_t writes_before = dram.stats().writes;
@@ -88,7 +92,6 @@ TEST_F(ReconfigTest, FlushWritesBackExactlyDirtyLines) {
 }
 
 TEST_F(ReconfigTest, AppliesMasksAndTiming) {
-  l2.set_response_injector([](const MemResponse&, Cycle) { return true; });
   mgr.apply(PowerState::pc4_mb8(), 0);
   EXPECT_EQ(l2.num_active_banks(), 8u);
   EXPECT_EQ(icn.state().name(), "PC4-MB8");
@@ -98,7 +101,6 @@ TEST_F(ReconfigTest, AppliesMasksAndTiming) {
 }
 
 TEST_F(ReconfigTest, EstimateDoesNotMutate) {
-  l2.set_response_injector([](const MemResponse&, Cycle) { return true; });
   dirty_lines(0, 4);
   const ReconfigCost est = mgr.estimate(PowerState::pc16_mb8());
   EXPECT_EQ(est.dirty_lines_flushed, 4u);
@@ -109,7 +111,6 @@ TEST_F(ReconfigTest, EstimateDoesNotMutate) {
 }
 
 TEST_F(ReconfigTest, WakeUpCostsNoFlush) {
-  l2.set_response_injector([](const MemResponse&, Cycle) { return true; });
   mgr.apply(PowerState::pc16_mb8(), 0);
   const ReconfigCost cost = mgr.apply(PowerState::full(), 100);
   EXPECT_EQ(cost.dirty_lines_flushed, 0u);  // turning banks ON flushes nothing
@@ -118,7 +119,6 @@ TEST_F(ReconfigTest, WakeUpCostsNoFlush) {
 }
 
 TEST_F(ReconfigTest, RoundTripPreservesOperation) {
-  l2.set_response_injector([](const MemResponse&, Cycle) { return true; });
   mgr.apply(PowerState::pc4_mb8(), 0);
   mgr.apply(PowerState::full(), 50);
   EXPECT_EQ(icn.route(0), 0u);  // conventional routing restored
@@ -135,7 +135,6 @@ unsigned expected_round_trip(const std::string& state) {
 }
 
 TEST_F(ReconfigTest, EveryOrderedStatePairKeepsMasksAndTimingConsistent) {
-  l2.set_response_injector([](const MemResponse&, Cycle) { return true; });
   const auto& states = PowerState::paper_states();
   for (const PowerState& from : states) {
     for (const PowerState& to : states) {
@@ -164,7 +163,6 @@ TEST_F(ReconfigTest, EveryOrderedStatePairKeepsMasksAndTimingConsistent) {
 }
 
 TEST_F(ReconfigTest, RoundTripThroughEveryStateRestoresFullExactly) {
-  l2.set_response_injector([](const MemResponse&, Cycle) { return true; });
   for (const PowerState& s : PowerState::paper_states()) {
     mgr.apply(s, now);
     now += 100;
@@ -181,7 +179,6 @@ TEST_F(ReconfigTest, RoundTripThroughEveryStateRestoresFullExactly) {
 }
 
 TEST_F(ReconfigTest, FlushHappensOnlyWhenDirtyBanksTurnOff) {
-  l2.set_response_injector([](const MemResponse&, Cycle) { return true; });
   dirty_lines(0, 3);  // bank 0: outside every gated centre group
   // PC4-MB32 keeps all 32 banks — gating cores must not flush any cache.
   EXPECT_EQ(mgr.estimate(PowerState::pc4_mb32()).dirty_lines_flushed, 0u);
@@ -229,7 +226,6 @@ TEST_F(ReconfigTest, AllOffBankMaskIsRejectedWithClearError) {
 }
 
 TEST_F(ReconfigTest, DirtySurvivorsPersistAcrossFullRoundTrip) {
-  l2.set_response_injector([](const MemResponse&, Cycle) { return true; });
   dirty_lines(15, 4);  // centre bank: survives PC16-MB8
   mgr.apply(PowerState::pc16_mb8(), now);
   now += 2000;
