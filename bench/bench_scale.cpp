@@ -3,16 +3,19 @@
 //
 // Runs a (sharing pattern x core count x fabric) grid at `FullNx2N` power
 // states, one cluster simulation per cell, and reports modeled results
-// (cycles, instructions) next to simulator throughput (wall seconds,
-// simulated cycles/s).  The fabric axis defaults to the MoT, the only
-// fabric with scale-out shapes; the packet-switched fabrics run only the
-// paper's 16x32 shape.  The committed baselines (BENCH_scale.json for the
-// MoT at 64-1024 cores, BENCH_noc.json for the packet fabrics at 16 cores)
-// pin both:
+// (cycles, instructions) next to simulator work (core ticks executed) and
+// throughput (wall seconds, simulated cycles/s).  The fabric axis defaults
+// to the MoT, the only fabric with scale-out shapes; the packet-switched
+// fabrics run only the paper's 16x32 shape.  The committed baselines
+// (BENCH_scale.json for the MoT at 64-1024 cores, BENCH_noc.json for the
+// packet fabrics at 16 cores) pin all three:
 //
 //  * modeled metrics are deterministic, so they must match the baseline
 //    EXACTLY — any drift means simulator behaviour changed and the golden
 //    story needs a deliberate refresh;
+//  * the work counter (Core::tick calls) is deterministic too, so it also
+//    matches exactly when the baseline records it: a scheduler change that
+//    ticks more cores fails even when the host is fast enough to hide it;
 //  * cycles/s is machine- and load-dependent, so it is compared with a
 //    deliberately loose relative tolerance (default 0.5: fail only when a
 //    cell's throughput drops below half the baseline).  The tolerance is
@@ -33,8 +36,9 @@
 // Exit codes (asserted by tests/soak_harness.py --bench and the CI
 // perf-guardrail job):
 //   0  grid ran; no baseline requested, or baseline matched
-//   1  regression: modeled mismatch, throughput below tolerance, or a
-//      cell's simulation failed (watchdog timeout, config error)
+//   1  regression: modeled or work-counter mismatch, throughput below
+//      tolerance, or a cell's simulation failed (watchdog timeout, config
+//      error)
 //   2  usage error (unknown flag or fabric, malformed value, a packet
 //      fabric with --cores other than 16)
 //   3  baseline missing, unparsable, or incompatible with this invocation
@@ -238,6 +242,7 @@ struct Cell {
   std::string state;
   std::uint64_t cycles = 0;        ///< modeled; exact-match against baseline
   std::uint64_t instructions = 0;  ///< modeled; exact-match against baseline
+  std::uint64_t core_ticks = 0;    ///< host work; exact-match when recorded
   double wall_seconds = 0.0;
   double cycles_per_second = 0.0;
   /// Host-side wall seconds attributed per simulator phase (sampled, see
@@ -307,6 +312,7 @@ Cell run_cell(const Options& opt, const std::string& app, std::size_t cores,
     }
     cell.cycles = outcome.results[0].cycles;
     cell.instructions = outcome.results[0].instructions;
+    cell.core_ticks = outcome.results[0].core_ticks;
     cell.wall_seconds = outcome.telemetry.wall_seconds;
     cell.cycles_per_second = outcome.telemetry.cycles_per_second();
     cell.phases = outcome.results[0].phase_seconds;
@@ -325,6 +331,7 @@ JsonObject cell_to_json(const Cell& c) {
       .set("state", c.state)
       .set("cycles", c.cycles)
       .set("instructions", c.instructions)
+      .set("core_ticks", c.core_ticks)
       .set("wall_seconds", c.wall_seconds)
       .set("cycles_per_second", c.cycles_per_second);
   // Telemetry-only extension: compare_against_baseline reads known keys
@@ -374,6 +381,7 @@ std::string report_json(const Options& opt, const std::vector<Cell>& cells) {
 struct BaselineCell {
   std::uint64_t cycles = 0;
   std::uint64_t instructions = 0;
+  std::optional<std::uint64_t> core_ticks;  ///< absent in older baselines
   double cycles_per_second = 0.0;
 };
 
@@ -427,18 +435,22 @@ int compare_against_baseline(const Options& opt, const std::vector<Cell>& cells)
     const JsonValue* cores = c.find("cores");
     const JsonValue* cycles = c.find("cycles");
     const JsonValue* instrs = c.find("instructions");
+    const JsonValue* ticks = c.find("core_ticks");
     const JsonValue* cps = c.find("cycles_per_second");
     if (!app || app->type != JsonValue::Type::kString || !cores || !cycles ||
         !instrs || !cps ||
-        (fabric && fabric->type != JsonValue::Type::kString)) {
+        (fabric && fabric->type != JsonValue::Type::kString) ||
+        (ticks && ticks->type != JsonValue::Type::kNumber)) {
       baseline_error("malformed cell in '" + opt.baseline_path + "'");
     }
     const std::string key =
         cell_key(app->string, static_cast<std::size_t>(cores->number),
                  fabric ? fabric->string : "mot");
-    base.emplace_back(key, BaselineCell{
-        static_cast<std::uint64_t>(cycles->number),
-        static_cast<std::uint64_t>(instrs->number), cps->number});
+    BaselineCell cell{static_cast<std::uint64_t>(cycles->number),
+                      static_cast<std::uint64_t>(instrs->number),
+                      std::nullopt, cps->number};
+    if (ticks) cell.core_ticks = static_cast<std::uint64_t>(ticks->number);
+    base.emplace_back(key, cell);
   }
 
   int regressions = 0;
@@ -457,6 +469,14 @@ int compare_against_baseline(const Options& opt, const std::vector<Cell>& cells)
                 << c.cycles << " vs baseline " << b->cycles << ", instructions "
                 << c.instructions << " vs " << b->instructions
                 << " (simulator behaviour changed; refresh deliberately)\n";
+      ++regressions;
+      continue;
+    }
+    if (b->core_ticks.has_value() && c.core_ticks != *b->core_ticks) {
+      std::cerr << "REGRESSION " << key << ": work drift — core_ticks "
+                << c.core_ticks << " vs baseline " << *b->core_ticks
+                << " (the scheduler changed how many cores it ticks; "
+                   "refresh deliberately)\n";
       ++regressions;
       continue;
     }
@@ -497,7 +517,7 @@ int main(int argc, char** argv) {
                     : "dense")
             << "\n";
   std::cout << "  app                fabric    cores   banks        cycles  "
-            << "   wall_s      cycles/s\n";
+            << "  core_ticks     wall_s      cycles/s\n";
   for (const std::string& app : opt.patterns) {
     for (const std::size_t cores : opt.cores) {
       for (const mot3d::cluster::Fabric fabric : opt.fabrics) {
@@ -507,10 +527,11 @@ int main(int argc, char** argv) {
                     << cell.error << "\n";
           ++failed;
         } else {
-          std::printf("  %-18s %-8s %6zu  %6zu  %12llu  %9.3f  %12.0f\n",
+          std::printf("  %-18s %-8s %6zu  %6zu  %12llu  %12llu  %9.3f  %12.0f\n",
                       cell.app.c_str(), cell.fabric.c_str(), cell.cores,
                       cell.banks,
                       static_cast<unsigned long long>(cell.cycles),
+                      static_cast<unsigned long long>(cell.core_ticks),
                       cell.wall_seconds, cell.cycles_per_second);
         }
         cells.push_back(std::move(cell));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 
@@ -135,6 +136,9 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
     }
     active_cores_.push_back(c);
   }
+  const std::size_t n = core_arena_.size();
+  injecting_ = acking_ = done_ = due_ = spinning_ = IndexSet(n);
+  synced_.assign(n, 0);
 
   // ---- thermal subsystem (opt-in; inert otherwise) ----
   if (cfg_.thermal.enabled) {
@@ -268,12 +272,16 @@ void Cluster::on_read_done(std::uint32_t requester, std::uint64_t tag,
   if (requester < cfg_.total_banks) {
     l2_->on_read_done(requester, tag, addr, now);
   } else {
-    cores_[requester - cfg_.total_banks]->on_ifetch_refill(addr, now);
+    const std::size_t i = slot_of(requester - cfg_.total_banks);
+    catch_up(i, now + 1);
+    core_arena_[i].on_ifetch_refill(addr, now);
+    file_core(i);
   }
 }
 
 void Cluster::deliver_response(const MemResponse& resp) {
   assert(cores_[resp.core] != nullptr);
+  const std::size_t i = slot_of(resp.core);
   if (resp.kind == RespKind::kInvalidate) {
     // Fault injection: a dropped invalidation never reaches the L1 snoop
     // controller, so its ack never returns — the directory transaction
@@ -292,7 +300,9 @@ void Cluster::deliver_response(const MemResponse& resp) {
       trace_->instant("Invalidate", trk_core_base_ + resp.core, now_, "bank",
                       resp.bank, "addr", resp.addr);
     }
-    cores_[resp.core]->on_coherence_invalidate(resp, now_);
+    catch_up(i, now_ + 1);
+    core_arena_[i].on_coherence_invalidate(resp, now_);
+    acking_.insert(i);
     return;
   }
   const Cycle lat = now_ - resp.issue_cycle;
@@ -304,7 +314,9 @@ void Cluster::deliver_response(const MemResponse& resp) {
                      resp.issue_cycle, lat, "bank", resp.bank, "hit",
                      resp.l2_hit ? 1 : 0);
   }
-  cores_[resp.core]->on_response(resp, now_);
+  catch_up(i, now_ + 1);
+  core_arena_[i].on_response(resp, now_);
+  file_core(i);
 }
 
 void Cluster::drain_fabric_deliveries() {
@@ -335,9 +347,10 @@ void Cluster::drain_fabric_deliveries() {
 void Cluster::inject_coherence_acks() {
   // Coherence acknowledgements first: they unblock stalled directory
   // transactions and flow even while the cores' clocks are held (the L1
-  // snoop controller is not on the gated core clock).
-  if (coh_dir_ == nullptr) return;
-  for (cpu::Core& core : core_arena_) {
+  // snoop controller is not on the gated core clock).  The queue is not
+  // core state, so sleeping cores need no catch-up.
+  acking_.for_each([this](std::size_t i) {
+    cpu::Core& core = core_arena_[i];
     while (core.pending_coherence() != nullptr &&
            interconnect_->try_inject_request(*core.pending_coherence(), now_)) {
       if (trace_ != nullptr) {
@@ -349,21 +362,101 @@ void Cluster::inject_coherence_acks() {
       }
       core.coherence_accepted(now_);
     }
-  }
+    if (core.pending_coherence() == nullptr) acking_.erase(i);
+  });
 }
 
 void Cluster::inject_demand_requests() {
   if (cores_frozen_) return;
-  for (cpu::Core& core : core_arena_) {
-    if (core.pending_request().has_value() &&
-        interconnect_->try_inject_request(*core.pending_request(), now_)) {
-      if (trace_ != nullptr) {
-        const MemRequest& req = *core.pending_request();
-        trace_->instant(req_kind_name(req.kind), trk_core_base_ + req.core,
-                        now_, "bank", req.bank, "addr", req.addr);
-      }
-      core.injection_accepted(now_);
+  injecting_.for_each([this](std::size_t i) {
+    cpu::Core& core = core_arena_[i];
+    if (!interconnect_->try_inject_request(*core.pending_request(), now_)) {
+      return;
     }
+    if (trace_ != nullptr) {
+      const MemRequest& req = *core.pending_request();
+      trace_->instant(req_kind_name(req.kind), trk_core_base_ + req.core,
+                      now_, "bank", req.bank, "addr", req.addr);
+    }
+    catch_up(i, now_ + 1);
+    core.injection_accepted(now_);
+    file_core(i);
+  });
+}
+
+void Cluster::file_core(std::size_t i) {
+  const cpu::Core& core = core_arena_[i];
+  injecting_.assign(i, core.pending_request().has_value());
+  if (core.done()) done_.insert(i);
+  if (!lazy_cores_) return;
+  const Cycle wake = core.next_event(synced_[i]);
+  if (wake <= synced_[i]) {
+    due_.insert(i);
+    return;
+  }
+  due_.erase(i);
+  if (wake != kNeverCycle) {
+    timed_wakes_.emplace_back(wake, static_cast<std::uint32_t>(i));
+    std::push_heap(timed_wakes_.begin(), timed_wakes_.end(), std::greater<>{});
+  } else if (core.at_barrier()) {
+    spinning_.insert(i);
+  }
+}
+
+void Cluster::tick_due_cores() {
+  // Compute bursts ending this cycle join the due set.
+  while (!timed_wakes_.empty() && timed_wakes_.front().first <= now_) {
+    due_.insert(timed_wakes_.front().second);
+    std::pop_heap(timed_wakes_.begin(), timed_wakes_.end(), std::greater<>{});
+    timed_wakes_.pop_back();
+  }
+  due_.for_each([this](std::size_t i) {
+    cpu::Core& core = core_arena_[i];
+    core.skip(synced_[i], now_);
+    core.tick(now_);
+    synced_[i] = now_ + 1;
+    ++core_ticks_;
+    file_core(i);
+    // A waiter leaves a released barrier on its next tick, so a core that
+    // has just ticked and stands at a released barrier released it.  The
+    // waiters after it in arena order tick this same cycle (the walk has
+    // not reached them yet), the earlier ones next cycle: the order in
+    // which the dense loop sees the release.
+    if (core.at_barrier() && due_.contains(i)) {
+      spinning_.for_each([this](std::size_t j) { due_.insert(j); });
+      spinning_.clear();
+    }
+  });
+}
+
+void Cluster::catch_up(std::size_t i, Cycle to) {
+  if (!lazy_cores_ || cores_frozen_) return;
+  core_arena_[i].skip(synced_[i], to);
+  synced_[i] = to;
+}
+
+void Cluster::sync_cores() {
+  for (std::size_t i = 0; i < core_arena_.size(); ++i) catch_up(i, now_);
+}
+
+void Cluster::set_lazy_cores(bool lazy) {
+  if (lazy == lazy_cores_) return;
+  if (lazy) {
+    lazy_cores_ = true;
+    refile_cores();
+  } else {
+    sync_cores();
+    lazy_cores_ = false;
+  }
+}
+
+void Cluster::refile_cores() {
+  due_.clear();
+  spinning_.clear();
+  timed_wakes_.clear();
+  for (std::size_t i = 0; i < core_arena_.size(); ++i) {
+    synced_[i] = now_;
+    file_core(i);
   }
 }
 
@@ -384,10 +477,18 @@ void Cluster::tick() {
     }
   };
   // Frozen cores are clock-held: no tick, no injection retry.  They are
-  // also excluded from event-mode skip accounting, so both schedulers see
-  // identical (frozen) core statistics.
+  // also excluded from event-mode catch-up accounting, so both schedulers
+  // see identical (frozen) core statistics.  The dense reference ticks
+  // every core; event mode only the due ones.
   if (!cores_frozen_) {
-    for (cpu::Core& core : core_arena_) core.tick(now_);
+    if constexpr (kGated) {
+      tick_due_cores();
+    } else {
+      for (std::size_t i = 0; i < core_arena_.size(); ++i) {
+        if (core_arena_[i].tick(now_)) file_core(i);
+      }
+      core_ticks_ += core_arena_.size();
+    }
   }
   phase_done(PT::kWorkload);
   inject_coherence_acks();
@@ -417,17 +518,15 @@ Cycle Cluster::next_event_cycle() const {
   Cycle next = std::min({next_thermal_cycle_, next_metrics_cycle_,
                          next_fault_cycle_, next_watchdog_cycle_,
                          frozen_until_ > now_ ? frozen_until_ : kNeverCycle});
+  // A queued coherence ack retries injection every cycle, even while the
+  // cores are clock-held (the instruction streams halt, the snoop port
+  // does not); so does a waiting demand request while they are not.
+  // Otherwise the cores' part is the wake set: a due core, or the
+  // earliest end of a compute burst.
+  if (!acking_.empty()) return now_;
   if (!cores_frozen_) {
-    for (const cpu::Core& core : core_arena_) {
-      next = std::min(next, core.next_event(now_));
-      if (next <= now_) return now_;
-    }
-  } else if (coh_dir_ != nullptr) {
-    // Clock-held cores still inject coherence acknowledgements — a queued
-    // ack is an every-cycle event even while the instruction stream halts.
-    for (const cpu::Core& core : core_arena_) {
-      if (core.pending_coherence() != nullptr) return now_;
-    }
+    if (!due_.empty() || !injecting_.empty()) return now_;
+    if (!timed_wakes_.empty()) next = std::min(next, timed_wakes_.front().first);
   }
   next = std::min(next, interconnect_->next_event(now_));
   if (next <= now_) return now_;
@@ -442,12 +541,15 @@ bool Cluster::advance(bool event) {
     throw std::runtime_error("simulation exceeded max_cycles — livelock?\n" +
                              progress_dump());
   }
+  set_lazy_cores(event);
   poll();
   if (run_failed_) return false;  // unrecoverable fault: structured outcome
   if (event) {
     // Whenever nothing can happen this cycle, jump straight to the
-    // earliest future event, batch-accounting the skipped cycles on every
-    // core so all statistics stay bit-identical to the dense reference.
+    // earliest future event.  The jump touches no core: each sleeping
+    // core's skipped cycles are batch-accounted (Core::skip) when it is
+    // next ticked, messaged or read, so every statistic stays
+    // bit-identical to the dense reference.
     const Cycle next = next_event_cycle();
     if (next > now_) {
       if (next == kNeverCycle) {
@@ -458,11 +560,7 @@ bool Cluster::advance(bool event) {
             "has not finished\n" +
             progress_dump());
       }
-      const Cycle target = std::min(next, cfg_.max_cycles);
-      if (!cores_frozen_) {
-        for (cpu::Core& core : core_arena_) core.skip(now_, target);
-      }
-      now_ = target;
+      now_ = std::min(next, cfg_.max_cycles);
       return true;
     }
   }
@@ -481,17 +579,15 @@ void Cluster::step(Cycle cycles) {
 }
 
 bool Cluster::finished() const {
-  for (const cpu::Core& core : core_arena_) {
-    if (!core.done()) return false;
-    if (core.pending_coherence() != nullptr) return false;
-  }
-  return interconnect_->idle() && l2_->idle() && dram_->idle();
+  return done_.size() == core_arena_.size() && acking_.empty() &&
+         interconnect_->idle() && l2_->idle() && dram_->idle();
 }
 
 SimResult Cluster::run() {
   const bool event = cfg_.scheduler == SchedulerMode::kEventDriven;
   while (!finished() && advance(event)) {
   }
+  set_lazy_cores(false);  // every core's books close at now_
   thermal_finalize();
   obs_finalize();
   return collect_result();
@@ -516,6 +612,7 @@ void Cluster::poll() {
   //    exactly: the dense loop walks every cycle and the event loop's jump
   //    lands on it (next_event_cycle() includes it).
   if (now_ == next_metrics_cycle_) {
+    sync_cores();
     metrics_->sample(now_);
     next_metrics_cycle_ = now_ + cfg_.obs.metrics_epoch_cycles;
   }
@@ -532,11 +629,15 @@ void Cluster::obs_finalize() {
 
 void Cluster::set_frozen(bool frozen) {
   if (frozen == cores_frozen_) return;
+  // Held cycles accrue nothing: the cores' books close as the hold
+  // begins, and their wakes restart from the cycle it ends.
+  if (frozen) sync_cores();
   cores_frozen_ = frozen;
   if (frozen) {
     freeze_begin_ = now_;
   } else {
     throttled_cycles_ += now_ - freeze_begin_;
+    if (lazy_cores_) refile_cores();
   }
 }
 
@@ -678,6 +779,7 @@ void Cluster::apply_fault(const fault::FaultEvent& ev) {
 }
 
 void Cluster::watchdog_poll() {
+  sync_cores();
   const fault::WatchdogVerdict verdict =
       watchdog_->poll(now_, progress_signature());
   next_watchdog_cycle_ = watchdog_->next_check_cycle();
@@ -718,7 +820,8 @@ std::uint64_t Cluster::progress_signature() const {
   return sig;
 }
 
-std::string Cluster::progress_dump() const {
+std::string Cluster::progress_dump() {
+  sync_cores();
   std::ostringstream os;
   os << "-- parked state at cycle " << now_ << " --\n";
   for (CoreId c : active_cores_) {
@@ -812,6 +915,7 @@ void Cluster::update_vault_thermal() {
 }
 
 void Cluster::thermal_sample_interval() {
+  sync_cores();
   const Cycle interval = now_ - last_thermal_cycle_;
   if (interval > 0) {
     power::EnergyLedger snap;
@@ -1077,6 +1181,7 @@ SimResult Cluster::collect_result() const {
   if (cfg_.obs.trace) r.trace = trace_;
   if (metrics_ != nullptr) r.metrics = metrics_;
   if (phase_timer_ != nullptr) r.phase_seconds = phase_timer_->totals();
+  r.core_ticks = core_ticks_;
 
   r.edp_pj_s = r.energy.edp_pj_s(now_);
   r.avg_power_w = r.energy.average_power_w(now_);

@@ -10,10 +10,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cacti/sram_model.hpp"
 #include "coherence/directory.hpp"
+#include "common/index_set.hpp"
 #include "common/interconnect.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -173,6 +175,11 @@ struct SimResult {
   /// Host wall-seconds per simulator phase (valid only when
   /// ObsConfig::phase_timing was on; bench_scale --json uses this).
   obs::PhaseSeconds phase_seconds;
+  /// Core::tick calls the run made.  Host-side work, not a modeled number:
+  /// the dense scheduler ticks every unfrozen core every cycle, the event
+  /// scheduler only the cores that can act.  The canonical run JSON never
+  /// carries it; bench_scale matches it exactly against its baseline.
+  std::uint64_t core_ticks = 0;
   /// The run's full event trace / sampled metrics; null unless the
   /// corresponding ObsConfig switch was on.  Shared with the cluster
   /// (the buffers are immutable after run()).
@@ -216,7 +223,8 @@ class Cluster final : private mem::ReadSink {
   dram3d::StackedDram* stacked_dram() { return stacked_; }
   const ClusterConfig& config() const { return cfg_; }
 
-  /// Snapshot results so far (run() calls this at completion).
+  /// Snapshot results so far: after run() (which calls this at
+  /// completion) or step(), when every core's counters are caught up.
   SimResult collect_result() const;
 
  private:
@@ -254,9 +262,44 @@ class Cluster final : private mem::ReadSink {
   /// Per-cycle injection phase: coherence acknowledgements first (they
   /// flow even while cores are clock-held), then the demand request of
   /// each unfrozen core.  Split so the timed tick can attribute the two
-  /// halves to different phases.
+  /// halves to different phases.  Both walk only the cores in their set
+  /// (acking_, injecting_), in arena order, under either scheduler.
   void inject_coherence_acks();
   void inject_demand_requests();
+
+  // -- per-core work sets (arena slots; DESIGN.md "Cores that can act") --
+
+  /// Arena slot of active core `c`.
+  std::size_t slot_of(CoreId c) const {
+    return static_cast<std::size_t>(cores_[c] - core_arena_.data());
+  }
+
+  /// Re-file slot `i` after its core ticked or took a message: the
+  /// injecting_ and done_ sets (both schedulers) and, while the cores run
+  /// lazily, its wake — due next cycle, a timed wake at the end of a
+  /// compute burst, or asleep until a delivery or a barrier release.
+  void file_core(std::size_t i);
+
+  /// Event-mode core phase: tick only the due cores, in arena order.
+  void tick_due_cores();
+
+  /// Account slot `i`'s slept cycles up to `to` through Core::skip, just
+  /// before anything reads its counters or changes its state.  A no-op
+  /// under the dense scheduler and while the cores are clock-held (held
+  /// cycles accrue nothing).
+  void catch_up(std::size_t i, Cycle to);
+
+  /// catch_up() every core to now_: boundaries that read core counters.
+  void sync_cores();
+
+  /// Switch between the dense reference (every core ticks every cycle)
+  /// and lazy event mode (only due cores tick, the rest catch up on
+  /// demand).  Leaving lazy mode syncs every core; entering it re-files
+  /// them all.
+  void set_lazy_cores(bool lazy);
+
+  /// Rebuild the wake set from the cores' states, synced at now_.
+  void refile_cores();
 
   /// Minimum over every component's next_event(now_) and every subsystem
   /// boundary (thermal sample, metrics epoch, next fault, watchdog check,
@@ -339,8 +382,8 @@ class Cluster final : private mem::ReadSink {
   std::uint64_t progress_signature() const;
 
   /// Per-core / per-bank parked-state dump for watchdog and deadlock
-  /// diagnostics.
-  std::string progress_dump() const;
+  /// diagnostics (syncs the cores first).
+  std::string progress_dump();
 
   ClusterConfig cfg_;
   std::unique_ptr<mem::MemoryBackend> dram_;
@@ -360,6 +403,20 @@ class Cluster final : private mem::ReadSink {
   std::vector<cpu::Core> core_arena_;
   std::vector<cpu::Core*> cores_;  ///< by CoreId into the arena; null if gated
   std::vector<CoreId> active_cores_;
+
+  // Per-core work sets by arena slot, kept under both schedulers.
+  IndexSet injecting_;  ///< a demand request waits for a fabric slot
+  IndexSet acking_;     ///< coherence acknowledgements queued
+  IndexSet done_;       ///< trace finished (finished() reads the count)
+  std::uint64_t core_ticks_ = 0;
+  // The wake set, live only while the cores run lazily (event mode).
+  bool lazy_cores_ = false;
+  IndexSet due_;       ///< tick this cycle
+  IndexSet spinning_;  ///< asleep at a barrier not yet released
+  /// Min-heap of (cycle, slot): compute bursts end and the core is due.
+  std::vector<std::pair<Cycle, std::uint32_t>> timed_wakes_;
+  /// Slot i's counters are accounted for every cycle before synced_[i].
+  std::vector<Cycle> synced_;
 
   Cycle now_ = 0;
   Histogram l2_latency_{1, 256};

@@ -17,47 +17,45 @@ Core::Core(CoreId id, const CoreConfig& cfg, TraceSource& trace,
   assert(is_pow2(cfg.l2_banks));
 }
 
-void Core::tick(Cycle now) {
+bool Core::tick(Cycle now) {
   switch (state_) {
     case State::kDone:
       ++stats_.idle_cycles;
-      return;
+      return false;
     case State::kCompute:
       ++stats_.busy_cycles;
       ++stats_.instructions;
       if (--compute_remaining_ == 0) state_ = State::kFetch;
-      return;
+      return false;
     case State::kWaitInject:
     case State::kWaitMem:
     case State::kWaitIFetch:
       ++stats_.stall_cycles;
-      return;
+      return false;
     case State::kAtBarrier:
-      if (barriers_->released(barrier_id_)) {
-        state_ = State::kFetch;
-        process_next_record(now);
-      } else {
+      if (!barriers_->released(barrier_id_)) {
         ++stats_.spin_cycles;
+        return false;
       }
-      return;
+      state_ = State::kFetch;
+      process_next_record(now);
+      return true;
     case State::kFetch:
       process_next_record(now);
-      return;
+      return true;
   }
+  return false;
 }
 
 Cycle Core::next_event(Cycle now) const {
-  // A queued invalidation acknowledgement retries injection every cycle,
-  // whatever the instruction-stream state.
-  if (!coh_queue_.empty()) return now;
   switch (state_) {
     case State::kFetch:
-    case State::kWaitInject:
-      return now;  // consumes a record / retries injection every cycle
+      return now;  // consumes a record every cycle
     case State::kCompute:
       return now + compute_remaining_;
     case State::kAtBarrier:
       return barriers_->released(barrier_id_) ? now : kNeverCycle;
+    case State::kWaitInject:  // the cluster's injection phase retries
     case State::kWaitMem:
     case State::kWaitIFetch:
     case State::kDone:
@@ -73,12 +71,16 @@ void Core::skip(Cycle from, Cycle to) {
     case State::kDone:
       stats_.idle_cycles += delta;
       return;
+    case State::kWaitInject:
     case State::kWaitMem:
     case State::kWaitIFetch:
       stats_.stall_cycles += delta;
       return;
     case State::kAtBarrier:
-      assert(!barriers_->released(barrier_id_));
+      // A waiter spins through the cycle its barrier is released in when
+      // the releasing core ticks after it in the cluster's arena order;
+      // never past that cycle.
+      assert(!barriers_->released_before(barrier_id_, to - 1));
       stats_.spin_cycles += delta;
       return;
     case State::kCompute:
@@ -89,7 +91,6 @@ void Core::skip(Cycle from, Cycle to) {
       if (compute_remaining_ == 0) state_ = State::kFetch;
       return;
     case State::kFetch:
-    case State::kWaitInject:
       assert(false && "skipped over a core that could make progress");
       return;
   }
@@ -121,7 +122,7 @@ void Core::process_next_record(Cycle now) {
         return;
 
       case TraceKind::kBarrier:
-        barriers_->arrive(r.barrier_id);
+        barriers_->arrive(r.barrier_id, now);
         barrier_id_ = r.barrier_id;
         state_ = State::kAtBarrier;
         ++stats_.busy_cycles;  // executing the barrier arrival

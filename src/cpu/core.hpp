@@ -62,19 +62,28 @@ class Core {
   Core(CoreId id, const CoreConfig& cfg, TraceSource& trace,
        BarrierController& barriers, IFetchIssue ifetch_issue);
 
-  /// Advance one cycle.
-  void tick(Cycle now);
+  /// Advance one cycle.  Returns true if the tick consumed trace records:
+  /// only such a tick can issue a request, arrive at a barrier or end the
+  /// trace.  Any other tick only accrues counters or burns compute.
+  bool tick(Cycle now);
 
   /// Next-event contract (see DESIGN.md): earliest cycle >= `now` at which
   /// tick() could do anything beyond the per-cycle stat accrual that skip()
   /// reproduces.  kNeverCycle while blocked on memory, the barrier or after
-  /// kEnd — those states only change through external wake-ups.
+  /// kEnd — those states only change through external wake-ups.  A request
+  /// or coherence acknowledgement waiting for a fabric slot is not a tick
+  /// event either: the cluster's injection phase retries it every cycle
+  /// (pending_request(), pending_coherence()), and the tick only stalls.
   Cycle next_event(Cycle now) const;
 
   /// Batch-account the cycles [from, to) exactly as `to - from` dense
   /// tick() calls would, for states where ticks are pure stat accrual
-  /// (stall/spin/idle) or a deterministic compute burn-down.  The caller
-  /// (the cluster scheduler) must guarantee to <= next_event(from).
+  /// (stall/spin/idle) or a deterministic compute burn-down — every state
+  /// but kFetch.  The caller (the cluster scheduler) must guarantee
+  /// to <= next_event(from), with one exception: a barrier waiter that
+  /// ticks before the releasing core in the cluster's order spins through
+  /// the release cycle, so it may be skipped up to the cycle after its
+  /// barrier's release.
   void skip(Cycle from, Cycle to);
 
   /// The L2 request (if any) waiting for an interconnect slot.  The cluster
@@ -109,6 +118,7 @@ class Core {
   void warm_l1i(Addr base, std::size_t bytes);
 
   bool done() const { return state_ == State::kDone; }
+  bool at_barrier() const { return state_ == State::kAtBarrier; }
   /// Human-readable state label for watchdog / deadlock diagnostics.
   const char* state_name() const;
   CoreId id() const { return id_; }

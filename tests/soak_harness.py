@@ -223,7 +223,8 @@ REQUIRED_REPORT_KEYS = ("bench", "scheduler", "scale", "seed", "cells",
                         "total_wall_seconds", "total_simulated_cycles",
                         "cycles_per_second")
 REQUIRED_CELL_KEYS = ("app", "cores", "banks", "state", "cycles",
-                      "instructions", "wall_seconds", "cycles_per_second")
+                      "instructions", "core_ticks", "wall_seconds",
+                      "cycles_per_second")
 
 # A deliberately tiny grid: the soak harness checks the *contract* of
 # bench_scale (report shape, exit codes), not its throughput numbers.
@@ -313,6 +314,25 @@ def bench_tests(bench_binary):
                 BENCH_GRID + [f"--baseline={drift}"],
                 expect_exit=1,
                 expect_patterns=[r"REGRESSION .*modeled drift"]))
+
+        # Exit 1: a doctored work counter = the scheduler ticks a different
+        # number of cores, even where throughput would hide it.
+        work = os.path.join(tmp, "work_drift.json")
+        try:
+            with open(baseline, encoding="utf-8") as f:
+                doc = json.load(f)
+            doc["cells"][0]["core_ticks"] -= 1
+            with open(work, "w", encoding="utf-8") as f:
+                json.dump(doc, f)
+        except (OSError, ValueError, KeyError, IndexError) as e:
+            results.append(TestResult("doctor work-counter baseline", False,
+                                      str(e)))
+        else:
+            results.append(run_test(
+                bench_binary, "work-counter drift exits 1",
+                BENCH_GRID + [f"--baseline={work}"],
+                expect_exit=1,
+                expect_patterns=[r"REGRESSION .*work drift"]))
 
         # Exit 3: missing and malformed baselines.
         results.append(run_test(

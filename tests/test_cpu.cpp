@@ -190,8 +190,8 @@ TEST(Core, BarrierSpinsUntilReleased) {
   for (Cycle t = 1; t <= 5; ++t) core.tick(t);
   EXPECT_EQ(core.stats().spin_cycles, 5u);
   EXPECT_FALSE(core.done());
-  barriers.arrive(0);  // second participant arrives
-  core.tick(6);        // released: executes compute
+  barriers.arrive(0, 5);  // second participant arrives
+  core.tick(6);           // released: executes compute
   core.tick(7);
   EXPECT_TRUE(core.done());
   EXPECT_EQ(core.stats().spin_cycles, 5u);
@@ -232,11 +232,13 @@ TEST(Core, DoneCoreStaysIdle) {
 
 TEST(Barrier, ReleaseSemantics) {
   BarrierController b(3);
-  b.arrive(0);
-  b.arrive(0);
+  b.arrive(0, 1);
+  b.arrive(0, 2);
   EXPECT_FALSE(b.released(0));
-  b.arrive(0);
+  b.arrive(0, 4);
   EXPECT_TRUE(b.released(0));
+  EXPECT_FALSE(b.released_before(0, 4));
+  EXPECT_TRUE(b.released_before(0, 5));
   EXPECT_FALSE(b.released(1));
   EXPECT_EQ(b.arrivals(0), 3u);
   EXPECT_EQ(b.arrivals(7), 0u);

@@ -7,13 +7,18 @@
 //  * RingBuffer FIFO semantics across growth and wraparound;
 //  * arbitrate_sparse() lockstep-equivalent to the dense recursive walk,
 //    powered and gated, over randomized candidate sets;
-//  * 256-core heavy-sharing scheduler differential (dense == event) and
-//    SweepRunner determinism (threads=1 == threads=N), both via the
-//    canonical metrics serialisation so every modeled byte is compared.
+//  * 256- and 1024-core heavy-sharing scheduler differentials (dense ==
+//    event), on the canonical metrics serialisation and on every per-core
+//    counter, so barrier releases and invalidation fan-out that cross
+//    64-core bitset words are pinned core by core;
+//  * SweepRunner determinism (threads=1 == threads=N) via the canonical
+//    metrics serialisation, so every modeled byte is compared.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -21,6 +26,7 @@
 #include "common/ring_buffer.hpp"
 #include "core/arbitration_tree.hpp"
 #include "core/power_state.hpp"
+#include "same_result.hpp"
 #include "sim/scenario.hpp"
 
 namespace mot3d {
@@ -246,22 +252,24 @@ TEST(ScaleOutArbitration, SparseEmptyAndSingleton) {
   EXPECT_EQ(*got, only);
 }
 
-// ---- 256-core cluster: scheduler differential + sweep determinism ----------
+// ---- 256/1024-core clusters: scheduler differential + sweep determinism ----
 
-core::PowerState full_256() {
-  return core::PowerState("Full256x512", 256, 256, 512, 512);
-}
-
-sim::ScenarioSpec heavy_sharing_256_spec() {
+sim::ScenarioSpec heavy_sharing_spec(std::vector<std::string> apps,
+                                     const core::PowerState& state) {
   sim::ScenarioSpec spec;
   spec.name = "scale_out_test";
   spec.kind = sim::ScenarioSpec::Kind::kSweep;
-  spec.apps = {"all_to_all", "producer_consumer"};
+  spec.apps = std::move(apps);
   spec.fabrics = {cluster::Fabric::kMot};
-  spec.power_states = {full_256()};
+  spec.power_states = {state};
   spec.dram_presets = {mem::DramPreset::kDdr3_200ns};
   spec.has_golden = false;
   return spec;
+}
+
+sim::ScenarioSpec heavy_sharing_256_spec() {
+  return heavy_sharing_spec({"all_to_all", "producer_consumer"},
+                            core::PowerState("Full256x512", 256, 256, 512, 512));
 }
 
 sim::ScenarioOptions scale_out_options(unsigned threads,
@@ -274,15 +282,37 @@ sim::ScenarioOptions scale_out_options(unsigned threads,
   return opt;
 }
 
+/// Runs `spec` under both schedulers and compares the canonical metrics
+/// document byte for byte, then every run's full result: the document
+/// leaves out the per-core stall, spin, idle, busy and finish cycles.
+void expect_schedulers_agree(const sim::ScenarioSpec& spec, double scale) {
+  sim::ScenarioOptions dense_opt =
+      scale_out_options(1, cluster::SchedulerMode::kDenseTick);
+  sim::ScenarioOptions event_opt =
+      scale_out_options(1, cluster::SchedulerMode::kEventDriven);
+  dense_opt.scale = event_opt.scale = scale;
+  const sim::ScenarioOutcome dense = sim::run_scenario(spec, dense_opt);
+  const sim::ScenarioOutcome event = sim::run_scenario(spec, event_opt);
+  EXPECT_EQ(sim::scenario_metrics_json(dense), sim::scenario_metrics_json(event));
+  ASSERT_EQ(dense.results.size(), spec.apps.size());
+  ASSERT_EQ(event.results.size(), spec.apps.size());
+  for (std::size_t i = 0; i < spec.apps.size(); ++i) {
+    SCOPED_TRACE(spec.apps[i]);
+    cluster::expect_same_result(dense.results[i], event.results[i]);
+  }
+}
+
 TEST(ScaleOutCluster, SchedulerDifferential256CoreHeavySharing) {
-  // The canonical metrics document serialises every modeled quantity of
-  // every run; byte equality is the strongest dense==event check we have.
-  const sim::ScenarioSpec spec = heavy_sharing_256_spec();
-  const std::string dense = sim::scenario_metrics_json(sim::run_scenario(
-      spec, scale_out_options(1, cluster::SchedulerMode::kDenseTick)));
-  const std::string event = sim::scenario_metrics_json(sim::run_scenario(
-      spec, scale_out_options(1, cluster::SchedulerMode::kEventDriven)));
-  EXPECT_EQ(dense, event);
+  expect_schedulers_agree(heavy_sharing_256_spec(), 0.01);
+}
+
+TEST(ScaleOutCluster, SchedulerDifferential1024Core) {
+  // Sixteen 64-core words per barrier and sharer set.
+  expect_schedulers_agree(
+      heavy_sharing_spec({"all_to_all", "read_mostly"},
+                         core::PowerState("Full1024x2048", 1024, 1024, 2048,
+                                          2048)),
+      0.005);
 }
 
 TEST(ScaleOutCluster, SweepDeterminism256CoreThreads1VsN) {
