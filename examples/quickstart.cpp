@@ -53,9 +53,11 @@ int main(int argc, char** argv) {
   t.add_row({"EDP", fmt_fixed(r.edp_pj_s * 1e-9, 6) + " mJ*s"});
   t.print(std::cout);
 
-  std::cout << "\nTip: examples/interconnect_compare runs the same app on all\n"
-               "four fabrics; examples/power_gating demonstrates runtime\n"
-               "reconfiguration; examples/power_state_explorer sweeps states\n"
-               "and DRAM latencies.\n";
+  std::cout << "\nTip: `mot3d_experiments grid --apps=" << app
+            << " --fabrics=mesh3d,busmesh,bustree,mot`\n"
+               "runs this app on all four fabrics; --states= and --dram= sweep\n"
+               "power states and DRAM latencies.  examples/power_gating shows\n"
+               "runtime reconfiguration; examples/state_advisor picks a power\n"
+               "state per app.\n";
   return 0;
 }

@@ -104,10 +104,10 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
     interconnect_ = std::move(noc);
   }
 
-  // No sinks are registered: the interconnect batches its deliveries and
-  // the scheduler drains them right after its tick (responses first, then
-  // requests — see drain_fabric_deliveries()).  The L2 injects responses
-  // straight into the transport, no std::function hop.
+  // The interconnect batches its deliveries and the scheduler drains them
+  // right after its tick (responses first, then requests — see
+  // drain_fabric_deliveries()).  The L2 injects responses straight into
+  // the transport, no std::function hop.
   l2_->set_transport(interconnect_.get());
 
   // ---- workload & cores ----
@@ -322,8 +322,8 @@ void Cluster::deliver_response(const MemResponse& resp) {
 void Cluster::drain_fabric_deliveries() {
   // Responses touch core state; requests touch bank queues and directory
   // slices — disjoint within a tick, and within each class the batch
-  // preserves delivery order, so this is bit-identical to per-message
-  // dispatch from inside the interconnect's tick.
+  // preserves delivery order, so draining after the tick models what
+  // handling each delivery the moment the fabric made it would.
   const std::vector<MemResponse>& resps = interconnect_->delivered_responses();
   const std::vector<MemRequest>& reqs = interconnect_->delivered_requests();
   if (resps.empty() && reqs.empty()) return;

@@ -1,9 +1,10 @@
 // A set of small dense indices stored as a bitset with its population
 // count, walked in ascending index order.
 //
-// The scheduler keeps its per-core work lists in these: visiting the set
-// bits of a 1024-core set reads 16 words instead of 1024 cores, and the
-// count makes "is anyone due?" a single compare.
+// The scheduler keeps its per-core work lists in these, the MoT its banks
+// with waiting requests and the L2 its live banks: visiting the set bits
+// of a 1024-core set reads 16 words instead of 1024 cores, and the count
+// makes "is anyone due?" a single compare.
 #pragma once
 
 #include <bit>
@@ -42,21 +43,31 @@ class IndexSet {
     count_ = 0;
   }
 
-  /// Calls f(i) for every member in ascending order.  The word is re-read
-  /// after each call, so f may erase any member and may insert members
-  /// above i, which this same walk then visits; members f inserts below i
-  /// wait for the next walk.
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  /// The smallest member >= from, or npos when there is none.  A walk
+  /// `for (i = next(0); i != npos; i = next(i + 1))` re-reads the words at
+  /// every step, so it sees every change made since its last step, and it
+  /// can stop early.
+  std::size_t next(std::size_t from) const {
+    std::size_t w = from >> 6;
+    if (w >= words_.size()) return npos;
+    std::uint64_t word = words_[w] & (~std::uint64_t{0} << (from & 63));
+    while (word == 0) {
+      if (++w == words_.size()) return npos;
+      word = words_[w];
+    }
+    return (w << 6) | static_cast<unsigned>(std::countr_zero(word));
+  }
+
+  /// Calls f(i) for every member in ascending order.  The walk resumes
+  /// from i + 1 after each call, so f may erase any member and may insert
+  /// members above i, which this same walk then visits; members f inserts
+  /// below i wait for the next walk.
   template <typename F>
   void for_each(F&& f) {
     if (count_ == 0) return;
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t word = words_[w];
-      while (word != 0) {
-        const unsigned b = static_cast<unsigned>(std::countr_zero(word));
-        f((w << 6) | b);
-        word = b == 63 ? 0 : words_[w] & (~std::uint64_t{0} << (b + 1));
-      }
-    }
+    for (std::size_t i = next(0); i != npos; i = next(i + 1)) f(i);
   }
 
  private:

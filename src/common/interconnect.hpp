@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/messages.hpp"
@@ -31,7 +30,8 @@ struct InterconnectStats {
 };
 
 /// Cycle-driven transport.  The cluster drives tick() once per cycle after
-/// the cores; deliveries happen through the registered sinks.
+/// the cores; tick() appends each delivery to delivered_requests() /
+/// delivered_responses(), which the caller drains afterwards.
 ///
 /// Implementations additionally honour the *next-event contract* (see
 /// DESIGN.md): next_event(now) returns the earliest cycle >= now at which
@@ -41,12 +41,6 @@ struct InterconnectStats {
 /// results.
 class Interconnect {
  public:
-  /// Request arriving at a bank: `bank` already rewritten to the physical
-  /// bank (power-gating remap applied by the routing switches).
-  using RequestSink = std::function<void(const MemRequest&, Cycle)>;
-  /// Response arriving back at its core.
-  using ResponseSink = std::function<void(const MemResponse&, Cycle)>;
-
   virtual ~Interconnect() = default;
 
   virtual const char* name() const = 0;
@@ -57,7 +51,7 @@ class Interconnect {
   /// Bank-side injection; false == port busy this cycle.
   virtual bool try_inject_response(const MemResponse& resp, Cycle now) = 0;
 
-  /// Advance one cycle; may call the sinks.
+  /// Advance one cycle; appends this cycle's deliveries to the batches.
   virtual void tick(Cycle now) = 0;
 
   /// Nothing in flight.
@@ -75,18 +69,15 @@ class Interconnect {
   /// Leakage power of the (currently powered) network, mW.
   virtual double leakage_mw() const = 0;
 
-  void set_request_sink(RequestSink s) { request_sink_ = std::move(s); }
-  void set_response_sink(ResponseSink s) { response_sink_ = std::move(s); }
-
-  /// Batched delivery: when no sink is registered, tick() appends each
-  /// delivery to these vectors instead of dispatching through a
-  /// std::function per message.  The caller drains them after tick() —
-  /// responses first, then requests, matching the in-tick phase order of
-  /// every implementation.  Within one tick the two classes touch disjoint
-  /// simulator state (requests mutate bank queues and directory slices,
-  /// responses mutate core state and latency histograms), and within each
-  /// class the vector preserves delivery order, so draining after tick()
-  /// is bit-identical to in-tick sink dispatch (see DESIGN.md).
+  /// The deliveries of the ticks since the last clear_deliveries(), each
+  /// class in delivery order.  A request's `bank` is already the physical
+  /// bank (power-gating remap applied by the routing switches).  Callers
+  /// drain responses first, then requests.  The MoT delivers in that order
+  /// within a tick; the bus NoCs interleave the two classes.  Draining
+  /// after tick() still models what handling each delivery as it is made
+  /// would, because the two classes touch disjoint model state
+  /// (responses: core state and latency histograms; requests: bank queues
+  /// and directory slices).  See DESIGN.md.
   const std::vector<MemRequest>& delivered_requests() const {
     return delivered_requests_;
   }
@@ -127,26 +118,6 @@ class Interconnect {
   }
 
  protected:
-  /// Implementations deliver through these: dispatches to the registered
-  /// sink when present (unit tests, custom harnesses), otherwise appends
-  /// to the batch vectors for the cluster to drain.
-  void emit_request(const MemRequest& req, Cycle now) {
-    if (request_sink_) {
-      request_sink_(req, now);
-    } else {
-      delivered_requests_.push_back(req);
-    }
-  }
-  void emit_response(const MemResponse& resp, Cycle now) {
-    if (response_sink_) {
-      response_sink_(resp, now);
-    } else {
-      delivered_responses_.push_back(resp);
-    }
-  }
-
-  RequestSink request_sink_;
-  ResponseSink response_sink_;
   std::vector<MemRequest> delivered_requests_;
   std::vector<MemResponse> delivered_responses_;
   InterconnectStats stats_;

@@ -1,7 +1,6 @@
 #include "core/mot_interconnect.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -20,7 +19,7 @@ MotInterconnect::MotInterconnect(const MotTimingModel& timing,
       core_slot_(initial.total_cores()),
       bank_free_at_(initial.total_banks(), 0),
       bank_waiters_(initial.total_banks()),
-      pending_banks_((initial.total_banks() + 63) / 64, 0),
+      pending_banks_(initial.total_banks()),
       bank_fault_penalty_(initial.total_banks(), 0) {
   bank_arbiters_.reserve(initial.total_banks());
   for (std::size_t b = 0; b < initial.total_banks(); ++b) {
@@ -38,8 +37,7 @@ void MotInterconnect::configure(const PowerState& state) {
   // happens drained (no valid slots); in-flight requests keep the physical
   // bank they were routed to at injection, exactly as before.
   for (std::vector<CoreId>& w : bank_waiters_) w.clear();
-  std::fill(pending_banks_.begin(), pending_banks_.end(), 0);
-  valid_slots_ = 0;
+  pending_banks_.clear();
   for (CoreId c = 0; c < core_slot_.size(); ++c) {
     if (core_slot_[c].valid) add_waiter(c, core_slot_[c].physical_bank);
   }
@@ -47,8 +45,7 @@ void MotInterconnect::configure(const PowerState& state) {
 
 void MotInterconnect::add_waiter(CoreId core, BankId bank) {
   bank_waiters_[bank].push_back(core);
-  pending_banks_[bank >> 6] |= std::uint64_t{1} << (bank & 63);
-  ++valid_slots_;
+  pending_banks_.insert(bank);
 }
 
 void MotInterconnect::remove_waiter(CoreId core, BankId bank) {
@@ -62,10 +59,7 @@ void MotInterconnect::remove_waiter(CoreId core, BankId bank) {
       break;
     }
   }
-  if (w.empty()) {
-    pending_banks_[bank >> 6] &= ~(std::uint64_t{1} << (bank & 63));
-  }
-  --valid_slots_;
+  if (w.empty()) pending_banks_.erase(bank);
 }
 
 void MotInterconnect::add_bank_fault_penalty(BankId b, unsigned cycles) {
@@ -108,7 +102,7 @@ void MotInterconnect::tick(Cycle now) {
   while (!responses_.empty() && responses_.front().due <= now) {
     const PendingResponse& pr = responses_.front();
     ++stats_.responses_delivered;
-    emit_response(pr.resp, now);
+    delivered_responses_.push_back(pr.resp);
     responses_.pop_front();
   }
 
@@ -117,48 +111,44 @@ void MotInterconnect::tick(Cycle now) {
   //    hold of the previous transaction.  Only banks with waiters are
   //    visited (ascending bank id, same order as the dense scan); grants at
   //    one bank cannot create or remove contenders at another within the
-  //    same cycle, since each core holds exactly one slot.
-  for (std::size_t w = 0; w < pending_banks_.size(); ++w) {
-    std::uint64_t word = pending_banks_[w];
-    while (word != 0) {
-      const BankId b = static_cast<BankId>(
-          (w << 6) + static_cast<unsigned>(std::countr_zero(word)));
-      word &= word - 1;
-      if (!state_.bank_active(b) || bank_free_at_[b] > now) continue;
-      candidates_.clear();
-      for (const CoreId c : bank_waiters_[b]) {
-        if (core_slot_[c].eligible <= now) candidates_.push_back(c);
-      }
-      if (candidates_.empty()) continue;
-      const std::optional<CoreId> winner =
-          bank_arbiters_[b].arbitrate_sparse(candidates_.data(),
-                                             candidates_.size());
-      assert(winner.has_value());
-      InFlight& s = core_slot_[*winner];
-      stats_.arbitration_wait_cycles += now - s.eligible;
-      ++stats_.requests_delivered;
-      if (trace_ != nullptr) {
-        // One complete event per grant: ts = routing-tree arrival, dur =
-        // cycles lost to arbitration/circuit hold.  Grant count and the
-        // sum of durations therefore reproduce requests_delivered and
-        // arbitration_wait_cycles exactly (pinned by the obs cross-check
-        // test).
-        trace_->complete("grant", trace_track_, s.eligible, now - s.eligible,
-                         "core", *winner, "bank", b);
-      }
-      bank_free_at_[b] = now + cfg_.bank_hold_cycles + bank_fault_penalty_[b];
-      if (bank_fault_penalty_[b] > 0) {
-        // Degraded TSV column: the circuit establishment needs retry pulses.
-        dynamic_energy_pj_ += fault_retry_pj_per_grant_;
-        fault_retry_pj_ += fault_retry_pj_per_grant_;
-      }
-      MemRequest delivered = s.req;
-      delivered.bank = b;  // physical
-      s.valid = false;
-      remove_waiter(*winner, b);
-      emit_request(delivered, now);
+  //    same cycle, since each core holds exactly one slot.  A grant can
+  //    only erase the visited bank, so the walk adds no member.
+  pending_banks_.for_each([this, now](std::size_t bank) {
+    const auto b = static_cast<BankId>(bank);
+    if (!state_.bank_active(b) || bank_free_at_[b] > now) return;
+    candidates_.clear();
+    for (const CoreId c : bank_waiters_[b]) {
+      if (core_slot_[c].eligible <= now) candidates_.push_back(c);
     }
-  }
+    if (candidates_.empty()) return;
+    const std::optional<CoreId> winner =
+        bank_arbiters_[b].arbitrate_sparse(candidates_.data(),
+                                           candidates_.size());
+    assert(winner.has_value());
+    InFlight& s = core_slot_[*winner];
+    stats_.arbitration_wait_cycles += now - s.eligible;
+    ++stats_.requests_delivered;
+    if (trace_ != nullptr) {
+      // One complete event per grant: ts = routing-tree arrival, dur =
+      // cycles lost to arbitration/circuit hold.  Grant count and the
+      // sum of durations therefore reproduce requests_delivered and
+      // arbitration_wait_cycles exactly (pinned by the obs cross-check
+      // test).
+      trace_->complete("grant", trace_track_, s.eligible, now - s.eligible,
+                       "core", *winner, "bank", b);
+    }
+    bank_free_at_[b] = now + cfg_.bank_hold_cycles + bank_fault_penalty_[b];
+    if (bank_fault_penalty_[b] > 0) {
+      // Degraded TSV column: the circuit establishment needs retry pulses.
+      dynamic_energy_pj_ += fault_retry_pj_per_grant_;
+      fault_retry_pj_ += fault_retry_pj_per_grant_;
+    }
+    MemRequest delivered = s.req;
+    delivered.bank = b;  // physical
+    s.valid = false;
+    remove_waiter(*winner, b);
+    delivered_requests_.push_back(delivered);
+  });
 }
 
 Cycle MotInterconnect::next_event(Cycle now) const {
@@ -174,25 +164,20 @@ Cycle MotInterconnect::next_event(Cycle now) const {
   // cycle that this bound re-derives after the winning grant is ticked.
   // Every valid slot sits in exactly one bank's waiter list, so walking
   // the pending banks visits the same set the dense slot scan did.
-  for (std::size_t w = 0; w < pending_banks_.size(); ++w) {
-    std::uint64_t word = pending_banks_[w];
-    while (word != 0) {
-      const BankId b = static_cast<BankId>(
-          (w << 6) + static_cast<unsigned>(std::countr_zero(word)));
-      word &= word - 1;
-      const Cycle free_at = bank_free_at_[b];
-      for (const CoreId c : bank_waiters_[b]) {
-        const Cycle cand = std::max({core_slot_[c].eligible, free_at, now});
-        next = std::min(next, cand);
-        if (next <= now) return now;
-      }
+  for (std::size_t b = pending_banks_.next(0); b != IndexSet::npos;
+       b = pending_banks_.next(b + 1)) {
+    const Cycle free_at = bank_free_at_[b];
+    for (const CoreId c : bank_waiters_[b]) {
+      const Cycle cand = std::max({core_slot_[c].eligible, free_at, now});
+      next = std::min(next, cand);
+      if (next <= now) return now;
     }
   }
   return next;
 }
 
 bool MotInterconnect::idle() const {
-  return responses_.empty() && valid_slots_ == 0;
+  return responses_.empty() && pending_banks_.empty();
 }
 
 }  // namespace mot3d::core

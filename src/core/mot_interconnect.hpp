@@ -18,10 +18,10 @@
 //    latencies (Fig. 5 / Table I).
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "common/index_set.hpp"
 #include "common/interconnect.hpp"
 #include "common/ring_buffer.hpp"
 #include "core/arbitration_tree.hpp"
@@ -102,14 +102,14 @@ class MotInterconnect final : public Interconnect {
   std::vector<InFlight> core_slot_;        ///< one outstanding per core
   std::vector<Cycle> bank_free_at_;        ///< circuit hold per bank
   RingBuffer<PendingResponse> responses_;  ///< constant-delay return path
-  /// Valid slots grouped by target physical bank, plus a bitset of banks
-  /// with any waiter.  tick()/next_event() walk only the pending banks and
-  /// their waiters instead of the full banks x cores cross product — the
-  /// scan that dominated 256-core heavy-sharing runs.
+  /// Valid slots grouped by target physical bank, plus the set of banks
+  /// with any waiter (empty iff no slot is valid).  tick()/next_event()
+  /// walk only the pending banks and their waiters instead of the full
+  /// banks x cores cross product — the scan that dominated 256-core
+  /// heavy-sharing runs.
   std::vector<std::vector<CoreId>> bank_waiters_;
-  std::vector<std::uint64_t> pending_banks_;
+  IndexSet pending_banks_;
   std::vector<CoreId> candidates_;         ///< tick() scratch (eligible waiters)
-  std::size_t valid_slots_ = 0;
   std::vector<unsigned> bank_fault_penalty_;  ///< extra hold per physical bank
   double dynamic_energy_pj_ = 0.0;
   double fault_retry_pj_ = 0.0;

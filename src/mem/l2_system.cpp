@@ -1,7 +1,6 @@
 #include "mem/l2_system.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -25,7 +24,7 @@ L2System::L2System(const L2Config& cfg, MemoryBackend& dram)
   banks_.reserve(cfg.total_banks);
   for (std::size_t i = 0; i < cfg.total_banks; ++i) banks_.emplace_back(cc);
   active_.assign(cfg.total_banks, true);
-  live_.assign((cfg.total_banks + 63) / 64, 0);
+  live_ = IndexSet(cfg.total_banks);
 }
 
 void L2System::deliver(const MemRequest& req, Cycle now) {
@@ -148,91 +147,86 @@ void L2System::finish_request(BankId bank_id, const MemRequest& req, Cycle now,
 void L2System::tick(Cycle now) {
   // Only live banks can have work (deliver/ack/respond raise the bit);
   // ascending bank order matches the old dense sweep, so every stat and
-  // energy accumulation happens in the same sequence.
-  for (std::size_t w = 0; w < live_.size(); ++w) {
-    std::uint64_t word = live_[w];
-    while (word != 0) {
-      const BankId b = static_cast<BankId>(
-          (w << 6) + static_cast<unsigned>(std::countr_zero(word)));
-      word &= word - 1;
-      Bank& bank = banks_[b];
+  // energy accumulation happens in the same sequence.  A visit can raise
+  // only its own bank's bit (finish_request -> respond), so the walk adds
+  // no member.
+  live_.for_each([this, now](std::size_t bank_id) {
+    const auto b = static_cast<BankId>(bank_id);
+    Bank& bank = banks_[b];
 
-      // Resume a coherence-stalled transaction once every invalidation has
-      // been acknowledged (head-of-line: the queue waits behind it).
-      if (bank.coh_pending.has_value()) {
-        if (bank.coh_pending->acks_remaining == 0 && bank.busy_until <= now) {
-          const CohPending p = *bank.coh_pending;
-          bank.coh_pending.reset();
-          --coh_stalls_;
-          bank.busy_until = now + cfg_.service_cycles;
-          finish_request(b, p.req, now, p.upgrade_ack, p.install_shared,
-                         p.forwarded_dirty);
-        }
-      } else if (!bank.in_queue.empty() && bank.busy_until <= now) {
-        // Start the next access when the bank array is free.
-        PendingAccess pa = bank.in_queue.front();
-        bank.in_queue.pop_front();
-        stats_.bank_conflict_cycles += now - pa.arrived;
+    // Resume a coherence-stalled transaction once every invalidation has
+    // been acknowledged (head-of-line: the queue waits behind it).
+    if (bank.coh_pending.has_value()) {
+      if (bank.coh_pending->acks_remaining == 0 && bank.busy_until <= now) {
+        const CohPending p = *bank.coh_pending;
+        bank.coh_pending.reset();
+        --coh_stalls_;
         bank.busy_until = now + cfg_.service_cycles;
+        finish_request(b, p.req, now, p.upgrade_ack, p.install_shared,
+                       p.forwarded_dirty);
+      }
+    } else if (!bank.in_queue.empty() && bank.busy_until <= now) {
+      // Start the next access when the bank array is free.
+      PendingAccess pa = bank.in_queue.front();
+      bank.in_queue.pop_front();
+      stats_.bank_conflict_cycles += now - pa.arrived;
+      bank.busy_until = now + cfg_.service_cycles;
 
-        if (dir_ != nullptr) {
-          const coherence::DirOutcome d = dir_->on_request(pa.req, b);
-          stats_.dynamic_energy_pj += dir_->config().dir_access_energy_pj;
-          if (!d.invalidate.empty()) {
-            // Invalidations ride the response network to the sharers; the
-            // transaction parks at the bank head until every ack is back.
-            for (CoreId target : d.invalidate) {
-              MemResponse inv{
-                  .id = pa.req.id,
-                  .core = target,
-                  .bank = b,
-                  .addr = pa.req.addr,
-                  .is_write = true,  // header-only message
-                  .l2_hit = true,
-                  .issue_cycle = now,
-                  .kind = RespKind::kInvalidate,
-                  .shared = false,
-              };
-              bank.out_queue.push_back(ReadyResponse{inv, now + cfg_.access_cycles});
-            }
-            bank.coh_pending =
-                CohPending{pa.req, static_cast<unsigned>(d.invalidate.size()),
-                           false, d.upgrade_ack, d.install_shared};
-            ++coh_stalls_;
-            if (trace_ != nullptr) {
-              // One instant per parked transaction; the per-sharer
-              // invalidations and acks appear on the core tracks.
-              trace_->instant("inv_send", trace_bank_base_ + b, now, "core",
-                              pa.req.core, "acks", d.invalidate.size());
-            }
-          } else {
-            finish_request(b, pa.req, now, d.upgrade_ack, d.install_shared,
-                           false);
+      if (dir_ != nullptr) {
+        const coherence::DirOutcome d = dir_->on_request(pa.req, b);
+        stats_.dynamic_energy_pj += dir_->config().dir_access_energy_pj;
+        if (!d.invalidate.empty()) {
+          // Invalidations ride the response network to the sharers; the
+          // transaction parks at the bank head until every ack is back.
+          for (CoreId target : d.invalidate) {
+            MemResponse inv{
+                .id = pa.req.id,
+                .core = target,
+                .bank = b,
+                .addr = pa.req.addr,
+                .is_write = true,  // header-only message
+                .l2_hit = true,
+                .issue_cycle = now,
+                .kind = RespKind::kInvalidate,
+                .shared = false,
+            };
+            bank.out_queue.push_back(ReadyResponse{inv, now + cfg_.access_cycles});
+          }
+          bank.coh_pending =
+              CohPending{pa.req, static_cast<unsigned>(d.invalidate.size()),
+                         false, d.upgrade_ack, d.install_shared};
+          ++coh_stalls_;
+          if (trace_ != nullptr) {
+            // One instant per parked transaction; the per-sharer
+            // invalidations and acks appear on the core tracks.
+            trace_->instant("inv_send", trace_bank_base_ + b, now, "core",
+                            pa.req.core, "acks", d.invalidate.size());
           }
         } else {
-          finish_request(b, pa.req, now, false, false, false);
+          finish_request(b, pa.req, now, d.upgrade_ack, d.install_shared,
+                         false);
         }
-      }
-
-      // Push ready responses into the interconnect, preserving order.
-      while (!bank.out_queue.empty() && bank.out_queue.front().due <= now &&
-             transport_->try_inject_response(bank.out_queue.front().resp,
-                                             now)) {
-        bank.out_queue.pop_front();
-      }
-
-      // Drop the bank from the live set once nothing remains observable:
-      // a stall awaiting acks wakes up via the final-ack delivery, an
-      // in-flight miss via the DRAM refill — both re-raise the bit.
-      const bool keep = !bank.out_queue.empty() ||
-                        (bank.coh_pending.has_value()
-                             ? bank.coh_pending->acks_remaining == 0
-                             : !bank.in_queue.empty());
-      if (!keep) {
-        live_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+      } else {
+        finish_request(b, pa.req, now, false, false, false);
       }
     }
-  }
+
+    // Push ready responses into the interconnect, preserving order.
+    while (!bank.out_queue.empty() && bank.out_queue.front().due <= now &&
+           transport_->try_inject_response(bank.out_queue.front().resp,
+                                           now)) {
+      bank.out_queue.pop_front();
+    }
+
+    // Drop the bank from the live set once nothing remains observable:
+    // a stall awaiting acks wakes up via the final-ack delivery, an
+    // in-flight miss via the DRAM refill — both re-raise the bit.
+    const bool keep = !bank.out_queue.empty() ||
+                      (bank.coh_pending.has_value()
+                           ? bank.coh_pending->acks_remaining == 0
+                           : !bank.in_queue.empty());
+    if (!keep) live_.erase(b);
+  });
 }
 
 Cycle L2System::next_event(Cycle now) const {
@@ -240,46 +234,37 @@ Cycle L2System::next_event(Cycle now) const {
   // out-queue and either an ack-blocked stall (woken by delivery, not by
   // time) or an empty in-queue.
   Cycle next = kNeverCycle;
-  for (std::size_t w = 0; w < live_.size(); ++w) {
-    std::uint64_t word = live_[w];
-    while (word != 0) {
-      const BankId b = static_cast<BankId>(
-          (w << 6) + static_cast<unsigned>(std::countr_zero(word)));
-      word &= word - 1;
-      const Bank& bank = banks_[b];
-      if (bank.coh_pending.has_value()) {
-        // A stalled transaction only becomes serviceable when its last ack
-        // arrives — an interconnect-delivery event, not an L2 one.  Once the
-        // acks are in, resumption is gated by the bank occupancy alone.
-        if (bank.coh_pending->acks_remaining == 0) {
-          const Cycle start = std::max(bank.busy_until, now);
-          if (start <= now) return now;
-          next = std::min(next, start);
-        }
-      } else if (!bank.in_queue.empty()) {
+  for (std::size_t b = live_.next(0); b != IndexSet::npos;
+       b = live_.next(b + 1)) {
+    const Bank& bank = banks_[b];
+    if (bank.coh_pending.has_value()) {
+      // A stalled transaction only becomes serviceable when its last ack
+      // arrives — an interconnect-delivery event, not an L2 one.  Once the
+      // acks are in, resumption is gated by the bank occupancy alone.
+      if (bank.coh_pending->acks_remaining == 0) {
         const Cycle start = std::max(bank.busy_until, now);
         if (start <= now) return now;
         next = std::min(next, start);
       }
-      // Responses leave strictly from the front; a due-but-blocked response
-      // (interconnect back-pressure) keeps the bank ticking densely.
-      if (!bank.out_queue.empty()) {
-        const Cycle due = std::max(bank.out_queue.front().due, now);
-        if (due <= now) return now;
-        next = std::min(next, due);
-      }
+    } else if (!bank.in_queue.empty()) {
+      const Cycle start = std::max(bank.busy_until, now);
+      if (start <= now) return now;
+      next = std::min(next, start);
+    }
+    // Responses leave strictly from the front; a due-but-blocked response
+    // (interconnect back-pressure) keeps the bank ticking densely.
+    if (!bank.out_queue.empty()) {
+      const Cycle due = std::max(bank.out_queue.front().due, now);
+      if (due <= now) return now;
+      next = std::min(next, due);
     }
   }
   return next;
 }
 
 bool L2System::idle() const {
-  if (misses_total_ > 0 || coh_stalls_ > 0) return false;
-  // No misses and no stalls: any queued work keeps its bank's live bit up.
-  for (const std::uint64_t w : live_) {
-    if (w != 0) return false;
-  }
-  return true;
+  // With no misses and no stalls, any queued work keeps its bank live.
+  return misses_total_ == 0 && coh_stalls_ == 0 && live_.empty();
 }
 
 void L2System::set_active_banks(const std::vector<bool>& active) {

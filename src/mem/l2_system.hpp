@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "coherence/directory.hpp"
+#include "common/index_set.hpp"
 #include "common/messages.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/types.hpp"
@@ -216,18 +217,16 @@ class L2System final : public ReadSink {
   /// a non-empty out-queue, a runnable (all acks in) coherence stall, or a
   /// queued access with no coherence stall ahead of it.  deliver(), the
   /// final-ack path and respond() raise the bit; tick() clears it once the
-  /// bank drains.  tick()/next_event()/idle() walk only the live bits, so
-  /// an idle 512-bank stack costs eight words per cycle instead of a full
-  /// bank sweep — the other half of the 256-core hot-path cost.
-  void mark_live(BankId b) {
-    live_[b >> 6] |= std::uint64_t{1} << (b & 63);
-  }
+  /// bank drains.  tick()/next_event() walk only the live banks and idle()
+  /// reads the count, so an idle 512-bank stack costs no bank sweep — the
+  /// other half of the 256-core hot-path cost.
+  void mark_live(BankId b) { live_.insert(b); }
 
   L2Config cfg_;
   MemoryBackend& dram_;
   std::vector<Bank> banks_;
   std::vector<bool> active_;
-  std::vector<std::uint64_t> live_;
+  IndexSet live_;
   std::size_t misses_total_ = 0;   ///< sum of banks' misses.size()
   std::size_t coh_stalls_ = 0;     ///< banks with a parked CohPending
   Interconnect* transport_ = nullptr;

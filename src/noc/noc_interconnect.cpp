@@ -40,7 +40,7 @@ NocInterconnect::NocInterconnect(NocTopology topology, const NocConfig& cfg,
                          now - p.created, "core", p.req.core, "bank",
                          p.req.bank);
       }
-      emit_request(p.req, now);
+      delivered_requests_.push_back(p.req);
     } else {
       ++stats_.responses_delivered;
       if (trace_ != nullptr) {
@@ -48,7 +48,7 @@ NocInterconnect::NocInterconnect(NocTopology topology, const NocConfig& cfg,
                          now - p.created, "core", p.resp.core, "bank",
                          p.resp.bank);
       }
-      emit_response(p.resp, now);
+      delivered_responses_.push_back(p.resp);
     }
   });
 }

@@ -13,8 +13,8 @@
 //  * kSweep  — a cluster-simulation grid (Figs. 6-8);
 //  * kTiming — analytic geometry/timing tables (Fig. 5, Table I), no
 //              simulation, still golden-checked;
-//  * kCustom — self-driving bodies (microbenchmarks, ablations) that are
-//              listed and runnable but produce no golden baseline.
+//  * kCustom — self-driving bodies (the ablations) that are listed and
+//              runnable but produce no golden baseline.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "sim/scenario_custom.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -9,25 +8,11 @@
 #include "cacti/sram_model.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/arbitration_tree.hpp"
 #include "core/mot_interconnect.hpp"
-#include "mem/cache.hpp"
-#include "noc/noc_interconnect.hpp"
 #include "phys/wire.hpp"
 #include "sim/scenario.hpp"
-#include "sim/scenario_registry.hpp"
-#include "workload/synthetic_trace.hpp"
 
 namespace mot3d::sim {
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 // ---- Ablation: repeater insertion vs Elmore wire delay ---------------------
 
@@ -92,10 +77,6 @@ int run_ablation_pipeline(const ScenarioSpec&, const ScenarioOptions& opt,
     const double rate = combos[i].rate;
     core::MotInterconnect icn(model, s);
     Histogram lat(1, 128);
-    icn.set_request_sink([&lat](const MemRequest& r, Cycle t) {
-      lat.add(t - r.issue_cycle);
-    });
-    icn.set_response_sink([](const MemResponse&, Cycle) {});
     // Cores re-inject after delivery with probability `rate` per cycle.
     Rng rng(7);
     const Cycle horizon = 20000;
@@ -111,6 +92,10 @@ int run_ablation_pipeline(const ScenarioSpec&, const ScenarioOptions& opt,
         }
       }
       icn.tick(t);
+      for (const MemRequest& r : icn.delivered_requests()) {
+        lat.add(t - r.issue_cycle);
+      }
+      icn.clear_deliveries();
     }
     const double waits =
         static_cast<double>(icn.stats().arbitration_wait_cycles) /
@@ -121,210 +106,6 @@ int run_ablation_pipeline(const ScenarioSpec&, const ScenarioOptions& opt,
   for (const auto& row : rows) tbl.add_row(row);
   tbl.print(os);
   return 0;
-}
-
-// ---- Microbenchmarks + scheduler speedup -----------------------------------
-
-namespace {
-
-template <typename Fn>
-void run_micro(TextTable& tbl, const std::string& name, std::uint64_t iters,
-               Fn&& op) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) op(i);
-  const double wall = seconds_since(t0);
-  tbl.add_row({name, std::to_string(iters), fmt_fixed(wall * 1e9 / iters, 1),
-               fmt_fixed(iters / wall / 1e6, 2)});
-}
-
-void run_microbenchmarks(std::ostream& os) {
-  os << "### Microbenchmarks: simulator hot paths\n";
-  TextTable tbl("self-timed; single thread");
-  tbl.set_header({"benchmark", "iterations", "ns/op", "Mops/s"});
-
-  {
-    mem::Cache cache(mem::CacheConfig{.capacity_bytes = 64 * 1024,
-                                      .line_bytes = 32,
-                                      .associativity = 8,
-                                      .index_shift = 0});
-    for (Addr a = 0; a < 64 * 1024; a += 32) cache.insert(a, false);
-    Rng rng(1);
-    std::uint64_t hits = 0;
-    run_micro(tbl, "cache lookup (hit)", 2'000'000, [&](std::uint64_t) {
-      hits += cache.lookup(rng.next_below(64 * 1024), false).hit ? 1 : 0;
-    });
-    if (hits == 0) os << "";  // defeat dead-code elimination
-  }
-
-  const phys::TechnologyParams tech = phys::default_technology();
-  const phys::FloorplanParams fp;
-  const cacti::SramBankConfig bank;
-  const core::MotTimingModel model(tech, fp, bank);
-
-  {
-    core::MotInterconnect icn(model, core::PowerState::full());
-    icn.set_request_sink([](const MemRequest&, Cycle) {});
-    icn.set_response_sink([](const MemResponse&, Cycle) {});
-    Rng rng(2);
-    Cycle t = 0;
-    std::uint64_t id = 1;
-    run_micro(tbl, "MoT tick (uniform load)", 500'000, [&](std::uint64_t) {
-      for (CoreId c = 0; c < 16; ++c) {
-        if (rng.next_double() < 0.1) {
-          MemRequest r{.id = id++, .core = c,
-                       .bank = static_cast<BankId>(rng.next_below(32)),
-                       .addr = 0, .is_write = false, .issue_cycle = t};
-          (void)icn.try_inject_request(r, t);
-        }
-      }
-      icn.tick(t++);
-    });
-  }
-
-  {
-    noc::NocConfig cfg;
-    const power::InterconnectPowerModel pm{phys::WireModel(tech)};
-    noc::NocInterconnect icn(noc::NocTopology::kTrueMesh3d, cfg, pm);
-    icn.set_request_sink([](const MemRequest&, Cycle) {});
-    icn.set_response_sink([](const MemResponse&, Cycle) {});
-    Rng rng(3);
-    Cycle t = 0;
-    std::uint64_t id = 1;
-    run_micro(tbl, "NoC tick (true 3-D mesh)", 200'000, [&](std::uint64_t) {
-      for (CoreId c = 0; c < 16; ++c) {
-        if (rng.next_double() < 0.05) {
-          MemRequest r{.id = id++, .core = c,
-                       .bank = static_cast<BankId>(rng.next_below(32)),
-                       .addr = 0, .is_write = false, .issue_cycle = t};
-          (void)icn.try_inject_request(r, t);
-        }
-      }
-      icn.tick(t++);
-    });
-  }
-
-  {
-    const workload::AppProfile& app = workload::profile_by_name("fft");
-    workload::Workload w(app, 16, 1.0, 5);
-    auto trace = w.make_trace(3);
-    std::uint64_t sink = 0;
-    run_micro(tbl, "trace generation", 2'000'000, [&](std::uint64_t) {
-      sink += static_cast<std::uint64_t>(trace->next().kind);
-    });
-    if (sink == 0) os << "";
-  }
-
-  {
-    core::ArbitrationTree at(16);
-    at.configure(core::PowerState::full());
-    std::vector<bool> req(16, true);
-    std::uint64_t sink = 0;
-    run_micro(tbl, "arbitration tree (16)", 2'000'000, [&](std::uint64_t) {
-      sink += at.arbitrate(req).value_or(0);
-    });
-    if (sink == 0) os << "";
-  }
-
-  tbl.print(os);
-}
-
-}  // namespace
-
-int run_micro_sim(const ScenarioSpec& spec, const ScenarioOptions& opt,
-                  std::ostream& os) {
-  run_microbenchmarks(os);
-
-  // The headline perf experiment: the registered Fig. 6 sweep run twice —
-  // dense-tick serial baseline vs event-driven scheduler — with a
-  // differential check that both schedulers produce identical modeled
-  // results, exactly as the golden suite demands.
-  const ScenarioSpec* fig6 = find_scenario("fig6b_exec_time");
-  if (fig6 == nullptr) {
-    os << "error: fig6b_exec_time is not registered\n";
-    return 2;
-  }
-  os << "\n### Scheduler speedup: Fig. 6 sweep, dense serial vs event-driven"
-     << "  (scale=" << opt.scale << ", seed=" << opt.seed << ")\n";
-
-  // Both speedup legs run serial so the recorded scheduler gain is
-  // machine-independent; the thread pool's additional parallel gain is
-  // measured (and reported) separately below.
-  ScenarioOptions dense_opt = opt;
-  dense_opt.scheduler = cluster::SchedulerMode::kDenseTick;
-  dense_opt.threads = 1;
-  dense_opt.json_path.clear();
-  const ScenarioOutcome dense = run_scenario(*fig6, dense_opt);
-
-  ScenarioOptions event_opt = dense_opt;
-  event_opt.scheduler = cluster::SchedulerMode::kEventDriven;
-  const ScenarioOutcome event = run_scenario(*fig6, event_opt);
-
-  bool identical = dense.results.size() == event.results.size();
-  for (std::size_t i = 0; identical && i < dense.results.size(); ++i) {
-    const cluster::SimResult& d = dense.results[i];
-    const cluster::SimResult& e = event.results[i];
-    if (d.cycles != e.cycles || d.instructions != e.instructions ||
-        d.energy.edp_energy_pj() != e.energy.edp_energy_pj()) {
-      identical = false;
-      os << "MISMATCH at " << d.app << "/" << d.fabric << ": dense " << d.cycles
-         << " vs event " << e.cycles << " cycles\n";
-    }
-  }
-  // The strongest check is the canonical golden serialisation itself.
-  if (identical &&
-      scenario_metrics_json(dense) != scenario_metrics_json(event)) {
-    identical = false;
-    os << "MISMATCH: canonical metrics JSON differs between schedulers\n";
-  }
-
-  const double dense_wall = dense.telemetry.wall_seconds;
-  const double event_wall = event.telemetry.wall_seconds;
-  const double speedup = event_wall > 0.0 ? dense_wall / event_wall : 0.0;
-
-  TextTable tbl("Fig. 6 sweep (" + std::to_string(dense.results.size()) + " runs)");
-  tbl.set_header({"configuration", "wall (s)", "Mcycles/s"});
-  tbl.add_row({"dense tick, serial", fmt_fixed(dense_wall, 2),
-               fmt_fixed(dense.telemetry.cycles_per_second() / 1e6, 2)});
-  tbl.add_row({"event-driven, serial", fmt_fixed(event_wall, 2),
-               fmt_fixed(event.telemetry.cycles_per_second() / 1e6, 2)});
-
-  JsonObject extra;
-  extra.set("scale", opt.scale)
-      .set("seed", opt.seed)
-      .set("dense_wall_seconds", dense_wall)
-      .set("event_wall_seconds", event_wall)
-      .set("speedup", speedup)
-      .set("results_identical", identical);
-
-  // Thread-pool gain on top of the scheduler, when a pool is available.
-  PerfTelemetry report_telemetry = event.telemetry;
-  const unsigned pool = SweepRunner::resolve_threads(opt.threads);
-  if (pool > 1) {
-    ScenarioOptions parallel_opt = opt;
-    parallel_opt.scheduler = cluster::SchedulerMode::kEventDriven;
-    parallel_opt.json_path.clear();
-    const ScenarioOutcome parallel = run_scenario(*fig6, parallel_opt);
-    const double parallel_wall = parallel.telemetry.wall_seconds;
-    tbl.add_row({"event-driven, threads=" + std::to_string(pool),
-                 fmt_fixed(parallel_wall, 2),
-                 fmt_fixed(parallel.telemetry.cycles_per_second() / 1e6, 2)});
-    extra.set("parallel_threads", pool)
-        .set("parallel_wall_seconds", parallel_wall)
-        .set("combined_speedup",
-             parallel_wall > 0.0 ? dense_wall / parallel_wall : 0.0);
-  }
-  tbl.print(os);
-
-  os << "modeled results identical: " << (identical ? "PASS" : "FAIL") << "\n"
-     << "scheduler wall-clock speedup (serial vs serial): " << fmt_fixed(speedup, 2)
-     << "x (target >= 3x: " << (speedup >= 3.0 ? "PASS" : "CHECK") << ")\n";
-
-  if (!opt.json_path.empty()) {
-    if (write_perf_report(opt.json_path, spec.name, report_telemetry, extra)) {
-      os << "[perf] report written to " << opt.json_path << "\n";
-    }
-  }
-  return identical ? 0 : 1;
 }
 
 }  // namespace mot3d::sim

@@ -1,8 +1,7 @@
 // Custom scenario bodies: experiments that are not a declarative grid —
-// the self-timed hot-path microbenchmarks and the two modeling ablations.
-// They are registered in the scenario registry as Kind::kCustom so that
-// `mot3d_experiments` can list and run them, but they pin no golden
-// baseline (their outputs are wall-clock measurements or design-space
+// the two modeling ablations.  They are registered in the scenario
+// registry as Kind::kCustom so that `mot3d_experiments` can list and run
+// them, but they pin no golden baseline (their outputs are design-space
 // tables rather than figure metrics).
 #pragma once
 
@@ -22,11 +21,5 @@ int run_ablation_wire(const ScenarioSpec& spec, const ScenarioOptions& opt,
 /// (`mot3d_experiments run ablation_pipeline`).
 int run_ablation_pipeline(const ScenarioSpec& spec, const ScenarioOptions& opt,
                           std::ostream& os);
-
-/// Hot-path microbenchmarks + dense-vs-event scheduler speedup on the
-/// Fig. 6 sweep, with a differential identity check
-/// (`mot3d_experiments run micro_sim`).
-int run_micro_sim(const ScenarioSpec& spec, const ScenarioOptions& opt,
-                  std::ostream& os);
 
 }  // namespace mot3d::sim

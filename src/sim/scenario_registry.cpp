@@ -798,9 +798,6 @@ std::vector<ScenarioSpec> build_registry() {
   r.push_back(custom_spec("ablation_pipeline",
                           "MoT latency vs offered load across power states",
                           run_ablation_pipeline, 0.5));
-  r.push_back(custom_spec("micro_sim",
-                          "hot-path microbenchmarks + scheduler speedup",
-                          run_micro_sim, 0.05));
   return r;
 }
 

@@ -1,5 +1,5 @@
 // Registry of the paper's experiments as declarative ScenarioSpecs: one
-// entry per figure/table (plus the custom microbenchmark/ablation bodies).
+// entry per figure/table (plus the two custom ablation bodies).
 // The `mot3d_experiments` CLI lists/runs them by name, and the golden suite
 // (tests/test_golden_figures.cpp) pins the metrics JSON of every entry
 // with `has_golden`.
@@ -13,7 +13,7 @@
 namespace mot3d::sim {
 
 /// All registered scenarios, in presentation order (Table I first, then
-/// the figures, then the ablations/microbenchmarks).
+/// the figures, then the ablations).
 const std::vector<ScenarioSpec>& all_scenarios();
 
 /// Lookup by registry name; nullptr when unknown.

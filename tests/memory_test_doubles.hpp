@@ -1,9 +1,10 @@
 // Test doubles for the memory side: a read sink that records every DRAM
-// completion, and a bank-side transport that records (or refuses) every
-// L2 response.
+// completion, a bank-side transport that records (or refuses) every L2
+// response, and a log that ticks a fabric and drains its deliveries.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/interconnect.hpp"
@@ -46,6 +47,24 @@ struct FakeTransport final : Interconnect {
   bool idle() const override { return true; }
   double dynamic_energy_pj() const override { return 0.0; }
   double leakage_mw() const override { return 0.0; }
+};
+
+/// Ticks a fabric and drains its delivery batches responses-first, as
+/// Cluster does, recording each delivery with the cycle of its tick.
+struct DeliveryLog {
+  std::vector<std::pair<MemRequest, Cycle>> requests;
+  std::vector<std::pair<MemResponse, Cycle>> responses;
+
+  void tick(Interconnect& icn, Cycle now) {
+    icn.tick(now);
+    for (const MemResponse& r : icn.delivered_responses()) {
+      responses.emplace_back(r, now);
+    }
+    for (const MemRequest& r : icn.delivered_requests()) {
+      requests.emplace_back(r, now);
+    }
+    icn.clear_deliveries();
+  }
 };
 
 }  // namespace mot3d

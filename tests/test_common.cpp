@@ -4,7 +4,9 @@
 
 #include <set>
 #include <sstream>
+#include <vector>
 
+#include "common/index_set.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -162,6 +164,89 @@ TEST(TextTable, RendersAlignedRows) {
 TEST(TextTable, FormatHelpers) {
   EXPECT_EQ(fmt_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_percent(0.1234, 1), "12.3%");
+}
+
+std::vector<std::size_t> members(IndexSet& s) {
+  std::vector<std::size_t> seen;
+  s.for_each([&](std::size_t i) { seen.push_back(i); });
+  return seen;
+}
+
+TEST(IndexSet, WalksAscendingAcrossWordsAndToTheLastBit) {
+  IndexSet s(130);
+  for (std::size_t i : {129, 64, 0, 127, 63, 65, 128}) s.insert(i);
+  const std::vector<std::size_t> want{0, 63, 64, 65, 127, 128, 129};
+  EXPECT_EQ(members(s), want);
+  // The const cursor visits the same members and runs off the end cleanly.
+  std::vector<std::size_t> cursor;
+  for (std::size_t i = s.next(0); i != IndexSet::npos; i = s.next(i + 1)) {
+    cursor.push_back(i);
+  }
+  EXPECT_EQ(cursor, want);
+  EXPECT_EQ(s.next(64), 64u);
+  EXPECT_EQ(s.next(66), 127u);
+  EXPECT_EQ(s.next(130), IndexSet::npos);
+
+  // Bit 63 of the last word is the last bit of a 128-entry set.
+  IndexSet full_words(128);
+  full_words.insert(127);
+  full_words.insert(63);
+  EXPECT_EQ(members(full_words), (std::vector<std::size_t>{63, 127}));
+  EXPECT_EQ(full_words.next(128), IndexSet::npos);
+}
+
+TEST(IndexSet, WalkMayEraseTheVisitedMember) {
+  IndexSet s(200);
+  for (std::size_t i : {3, 62, 63, 64, 150}) s.insert(i);
+  std::vector<std::size_t> seen;
+  s.for_each([&](std::size_t i) {
+    seen.push_back(i);
+    s.erase(i);
+  });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{3, 62, 63, 64, 150}));
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(members(s).empty());
+}
+
+TEST(IndexSet, InsertAboveTheCursorJoinsTheWalkBelowWaits) {
+  IndexSet s(200);
+  s.insert(10);
+  s.insert(100);
+  std::vector<std::size_t> seen;
+  s.for_each([&](std::size_t i) {
+    seen.push_back(i);
+    if (i == 10) {
+      s.insert(11);  // above, same word: this walk
+      s.insert(70);  // above, next word: this walk
+    }
+    if (i == 100) s.insert(5);  // below: the next walk
+  });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{10, 11, 70, 100}));
+  EXPECT_EQ(members(s), (std::vector<std::size_t>{5, 10, 11, 70, 100}));
+}
+
+TEST(IndexSet, CountTracksMembershipNotCalls) {
+  IndexSet s(100);
+  EXPECT_TRUE(s.empty());
+  s.insert(7);
+  s.insert(7);
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_FALSE(s.empty());
+  s.erase(8);
+  s.erase(99);
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_TRUE(s.contains(7));
+  s.assign(70, true);
+  s.assign(71, false);
+  EXPECT_EQ(s.size(), 2u);
+  s.clear();
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_TRUE(s.empty());
+  EXPECT_FALSE(s.contains(7));
+  EXPECT_FALSE(s.contains(70));
+  EXPECT_EQ(s.next(0), IndexSet::npos);
+  s.insert(7);
+  EXPECT_EQ(s.size(), 1u);
 }
 
 }  // namespace

@@ -13,7 +13,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
+#include "common/sha256.hpp"
 #include "sim/scenario.hpp"
 #include "sim/scenario_registry.hpp"
 
@@ -83,14 +85,35 @@ TEST(ScenarioRegistry, AllFigureAndTableScenariosRegistered) {
     ASSERT_NE(spec, nullptr) << name;
     EXPECT_TRUE(spec->has_golden) << name;
   }
-  for (const char* name : {"ablation_wire", "ablation_pipeline", "micro_sim"}) {
+  for (const char* name : {"ablation_wire", "ablation_pipeline"}) {
     const ScenarioSpec* spec = find_scenario(name);
     ASSERT_NE(spec, nullptr) << name;
     EXPECT_EQ(spec->kind, ScenarioSpec::Kind::kCustom) << name;
     EXPECT_FALSE(spec->has_golden) << name;
   }
-  EXPECT_EQ(all_scenarios().size(), 16u);
+  EXPECT_EQ(all_scenarios().size(), 15u);
   EXPECT_EQ(find_scenario("no_such_scenario"), nullptr);
+}
+
+// The ablations pin no golden baseline, so nothing else runs them.  Their
+// tables are pinned by the SHA-256 of what `mot3d_experiments run <name>`
+// prints, which is the same at every --threads.
+TEST(ScenarioRegistry, AblationOutputsArePinned) {
+  const std::pair<const char*, const char*> pins[] = {
+      {"ablation_pipeline",
+       "afbd730a71b19ca0fefd9ecf2ec29b5bf36c8c66dfce6c621a623f1e4c38261b"},
+      {"ablation_wire",
+       "b98380afec0b46ca00608a031d2e0dd637d85c5e886ed4ced57f7ded52ea7ae8"},
+  };
+  for (const auto& [name, digest] : pins) {
+    const ScenarioSpec* spec = find_scenario(name);
+    ASSERT_NE(spec, nullptr) << name;
+    ScenarioOptions opt;
+    opt.scale = spec->default_scale;
+    std::ostringstream out;
+    EXPECT_EQ(run_and_present(*spec, opt, out), 0) << name;
+    EXPECT_EQ(sha256_hex(out.str()), digest) << name << " printed:\n" << out.str();
+  }
 }
 
 TEST(ScenarioRegistry, GridExpansionDropsInvalidCombos) {

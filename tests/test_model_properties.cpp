@@ -8,6 +8,7 @@
 
 #include "cacti/sram_model.hpp"
 #include "core/mot_timing.hpp"
+#include "memory_test_doubles.hpp"
 #include "noc/noc_interconnect.hpp"
 #include "workload/synthetic_trace.hpp"
 
@@ -107,13 +108,12 @@ TEST(BusPacing, QuadrantBusIsSlowerPerFlit) {
       phys::WireModel(phys::default_technology()));
   auto measure = [&](noc::NocTopology topo) {
     auto icn = noc::make_noc(topo, cfg, pm);
-    Cycle done = 0;
-    icn->set_response_sink([&](const MemResponse&, Cycle t) { done = t; });
+    DeliveryLog got;
     MemResponse resp{.id = 1, .core = 0, .bank = 0, .addr = 0, .is_write = false,
                      .l2_hit = true, .issue_cycle = 0};
     icn->try_inject_response(resp, 0);
-    for (Cycle t = 0; t < 500 && done == 0; ++t) icn->tick(t);
-    return done;
+    for (Cycle t = 0; t < 500 && got.responses.empty(); ++t) got.tick(*icn, t);
+    return got.responses.empty() ? Cycle{0} : got.responses[0].second;
   };
   const Cycle mesh = measure(noc::NocTopology::kHybridBusMesh);
   const Cycle tree = measure(noc::NocTopology::kHybridBusTree);
@@ -131,12 +131,13 @@ TEST(NocZeroLoad, MeshLatencyTracksHopFormula) {
   const power::InterconnectPowerModel pm(
       phys::WireModel(phys::default_technology()));
   auto icn = noc::make_noc(noc::NocTopology::kTrueMesh3d, cfg, pm);
-  Cycle done = 0;
-  icn->set_request_sink([&](const MemRequest&, Cycle t) { done = t; });
+  DeliveryLog got;
   MemRequest r{.id = 1, .core = 0, .bank = 31, .addr = 0, .is_write = false,
                .issue_cycle = 0};
   icn->try_inject_request(r, 0);
-  for (Cycle t = 0; t < 200 && done == 0; ++t) icn->tick(t);
+  for (Cycle t = 0; t < 200 && got.requests.empty(); ++t) got.tick(*icn, t);
+  ASSERT_EQ(got.requests.size(), 1u);
+  const Cycle done = got.requests[0].second;
   // 9 router traversals (src tile + 6 in-plane + 2 vertical), ~2 cy each,
   // + injection pipeline.
   EXPECT_GE(done, 16u);

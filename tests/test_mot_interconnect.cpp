@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <vector>
 
 #include "cacti/sram_model.hpp"
 #include "core/mot_interconnect.hpp"
+#include "memory_test_doubles.hpp"
 
 namespace mot3d::core {
 namespace {
@@ -20,21 +20,9 @@ class MotIcnTest : public ::testing::Test {
   cacti::SramBankConfig bank;
   MotTimingModel model{tech, fp, bank};
 
-  struct Delivered {
-    MemRequest req;
-    Cycle at;
-  };
-  std::vector<Delivered> requests;
-  std::vector<std::pair<MemResponse, Cycle>> responses;
+  DeliveryLog got;
 
-  MotInterconnect make(const PowerState& s) {
-    MotInterconnect icn(model, s);
-    icn.set_request_sink(
-        [this](const MemRequest& r, Cycle t) { requests.push_back({r, t}); });
-    icn.set_response_sink(
-        [this](const MemResponse& r, Cycle t) { responses.emplace_back(r, t); });
-    return icn;
-  }
+  MotInterconnect make(const PowerState& s) { return MotInterconnect(model, s); }
 
   static MemRequest req(CoreId c, BankId b, std::uint64_t id = 1) {
     return MemRequest{.id = id, .core = c, .bank = b, .addr = 0, .is_write = false,
@@ -46,10 +34,10 @@ TEST_F(MotIcnTest, UnloadedRequestLatencyMatchesPipeline) {
   MotInterconnect icn = make(PowerState::full());
   ASSERT_TRUE(icn.try_inject_request(req(0, 5), 0));
   const unsigned expect = icn.state_timing().request_cycles;
-  for (Cycle t = 0; t <= expect + 2; ++t) icn.tick(t);
-  ASSERT_EQ(requests.size(), 1u);
-  EXPECT_EQ(requests[0].at, expect);
-  EXPECT_EQ(requests[0].req.bank, 5u);  // identity remap at full
+  for (Cycle t = 0; t <= expect + 2; ++t) got.tick(icn, t);
+  ASSERT_EQ(got.requests.size(), 1u);
+  EXPECT_EQ(got.requests[0].second, expect);
+  EXPECT_EQ(got.requests[0].first.bank, 5u);  // identity remap at full
 }
 
 TEST_F(MotIcnTest, UnloadedResponseLatencyMatchesPipeline) {
@@ -58,9 +46,9 @@ TEST_F(MotIcnTest, UnloadedResponseLatencyMatchesPipeline) {
                    .l2_hit = true, .issue_cycle = 0};
   ASSERT_TRUE(icn.try_inject_response(resp, 10));
   const unsigned expect = icn.state_timing().response_cycles;
-  for (Cycle t = 10; t <= 10 + expect + 2; ++t) icn.tick(t);
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].second, 10 + expect);
+  for (Cycle t = 10; t <= 10 + expect + 2; ++t) got.tick(icn, t);
+  ASSERT_EQ(got.responses.size(), 1u);
+  EXPECT_EQ(got.responses[0].second, 10 + expect);
 }
 
 TEST_F(MotIcnTest, NonBlockingAcrossDistinctBanks) {
@@ -71,9 +59,9 @@ TEST_F(MotIcnTest, NonBlockingAcrossDistinctBanks) {
     ASSERT_TRUE(icn.try_inject_request(req(c, c, c + 1), 0));
   }
   const unsigned expect = icn.state_timing().request_cycles;
-  for (Cycle t = 0; t <= expect; ++t) icn.tick(t);
-  EXPECT_EQ(requests.size(), 16u);
-  for (const auto& d : requests) EXPECT_EQ(d.at, expect);
+  for (Cycle t = 0; t <= expect; ++t) got.tick(icn, t);
+  EXPECT_EQ(got.requests.size(), 16u);
+  for (const auto& [r, at] : got.requests) EXPECT_EQ(at, expect);
   EXPECT_EQ(icn.stats().arbitration_wait_cycles, 0u);
 }
 
@@ -82,15 +70,15 @@ TEST_F(MotIcnTest, SameBankConflictsSerialiseRoundRobin) {
   for (CoreId c = 0; c < 4; ++c) {
     ASSERT_TRUE(icn.try_inject_request(req(c, 9, c + 1), 0));
   }
-  for (Cycle t = 0; t <= 60; ++t) icn.tick(t);
-  ASSERT_EQ(requests.size(), 4u);
+  for (Cycle t = 0; t <= 60; ++t) got.tick(icn, t);
+  ASSERT_EQ(got.requests.size(), 4u);
   // Grants spaced by the circuit hold (bank_hold_cycles = 2 default).
   for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_GE(requests[i].at, requests[i - 1].at + 2);
+    EXPECT_GE(got.requests[i].second, got.requests[i - 1].second + 2);
   }
   // All four cores served (starvation-free).
   std::map<CoreId, int> served;
-  for (const auto& d : requests) ++served[d.req.core];
+  for (const auto& [r, at] : got.requests) ++served[r.core];
   EXPECT_EQ(served.size(), 4u);
   EXPECT_GT(icn.stats().arbitration_wait_cycles, 0u);
 }
@@ -99,9 +87,9 @@ TEST_F(MotIcnTest, GatedStateRemapsToPhysicalBanks) {
   MotInterconnect icn = make(PowerState::pc16_mb8());
   // Logical bank 0 folds onto physical bank 12 (centre group).
   ASSERT_TRUE(icn.try_inject_request(req(0, 0), 0));
-  for (Cycle t = 0; t <= 20; ++t) icn.tick(t);
-  ASSERT_EQ(requests.size(), 1u);
-  EXPECT_EQ(requests[0].req.bank, 12u);
+  for (Cycle t = 0; t <= 20; ++t) got.tick(icn, t);
+  ASSERT_EQ(got.requests.size(), 1u);
+  EXPECT_EQ(got.requests[0].first.bank, 12u);
   EXPECT_EQ(icn.route(31), 19u);
 }
 
@@ -116,7 +104,7 @@ TEST_F(MotIcnTest, OneOutstandingPerCore) {
   MotInterconnect icn = make(PowerState::full());
   EXPECT_TRUE(icn.try_inject_request(req(3, 1, 1), 0));
   EXPECT_FALSE(icn.try_inject_request(req(3, 2, 2), 0));  // slot held
-  for (Cycle t = 0; t <= 20; ++t) icn.tick(t);
+  for (Cycle t = 0; t <= 20; ++t) got.tick(icn, t);
   EXPECT_TRUE(icn.try_inject_request(req(3, 2, 2), 21));
 }
 
@@ -125,7 +113,7 @@ TEST_F(MotIcnTest, IdleTracksInFlightWork) {
   EXPECT_TRUE(icn.idle());
   icn.try_inject_request(req(0, 0), 0);
   EXPECT_FALSE(icn.idle());
-  for (Cycle t = 0; t <= 20; ++t) icn.tick(t);
+  for (Cycle t = 0; t <= 20; ++t) got.tick(icn, t);
   EXPECT_TRUE(icn.idle());
 }
 
@@ -144,7 +132,7 @@ TEST_F(MotIcnTest, EnergyAccumulatesPerTransaction) {
 TEST_F(MotIcnTest, StatsCount) {
   MotInterconnect icn = make(PowerState::full());
   icn.try_inject_request(req(0, 0), 0);
-  for (Cycle t = 0; t <= 20; ++t) icn.tick(t);
+  for (Cycle t = 0; t <= 20; ++t) got.tick(icn, t);
   EXPECT_EQ(icn.stats().requests_injected, 1u);
   EXPECT_EQ(icn.stats().requests_delivered, 1u);
   EXPECT_STREQ(icn.name(), "3-D MoT");

@@ -13,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
+#include "memory_test_doubles.hpp"
 #include "noc/noc_interconnect.hpp"
 
 namespace mot3d::noc {
@@ -25,16 +26,10 @@ power::InterconnectPowerModel power_model() {
 class NocTest : public ::testing::TestWithParam<NocTopology> {
  protected:
   NocConfig cfg;
-  std::vector<std::pair<MemRequest, Cycle>> requests;
-  std::vector<std::pair<MemResponse, Cycle>> responses;
+  DeliveryLog got;
 
   std::unique_ptr<NocInterconnect> make() {
-    auto icn = make_noc(GetParam(), cfg, power_model());
-    icn->set_request_sink(
-        [this](const MemRequest& r, Cycle t) { requests.emplace_back(r, t); });
-    icn->set_response_sink(
-        [this](const MemResponse& r, Cycle t) { responses.emplace_back(r, t); });
-    return icn;
+    return make_noc(GetParam(), cfg, power_model());
   }
 
   static MemRequest req(CoreId c, BankId b, bool write = false,
@@ -50,13 +45,13 @@ TEST_P(NocTest, EveryCoreReachesEveryBank) {
   Cycle t = 0;  // monotonic: bus pacing state is in absolute time
   for (CoreId c = 0; c < 16; ++c) {
     for (BankId b = 0; b < 32; ++b) {
-      requests.clear();
+      got.requests.clear();
       ASSERT_TRUE(icn->try_inject_request(req(c, b, false, id++), t));
       const Cycle deadline = t + 500;
-      for (; t < deadline && requests.empty(); ++t) icn->tick(t);
-      ASSERT_EQ(requests.size(), 1u) << "core " << c << " bank " << b;
-      EXPECT_EQ(requests[0].first.bank, b);
-      EXPECT_EQ(requests[0].first.core, c);
+      for (; t < deadline && got.requests.empty(); ++t) got.tick(*icn, t);
+      ASSERT_EQ(got.requests.size(), 1u) << "core " << c << " bank " << b;
+      EXPECT_EQ(got.requests[0].first.bank, b);
+      EXPECT_EQ(got.requests[0].first.core, c);
     }
   }
 }
@@ -67,14 +62,14 @@ TEST_P(NocTest, EveryBankReachesEveryCore) {
   Cycle t = 0;
   for (BankId b = 0; b < 32; b += 5) {
     for (CoreId c = 0; c < 16; c += 3) {
-      responses.clear();
+      got.responses.clear();
       MemResponse resp{.id = id++, .core = c, .bank = b, .addr = 0,
                        .is_write = false, .l2_hit = true, .issue_cycle = t};
       ASSERT_TRUE(icn->try_inject_response(resp, t));
       const Cycle deadline = t + 500;
-      for (; t < deadline && responses.empty(); ++t) icn->tick(t);
-      ASSERT_EQ(responses.size(), 1u) << "bank " << b << " core " << c;
-      EXPECT_EQ(responses[0].first.core, c);
+      for (; t < deadline && got.responses.empty(); ++t) got.tick(*icn, t);
+      ASSERT_EQ(got.responses.size(), 1u) << "bank " << b << " core " << c;
+      EXPECT_EQ(got.responses[0].first.core, c);
     }
   }
 }
@@ -84,16 +79,16 @@ TEST_P(NocTest, WritePacketsCarryTheLine) {
   // slower than a 1-flit read request over the same path.
   auto icn = make();
   ASSERT_TRUE(icn->try_inject_request(req(0, 31, false, 1), 0));
-  for (Cycle t = 0; t < 500 && requests.empty(); ++t) icn->tick(t);
-  ASSERT_EQ(requests.size(), 1u);
-  const Cycle read_lat = requests[0].second;
+  for (Cycle t = 0; t < 500 && got.requests.empty(); ++t) got.tick(*icn, t);
+  ASSERT_EQ(got.requests.size(), 1u);
+  const Cycle read_lat = got.requests[0].second;
 
-  requests.clear();
+  got.requests.clear();
   auto icn2 = make();
   ASSERT_TRUE(icn2->try_inject_request(req(0, 31, true, 2), 0));
-  for (Cycle t = 0; t < 500 && requests.empty(); ++t) icn2->tick(t);
-  ASSERT_EQ(requests.size(), 1u);
-  EXPECT_GE(requests[0].second, read_lat + cfg.line_flits());
+  for (Cycle t = 0; t < 500 && got.requests.empty(); ++t) got.tick(*icn2, t);
+  ASSERT_EQ(got.requests.size(), 1u);
+  EXPECT_GE(got.requests[0].second, read_lat + cfg.line_flits());
 }
 
 TEST_P(NocTest, ManyOutstandingAllComplete) {
@@ -109,15 +104,15 @@ TEST_P(NocTest, ManyOutstandingAllComplete) {
       }
     }
   }
-  for (Cycle t = 0; t < 5000 && !icn->idle(); ++t) icn->tick(t);
+  for (Cycle t = 0; t < 5000 && !icn->idle(); ++t) got.tick(*icn, t);
   EXPECT_TRUE(icn->idle());
-  EXPECT_EQ(requests.size(), injected);
+  EXPECT_EQ(got.requests.size(), injected);
 }
 
 TEST_P(NocTest, EnergyAndStatsAccumulate) {
   auto icn = make();
   icn->try_inject_request(req(0, 31), 0);
-  for (Cycle t = 0; t < 500 && !icn->idle(); ++t) icn->tick(t);
+  for (Cycle t = 0; t < 500 && !icn->idle(); ++t) got.tick(*icn, t);
   EXPECT_GT(icn->dynamic_energy_pj(), 0.0);
   EXPECT_GT(icn->leakage_mw(), 0.0);
   EXPECT_EQ(icn->stats().requests_injected, 1u);
@@ -148,9 +143,7 @@ TEST_P(NocStressTest, BidirectionalHeavyTrafficDrains) {
   // mesh link held by a request worm that waits on that bus).
   NocConfig cfg;
   auto icn = make_noc(GetParam(), cfg, power_model());
-  std::size_t req_seen = 0, resp_seen = 0;
-  icn->set_request_sink([&](const MemRequest&, Cycle) { ++req_seen; });
-  icn->set_response_sink([&](const MemResponse&, Cycle) { ++resp_seen; });
+  DeliveryLog got;
 
   std::uint64_t id = 1;
   std::size_t req_in = 0, resp_in = 0;
@@ -168,14 +161,14 @@ TEST_P(NocStressTest, BidirectionalHeavyTrafficDrains) {
                        .issue_cycle = t};
       if (icn->try_inject_response(resp, t)) ++resp_in;
     }
-    for (int i = 0; i < 8; ++i) icn->tick(t++);
+    for (int i = 0; i < 8; ++i) got.tick(*icn, t++);
   }
-  for (; t < 300000 && !icn->idle(); ++t) icn->tick(t);
-  EXPECT_TRUE(icn->idle()) << "fabric wedged: " << req_seen << "/" << req_in
-                           << " requests, " << resp_seen << "/" << resp_in
-                           << " responses delivered";
-  EXPECT_EQ(req_seen, req_in);
-  EXPECT_EQ(resp_seen, resp_in);
+  for (; t < 300000 && !icn->idle(); ++t) got.tick(*icn, t);
+  EXPECT_TRUE(icn->idle()) << "fabric wedged: " << got.requests.size() << "/"
+                           << req_in << " requests, " << got.responses.size()
+                           << "/" << resp_in << " responses delivered";
+  EXPECT_EQ(got.requests.size(), req_in);
+  EXPECT_EQ(got.responses.size(), resp_in);
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, NocStressTest,
@@ -200,14 +193,14 @@ TEST(NocOrdering, BusMeshBeatsTrueMeshAtZeroLoad) {
     auto icn = make_noc(which == 0 ? NocTopology::kTrueMesh3d
                                    : NocTopology::kHybridBusMesh,
                         cfg, pm);
-    Cycle got = 0;
-    icn->set_request_sink([&](const MemRequest&, Cycle t) { got = t; });
+    DeliveryLog got;
     // Core 0 (corner) to bank 31 (opposite corner, top tier): worst case.
     MemRequest r{.id = 1, .core = 0, .bank = 31, .addr = 0, .is_write = false,
                  .issue_cycle = 0};
     icn->try_inject_request(r, 0);
-    for (Cycle t = 0; t < 500 && got == 0; ++t) icn->tick(t);
-    (which == 0 ? mesh_lat : busmesh_lat) = got;
+    for (Cycle t = 0; t < 500 && got.requests.empty(); ++t) got.tick(*icn, t);
+    ASSERT_EQ(got.requests.size(), 1u);
+    (which == 0 ? mesh_lat : busmesh_lat) = got.requests[0].second;
   }
   EXPECT_GT(mesh_lat, 0u);
   EXPECT_GT(busmesh_lat, 0u);
@@ -222,8 +215,7 @@ TEST(NocOrdering, BusTreeSaturatesUnderLoad) {
   const auto pm = power_model();
   auto run = [&](NocTopology topo) {
     auto icn = make_noc(topo, cfg, pm);
-    std::size_t delivered = 0;
-    icn->set_response_sink([&](const MemResponse&, Cycle) { ++delivered; });
+    DeliveryLog got;
     std::uint64_t id = 1;
     // Uniform response traffic: every bank answers 8 cores.  The Bus-Mesh
     // spreads this over 16 pillar buses (2 banks each); the Bus-Tree
@@ -238,8 +230,8 @@ TEST(NocOrdering, BusTreeSaturatesUnderLoad) {
       }
     }
     Cycle t = 0;
-    for (; t < 50000 && !icn->idle(); ++t) icn->tick(t);
-    EXPECT_EQ(delivered, 256u);
+    for (; t < 50000 && !icn->idle(); ++t) got.tick(*icn, t);
+    EXPECT_EQ(got.responses.size(), 256u);
     return t;
   };
   const Cycle tree_time = run(NocTopology::kHybridBusTree);
@@ -251,11 +243,12 @@ TEST(NocOrdering, BusTreeSaturatesUnderLoad) {
 // Arbitration-order pin.  The goldens pin aggregates at light load; this
 // saturates each fabric in both directions (1- and 5-flit worms on both
 // virtual networks) and hashes the exact (kind, id, cycle) sequence of
-// deliveries.  Any change to round-robin order, wormhole locking,
-// back-pressure, throttle pacing or next_event()'s drain bound moves the
-// digest.  The digests were recorded from the all-inputs scan that the
-// occupancy-driven tick replaced; only a deliberate model change may move
-// them.
+// deliveries, each tick's responses before its requests as Cluster drains
+// them.  Any change to round-robin order, wormhole locking, back-pressure,
+// throttle pacing or next_event()'s drain bound moves the digest.  The
+// digests were recorded from the all-inputs scan that the occupancy-driven
+// tick replaced, with each tick's log stably reordered responses-first;
+// only a deliberate model change may move them.
 // ---------------------------------------------------------------------------
 struct OrderCase {
   const char* name;
@@ -284,10 +277,14 @@ std::string delivery_order_digest(const OrderCase& c) {
     log += ' ' + std::to_string(id) + ' ' + std::to_string(t) + '\n';
     ++delivered;
   };
-  icn->set_request_sink(
-      [&](const MemRequest& r, Cycle t) { record('q', r.id, t); });
-  icn->set_response_sink(
-      [&](const MemResponse& r, Cycle t) { record('r', r.id, t); });
+  DeliveryLog got;
+  auto tick = [&](Cycle now) {
+    got.tick(*icn, now);
+    for (const auto& [r, at] : got.responses) record('r', r.id, at);
+    for (const auto& [r, at] : got.requests) record('q', r.id, at);
+    got.responses.clear();
+    got.requests.clear();
+  };
 
   // Every endpoint offers a packet with probability 0.6 per cycle, far
   // above what one NI can drain, so injection queues stay full and every
@@ -316,14 +313,14 @@ std::string delivery_order_digest(const OrderCase& c) {
                        .issue_cycle = t};
       ++(icn->try_inject_response(resp, t) ? injected : refused);
     }
-    icn->tick(t);
+    tick(t);
   }
   // Drain, jumping over the cycles next_event() reports as quiet.
   while (!icn->idle() && t < kDrainLimit) {
     const Cycle next = icn->next_event(t);
     if (next == kNeverCycle) break;
     t = std::max(t, next);
-    icn->tick(t++);
+    tick(t++);
   }
   EXPECT_TRUE(icn->idle()) << c.name << " wedged at cycle " << t;
   EXPECT_EQ(delivered, injected) << c.name;
@@ -347,10 +344,10 @@ INSTANTIATE_TEST_SUITE_P(
                       "f2f6f17781a4d6d91841243679d2e0942d28a991b4065f3c3eb3c76d868d3e84"},
         OrderCase{.name = "BusMesh", .topology = NocTopology::kHybridBusMesh,
                   .digest =
-                      "2dd955aee8f242085ac6168a071dc94ca7149ecb053e9711c11e7bd1d07c8600"},
+                      "4fede7490cae1e1a8f26c2b0fbb0b787d651378b2bc76d7f79e2680dae3a7859"},
         OrderCase{.name = "BusTree", .topology = NocTopology::kHybridBusTree,
                   .digest =
-                      "3aba6a4a98f8b1d21dee65b9ca0ae2c73d4683f20d18736d1e49c3efdb8d37ca"},
+                      "a1f6ce7f4eecaff5f34c4d1dae582306934cf527b810537c2fbeccbb55b43dcc"},
         // Router 5 is tile (1,1) of the core tier: on most XY paths.
         OrderCase{.name = "TrueMesh3dThrottled",
                   .topology = NocTopology::kTrueMesh3d,
@@ -368,7 +365,7 @@ INSTANTIATE_TEST_SUITE_P(
                   .topology = NocTopology::kHybridBusMesh, .link_cycles = 0,
                   .router_pipeline_cycles = 0,
                   .digest =
-                      "3cfd19a4c82484cd8e93360696044ebd088b589b69adc0b46c5bb176b1fee2a5"}),
+                      "8ed8e08c58a66e0af2b293b96a0dae52ec5f141dc53d859639370059c2b2f5ca"}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(NocConstruction, BuildersRejectShapesTheyCannotWire) {
