@@ -4,10 +4,11 @@
 //   mot3d_experiments run <name>... [flags]     # run registered scenarios
 //   mot3d_experiments trace <name> [flags]      # run with tracing+metrics on
 //   mot3d_experiments grid --apps=... [flags]   # ad-hoc declarative grid
+//   mot3d_experiments bench --apps=... [flags]  # timed grid (perf guardrail)
 //   mot3d_experiments update-golden [name...]   # regenerate golden baselines
 //   mot3d_experiments check-golden [name...]    # compare against baselines
 //
-// `run`, `trace` and `grid` take the run flags:
+// `run`, `trace`, `grid` and `bench` take the run flags:
 //   --scale=<double>    fraction of each app's full instruction budget
 //                       (default = the scenario's registered default)
 //   --seed=<u64>        workload RNG seed (default 42)
@@ -40,6 +41,12 @@
 // Invalid combinations (gated states on packet-switched fabrics) are
 // skipped with a note, exactly like registered sweeps.
 //
+// `bench` takes grid's axes and times the cells one by one, with
+// --baseline=<path> comparing them against a committed BENCH_*.json (see
+// the bench section below for the three tiers and the exit codes).  Each
+// cell runs alone and untraced, so --threads, --trace and --metrics are
+// usage errors.
+//
 // `update-golden` re-runs every golden scenario (or just the named ones)
 // at its pinned golden options and rewrites tests/golden/<name>.json.
 // This is the one sanctioned way to change a baseline: do it on purpose,
@@ -49,12 +56,16 @@
 // are not reproducible by construction (see DESIGN.md), so each scenario
 // prints our measured series next to the paper's reported deltas.
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -62,6 +73,7 @@
 #include <vector>
 
 #include "common/table.hpp"
+#include "sim/json_reader.hpp"
 #include "sim/scenario.hpp"
 #include "sim/scenario_registry.hpp"
 #include "sim/sweep_service.hpp"
@@ -81,6 +93,9 @@ void print_cli_usage(std::ostream& os) {
      << "  run <name>... [flags]       run registered scenarios by name\n"
      << "  trace <name> [flags]        run one scenario with tracing+metrics on\n"
      << "  grid [axes] [flags]         run an ad-hoc grid\n"
+     << "  bench [axes] [flags]        time an ad-hoc grid cell by cell\n"
+     << "                              [--baseline=<path>]; no --threads,\n"
+     << "                              --trace or --metrics\n"
      << "  update-golden [name...]     regenerate golden baselines\n"
      << "  check-golden [name...]      re-run and diff against baselines\n"
      << "  serve --cache-dir=<path>    cache-backed request/response daemon\n"
@@ -230,6 +245,7 @@ struct CliArgs {
   std::vector<std::string> fabrics;
   std::vector<std::string> states;
   std::vector<std::string> dram;
+  std::string baseline_path;  ///< bench --baseline
   std::string golden_dir = MOT3D_SOURCE_DIR "/tests/golden";
   bool use_golden_options = false;
   // serve/batch/cache flags (--threads and --scheduler land in `run`)
@@ -240,11 +256,13 @@ struct CliArgs {
 
 /// Which flag groups a subcommand understands.
 struct CliFlagSet {
-  bool run = false;      ///< --scale/--seed/--json/...          (run/trace/grid)
-  bool axes = false;     ///< --apps/--fabrics/--states/--dram  (grid)
-  bool golden = false;   ///< --golden                          (run/trace)
-  bool dir = false;      ///< --dir                             (*-golden)
-  bool service = false;  ///< --cache-dir/--requests/...        (serve/batch)
+  bool run = false;      ///< --scale/--seed/--json/...    (run/trace/grid/bench)
+  bool axes = false;     ///< --apps/--fabrics/--states/--dram      (grid/bench)
+  bool golden = false;   ///< --golden                              (run/trace)
+  bool dir = false;      ///< --dir                                 (*-golden)
+  bool service = false;  ///< --cache-dir/--requests/...            (serve/batch)
+  /// --baseline; refuses --threads/--trace/--metrics               (bench)
+  bool bench = false;
 };
 
 /// Whole-string numeric parse of a flag's value: trailing junk
@@ -278,7 +296,13 @@ CliArgs parse_cli(int argc, char** argv, const CliFlagSet& allow) {
     const std::size_t eq = arg.find('=');
     const std::string flag = eq == std::string::npos ? arg : arg.substr(0, eq + 1);
     const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (allow.axes && flag == "--apps=") {
+    if (allow.bench && (flag == "--threads=" || flag == "--trace=" ||
+                        flag == "--metrics=")) {
+      throw std::invalid_argument("bench runs every cell alone and untraced ('" +
+                                  arg + "' does not apply)");
+    } else if (allow.bench && flag == "--baseline=") {
+      out.baseline_path = path_value(flag, value);
+    } else if (allow.axes && flag == "--apps=") {
       out.apps = split_csv(arg, value);
     } else if (allow.axes && flag == "--fabrics=") {
       out.fabrics = split_csv(arg, value);
@@ -423,55 +447,332 @@ int cmd_trace(const CliArgs& cli) {
   return sim::run_and_present(*spec, opt, std::cout);
 }
 
-int cmd_grid(const CliArgs& cli) {
+/// The ad-hoc grid that `grid` and `bench` run: axis flags, no names.
+sim::ScenarioSpec cli_grid(const CliArgs& cli, const std::string& verb) {
   if (!cli.names.empty()) {
-    std::cerr << "error: grid takes axis flags, not positional names (got '"
-              << cli.names.front() << "')\n";
-    return 2;
+    throw std::invalid_argument(verb +
+                                " takes axis flags, not positional names (got '" +
+                                cli.names.front() + "')");
   }
-  sim::ScenarioSpec spec;
-  spec.name = "adhoc_grid";
-  spec.figure = "-";
-  spec.description = "ad-hoc grid from the command line";
-  spec.has_golden = false;
-  spec.apps = cli.apps.empty() ? workload::splash2_names() : cli.apps;
-  for (const std::string& a : spec.apps) {
-    try {
-      (void)workload::profile_by_name(a);
-    } catch (const std::out_of_range&) {
-      std::cerr << "error: unknown app '" << a << "' in --apps (want:";
-      for (const std::string& n : workload::splash2_names()) std::cerr << " " << n;
-      std::cerr << ")\n";
+  return sim::adhoc_grid(cli.apps, cli.fabrics, cli.states, cli.dram, {});
+}
+
+int cmd_grid(const CliArgs& cli) {
+  const sim::ScenarioSpec spec = cli_grid(cli, "grid");
+  return sim::run_and_present(spec, run_options(cli, spec), std::cout);
+}
+
+// ---- bench: the perf guardrail (BENCH_scale.json, BENCH_noc.json) ----------
+//
+// `bench` runs an ad-hoc grid one cell at a time on this thread with phase
+// timing on, and reports modeled results (cycles, instructions) next to
+// simulator work (core ticks) and throughput (cycles/s).  --baseline=<path>
+// compares each cell against a committed BENCH document in three tiers:
+//  * cycles and instructions are modeled and deterministic, so they must
+//    match exactly — drift means simulator behaviour changed, and the
+//    baseline (with the goldens) needs a deliberate refresh;
+//  * core_ticks (Core::tick calls) is deterministic host work, so it must
+//    match exactly when the baseline records it: a scheduler that ticks
+//    more cores fails even on a host fast enough to hide the cost;
+//  * cycles/s depends on the machine and its load, so a cell fails only
+//    below kThroughputFloor x its baseline — loose enough for shared-runner
+//    noise, tight enough for an O(cores) scan re-entering the hot path.
+// Exit codes: 0 ok; 1 a cell failed (watchdog, topology) or regressed;
+// 2 usage error; 3 baseline missing, malformed, recorded with other knobs
+// (scheduler, scale, seed) or lacking one of the grid's cells.
+
+constexpr double kThroughputFloor = 0.5;
+
+/// One grid cell as bench times it.
+struct BenchCell {
+  sim::ScenarioRun run;
+  std::string key;                 ///< baseline key, see bench_key()
+  std::uint64_t cycles = 0;        ///< modeled
+  std::uint64_t instructions = 0;  ///< modeled
+  std::uint64_t core_ticks = 0;    ///< host work
+  double wall_seconds = 0.0;
+  obs::PhaseSeconds phases;  ///< telemetry only, never compared
+  std::string error;         ///< non-empty if the run threw
+
+  double cycles_per_second() const {
+    return wall_seconds > 0.0 ? static_cast<double>(cycles) / wall_seconds
+                              : 0.0;
+  }
+};
+
+/// `app@cores`, plus `@fabric` for a packet-fabric cell, so MoT baselines
+/// recorded before the fabric axis existed still match.
+std::string bench_key(const std::string& app, std::size_t cores,
+                      const std::string& fabric) {
+  std::string key = app + "@" + std::to_string(cores);
+  if (fabric != "mot") key += "@" + fabric;
+  return key;
+}
+
+struct BaselineCell {
+  std::uint64_t cycles = 0;
+  std::uint64_t instructions = 0;
+  std::optional<std::uint64_t> core_ticks;  ///< absent in older baselines
+  double cycles_per_second = 0.0;
+};
+
+/// A baseline that cannot be used at all (exit 3).
+struct BaselineError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// A baseline count (seed, cores, cycles, ...): a JSON number holding a
+/// non-negative integer below 2^53, where doubles stop being exact — far
+/// above any cell's budget, and a range the cast below is defined on.
+std::optional<std::uint64_t> baseline_count(const sim::JsonValue* v) {
+  if (v == nullptr || v->type != sim::JsonValue::Type::kNumber ||
+      !(v->number >= 0.0 && v->number < 9007199254740992.0) ||
+      v->number != std::floor(v->number)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(v->number);
+}
+
+/// The baseline's cells by key; the document must have been recorded with
+/// `opt`'s scheduler, scale and seed.
+std::map<std::string, BaselineCell> load_baseline(
+    const std::string& path, const sim::ScenarioOptions& opt) {
+  std::ifstream in(path);
+  if (!in) throw BaselineError("cannot open '" + path + "'");
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::optional<sim::JsonValue> doc = sim::JsonReader(buf.str()).parse();
+  if (!doc || doc->type != sim::JsonValue::Type::kObject) {
+    throw BaselineError("'" + path + "' is not a JSON object");
+  }
+  using Type = sim::JsonValue::Type;
+  const sim::JsonValue* sched = doc->find("scheduler");
+  const sim::JsonValue* scale = doc->find("scale");
+  const std::optional<std::uint64_t> seed = baseline_count(doc->find("seed"));
+  const sim::JsonValue* cells = doc->find("cells");
+  if (!sched || sched->type != Type::kString || !scale ||
+      scale->type != Type::kNumber || !seed || !cells ||
+      cells->type != Type::kArray) {
+    throw BaselineError("'" + path + "' is missing required fields");
+  }
+  if (sched->string != cluster::scheduler_name(opt.scheduler) ||
+      scale->number != opt.scale || *seed != opt.seed) {
+    throw BaselineError("baseline was recorded with --scheduler=" +
+                        sched->string +
+                        " --scale=" + sim::json_number(scale->number) +
+                        " --seed=" + std::to_string(*seed) +
+                        "; rerun with matching flags or refresh it");
+  }
+  // A cell without "fabric" is a MoT cell.
+  std::map<std::string, BaselineCell> out;
+  for (const sim::JsonValue& c : cells->array) {
+    const sim::JsonValue* app = c.find("app");
+    const sim::JsonValue* fabric = c.find("fabric");
+    const sim::JsonValue* ticks = c.find("core_ticks");
+    const sim::JsonValue* cps = c.find("cycles_per_second");
+    const std::optional<std::uint64_t> cores = baseline_count(c.find("cores"));
+    const std::optional<std::uint64_t> cycles = baseline_count(c.find("cycles"));
+    const std::optional<std::uint64_t> instrs =
+        baseline_count(c.find("instructions"));
+    if (!app || app->type != Type::kString ||
+        (fabric && fabric->type != Type::kString) || !cores || !cycles ||
+        !instrs || (ticks && !baseline_count(ticks)) || !cps ||
+        cps->type != Type::kNumber) {
+      throw BaselineError("malformed cell in '" + path + "'");
+    }
+    const std::string key =
+        bench_key(app->string, *cores, fabric ? fabric->string : "mot");
+    if (!out.emplace(key, BaselineCell{*cycles, *instrs, baseline_count(ticks),
+                                       cps->number})
+             .second) {
+      throw BaselineError("two cells of '" + path + "' share the key " + key);
+    }
+  }
+  return out;
+}
+
+/// Times Cluster construction through run() — what a sweep pays per run.
+/// A throw (watchdog, topology builder) becomes the cell's error.
+void run_bench_cell(BenchCell& c, const sim::ScenarioOptions& opt) {
+  try {
+    const cluster::ClusterConfig cfg = sim::make_run_config(c.run, opt);
+    const auto t0 = std::chrono::steady_clock::now();
+    const cluster::SimResult r = cluster::Cluster(cfg).run();
+    c.wall_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    c.cycles = r.cycles;
+    c.instructions = r.instructions;
+    c.core_ticks = r.core_ticks;
+    c.phases = r.phase_seconds;
+  } catch (const std::exception& e) {
+    c.error = e.what();
+  }
+}
+
+std::string bench_report(const sim::ScenarioOptions& opt,
+                         const std::vector<BenchCell>& cells) {
+  double total_wall = 0.0;
+  std::uint64_t total_cycles = 0;
+  sim::JsonArray arr;
+  for (const BenchCell& c : cells) {
+    sim::JsonObject o;
+    o.set("app", c.run.app)
+        .set("fabric", sim::fabric_key(c.run.fabric))
+        .set("cores", static_cast<std::uint64_t>(c.run.state.total_cores()))
+        .set("banks", static_cast<std::uint64_t>(c.run.state.total_banks()))
+        .set("state", c.run.state.name())
+        .set("cycles", c.cycles)
+        .set("instructions", c.instructions)
+        .set("core_ticks", c.core_ticks)
+        .set("wall_seconds", c.wall_seconds)
+        .set("cycles_per_second", c.cycles_per_second());
+    if (c.phases.valid) {
+      sim::JsonObject p;
+      p.set("workload", c.phases.workload)
+          .set("coherence", c.phases.coherence)
+          .set("fabric", c.phases.fabric)
+          .set("l2", c.phases.l2)
+          .set("dram", c.phases.dram);
+      o.set_raw("phase_seconds", p.str());
+    }
+    arr.push(o);
+    total_wall += c.wall_seconds;
+    total_cycles += c.cycles;
+  }
+  sim::JsonObject out;
+  out.set("bench", "bench")
+      .set("scheduler", cluster::scheduler_name(opt.scheduler))
+      .set("scale", opt.scale)
+      .set("seed", opt.seed)
+      .set_raw("cells", arr.str(2))
+      .set("total_wall_seconds", total_wall)
+      .set("total_simulated_cycles", total_cycles)
+      .set("cycles_per_second",
+           total_wall > 0.0 ? static_cast<double>(total_cycles) / total_wall
+                            : 0.0);
+  return out.str();
+}
+
+/// Cells that drifted or slowed against the baseline, each named on stderr.
+int count_regressions(const std::vector<BenchCell>& cells,
+                      const std::map<std::string, BaselineCell>& baseline) {
+  int regressions = 0;
+  for (const BenchCell& c : cells) {
+    const BaselineCell& b = baseline.at(c.key);
+    if (c.cycles != b.cycles || c.instructions != b.instructions) {
+      std::cerr << "REGRESSION " << c.key << ": modeled drift — cycles "
+                << c.cycles << " vs baseline " << b.cycles << ", instructions "
+                << c.instructions << " vs " << b.instructions
+                << " (simulator behaviour changed; refresh deliberately)\n";
+      ++regressions;
+    } else if (b.core_ticks.has_value() && c.core_ticks != *b.core_ticks) {
+      std::cerr << "REGRESSION " << c.key << ": work drift — core_ticks "
+                << c.core_ticks << " vs baseline " << *b.core_ticks
+                << " (the scheduler changed how many cores it ticks; "
+                   "refresh deliberately)\n";
+      ++regressions;
+    } else if (c.cycles_per_second() < kThroughputFloor * b.cycles_per_second) {
+      std::cerr << "REGRESSION " << c.key << ": throughput "
+                << sim::json_number(c.cycles_per_second())
+                << " cycles/s below " << kThroughputFloor << "x baseline "
+                << sim::json_number(b.cycles_per_second) << "\n";
+      ++regressions;
+    }
+  }
+  return regressions;
+}
+
+int cmd_bench(const CliArgs& cli) {
+  const sim::ScenarioSpec spec = cli_grid(cli, "bench");
+  sim::ScenarioOptions opt = run_options(cli, spec);
+  opt.phase_timing = true;  // host clock reads; modeled metrics untouched
+
+  std::size_t skipped = 0;
+  std::vector<BenchCell> cells;
+  std::set<std::string> keys;
+  for (const sim::ScenarioRun& run : sim::expand_grid(spec, &skipped)) {
+    BenchCell& c = cells.emplace_back();
+    c.run = run;
+    c.key = bench_key(run.app, run.state.total_cores(),
+                      sim::fabric_key(run.fabric));
+    // One baseline cell must vouch for exactly one run.
+    if (!keys.insert(c.key).second) {
+      std::cerr << "error: two bench cells share the key '" << c.key
+                << "' (app@cores[@fabric]); give each core count one state "
+                   "and the grid one DRAM preset\n";
       return 2;
     }
   }
-  try {
-    if (cli.fabrics.empty()) {
-      spec.fabrics = {cluster::Fabric::kMot};
-    } else {
-      for (const std::string& f : cli.fabrics) {
-        spec.fabrics.push_back(sim::fabric_by_key(f));
+
+  // Check the baseline before paying for the grid.
+  std::map<std::string, BaselineCell> baseline;
+  if (!cli.baseline_path.empty()) {
+    try {
+      baseline = load_baseline(cli.baseline_path, opt);
+      for (const BenchCell& c : cells) {
+        if (baseline.count(c.key) == 0) {
+          throw BaselineError("cell " + c.key + " missing from '" +
+                              cli.baseline_path + "' (grid changed?)");
+        }
       }
+    } catch (const BaselineError& e) {
+      std::cerr << "baseline error: " << e.what() << "\n"
+                << "refresh with: mot3d_experiments bench <same flags> "
+                   "--json=<baseline>\n";
+      return 3;
     }
-    if (cli.states.empty()) {
-      spec.power_states = {core::PowerState::full()};
-    } else {
-      for (const std::string& s : cli.states) {
-        spec.power_states.push_back(sim::power_state_by_name(s));
-      }
-    }
-    if (cli.dram.empty()) {
-      spec.dram_presets = {mem::DramPreset::kDdr3_200ns};
-    } else {
-      for (const std::string& d : cli.dram) {
-        spec.dram_presets.push_back(sim::dram_preset_by_key(d));
-      }
-    }
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
   }
-  return sim::run_and_present(spec, run_options(cli, spec), std::cout);
+
+  std::cout << "bench: " << cells.size() << " cell(s), scale=" << opt.scale
+            << ", seed=" << opt.seed
+            << ", scheduler=" << cluster::scheduler_name(opt.scheduler) << "\n";
+  if (skipped > 0) {
+    std::cout << "note: skipped " << skipped << " invalid grid cells ("
+              << sim::invalid_cell_reason() << ")\n";
+  }
+  std::cout << "  app                fabric    cores   banks        cycles  "
+            << "  core_ticks     wall_s      cycles/s\n";
+  int failed = 0;
+  for (BenchCell& c : cells) {
+    run_bench_cell(c, opt);
+    if (!c.error.empty()) {
+      std::cerr << "FAILED " << c.key << ": " << c.error << "\n";
+      ++failed;
+      continue;
+    }
+    std::printf("  %-18s %-8s %6zu  %6zu  %12llu  %12llu  %9.3f  %12.0f\n",
+                c.run.app.c_str(), sim::fabric_key(c.run.fabric),
+                c.run.state.total_cores(), c.run.state.total_banks(),
+                static_cast<unsigned long long>(c.cycles),
+                static_cast<unsigned long long>(c.core_ticks), c.wall_seconds,
+                c.cycles_per_second());
+  }
+  if (failed > 0) {
+    std::cerr << failed << " cell(s) failed\n";
+    return 1;
+  }
+
+  if (!opt.json_path.empty()) {
+    std::ofstream out(opt.json_path);
+    out << bench_report(opt, cells) << "\n" << std::flush;
+    if (!out) {
+      std::cerr << "error: cannot write '" << opt.json_path << "'\n";
+      return 1;
+    }
+    std::cout << "[perf] report written to " << opt.json_path << "\n";
+  }
+  if (cli.baseline_path.empty()) return 0;
+  const int regressions = count_regressions(cells, baseline);
+  if (regressions > 0) {
+    std::cerr << regressions << " cell(s) regressed against '"
+              << cli.baseline_path << "'\n";
+    return 1;
+  }
+  std::cout << "baseline OK: " << cells.size()
+            << " cell(s) match, each at >= " << kThroughputFloor
+            << "x its recorded cycles/s\n";
+  return 0;
 }
 
 int cmd_update_golden(const CliArgs& cli) {
@@ -674,6 +975,10 @@ int main(int argc, char** argv) {
     }
     if (cmd == "grid") {
       return cmd_grid(parse_cli(argc, argv, {.run = true, .axes = true}));
+    }
+    if (cmd == "bench") {
+      return cmd_bench(
+          parse_cli(argc, argv, {.run = true, .axes = true, .bench = true}));
     }
     if (cmd == "update-golden") {
       return cmd_update_golden(parse_cli(argc, argv, {.dir = true}));

@@ -8,6 +8,13 @@
 
 namespace mot3d::cluster {
 
+namespace {
+
+/// Events a fault run's flight recorder keeps for the watchdog dump.
+constexpr std::size_t kFlightRecorderEvents = 128;
+
+}  // namespace
+
 const char* scheduler_name(SchedulerMode m) {
   switch (m) {
     case SchedulerMode::kEventDriven: return "event";
@@ -197,16 +204,14 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   }
 
   // ---- observability (opt-in; inert otherwise) ----
-  // The trace sink engages for full tracing, an explicit flight recorder,
-  // or implicitly on fault runs with a progress watchdog (bounded ring,
-  // dumped with the parked state).  Timeout-only watchdogs — the perf
+  // The trace sink engages for full tracing, or as the flight recorder on
+  // fault runs, which always carry a progress watchdog: a bounded ring
+  // dumped with the parked state.  Timeout-only watchdogs — the perf
   // guardrail's --timeout — never pay for event recording.
-  const bool flight_only =
-      !cfg_.obs.trace &&
-      (cfg_.obs.flight_recorder || (watchdog_ != nullptr && cfg_.fault.enabled));
+  const bool flight_only = !cfg_.obs.trace && cfg_.fault.enabled;
   if (cfg_.obs.trace || flight_only) {
     trace_ = std::make_shared<obs::TraceBuffer>(
-        flight_only ? cfg_.obs.flight_recorder_events : 0);
+        flight_only ? kFlightRecorderEvents : 0);
     trk_governor_ = trace_->add_track("governor");
     trk_fabric_ = trace_->add_track("fabric");
     trk_fault_ = trace_->add_track("faults");
@@ -851,7 +856,7 @@ std::string Cluster::progress_dump() {
      << (dram_->idle() ? "idle" : "busy")
      << (cores_frozen_ ? ", cores clock-held" : "");
   if (trace_ != nullptr && trace_->recorded() > 0) {
-    os << "\n" << trace_->flight_dump(cfg_.obs.flight_recorder_events);
+    os << "\n" << trace_->flight_dump(kFlightRecorderEvents);
   }
   return os.str();
 }

@@ -173,12 +173,12 @@ struct SimResult {
   /// off; the obs_* scenario-JSON fields then stay absent).
   obs::ObsSummary obs;
   /// Host wall-seconds per simulator phase (valid only when
-  /// ObsConfig::phase_timing was on; bench_scale --json uses this).
+  /// ObsConfig::phase_timing was on; `bench --json` reports it).
   obs::PhaseSeconds phase_seconds;
   /// Core::tick calls the run made.  Host-side work, not a modeled number:
   /// the dense scheduler ticks every unfrozen core every cycle, the event
   /// scheduler only the cores that can act.  The canonical run JSON never
-  /// carries it; bench_scale matches it exactly against its baseline.
+  /// carries it; `bench --baseline` matches it exactly.
   std::uint64_t core_ticks = 0;
   /// The run's full event trace / sampled metrics; null unless the
   /// corresponding ObsConfig switch was on.  Shared with the cluster
@@ -470,9 +470,9 @@ class Cluster final : private mem::ReadSink {
   Cycle next_watchdog_cycle_ = kNeverCycle;  ///< watchdog_->next_check_cycle()
 
   // -- observability state (engaged only via cfg_.obs; see src/obs/) --
-  /// Trace sink: unbounded under cfg_.obs.trace, a bounded flight-recorder
-  /// ring under cfg_.obs.flight_recorder or for fault runs with a watchdog
-  /// (never for timeout-only watchdogs — the perf guardrail uses those).
+  /// Trace sink: unbounded under cfg_.obs.trace, else a bounded
+  /// flight-recorder ring on fault runs (which always carry a watchdog);
+  /// never for timeout-only watchdogs — the perf guardrail uses those.
   /// shared_ptr because the const collect_result() hands it to SimResult.
   std::shared_ptr<obs::TraceBuffer> trace_;
   std::shared_ptr<obs::MetricsRegistry> metrics_;

@@ -1,7 +1,6 @@
 // Observability configuration and per-run summary types.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "common/types.hpp"
@@ -17,12 +16,7 @@ struct ObsConfig {
   /// Sample the interval metrics registry every epoch.
   bool metrics = false;
   Cycle metrics_epoch_cycles = 10'000;
-  /// Keep a bounded ring of recent events for watchdog dumps even when
-  /// no full trace is requested.  Fault-injection runs (which always
-  /// carry a watchdog) engage the ring automatically.
-  bool flight_recorder = false;
-  std::size_t flight_recorder_events = 128;
-  /// Attribute host wall-time to simulator phases (bench_scale --json).
+  /// Attribute host wall-time to simulator phases (`bench --json`).
   bool phase_timing = false;
 
   /// True when any latency histogram / trace / metrics machinery runs.

@@ -1,4 +1,4 @@
-// Host-side phase attribution for bench_scale reports.
+// Host-side phase attribution for `mot3d_experiments bench` reports.
 //
 // Timing every tick with steady_clock would dominate the hot path, so
 // the timer stamps one tick in 64 and extrapolates: good enough to say

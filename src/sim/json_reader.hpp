@@ -1,12 +1,9 @@
 // Minimal JSON reader — the parsing twin of the JsonObject/JsonArray
-// writer in sim/perf_report.hpp.
-//
-// Promoted out of bench_scale.cpp (where it parsed BENCH_*.json perf
-// baselines) so the sweep service can parse newline-delimited request
-// documents with the same code.  Deliberately supports only the subset
-// our own writer emits — objects, arrays, strings, numbers, bools, null;
-// no \uXXXX escapes — anything else is malformed input and parses to
-// std::nullopt, never a guess.
+// writer in sim/perf_report.hpp: it reads the BENCH_*.json perf baselines
+// and the sweep service's newline-delimited request documents.
+// Deliberately supports only the subset our own writer emits — objects,
+// arrays, strings, numbers, bools, null; no \uXXXX escapes — anything
+// else is malformed input and parses to std::nullopt, never a guess.
 #pragma once
 
 #include <optional>

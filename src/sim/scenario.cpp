@@ -9,6 +9,7 @@
 
 #include "common/table.hpp"
 #include "obs/trace.hpp"
+#include "workload/app_profile.hpp"
 
 namespace mot3d::sim {
 
@@ -562,6 +563,46 @@ ScenarioOptions golden_options(const ScenarioSpec& spec) {
   return opt;
 }
 
+ScenarioSpec adhoc_grid(std::vector<std::string> apps,
+                        const std::vector<std::string>& fabrics,
+                        const std::vector<std::string>& states,
+                        const std::vector<std::string>& dram,
+                        const std::vector<std::string>& dram_backends) {
+  ScenarioSpec spec;
+  spec.name = "adhoc_grid";
+  spec.figure = "-";
+  spec.description = "ad-hoc grid";
+  spec.has_golden = false;
+  spec.apps = apps.empty() ? workload::splash2_names() : std::move(apps);
+  for (const std::string& a : spec.apps) {
+    try {
+      (void)workload::profile_by_name(a);
+    } catch (const std::out_of_range&) {
+      std::string want;
+      for (const std::string& n : workload::splash2_names()) want += " " + n;
+      for (const std::string& n : workload::sharing_profile_names()) {
+        want += " " + n;
+      }
+      throw std::invalid_argument("unknown app '" + a + "' (want:" + want + ")");
+    }
+  }
+  const auto axis = [](const std::vector<std::string>& names, auto fallback,
+                       auto parse) {
+    std::vector<decltype(fallback)> out;
+    for (const std::string& n : names) out.push_back(parse(n));
+    if (out.empty()) out.push_back(fallback);
+    return out;
+  };
+  spec.fabrics = axis(fabrics, cluster::Fabric::kMot, fabric_by_key);
+  spec.power_states = axis(states, core::PowerState::full(), power_state_by_name);
+  spec.dram_presets = axis(dram, mem::DramPreset::kDdr3_200ns, dram_preset_by_key);
+  // An empty backend axis is already one implicit constant-latency cell.
+  for (const std::string& b : dram_backends) {
+    spec.dram_backends.push_back(dram_backend_by_key(b));
+  }
+  return spec;
+}
+
 const char* fabric_key(cluster::Fabric f) {
   switch (f) {
     case cluster::Fabric::kMot: return "mot";
@@ -594,8 +635,8 @@ core::PowerState power_state_by_name(const std::string& name) {
     return core::PowerState(name, 16, cores, 32, banks);
   }
   // Scale-out shapes: "Full<cores>x<banks>" is a fully powered cluster of
-  // that physical shape (e.g. Full256x512) — the bench_scale grid and the
-  // scale_smoke scenario run these on the MoT fabric.
+  // that physical shape (e.g. Full256x512) — the BENCH_scale.json grid and
+  // the scale_smoke scenario run these on the MoT fabric.
   if (std::sscanf(name.c_str(), "Full%zux%zu%n", &cores, &banks, &consumed) == 2 &&
       static_cast<std::size_t>(consumed) == name.size()) {
     return core::PowerState(name, cores, cores, banks, banks);

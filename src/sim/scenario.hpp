@@ -61,7 +61,7 @@ struct ScenarioOptions {
   /// Interval-metrics time series destination ("" = off).  JSON by
   /// default; a path ending in ".csv" selects long-format CSV rows.
   std::string metrics_path;
-  /// Attribute host wall seconds to simulator phases (bench_scale --json).
+  /// Attribute host wall seconds to simulator phases (`bench --json`).
   bool phase_timing = false;
 };
 
@@ -212,6 +212,17 @@ int run_and_present(const ScenarioSpec& spec, const ScenarioOptions& opt,
 /// Golden-baseline options for a spec: golden_scale, the spec's seed, the
 /// default scheduler.  The golden suite runs these under both schedulers.
 ScenarioOptions golden_options(const ScenarioSpec& spec);
+
+/// The ad-hoc sweep behind `grid`, `bench` and the sweep service's axis
+/// requests, built from axis names.  An empty list selects that axis's
+/// default: the eight SPLASH-2 programs, the MoT, Full, 200 ns DDR3, the
+/// constant-latency backend.  Throws std::invalid_argument on the first
+/// unknown value.  `apps` is taken by value: it becomes the spec's axis.
+ScenarioSpec adhoc_grid(std::vector<std::string> apps,
+                        const std::vector<std::string>& fabrics,
+                        const std::vector<std::string>& states,
+                        const std::vector<std::string>& dram,
+                        const std::vector<std::string>& dram_backends);
 
 // -- axis parsing/naming helpers (shared by the CLI and the registry) --------
 

@@ -58,18 +58,6 @@ void SweepRunner::parallel_for(std::size_t n,
   }
 }
 
-std::vector<cluster::SimResult> SweepRunner::run(const std::vector<Task>& tasks) {
-  std::vector<cluster::SimResult> results(tasks.size());
-  const auto t0 = std::chrono::steady_clock::now();
-  parallel_for(tasks.size(), [&](std::size_t i) { results[i] = tasks[i](); });
-  const auto t1 = std::chrono::steady_clock::now();
-
-  telemetry_.wall_seconds += std::chrono::duration<double>(t1 - t0).count();
-  telemetry_.runs += tasks.size();
-  for (const cluster::SimResult& r : results) telemetry_.simulated_cycles += r.cycles;
-  return results;
-}
-
 std::vector<IsolatedResult> SweepRunner::run_isolated(
     const std::vector<Task>& tasks) {
   std::vector<IsolatedResult> results(tasks.size());

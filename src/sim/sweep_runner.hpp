@@ -20,8 +20,8 @@
 namespace mot3d::sim {
 
 /// Wall-clock and simulated-throughput telemetry accumulated across every
-/// run() call on a SweepRunner — the numbers behind the perf trajectory
-/// (BENCH_*.json).
+/// run_isolated() call on a SweepRunner — the numbers behind the `--json`
+/// perf reports and the `[perf]` line.
 struct PerfTelemetry {
   unsigned threads = 1;
   std::uint64_t runs = 0;               ///< completed simulations
@@ -52,22 +52,18 @@ class SweepRunner {
 
   unsigned threads() const { return threads_; }
 
-  /// Run every task, concurrently up to the thread budget, returning
-  /// results in task order.  A throwing task aborts the sweep: no new
-  /// tasks start after the failure (in-flight tasks finish) and the
-  /// first exception by task index is rethrown after the pool drains.
-  std::vector<cluster::SimResult> run(const std::vector<Task>& tasks);
-
-  /// Run every task with per-task fault isolation: a throwing task records
-  /// its exception message at its own index and never aborts its peers —
-  /// all n tasks always execute, and the returned vector is in task order
-  /// (byte-identical at any thread count).  Use this for sweeps that must
-  /// survive individual wedged or failed simulations (fault-injection
-  /// grids, watchdog timeouts).
+  /// Run every task, concurrently up to the thread budget, with per-task
+  /// fault isolation: a throwing task records its exception message at its
+  /// own index and never aborts its peers — all n tasks always execute,
+  /// and the returned vector is in task order (byte-identical at any
+  /// thread count), so one wedged or timed-out simulation never costs the
+  /// rest of its sweep.
   std::vector<IsolatedResult> run_isolated(const std::vector<Task>& tasks);
 
   /// Deterministically-indexed generic parallel loop: fn(i) for i in
-  /// [0, n).  fn must only write state owned by index i.
+  /// [0, n).  fn must only write state owned by index i.  A throwing fn
+  /// stops new indices from starting (in-flight ones finish) and the first
+  /// exception by index is rethrown after the pool drains.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   const PerfTelemetry& telemetry() const { return telemetry_; }

@@ -1,6 +1,7 @@
 #include "sim/sweep_service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -14,7 +15,6 @@
 #include "common/sha256.hpp"
 #include "sim/json_reader.hpp"
 #include "sim/scenario_registry.hpp"
-#include "workload/app_profile.hpp"
 
 namespace fs = std::filesystem;
 
@@ -372,6 +372,10 @@ std::vector<JobOutcome> SweepService::run_batch(const std::vector<SweepJob>& job
 
 namespace {
 
+/// The ad-hoc grid's axis fields, in adhoc_grid's argument order.
+constexpr const char* kGridAxes[] = {"apps", "fabrics", "states", "dram",
+                                     "dram_backends"};
+
 [[noreturn]] void bad_request(const std::string& why) {
   throw std::invalid_argument("bad request: " + why);
 }
@@ -477,8 +481,7 @@ ServiceRequest parse_service_request(const std::string& line) {
   double scale = 0.0;
   std::uint64_t seed = 0;
   if (const JsonValue* scen = doc->find("scenario")) {
-    for (const char* axis : {"apps", "fabrics", "states", "dram",
-                             "dram_backends"}) {
+    for (const char* axis : kGridAxes) {
       if (doc->find(axis) != nullptr) {
         bad_request(std::string("request mixes 'scenario' with grid axis '") +
                     axis + "'");
@@ -500,44 +503,16 @@ ServiceRequest parse_service_request(const std::string& line) {
     scale = spec->golden_scale;
     seed = spec->seed;
   } else {
-    adhoc.name = "service_grid";
-    adhoc.kind = ScenarioSpec::Kind::kSweep;
-    adhoc.has_golden = false;
+    // An absent axis is an empty list: adhoc_grid's default.
+    std::array<std::vector<std::string>, std::size(kGridAxes)> axes;
+    for (std::size_t i = 0; i < axes.size(); ++i) {
+      if (const JsonValue* v = doc->find(kGridAxes[i])) {
+        axes[i] = string_list(*v, kGridAxes[i]);
+      }
+    }
     try {
-      adhoc.apps = doc->find("apps")
-                       ? string_list(*doc->find("apps"), "apps")
-                       : workload::splash2_names();
-      for (const std::string& a : adhoc.apps) {
-        (void)workload::profile_by_name(a);  // throws std::out_of_range
-      }
-      if (const JsonValue* v = doc->find("fabrics")) {
-        for (const std::string& f : string_list(*v, "fabrics")) {
-          adhoc.fabrics.push_back(fabric_by_key(f));
-        }
-      } else {
-        adhoc.fabrics = {cluster::Fabric::kMot};
-      }
-      if (const JsonValue* v = doc->find("states")) {
-        for (const std::string& s : string_list(*v, "states")) {
-          adhoc.power_states.push_back(power_state_by_name(s));
-        }
-      } else {
-        adhoc.power_states = {core::PowerState::full()};
-      }
-      if (const JsonValue* v = doc->find("dram")) {
-        for (const std::string& d : string_list(*v, "dram")) {
-          adhoc.dram_presets.push_back(dram_preset_by_key(d));
-        }
-      } else {
-        adhoc.dram_presets = {mem::DramPreset::kDdr3_200ns};
-      }
-      if (const JsonValue* v = doc->find("dram_backends")) {
-        for (const std::string& b : string_list(*v, "dram_backends")) {
-          adhoc.dram_backends.push_back(dram_backend_by_key(b));
-        }
-      }
-    } catch (const std::out_of_range&) {
-      bad_request("unknown app in 'apps'");
+      adhoc = adhoc_grid(std::move(axes[0]), axes[1], axes[2], axes[3],
+                         axes[4]);
     } catch (const std::invalid_argument& e) {
       bad_request(e.what());
     }

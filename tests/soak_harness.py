@@ -15,13 +15,11 @@ Usage:
              i.e. run from the build directory)
   --full     also re-verify every golden baseline (slower; the smoke
              subset is sized for per-commit CI)
-  --bench    also exercise the bench_scale perf-guardrail contract:
-             JSON report shape and every baseline-comparison exit code
+  --bench    also exercise the `bench` perf-guardrail contract: JSON
+             report shape and every baseline-comparison exit code
              (0 ok / 1 regression / 2 usage / 3 bad baseline), using
              self-generated and doctored baselines so the checks are
              machine-independent
-  --bench-binary
-             path to bench_scale (default: ./bench_scale)
   --obs      also exercise the observability contract: run a traced
              scenario, parse the Chrome-trace and interval-metrics
              documents, and check track names, required keys, and
@@ -227,8 +225,9 @@ REQUIRED_CELL_KEYS = ("app", "cores", "banks", "state", "cycles",
                       "cycles_per_second")
 
 # A deliberately tiny grid: the soak harness checks the *contract* of
-# bench_scale (report shape, exit codes), not its throughput numbers.
-BENCH_GRID = ["--cores=16,64", "--patterns=all_to_all", "--scale=0.005"]
+# `bench` (report shape, exit codes), not its throughput numbers.
+BENCH_GRID = ["bench", "--apps=all_to_all", "--states=Full,Full64x128",
+              "--scale=0.005"]
 
 
 def check_report_shape(name, path):
@@ -254,27 +253,25 @@ def check_report_shape(name, path):
     return TestResult(name, True, "report shape ok")
 
 
-def bench_tests(bench_binary):
-    """bench_scale contract checks, all against doctored local baselines."""
+def bench_tests(binary):
+    """`bench` contract checks, all against doctored local baselines."""
     results = []
     with tempfile.TemporaryDirectory(prefix="mot3d_bench_soak.") as tmp:
-        report = os.path.join(tmp, "report.json")
         baseline = os.path.join(tmp, "baseline.json")
 
-        # Report shape + baseline generation in one invocation.
+        # The --json report is the baseline document.
         results.append(run_test(
-            bench_binary, "bench_scale emits a report and a baseline",
-            BENCH_GRID + [f"--json={report}", f"--baseline={baseline}",
-                          "--update-baseline"],
-            expect_patterns=[r"baseline updated"]))
+            binary, "bench emits a report (the baseline)",
+            BENCH_GRID + [f"--json={baseline}"],
+            expect_patterns=[r"report written to"]))
         if results[-1].success:
-            results.append(check_report_shape(
-                "bench_scale JSON report shape", report))
+            results.append(check_report_shape("bench JSON report shape",
+                                              baseline))
 
         # Exit 0: a fresh run against its own baseline is within tolerance
         # (modeled metrics are deterministic; throughput compares to itself).
         results.append(run_test(
-            bench_binary, "bench_scale baseline comparison passes (exit 0)",
+            binary, "bench baseline comparison passes (exit 0)",
             BENCH_GRID + [f"--baseline={baseline}"],
             expect_patterns=[r"baseline OK"]))
 
@@ -293,7 +290,7 @@ def bench_tests(bench_binary):
                                       str(e)))
         else:
             results.append(run_test(
-                bench_binary, "throughput regression exits 1",
+                binary, "throughput regression exits 1",
                 BENCH_GRID + [f"--baseline={fast}"],
                 expect_exit=1,
                 expect_patterns=[r"REGRESSION .*throughput"]))
@@ -310,7 +307,7 @@ def bench_tests(bench_binary):
             results.append(TestResult("doctor modeled baseline", False, str(e)))
         else:
             results.append(run_test(
-                bench_binary, "modeled drift exits 1",
+                binary, "modeled drift exits 1",
                 BENCH_GRID + [f"--baseline={drift}"],
                 expect_exit=1,
                 expect_patterns=[r"REGRESSION .*modeled drift"]))
@@ -329,14 +326,14 @@ def bench_tests(bench_binary):
                                       str(e)))
         else:
             results.append(run_test(
-                bench_binary, "work-counter drift exits 1",
+                binary, "work-counter drift exits 1",
                 BENCH_GRID + [f"--baseline={work}"],
                 expect_exit=1,
                 expect_patterns=[r"REGRESSION .*work drift"]))
 
         # Exit 3: missing and malformed baselines.
         results.append(run_test(
-            bench_binary, "missing baseline exits 3",
+            binary, "missing baseline exits 3",
             BENCH_GRID + [f"--baseline={os.path.join(tmp, 'nope.json')}"],
             expect_exit=3,
             expect_patterns=[r"baseline error"]))
@@ -344,38 +341,40 @@ def bench_tests(bench_binary):
         with open(broken, "w", encoding="utf-8") as f:
             f.write('{"bench": truncated')
         results.append(run_test(
-            bench_binary, "malformed baseline exits 3",
+            binary, "malformed baseline exits 3",
             BENCH_GRID + [f"--baseline={broken}"],
             expect_exit=3,
             expect_patterns=[r"baseline error"]))
 
         # Exit 3: a baseline recorded with different knobs is unusable.
         results.append(run_test(
-            bench_binary, "knob-mismatched baseline exits 3",
+            binary, "knob-mismatched baseline exits 3",
             BENCH_GRID + [f"--baseline={baseline}", "--scheduler=dense"],
             expect_exit=3,
             expect_patterns=[r"baseline error: baseline was recorded with"]))
 
         # Exit 2: usage errors.
         results.append(run_test(
-            bench_binary, "unknown flag exits 2",
-            ["--no-such-flag"],
+            binary, "unknown flag exits 2",
+            ["bench", "--no-such-flag"],
             expect_exit=2,
             expect_patterns=[r"error: unknown option"]))
+        # One baseline cell may vouch for one run only: Full and PC4-MB8
+        # are both all_to_all@16.
         results.append(run_test(
-            bench_binary, "malformed tolerance exits 2",
-            BENCH_GRID + ["--tolerance=2.0"],
+            binary, "duplicate cell key exits 2",
+            ["bench", "--apps=all_to_all", "--states=Full,PC4-MB8"],
             expect_exit=2,
-            expect_patterns=[r"--tolerance must be in"]))
+            expect_patterns=[r"share the key 'all_to_all@16'"]))
         # Packet-fabric cells are keyed app@cores@fabric: drift in the
         # bustree cell must be reported against that cell, not the MoT one.
-        noc_grid = ["--cores=16", "--patterns=all_to_all", "--scale=0.005",
+        noc_grid = ["bench", "--apps=all_to_all", "--scale=0.005",
                     "--fabrics=mot,bustree"]
         noc_base = os.path.join(tmp, "noc_baseline.json")
         results.append(run_test(
-            bench_binary, "bench_scale records a MoT + bustree baseline",
-            noc_grid + [f"--baseline={noc_base}", "--update-baseline"],
-            expect_patterns=[r"baseline updated"]))
+            binary, "bench records a MoT + bustree baseline",
+            noc_grid + [f"--json={noc_base}"],
+            expect_patterns=[r"report written to"]))
         noc_drift = os.path.join(tmp, "noc_drifted.json")
         try:
             with open(noc_base, encoding="utf-8") as f:
@@ -389,23 +388,25 @@ def bench_tests(bench_binary):
             results.append(TestResult("doctor bustree baseline", False, str(e)))
         else:
             results.append(run_test(
-                bench_binary, "bustree drift is reported by its fabric key",
+                binary, "bustree drift is reported by its fabric key",
                 noc_grid + [f"--baseline={noc_drift}"],
                 expect_exit=1,
                 expect_patterns=[r"REGRESSION all_to_all@16@bustree: modeled"],
                 forbid_patterns=[r"REGRESSION all_to_all@16:"]))
 
         results.append(run_test(
-            bench_binary, "unknown fabric exits 2",
+            binary, "unknown fabric exits 2",
             BENCH_GRID + ["--fabrics=mot,ring"],
             expect_exit=2,
             expect_patterns=[r"unknown fabric 'ring'"]))
-        # The packet-switched builders wire only the paper's 16x32 shape.
+        # The packet-switched builders wire only the paper's 16x32 shape:
+        # a scale-out packet cell fails like any other failed run.
         results.append(run_test(
-            bench_binary, "packet fabric at 64 cores exits 2",
-            ["--fabrics=mesh3d", "--cores=64"],
-            expect_exit=2,
-            expect_patterns=[r"run only --cores=16"]))
+            binary, "packet fabric at 64 cores exits 1",
+            ["bench", "--fabrics=mesh3d", "--states=Full64x128",
+             "--apps=all_to_all", "--scale=0.005"],
+            expect_exit=1,
+            expect_patterns=[r"16-core/32-bank"]))
     return results
 
 
@@ -662,8 +663,7 @@ def main():
     parser.add_argument("--full", action="store_true",
                         help="also re-verify every golden baseline")
     parser.add_argument("--bench", action="store_true",
-                        help="also exercise the bench_scale guardrail contract")
-    parser.add_argument("--bench-binary", default="./bench_scale")
+                        help="also exercise the bench guardrail contract")
     parser.add_argument("--obs", action="store_true",
                         help="also exercise the observability contract")
     parser.add_argument("--serve", action="store_true",
@@ -675,7 +675,7 @@ def main():
     if opts.full:
         results += full_tests(opts.binary)
     if opts.bench:
-        results += bench_tests(opts.bench_binary)
+        results += bench_tests(opts.binary)
     if opts.obs:
         results += obs_tests(opts.binary)
     if opts.serve:

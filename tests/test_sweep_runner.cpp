@@ -31,11 +31,21 @@ std::vector<SweepRunner::Task> fig6_style_tasks() {
   return tasks;
 }
 
+/// run_isolated's results with every task required to have succeeded.
+std::vector<cluster::SimResult> results_of(SweepRunner& runner) {
+  std::vector<cluster::SimResult> out;
+  for (IsolatedResult& r : runner.run_isolated(fig6_style_tasks())) {
+    EXPECT_TRUE(r.ok()) << r.error;
+    out.push_back(std::move(r.result));
+  }
+  return out;
+}
+
 TEST(SweepRunner, SingleVsFourThreadsIdenticalOrderedResults) {
   SweepRunner serial(1);
   SweepRunner parallel(4);
-  const auto a = serial.run(fig6_style_tasks());
-  const auto b = parallel.run(fig6_style_tasks());
+  const auto a = results_of(serial);
+  const auto b = results_of(parallel);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].app, b[i].app) << i;
@@ -52,7 +62,7 @@ TEST(SweepRunner, SingleVsFourThreadsIdenticalOrderedResults) {
 
 TEST(SweepRunner, ResultsArriveInTaskOrder) {
   SweepRunner runner(4);
-  const auto results = runner.run(fig6_style_tasks());
+  const auto results = results_of(runner);
   ASSERT_EQ(results.size(), 8u);
   EXPECT_EQ(results[0].app, "fft");
   EXPECT_EQ(results[0].fabric, "3-D MoT");
@@ -62,7 +72,7 @@ TEST(SweepRunner, ResultsArriveInTaskOrder) {
 
 TEST(SweepRunner, TelemetryAccumulates) {
   SweepRunner runner(2);
-  const auto results = runner.run(fig6_style_tasks());
+  const auto results = results_of(runner);
   const PerfTelemetry& t = runner.telemetry();
   EXPECT_EQ(t.threads, 2u);
   EXPECT_EQ(t.runs, results.size());
