@@ -31,6 +31,10 @@ MotInterconnect::MotInterconnect(const MotTimingModel& timing,
 void MotInterconnect::configure(const PowerState& state) {
   state_ = state;
   state_timing_ = timing_.timing(state);
+  for (const bool line : {false, true}) {
+    request_pj_[line] = timing_.request_energy_pj(state, line);
+    response_pj_[line] = timing_.response_energy_pj(state, line);
+  }
   routing_.configure(state);
   for (ArbitrationTree& at : bank_arbiters_) at.configure(state);
   // Rebuild the waiter index from the slots.  Reconfiguration normally
@@ -85,7 +89,7 @@ bool MotInterconnect::try_inject_request(const MemRequest& req, Cycle now) {
   slot.valid = true;
   add_waiter(req.core, slot.physical_bank);
   ++stats_.requests_injected;
-  dynamic_energy_pj_ += timing_.request_energy_pj(state_, req.is_write);
+  dynamic_energy_pj_ += request_pj_[req.is_write];
   return true;
 }
 
@@ -93,7 +97,7 @@ bool MotInterconnect::try_inject_response(const MemResponse& resp, Cycle now) {
   responses_.push_back(PendingResponse{resp, now + state_timing_.response_cycles});
   ++stats_.responses_injected;
   // Read responses carry the refilled line; write acks are header-only.
-  dynamic_energy_pj_ += timing_.response_energy_pj(state_, !resp.is_write);
+  dynamic_energy_pj_ += response_pj_[!resp.is_write];
   return true;
 }
 

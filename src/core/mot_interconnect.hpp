@@ -18,6 +18,7 @@
 //    latencies (Fig. 5 / Table I).
 #pragma once
 
+#include <array>
 #include <optional>
 #include <vector>
 
@@ -111,6 +112,10 @@ class MotInterconnect final : public Interconnect {
   IndexSet pending_banks_;
   std::vector<CoreId> candidates_;         ///< tick() scratch (eligible waiters)
   std::vector<unsigned> bank_fault_penalty_;  ///< extra hold per physical bank
+  /// Dynamic energy of one request / response traversal in state_,
+  /// indexed by whether it carries a line; set by configure().
+  std::array<double, 2> request_pj_{};
+  std::array<double, 2> response_pj_{};
   double dynamic_energy_pj_ = 0.0;
   double fault_retry_pj_ = 0.0;
   double fault_retry_pj_per_grant_ = 0.0;

@@ -6,6 +6,8 @@
 //   * laterally to its column neighbours within a layer,
 //   * vertically to the tiles above/below (bond layer + TSV copper),
 //   * from the core die into the sink (the only path to ambient).
+// The solver keeps the grid's own conductances: one lateral value per
+// layer, one vertical value per layer interface and the sink on layer 0.
 //
 // dT_i/dt = (P_i + sum_j G_ij (T_j - T_i) + G_sink_i (T_amb - T_i)) / C_i
 //
@@ -15,6 +17,11 @@
 // thinking about stiffness.  All arithmetic is straight double evaluation
 // in a fixed order — results are bit-identical across schedulers and
 // thread counts, which the golden suite relies on.
+//
+// steady_state() is Gauss-Seidel in tile-index order, evaluated along
+// wavefronts (layer + column = const).  The reordering keeps every read
+// an index-order sweep makes, so it returns the same doubles after the
+// same number of sweeps (DESIGN.md "RC solver").
 #pragma once
 
 #include <cstddef>
@@ -43,8 +50,9 @@ class ThermalRcSolver {
   void step(const std::vector<double>& power_w, double dt_s);
 
   /// Steady-state temperatures for constant `power_w`, by Gauss-Seidel
-  /// sweeps to a fixed tolerance (deterministic order and iteration
-  /// count); does not modify the transient state.
+  /// sweeps from the transient state to a fixed tolerance (deterministic
+  /// order and sweep count, at most 20 000 sweeps); does not modify the
+  /// transient state.
   std::vector<double> steady_state(const std::vector<double>& power_w) const;
 
   /// Replace the transient state (e.g. warm-start from a steady solve).
@@ -56,21 +64,17 @@ class ThermalRcSolver {
   double peak_layer_c(std::size_t layer) const;
 
  private:
-  struct Edge {
-    std::size_t other;
-    double g_w_k;
-  };
-
   std::size_t layers_;
   std::size_t columns_;
   double ambient_c_;
   double stable_dt_s_;
-  std::vector<double> cap_;                 ///< C_i, J/K
-  std::vector<double> sink_g_;              ///< G to ambient, W/K
-  std::vector<double> g_sum_;               ///< sum of all conductances at i
-  std::vector<std::vector<Edge>> edges_;    ///< adjacency (both directions)
-  std::vector<double> temp_;                ///< transient state, °C
-  std::vector<double> scratch_;             ///< step() double-buffer
+  std::vector<double> lateral_g_;   ///< per layer: G between column neighbours, W/K
+  std::vector<double> vertical_g_;  ///< per interface: G from layer l to l+1, W/K
+  double sink_g_;                   ///< G of each core-die tile to ambient, W/K
+  std::vector<double> cap_;         ///< C_i, J/K
+  std::vector<double> g_sum_;       ///< sum of all conductances at i
+  std::vector<double> temp_;        ///< transient state, °C
+  std::vector<double> scratch_;     ///< step() double-buffer
 };
 
 }  // namespace mot3d::thermal

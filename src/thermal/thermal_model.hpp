@@ -170,6 +170,10 @@ class ThermalModel {
   double tile_leak_w(const ThermalSources& src, std::size_t i, double t_c) const;
 
   /// Steady-state temperatures under `src` with the leakage fixed point.
+  /// Each iteration is one ThermalRcSolver::steady_state() solve (the
+  /// wavefront Gauss-Seidel, DESIGN.md "RC solver"), seeded from the
+  /// transient state rather than the previous iterate; at the warm start
+  /// that state is ambient, so every iteration pays a full solve.
   std::vector<double> steady_fixed_point(const ThermalSources& src) const;
 
   ThermalConfig cfg_;

@@ -1,17 +1,25 @@
-// Heap allocations per L2 miss on the memory-side hot path.  This file
-// replaces the global operator new to count calls, so it links into its
-// own test executable (mot3d_alloc_tests) rather than mot3d_tests.
+// Heap allocations on two hot paths: per L2 miss on the memory side, and
+// per MoT request round trip.  This file replaces the global operator new
+// to count calls, so it links into its own test executable
+// (mot3d_alloc_tests) rather than mot3d_tests.
 //
-// Eight banks each take a fresh line every 40 cycles, so every access
-// misses and rides the Miss bus to DRAM and back.  After a warm-up that
-// lets every queue and heap reach its steady-state capacity, a miss may
-// allocate only for the rare std::deque block turnover in the Miss-bus
+// L2 misses: eight banks each take a fresh line every 40 cycles, so every
+// access misses and rides the Miss bus to DRAM and back.  After a warm-up
+// that lets every queue and heap reach its steady-state capacity, a miss
+// may allocate only for the rare std::deque block turnover in the Miss-bus
 // request queues — not per read.
+//
+// MoT round trips: every core injects whenever its circuit is free, and
+// each request the fabric delivers is answered the same cycle.  After
+// warm-up, a round trip allocates nothing: the message energies are a
+// per-state table.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <new>
 
+#include "cacti/sram_model.hpp"
+#include "core/mot_interconnect.hpp"
 #include "mem/dram.hpp"
 #include "mem/l2_system.hpp"
 #include "memory_test_doubles.hpp"
@@ -52,6 +60,7 @@ TEST(L2MissAllocations, FewerThanHalfAnAllocationPerMiss) {
   for (Cycle t = 0; t < kWarmup + kMeasured; ++t) {
     if (t == kWarmup) {
       misses_at_start = l2.stats().misses;
+      g_allocations = 0;
       g_counting = true;
     }
     if (t % kPeriod == 0) {
@@ -79,6 +88,55 @@ TEST(L2MissAllocations, FewerThanHalfAnAllocationPerMiss) {
   RecordProperty("allocations_per_miss", std::to_string(per_miss));
   EXPECT_LT(per_miss, 0.5) << g_allocations << " allocations over " << misses
                            << " misses";
+}
+
+TEST(MotRoundTripAllocations, NoAllocationPerRequest) {
+  constexpr Cycle kWarmup = 2'000;
+  constexpr Cycle kMeasured = 20'000;
+
+  const core::MotTimingModel model(phys::default_technology(),
+                                   phys::FloorplanParams{},
+                                   cacti::SramBankConfig{});
+  const core::PowerState full = core::PowerState::full();
+  core::MotInterconnect icn(model, full);
+
+  std::uint64_t next_id = 0;
+  std::uint64_t requests_at_start = 0;
+  for (Cycle t = 0; t < kWarmup + kMeasured; ++t) {
+    if (t == kWarmup) {
+      requests_at_start = icn.stats().requests_injected;
+      g_allocations = 0;
+      g_counting = true;
+    }
+    // Every core retries each cycle; half the requests carry a line.
+    for (CoreId c = 0; c < full.total_cores(); ++c) {
+      const MemRequest req{.id = next_id,
+                           .core = c,
+                           .bank = static_cast<BankId>((c * 7 + t) % full.total_banks()),
+                           .is_write = next_id % 2 == 0,
+                           .issue_cycle = t};
+      if (icn.try_inject_request(req, t)) ++next_id;
+    }
+    icn.tick(t);
+    for (const MemRequest& r : icn.delivered_requests()) {
+      icn.try_inject_response(MemResponse{.id = r.id,
+                                          .core = r.core,
+                                          .bank = r.bank,
+                                          .is_write = r.is_write,
+                                          .issue_cycle = r.issue_cycle},
+                              t);
+    }
+    icn.clear_deliveries();
+  }
+  g_counting = false;
+
+  const std::uint64_t requests = icn.stats().requests_injected - requests_at_start;
+  ASSERT_GT(requests, kMeasured);
+  const double per_request =
+      static_cast<double>(g_allocations) / static_cast<double>(requests);
+  RecordProperty("allocations_per_request", std::to_string(per_request));
+  EXPECT_LT(per_request, 0.01) << g_allocations << " allocations over "
+                               << requests << " requests";
 }
 
 }  // namespace

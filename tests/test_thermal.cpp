@@ -1,11 +1,16 @@
 // Thermal subsystem tests: floorplan derivation, RC solver physics
-// (closed-form steady state, dt stability), leakage monotonicity and the
-// shared temperature law, governor hysteresis/duty-cycling, the
+// (closed-form steady state, dt stability), a bitwise oracle for the
+// solver against the adjacency-list solve it replaced, leakage
+// monotonicity and the shared temperature law, governor hysteresis/duty-cycling, the
 // EnergyLedger delta API, and end-to-end determinism of thermal runs
 // across schedulers.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iomanip>
+#include <limits>
+#include <random>
 
 #include "cacti/sram_model.hpp"
 #include "cluster/advisor.hpp"
@@ -134,6 +139,255 @@ TEST(ThermalRcSolver, ExplicitSteppingIsStableFarBeyondTheBound) {
     EXPECT_TRUE(std::isfinite(t));
     EXPECT_GE(t, 45.0 - 1e-9);
     EXPECT_LT(t, bound);
+  }
+}
+
+// ---- bitwise oracle for the RC solver ---------------------------------------
+
+/// The adjacency-list solver that ThermalRcSolver's grid form replaced:
+/// constructor, step() and steady_state() word for word, plus a count of
+/// the sweeps the last steady_state() ran.  ThermalRcSolver must return
+/// the same bits.
+class ReferenceRcSolver {
+ public:
+  ReferenceRcSolver(const ThermalFloorplan& flp, double ambient_c)
+      : layers_(flp.layers()), columns_(flp.columns()), ambient_c_(ambient_c) {
+    const std::size_t n = flp.tile_count();
+    cap_.resize(n);
+    sink_g_.assign(n, 0.0);
+    g_sum_.assign(n, 0.0);
+    edges_.assign(n, {});
+    temp_.assign(n, ambient_c_);
+    scratch_.assign(n, ambient_c_);
+
+    for (std::size_t i = 0; i < n; ++i) cap_[i] = flp.tiles()[i].capacitance_j_k;
+
+    auto connect = [this](std::size_t a, std::size_t b, double g) {
+      edges_[a].push_back({b, g});
+      edges_[b].push_back({a, g});
+      g_sum_[a] += g;
+      g_sum_[b] += g;
+    };
+
+    for (std::size_t layer = 0; layer < layers_; ++layer) {
+      const double lat = flp.lateral_g_w_k(layer);
+      for (std::size_t col = 0; col + 1 < columns_; ++col) {
+        connect(flp.tile_index(layer, col), flp.tile_index(layer, col + 1), lat);
+      }
+    }
+    for (std::size_t layer = 0; layer + 1 < layers_; ++layer) {
+      const double vert = flp.vertical_g_w_k(layer);
+      for (std::size_t col = 0; col < columns_; ++col) {
+        connect(flp.tile_index(layer, col), flp.tile_index(layer + 1, col), vert);
+      }
+    }
+    const double sink = flp.sink_g_w_k();
+    for (std::size_t col = 0; col < columns_; ++col) {
+      const std::size_t i = flp.tile_index(0, col);
+      sink_g_[i] = sink;
+      g_sum_[i] += sink;
+    }
+
+    stable_dt_s_ = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (g_sum_[i] > 0.0) stable_dt_s_ = std::min(stable_dt_s_, cap_[i] / g_sum_[i]);
+    }
+  }
+
+  void step(const std::vector<double>& power_w, double dt_s) {
+    if (dt_s <= 0.0) return;
+    const double max_sub = kStabilitySafety * stable_dt_s_;
+    const auto substeps =
+        static_cast<std::size_t>(std::max(1.0, std::ceil(dt_s / max_sub)));
+    const double dt_sub = dt_s / static_cast<double>(substeps);
+
+    const std::size_t n = cap_.size();
+    for (std::size_t s = 0; s < substeps; ++s) {
+      for (std::size_t i = 0; i < n; ++i) {
+        double flow_w = power_w[i] + sink_g_[i] * (ambient_c_ - temp_[i]);
+        for (const Edge& e : edges_[i]) flow_w += e.g_w_k * (temp_[e.other] - temp_[i]);
+        scratch_[i] = temp_[i] + dt_sub * flow_w / cap_[i];
+      }
+      temp_.swap(scratch_);
+    }
+  }
+
+  std::vector<double> steady_state(const std::vector<double>& power_w) {
+    const std::size_t n = cap_.size();
+    // Seed from the transient state: close to the answer during a run.
+    std::vector<double> t = temp_;
+    sweeps_ = 0;
+    for (std::size_t sweep = 0; sweep < kSteadyMaxSweeps; ++sweep) {
+      ++sweeps_;
+      double max_delta = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (g_sum_[i] <= 0.0) continue;  // isolated node: keep its seed
+        double num = power_w[i] + sink_g_[i] * ambient_c_;
+        for (const Edge& e : edges_[i]) num += e.g_w_k * t[e.other];
+        const double next = num / g_sum_[i];
+        max_delta = std::max(max_delta, std::abs(next - t[i]));
+        t[i] = next;
+      }
+      if (max_delta < kSteadyTolC) break;
+    }
+    return t;
+  }
+
+  void set_temperatures(const std::vector<double>& temps_c) { temp_ = temps_c; }
+  const std::vector<double>& temperatures_c() const { return temp_; }
+  double stable_dt_s() const { return stable_dt_s_; }
+  /// Sweeps the last steady_state() ran.
+  std::size_t sweeps() const { return sweeps_; }
+
+  static constexpr std::size_t kSteadyMaxSweeps = 20000;
+
+ private:
+  static constexpr double kStabilitySafety = 0.5;
+  static constexpr double kSteadyTolC = 1e-9;
+
+  struct Edge {
+    std::size_t other;
+    double g_w_k;
+  };
+
+  std::size_t layers_;
+  std::size_t columns_;
+  double ambient_c_;
+  double stable_dt_s_;
+  std::vector<double> cap_;
+  std::vector<double> sink_g_;
+  std::vector<double> g_sum_;
+  std::vector<std::vector<Edge>> edges_;
+  std::vector<double> temp_;
+  std::vector<double> scratch_;
+  std::size_t sweeps_ = 0;
+};
+
+/// Byte equality of two temperature vectors, naming the first tile that
+/// differs.
+::testing::AssertionResult SameBits(const std::vector<double>& got,
+                                    const std::vector<double>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " != " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "tile " << i << ": " << std::setprecision(17) << got[i]
+             << " != " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+ThermalFloorplan floorplan_of(std::size_t columns, ThermalStackParams stack = {}) {
+  phys::FloorplanParams fp;
+  fp.max_cores = columns;
+  return ThermalFloorplan(fp, phys::default_technology(), stack);
+}
+
+/// Per-tile power, W: uniform up to 0.1 W per tile of the 16-column die,
+/// scaled to the tile width so every floorplan dissipates alike.
+std::vector<double> random_power(const ThermalFloorplan& flp, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> w(0.0, 0.1 * 16.0 / flp.columns());
+  std::vector<double> p(flp.tile_count());
+  for (double& x : p) x = w(rng);
+  return p;
+}
+
+/// A transient state to seed the solve from: 45 to 85 °C per tile.
+std::vector<double> random_temps(const ThermalFloorplan& flp, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> t(45.0, 85.0);
+  std::vector<double> out(flp.tile_count());
+  for (double& x : out) x = t(rng);
+  return out;
+}
+
+constexpr std::size_t kOracleColumns[] = {1, 2, 3, 16, 64, 256};
+
+TEST(ThermalRcOracle, SteadyStateIsBitIdenticalToTheAdjacencyListSolve) {
+  std::mt19937_64 rng(42);
+  bool odd_sweeps = false, even_sweeps = false;
+  for (std::size_t columns : kOracleColumns) {
+    SCOPED_TRACE(::testing::Message() << columns << " columns");
+    const ThermalFloorplan flp = floorplan_of(columns);
+    ThermalRcSolver solver(flp, 45.0);
+    ReferenceRcSolver reference(flp, 45.0);
+    // Wide grids run to the sweep cap, so they get fewer cases.
+    const int seeds = columns >= 64 ? 1 : 12;
+    for (int k = 0; k <= seeds; ++k) {
+      SCOPED_TRACE(::testing::Message() << "case " << k);
+      const std::vector<double> power = random_power(flp, rng);
+      if (k > 0) {  // case 0 starts from ambient, the others mid-run
+        const std::vector<double> seed = random_temps(flp, rng);
+        solver.set_temperatures(seed);
+        reference.set_temperatures(seed);
+      }
+      EXPECT_TRUE(SameBits(solver.steady_state(power), reference.steady_state(power)));
+      const std::size_t sweeps = reference.sweeps();
+      (sweeps % 2 == 1 ? odd_sweeps : even_sweeps) = true;
+      // From ambient the index-order solve does not converge on the wide
+      // grids, so the oracle covers the sweep cap too.
+      if (k == 0 && columns >= 64) {
+        EXPECT_EQ(sweeps, ReferenceRcSolver::kSteadyMaxSweeps);
+      }
+    }
+  }
+  // Solves end after odd and after even sweep counts, so a solver that
+  // stops a sweep late on either parity (as one running sweeps in pairs
+  // could) fails above.
+  EXPECT_TRUE(odd_sweeps);
+  EXPECT_TRUE(even_sweeps);
+}
+
+TEST(ThermalRcOracle, StepIsBitIdenticalToTheAdjacencyListStep) {
+  std::mt19937_64 rng(7);
+  for (std::size_t columns : kOracleColumns) {
+    SCOPED_TRACE(::testing::Message() << columns << " columns");
+    const ThermalFloorplan flp = floorplan_of(columns);
+    ThermalRcSolver solver(flp, 45.0);
+    ReferenceRcSolver reference(flp, 45.0);
+    ASSERT_EQ(solver.stable_dt_s(), reference.stable_dt_s());
+    const std::vector<double> seed = random_temps(flp, rng);
+    solver.set_temperatures(seed);
+    reference.set_temperatures(seed);
+    // One substep, then intervals that subdivide.
+    for (double dt : {0.25, 3.0, 40.0}) {
+      const std::vector<double> power = random_power(flp, rng);
+      solver.step(power, dt * solver.stable_dt_s());
+      reference.step(power, dt * reference.stable_dt_s());
+      EXPECT_TRUE(SameBits(solver.temperatures_c(), reference.temperatures_c()));
+    }
+  }
+}
+
+/// No bond and no TSVs: the stacked tiers of a one-column stack have no
+/// conductance at all (g_sum == 0), so the steady solve keeps their seed.
+TEST(ThermalRcOracle, IsolatedTiersMatchTheAdjacencyListToo) {
+  ThermalStackParams stack;
+  stack.k_bond_w_mk = 0.0;
+  stack.tsvs_per_column = 0;
+  const ThermalFloorplan flp = floorplan_of(1, stack);
+  ASSERT_EQ(flp.vertical_g_w_k(0), 0.0);
+  ThermalRcSolver solver(flp, 45.0);
+  ReferenceRcSolver reference(flp, 45.0);
+  ASSERT_EQ(solver.stable_dt_s(), reference.stable_dt_s());
+
+  std::mt19937_64 rng(11);
+  for (int k = 0; k < 4; ++k) {
+    const std::vector<double> power = random_power(flp, rng);
+    const std::vector<double> seed = random_temps(flp, rng);
+    solver.set_temperatures(seed);
+    reference.set_temperatures(seed);
+    const std::vector<double> steady = solver.steady_state(power);
+    EXPECT_TRUE(SameBits(steady, reference.steady_state(power)));
+    EXPECT_EQ(steady[flp.tile_index(1, 0)], seed[flp.tile_index(1, 0)]);
+    EXPECT_EQ(steady[flp.tile_index(2, 0)], seed[flp.tile_index(2, 0)]);
+
+    solver.step(power, 5.0 * solver.stable_dt_s());
+    reference.step(power, 5.0 * reference.stable_dt_s());
+    EXPECT_TRUE(SameBits(solver.temperatures_c(), reference.temperatures_c()));
   }
 }
 
