@@ -246,9 +246,11 @@ TEST(NocOrdering, BusTreeSaturatesUnderLoad) {
 // deliveries, each tick's responses before its requests as Cluster drains
 // them.  Any change to round-robin order, wormhole locking, back-pressure,
 // throttle pacing or next_event()'s drain bound moves the digest.  The
-// digests were recorded from the all-inputs scan that the occupancy-driven
-// tick replaced, with each tick's log stably reordered responses-first;
-// only a deliberate model change may move them.
+// first six digests were recorded from the all-inputs scan that the
+// occupancy-driven tick replaced, with each tick's log stably reordered
+// responses-first; the last three from the output-first switch allocator
+// (every output scanning the inputs for a head routed to it).  Only a
+// deliberate model change may move them.
 // ---------------------------------------------------------------------------
 struct OrderCase {
   const char* name;
@@ -257,6 +259,7 @@ struct OrderCase {
   unsigned router_pipeline_cycles = 1;
   std::uint32_t throttled_router = 0;
   unsigned throttle_cycles = 0;  ///< 0 = every router healthy
+  std::size_t buffer_flits = NocConfig{}.buffer_flits;
   const char* digest = "";
 };
 
@@ -266,6 +269,7 @@ std::string delivery_order_digest(const OrderCase& c) {
   NocConfig cfg;
   cfg.link_cycles = c.link_cycles;
   cfg.router_pipeline_cycles = c.router_pipeline_cycles;
+  cfg.buffer_flits = c.buffer_flits;
   auto icn = make_noc(c.topology, cfg, power_model());
   if (c.throttle_cycles > 0) {
     icn->set_router_throttle(c.throttled_router, c.throttle_cycles);
@@ -365,7 +369,25 @@ INSTANTIATE_TEST_SUITE_P(
                   .topology = NocTopology::kHybridBusMesh, .link_cycles = 0,
                   .router_pipeline_cycles = 0,
                   .digest =
-                      "8ed8e08c58a66e0af2b293b96a0dae52ec5f141dc53d859639370059c2b2f5ca"}),
+                      "8ed8e08c58a66e0af2b293b96a0dae52ec5f141dc53d859639370059c2b2f5ca"},
+        // The root (4 ports) and quad routers (6 ports) with their buses.
+        OrderCase{.name = "BusTreeZeroLatency",
+                  .topology = NocTopology::kHybridBusTree, .link_cycles = 0,
+                  .router_pipeline_cycles = 0,
+                  .digest =
+                      "04cf451ceedaa0f55232f8d3f7d4e81494214b2ec5e98a36e8debf57c5c17fab"},
+        // Router 5 is tile (1,1), which also feeds its own pillar bus.
+        OrderCase{.name = "BusMeshThrottled",
+                  .topology = NocTopology::kHybridBusMesh,
+                  .throttled_router = 5, .throttle_cycles = 2,
+                  .digest =
+                      "94efb89ec78ffc45dc5381631c2068707902d3b3d0202b7b1c567fa3c1f3ec38"},
+        // One-flit buffers: every worm spans several routers, so heads
+        // wait at the front of their queues through long back-pressure.
+        OrderCase{.name = "TrueMesh3dOneFlitBuffers",
+                  .topology = NocTopology::kTrueMesh3d, .buffer_flits = 1,
+                  .digest =
+                      "d1a51fcd86ba4630d571742edfde83a363ec6bec07b55b84c8db7a039ebe1d90"}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(NocConstruction, BuildersRejectShapesTheyCannotWire) {
