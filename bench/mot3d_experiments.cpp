@@ -466,14 +466,18 @@ int cmd_grid(const CliArgs& cli) {
 //
 // `bench` runs an ad-hoc grid one cell at a time on this thread with phase
 // timing on, and reports modeled results (cycles, instructions) next to
-// simulator work (core ticks) and throughput (cycles/s).  --baseline=<path>
-// compares each cell against a committed BENCH document in three tiers:
+// simulator work (core ticks, router-output visits) and throughput
+// (cycles/s).  --baseline=<path> compares each cell against a committed
+// BENCH document in three tiers:
 //  * cycles and instructions are modeled and deterministic, so they must
 //    match exactly — drift means simulator behaviour changed, and the
 //    baseline (with the goldens) needs a deliberate refresh;
-//  * core_ticks (Core::tick calls) is deterministic host work, so it must
-//    match exactly when the baseline records it: a scheduler that ticks
-//    more cores fails even on a host fast enough to hide the cost;
+//  * core_ticks (Core::tick calls) and output_visits (a packet fabric's
+//    router (output, VC) arbitration attempts; 0 on the MoT) are
+//    deterministic host work, so each must match exactly when the baseline
+//    records it: a scheduler that ticks more cores, or a switch allocator
+//    that visits idle outputs, fails even on a host fast enough to hide
+//    the cost;
 //  * cycles/s depends on the machine and its load, so a cell fails only
 //    below kThroughputFloor x its baseline — loose enough for shared-runner
 //    noise, tight enough for an O(cores) scan re-entering the hot path.
@@ -490,6 +494,7 @@ struct BenchCell {
   std::uint64_t cycles = 0;        ///< modeled
   std::uint64_t instructions = 0;  ///< modeled
   std::uint64_t core_ticks = 0;    ///< host work
+  std::uint64_t output_visits = 0; ///< host work (packet fabrics)
   double wall_seconds = 0.0;
   obs::PhaseSeconds phases;  ///< telemetry only, never compared
   std::string error;         ///< non-empty if the run threw
@@ -512,7 +517,8 @@ std::string bench_key(const std::string& app, std::size_t cores,
 struct BaselineCell {
   std::uint64_t cycles = 0;
   std::uint64_t instructions = 0;
-  std::optional<std::uint64_t> core_ticks;  ///< absent in older baselines
+  std::optional<std::uint64_t> core_ticks;     ///< absent in older baselines
+  std::optional<std::uint64_t> output_visits;  ///< absent in older baselines
   double cycles_per_second = 0.0;
 };
 
@@ -569,6 +575,7 @@ std::map<std::string, BaselineCell> load_baseline(
     const sim::JsonValue* app = c.find("app");
     const sim::JsonValue* fabric = c.find("fabric");
     const sim::JsonValue* ticks = c.find("core_ticks");
+    const sim::JsonValue* visits = c.find("output_visits");
     const sim::JsonValue* cps = c.find("cycles_per_second");
     const std::optional<std::uint64_t> cores = baseline_count(c.find("cores"));
     const std::optional<std::uint64_t> cycles = baseline_count(c.find("cycles"));
@@ -576,14 +583,15 @@ std::map<std::string, BaselineCell> load_baseline(
         baseline_count(c.find("instructions"));
     if (!app || app->type != Type::kString ||
         (fabric && fabric->type != Type::kString) || !cores || !cycles ||
-        !instrs || (ticks && !baseline_count(ticks)) || !cps ||
+        !instrs || (ticks && !baseline_count(ticks)) ||
+        (visits && !baseline_count(visits)) || !cps ||
         cps->type != Type::kNumber) {
       throw BaselineError("malformed cell in '" + path + "'");
     }
     const std::string key =
         bench_key(app->string, *cores, fabric ? fabric->string : "mot");
     if (!out.emplace(key, BaselineCell{*cycles, *instrs, baseline_count(ticks),
-                                       cps->number})
+                                       baseline_count(visits), cps->number})
              .second) {
       throw BaselineError("two cells of '" + path + "' share the key " + key);
     }
@@ -604,6 +612,7 @@ void run_bench_cell(BenchCell& c, const sim::ScenarioOptions& opt) {
     c.cycles = r.cycles;
     c.instructions = r.instructions;
     c.core_ticks = r.core_ticks;
+    c.output_visits = r.interconnect.output_visits;
     c.phases = r.phase_seconds;
   } catch (const std::exception& e) {
     c.error = e.what();
@@ -625,6 +634,7 @@ std::string bench_report(const sim::ScenarioOptions& opt,
         .set("cycles", c.cycles)
         .set("instructions", c.instructions)
         .set("core_ticks", c.core_ticks)
+        .set("output_visits", c.output_visits)
         .set("wall_seconds", c.wall_seconds)
         .set("cycles_per_second", c.cycles_per_second());
     if (c.phases.valid) {
@@ -671,6 +681,13 @@ int count_regressions(const std::vector<BenchCell>& cells,
                 << c.core_ticks << " vs baseline " << *b.core_ticks
                 << " (the scheduler changed how many cores it ticks; "
                    "refresh deliberately)\n";
+      ++regressions;
+    } else if (b.output_visits.has_value() &&
+               c.output_visits != *b.output_visits) {
+      std::cerr << "REGRESSION " << c.key << ": work drift — output_visits "
+                << c.output_visits << " vs baseline " << *b.output_visits
+                << " (the switch allocator changed how many router outputs "
+                   "it visits; refresh deliberately)\n";
       ++regressions;
     } else if (c.cycles_per_second() < kThroughputFloor * b.cycles_per_second) {
       std::cerr << "REGRESSION " << c.key << ": throughput "
@@ -732,7 +749,7 @@ int cmd_bench(const CliArgs& cli) {
               << sim::invalid_cell_reason() << ")\n";
   }
   std::cout << "  app                fabric    cores   banks        cycles  "
-            << "  core_ticks     wall_s      cycles/s\n";
+            << "  core_ticks  output_visits     wall_s      cycles/s\n";
   int failed = 0;
   for (BenchCell& c : cells) {
     run_bench_cell(c, opt);
@@ -741,12 +758,14 @@ int cmd_bench(const CliArgs& cli) {
       ++failed;
       continue;
     }
-    std::printf("  %-18s %-8s %6zu  %6zu  %12llu  %12llu  %9.3f  %12.0f\n",
-                c.run.app.c_str(), sim::fabric_key(c.run.fabric),
-                c.run.state.total_cores(), c.run.state.total_banks(),
-                static_cast<unsigned long long>(c.cycles),
-                static_cast<unsigned long long>(c.core_ticks), c.wall_seconds,
-                c.cycles_per_second());
+    std::printf(
+        "  %-18s %-8s %6zu  %6zu  %12llu  %12llu  %13llu  %9.3f  %12.0f\n",
+        c.run.app.c_str(), sim::fabric_key(c.run.fabric),
+        c.run.state.total_cores(), c.run.state.total_banks(),
+        static_cast<unsigned long long>(c.cycles),
+        static_cast<unsigned long long>(c.core_ticks),
+        static_cast<unsigned long long>(c.output_visits), c.wall_seconds,
+        c.cycles_per_second());
   }
   if (failed > 0) {
     std::cerr << failed << " cell(s) failed\n";

@@ -27,6 +27,11 @@ struct InterconnectStats {
   std::uint64_t responses_injected = 0;
   std::uint64_t responses_delivered = 0;
   std::uint64_t arbitration_wait_cycles = 0;  ///< (MoT) lost-arbitration cycles
+  /// (Packet fabrics) router (output, VC) arbitration attempts; always 0 on
+  /// the MoT.  Host work like SimResult::core_ticks, not a modeled number:
+  /// the dense scheduler ticks the fabric more often than the event one,
+  /// so the run JSON never carries it; `bench --baseline` matches it.
+  std::uint64_t output_visits = 0;
 };
 
 /// Cycle-driven transport.  The cluster drives tick() once per cycle after

@@ -8,8 +8,19 @@
 
 namespace mot3d::noc {
 
+namespace {
+
+/// The ports numbered `from` and up; `from` may be one past the last port.
+constexpr std::uint32_t ports_from(std::uint32_t from) {
+  return static_cast<std::uint32_t>(std::uint64_t{0xFFFFFFFF} << from);
+}
+
+}  // namespace
+
 NocNetwork::NocNetwork(const NocConfig& cfg)
-    : cfg_(cfg), endpoints_(cfg.num_endpoints()) {}
+    : cfg_(cfg),
+      endpoints_(cfg.num_endpoints()),
+      busy_nis_(cfg.num_endpoints()) {}
 
 std::uint32_t NocNetwork::add_router(std::size_t num_ports) {
   if (num_ports > kMaxRouterPorts) {
@@ -22,6 +33,7 @@ std::uint32_t NocNetwork::add_router(std::size_t num_ports) {
   r.out.resize(num_ports);
   r.route.assign(cfg_.num_endpoints(), 0);
   routers_.push_back(std::move(r));
+  busy_routers_ = IndexSet(routers_.size());  // nothing is buffered yet
   return static_cast<std::uint32_t>(routers_.size() - 1);
 }
 
@@ -36,6 +48,7 @@ std::uint32_t NocNetwork::add_bus(double wire_mm, unsigned cycles_per_flit) {
   b.cycles_per_flit = cycles_per_flit == 0 ? 1 : cycles_per_flit;
   b.route.assign(cfg_.num_endpoints(), Target{});
   buses_.push_back(std::move(b));
+  busy_buses_ = IndexSet(buses_.size());
   return static_cast<std::uint32_t>(buses_.size() - 1);
 }
 
@@ -56,7 +69,13 @@ void NocNetwork::set_endpoint_injection(NodeId e, Target target,
 }
 
 void NocNetwork::set_route(std::uint32_t router, NodeId dst, std::uint32_t out_port) {
-  routers_.at(router).route.at(dst) = out_port;
+  Router& r = routers_.at(router);
+  if (out_port >= r.out.size()) {
+    throw std::invalid_argument(
+        "route at router " + std::to_string(router) + " names port " +
+        std::to_string(out_port) + " of " + std::to_string(r.out.size()));
+  }
+  r.route.at(dst) = out_port;
 }
 
 void NocNetwork::set_router_throttle(std::uint32_t router, unsigned extra_cycles) {
@@ -80,37 +99,69 @@ bool NocNetwork::try_inject(const Packet& p, Cycle now) {
   return true;
 }
 
+void NocNetwork::request(Router& r, std::uint32_t port, const Flit& head) {
+  const std::uint32_t po = r.route[head.dst];
+  r.out[po].requests[head.vc] |= PortMask{1} << port;
+  r.requested[head.vc] |= PortMask{1} << po;
+}
+
+void NocNetwork::withdraw(Router& r, std::uint32_t port, const Flit& head) {
+  const std::uint32_t po = r.route[head.dst];
+  PortMask& requests = r.out[po].requests[head.vc];
+  requests &= ~(PortMask{1} << port);
+  if (requests == 0) r.requested[head.vc] &= ~(PortMask{1} << po);
+}
+
+// A queue's front changes only here: a push into an empty queue, or a pop.
+// Only then can a request appear or go, so the masks stay exact.
 void NocNetwork::push(Router& r, std::uint32_t port, const Flit& flit) {
-  r.in[port].q[flit.vc].push_back(flit);
-  ++r.buffered;
+  FlitQueue& q = r.in[port].q[flit.vc];
+  q.push_back(flit);
+  if (q.size() > 1) return;
   r.occupied[flit.vc] |= PortMask{1} << port;
+  if (flit.head) request(r, port, flit);
+  busy_routers_.insert(static_cast<std::size_t>(&r - routers_.data()));
 }
 
 void NocNetwork::pop(Router& r, std::uint32_t port, std::uint8_t vc) {
   FlitQueue& q = r.in[port].q[vc];
+  if (q.front().head) withdraw(r, port, q.front());
   q.pop_front();
-  --r.buffered;
-  if (q.empty()) r.occupied[vc] &= ~(PortMask{1} << port);
+  if (!q.empty()) {
+    if (q.front().head) request(r, port, q.front());
+    return;
+  }
+  r.occupied[vc] &= ~(PortMask{1} << port);
+  for (const PortMask m : r.occupied) {
+    if (m != 0) return;
+  }
+  busy_routers_.erase(static_cast<std::size_t>(&r - routers_.data()));
 }
 
 void NocNetwork::push(Bus& bus, std::uint32_t slot, const Flit& flit) {
   bus.slots[slot].push_back(flit);
-  ++bus.buffered;
+  if (bus.buffered++ == 0) {
+    busy_buses_.insert(static_cast<std::size_t>(&bus - buses_.data()));
+  }
 }
 
 void NocNetwork::pop(Bus& bus, std::uint32_t slot) {
   bus.slots[slot].pop_front();
-  --bus.buffered;
+  if (--bus.buffered == 0) {
+    busy_buses_.erase(static_cast<std::size_t>(&bus - buses_.data()));
+  }
 }
 
 void NocNetwork::push(EndpointNi& ni, const Flit& flit) {
   ni.inject_q.push_back(flit);
-  ++ni_flits_;
+  busy_nis_.insert(static_cast<std::size_t>(&ni - endpoints_.data()));
 }
 
 void NocNetwork::pop(EndpointNi& ni) {
   ni.inject_q.pop_front();
-  --ni_flits_;
+  if (ni.inject_q.empty()) {
+    busy_nis_.erase(static_cast<std::size_t>(&ni - endpoints_.data()));
+  }
 }
 
 bool NocNetwork::router_in_has_space(std::uint32_t router, std::uint32_t port,
@@ -167,22 +218,20 @@ bool NocNetwork::router_output_step(std::uint32_t ri, std::uint32_t po,
       chosen = op.locked_in[vc];
     }
   } else {
-    // Round-robin from `rr`: the occupied inputs at or after it in port
-    // order, then those before it.  Empty inputs are never visited.
-    auto first_eligible = [&](PortMask inputs) {
+    // Round-robin from `rr` over the inputs requesting this output: those
+    // at or after it in port order, then those before it.  Body flits
+    // never request (they follow their lock), and neither do inputs whose
+    // head is routed elsewhere.
+    auto first_ready = [&](PortMask inputs) {
       for (; inputs != 0; inputs &= inputs - 1) {
         const auto pi = static_cast<std::size_t>(std::countr_zero(inputs));
-        const Flit& f = r.in[pi].q[vc].front();
-        if (f.ready_at > now) continue;
-        if (!f.head) continue;  // body flits follow their lock
-        if (r.route.at(f.dst) != po) continue;
-        return static_cast<int>(pi);
+        if (r.in[pi].q[vc].front().ready_at <= now) return static_cast<int>(pi);
       }
       return -1;
     };
-    const PortMask from_rr = r.occupied[vc] & (~PortMask{0} << op.rr);
-    chosen = first_eligible(from_rr);
-    if (chosen < 0) chosen = first_eligible(r.occupied[vc] & ~from_rr);
+    const PortMask from_rr = op.requests[vc] & ports_from(op.rr);
+    chosen = first_ready(from_rr);
+    if (chosen < 0) chosen = first_ready(op.requests[vc] & ~from_rr);
   }
   if (chosen < 0) return false;
 
@@ -193,28 +242,33 @@ bool NocNetwork::router_output_step(std::uint32_t ri, std::uint32_t po,
   ++stats_.flit_router_traversals;
   if (flit.head && !flit.tail) {
     op.locked_in[vc] = chosen;
+    r.locked[vc] |= PortMask{1} << po;
   } else if (flit.tail) {
     op.locked_in[vc] = -1;
+    r.locked[vc] &= ~(PortMask{1} << po);
     op.rr = (static_cast<std::size_t>(chosen) + 1) % r.in.size();
   }
   return true;
 }
 
 void NocNetwork::tick(Cycle now) {
-  // Buses, routers and the NI phase whose occupancy is zero at their turn
-  // are skipped: an empty component moves nothing, and its round-robin
-  // pointers, wormhole locks and busy_until change only when a flit moves.
-  // Occupancy is read at each turn, not once per tick, so a flit handed on
-  // earlier in this tick is still seen (it may be ready now when
-  // link_cycles = router_pipeline_cycles = 0).
+  // Only the buses, routers and NIs in the busy sets take a turn, in
+  // ascending index order: an empty component moves nothing, and its
+  // round-robin pointers, wormhole locks and busy_until change only when a
+  // flit moves.  Each walk re-reads its set at every step, so a component
+  // handed a flit earlier in this tick still takes its turn when its index
+  // lies ahead (the flit may be ready now when link_cycles =
+  // router_pipeline_cycles = 0), exactly as a scan of every component
+  // would.
   //
   // 1. Buses: one flit per bus per cycle, wormhole-locked to the granted
   //    slot so multi-flit packets stay contiguous at the receiving router.
   //    The lock is *hard*: even if the owning slot has no flit ready this
   //    cycle, no other slot may use the bus — otherwise two packets
   //    interleave into one router input queue and break worm framing.
-  for (Bus& bus : buses_) {
-    if (bus.buffered == 0 || bus.busy_until > now) continue;
+  busy_buses_.for_each([&](std::size_t b) {
+    Bus& bus = buses_[b];
+    if (bus.busy_until > now) return;
     const std::size_t n = bus.slots.size();
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t s = bus.locked_slot >= 0
@@ -240,24 +294,41 @@ void NocNetwork::tick(Cycle now) {
       }
       break;  // one transfer per bus per slot time
     }
-  }
+  });
 
   // 2. Routers: every output port moves at most one flit per cycle,
   //    alternating fairly between the two virtual networks (requests may
   //    never starve responses, and vice versa).  A fault-throttled router
   //    is serialised: at most one flit total per window, then it pauses
   //    `throttle` cycles (degraded link retrains every transfer).
-  for (std::uint32_t ri = 0; ri < routers_.size(); ++ri) {
+  //
+  //    Allocation is input-first: an output takes a turn only on the VCs
+  //    where some input requests it or where it holds a wormhole lock; on
+  //    any other VC the full arbitration would pick nothing.  The outputs
+  //    are walked in port order and the masks re-read at every turn, so a
+  //    head that an earlier turn exposed at the front of its queue is seen
+  //    by a later output, as the scan of every output saw it.
+  busy_routers_.for_each([&](std::size_t ri) {
     Router& r = routers_[ri];
-    if (r.buffered == 0 || (r.throttle > 0 && r.busy_until > now)) continue;
+    if (r.throttle > 0 && r.busy_until > now) return;
+    auto in_play = [&r](std::uint8_t vc) {
+      return r.requested[vc] | r.locked[vc];
+    };
     bool moved = false;
-    for (std::uint32_t po = 0; po < r.out.size(); ++po) {
+    for (std::uint32_t po = 0;; ++po) {
+      PortMask outputs = 0;
+      for (std::uint8_t vc = 0; vc < kNumVcs; ++vc) outputs |= in_play(vc);
+      outputs &= ports_from(po);
+      if (outputs == 0) break;
+      po = static_cast<std::uint32_t>(std::countr_zero(outputs));
       OutPort& op = r.out[po];
       if (op.target.kind == Target::Kind::kNone) continue;
       const std::uint8_t first = op.vc_rr;
       for (std::uint8_t i = 0; i < kNumVcs; ++i) {
         const auto vc = static_cast<std::uint8_t>((first + i) % kNumVcs);
-        if (router_output_step(ri, po, vc, now)) {
+        if ((in_play(vc) >> po & 1) == 0) continue;
+        ++output_visits_;
+        if (router_output_step(static_cast<std::uint32_t>(ri), po, vc, now)) {
           op.vc_rr = static_cast<std::uint8_t>((vc + 1) % kNumVcs);
           moved = true;
           break;
@@ -266,29 +337,29 @@ void NocNetwork::tick(Cycle now) {
       if (moved && r.throttle > 0) break;  // serialised crossbar
     }
     if (moved && r.throttle > 0) r.busy_until = now + 1 + r.throttle;
-  }
+  });
 
   // 3. Endpoint NIs: one flit per cycle enters the fabric.
-  if (ni_flits_ == 0) return;
-  for (EndpointNi& ni : endpoints_) {
-    if (ni.inject_q.empty() || ni.inject_q.front().ready_at > now) continue;
+  busy_nis_.for_each([&](std::size_t e) {
+    EndpointNi& ni = endpoints_[e];
+    if (ni.inject_q.front().ready_at > now) return;
     const Target& t = ni.injection;
     Flit flit = ni.inject_q.front();
     if (t.kind == Target::Kind::kRouterPort) {
-      if (!router_in_has_space(t.index, t.port, flit.vc)) continue;
+      if (!router_in_has_space(t.index, t.port, flit.vc)) return;
       flit.ready_at = now + cfg_.router_pipeline_cycles;
       push(routers_[t.index], t.port, flit);
       pop(ni);
     } else if (t.kind == Target::Kind::kBus) {
       Bus& bus = buses_[t.index];
-      if (bus.slots.at(*ni.bus_slot).size() >= cfg_.buffer_flits) continue;
+      if (bus.slots.at(*ni.bus_slot).size() >= cfg_.buffer_flits) return;
       flit.ready_at = now + 1;
       push(bus, *ni.bus_slot, flit);
       pop(ni);
     } else {
       assert(false && "endpoint without injection wiring");
     }
-  }
+  });
 }
 
 bool NocNetwork::idle() const { return packets_.empty(); }
@@ -300,35 +371,48 @@ Cycle NocNetwork::next_event(Cycle now) const {
   // slot, or router input buffer); only heads can move, so the earliest
   // head ready_at bounds the next state change.  A head that is already
   // ready may still be blocked by back-pressure or wormhole locks, which
-  // this bound conservatively reports as "event now".  Empty NIs, buses
-  // and routers hold no head and are skipped via their occupancy.
-  if (ni_flits_ > 0) {
-    for (const EndpointNi& ni : endpoints_) {
-      if (ni.inject_q.empty()) continue;
-      if (ni.inject_q.front().ready_at <= now) return now;
-      next = std::min(next, ni.inject_q.front().ready_at);
+  // this bound conservatively reports as "event now".  Only the busy NIs,
+  // buses and routers hold a head.
+  auto each = [](const IndexSet& set, auto&& f) {
+    for (std::size_t i = set.next(0); i != IndexSet::npos; i = set.next(i + 1)) {
+      if (f(i)) return true;
     }
+    return false;
+  };
+  auto earliest = [&](Cycle ready) {
+    next = std::min(next, ready);
+    return ready <= now;
+  };
+  if (each(busy_nis_, [&](std::size_t e) {
+        return earliest(endpoints_[e].inject_q.front().ready_at);
+      })) {
+    return now;
   }
-  for (const Bus& bus : buses_) {
-    if (bus.buffered == 0) continue;
-    for (const FlitQueue& q : bus.slots) {
-      if (q.empty()) continue;
-      const Cycle ready = std::max(q.front().ready_at, bus.busy_until);
-      if (ready <= now) return now;
-      next = std::min(next, ready);
-    }
+  if (each(busy_buses_, [&](std::size_t b) {
+        const Bus& bus = buses_[b];
+        for (const FlitQueue& q : bus.slots) {
+          if (!q.empty() &&
+              earliest(std::max(q.front().ready_at, bus.busy_until))) {
+            return true;
+          }
+        }
+        return false;
+      })) {
+    return now;
   }
-  for (const Router& r : routers_) {
-    if (r.buffered == 0) continue;
-    for (std::uint8_t vc = 0; vc < kNumVcs; ++vc) {
-      for (PortMask m = r.occupied[vc]; m != 0; m &= m - 1) {
-        const auto pi = static_cast<std::size_t>(std::countr_zero(m));
-        Cycle ready = r.in[pi].q[vc].front().ready_at;
-        if (r.throttle > 0) ready = std::max(ready, r.busy_until);
-        if (ready <= now) return now;
-        next = std::min(next, ready);
-      }
-    }
+  if (each(busy_routers_, [&](std::size_t ri) {
+        const Router& r = routers_[ri];
+        for (std::uint8_t vc = 0; vc < kNumVcs; ++vc) {
+          for (PortMask m = r.occupied[vc]; m != 0; m &= m - 1) {
+            const auto pi = static_cast<std::size_t>(std::countr_zero(m));
+            Cycle ready = r.in[pi].q[vc].front().ready_at;
+            if (r.throttle > 0) ready = std::max(ready, r.busy_until);
+            if (earliest(ready)) return true;
+          }
+        }
+        return false;
+      })) {
+    return now;
   }
   return next;
 }

@@ -3,13 +3,15 @@
 // baselines (True 3-D Mesh, Hybrid Bus-Mesh [2], Hybrid Bus-Tree [21]).
 //
 // Router micro-architecture: input-buffered, one flit per output per cycle,
-// round-robin switch allocation, wormhole output locking (head locks, tail
-// releases), table-based routing (XYZ dimension-order for the mesh, up*/
-// down* on the tree — both deadlock-free), `router_pipeline_cycles` of
-// per-hop latency plus `link_cycles` of wire latency.  Back-pressure is by
-// buffer occupancy at the downstream input.  Endpoint ejection is always
-// accepted (sink consumption), which rules out protocol deadlock between
-// request and response traffic.
+// round-robin switch allocation (input-first: a head flit at the front of
+// its queue posts a request to the output its route names), wormhole
+// output locking (head locks, tail releases), table-based routing (XYZ
+// dimension-order for the mesh, up*/down* on the tree — both
+// deadlock-free), `router_pipeline_cycles` of per-hop latency plus
+// `link_cycles` of wire latency.  Back-pressure is by buffer occupancy at
+// the downstream input.  Endpoint ejection is always accepted (sink
+// consumption), which rules out protocol deadlock between request and
+// response traffic.
 //
 // TSV buses carry one flit per cycle, round-robin among their attachments —
 // the "dTDMA bus" of ref [2]; in the Bus-Tree topology each bus is shared
@@ -24,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/index_set.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/types.hpp"
 #include "noc/flit.hpp"
@@ -96,7 +99,8 @@ class NocNetwork {
   void set_endpoint_injection(NodeId e, Target target,
                               std::optional<std::uint32_t> bus_slot = {});
   /// Routing table entry: at `router`, packets for endpoint `dst` leave by
-  /// `out_port`.
+  /// `out_port`.  Throws std::invalid_argument when `out_port` is not one of
+  /// the router's ports.
   void set_route(std::uint32_t router, NodeId dst, std::uint32_t out_port);
 
   // ---- runtime ----
@@ -116,6 +120,11 @@ class NocNetwork {
 
   const NocConfig& config() const { return cfg_; }
   const NocTransportStats& transport_stats() const { return stats_; }
+  /// (router output, VC) arbitration attempts tick() has made.  Host work,
+  /// not a modeled number: each tick visits only the outputs with a request
+  /// or a lock, so a dense run that ticks every cycle makes more than an
+  /// event-driven one.
+  std::uint64_t output_visits() const { return output_visits_; }
   std::size_t num_routers() const { return routers_.size(); }
   std::size_t num_buses() const { return buses_.size(); }
 
@@ -130,7 +139,8 @@ class NocNetwork {
 
  private:
   using FlitQueue = RingBuffer<Flit>;
-  using PortMask = std::uint32_t;  ///< bit i = router input port i
+  using PortMask = std::uint32_t;  ///< bit i = router port i (input or output)
+  using VcMasks = std::array<PortMask, kNumVcs>;
 
   struct InPort {
     std::array<FlitQueue, kNumVcs> q;  ///< one buffer per virtual net
@@ -138,6 +148,7 @@ class NocNetwork {
   struct OutPort {
     Target target;
     std::array<int, kNumVcs> locked_in{-1, -1};  ///< wormhole lock per VC
+    VcMasks requests{};  ///< per VC: inputs whose front is a head routed here
     std::uint32_t rr = 0;      ///< round-robin pointer over inputs
     std::uint8_t vc_rr = 0;    ///< round-robin between virtual networks
   };
@@ -147,10 +158,12 @@ class NocNetwork {
     std::vector<std::uint32_t> route;  ///< per endpoint -> out port
     unsigned throttle = 0;   ///< fault: extra cycles per moved flit (0 = healthy)
     Cycle busy_until = 0;    ///< fault: serialisation pacing
-    // Occupancy, kept by push()/pop(): flits buffered over every input and
-    // VC, and per VC the inputs whose queue is non-empty.
-    std::size_t buffered = 0;
-    std::array<PortMask, kNumVcs> occupied{};
+    // Per VC, kept by push()/pop() (and, for `locked`, where a lock is
+    // taken or released): the inputs whose queue is non-empty, the
+    // outputs with a request, and the outputs holding a wormhole lock.
+    VcMasks occupied{};
+    VcMasks requested{};
+    VcMasks locked{};
   };
   struct Bus {
     std::vector<FlitQueue> slots;  ///< one FIFO per attachment
@@ -170,15 +183,20 @@ class NocNetwork {
   };
 
   // Every flit enters and leaves a FIFO through push()/pop(), which keep
-  // the occupancy summaries (Router::buffered/occupied, Bus::buffered,
-  // ni_flits_) equal to what a scan of the queues would find.  tick() and
-  // next_event() skip whatever they say is empty.
-  static void push(Router& r, std::uint32_t port, const Flit& flit);
-  static void pop(Router& r, std::uint32_t port, std::uint8_t vc);
-  static void push(Bus& bus, std::uint32_t slot, const Flit& flit);
-  static void pop(Bus& bus, std::uint32_t slot);
+  // the summaries (a router's masks, Bus::buffered and the busy sets) equal
+  // to what a scan of the queues would find.  tick() and next_event() walk
+  // only the busy components, and a router only its requested or locked
+  // outputs.
+  void push(Router& r, std::uint32_t port, const Flit& flit);
+  void pop(Router& r, std::uint32_t port, std::uint8_t vc);
+  void push(Bus& bus, std::uint32_t slot, const Flit& flit);
+  void pop(Bus& bus, std::uint32_t slot);
   void push(EndpointNi& ni, const Flit& flit);
   void pop(EndpointNi& ni);
+  /// Post (or withdraw) input `port`'s request for the output its front
+  /// flit `head` is routed to.
+  static void request(Router& r, std::uint32_t port, const Flit& head);
+  static void withdraw(Router& r, std::uint32_t port, const Flit& head);
 
   bool deliver_to_target(const Target& t, Flit flit, Cycle now);
   void eject(const Flit& flit, Cycle now);
@@ -197,7 +215,11 @@ class NocNetwork {
   Delivery delivery_;
   NocTransportStats stats_;
   double total_link_mm_ = 0.0;
-  std::size_t ni_flits_ = 0;  ///< flits in every NI inject queue (push()/pop())
+  std::uint64_t output_visits_ = 0;
+  // The components that buffer a flit, kept by push()/pop().
+  IndexSet busy_routers_;
+  IndexSet busy_buses_;
+  IndexSet busy_nis_;
 };
 
 /// Builders for the paper's three baselines (16 cores, 32 banks over two

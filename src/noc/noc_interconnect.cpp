@@ -88,7 +88,10 @@ bool NocInterconnect::try_inject_response(const MemResponse& resp, Cycle now) {
   return true;
 }
 
-void NocInterconnect::tick(Cycle now) { net_.tick(now); }
+void NocInterconnect::tick(Cycle now) {
+  net_.tick(now);
+  stats_.output_visits = net_.output_visits();
+}
 
 double NocInterconnect::dynamic_energy_pj() const {
   const NocTransportStats& s = net_.transport_stats();

@@ -26,6 +26,7 @@ TEST(Cluster, RunsToCompletionOnMot) {
   EXPECT_GT(r.instructions, 10000u);
   EXPECT_EQ(r.cores.size(), 16u);
   EXPECT_EQ(r.fabric, "3-D MoT");
+  EXPECT_EQ(r.interconnect.output_visits, 0u);  // no packet routers
 }
 
 TEST(Cluster, DeterministicAcrossRuns) {
@@ -106,6 +107,7 @@ TEST(Cluster, NocFabricsRunToCompletion) {
     EXPECT_GT(r.cycles, 1000u) << fabric_name(f);
     EXPECT_EQ(r.interconnect.requests_injected, r.interconnect.responses_delivered)
         << fabric_name(f);
+    EXPECT_GT(r.interconnect.output_visits, 0u) << fabric_name(f);
   }
 }
 

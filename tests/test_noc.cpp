@@ -424,6 +424,23 @@ TEST(NocConstruction, RouterPortsAreBoundedByTheOccupancyMask) {
   EXPECT_EQ(net.num_routers(), 1u);
 }
 
+TEST(NocConstruction, RoutesMustNameAPortOfTheRouter) {
+  // A head routed to a missing port would never match an output and would
+  // surface much later as a deadlock; the table rejects it instead.
+  NocNetwork net(NocConfig{});
+  const std::uint32_t r = net.add_router(4);
+  EXPECT_NO_THROW(net.set_route(r, 0, 3));
+  try {
+    net.set_route(r, 1, 4);
+    ADD_FAILURE() << "a route to port 4 of a 4-port router was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("names port 4 of 4"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(net.set_route(r, 2, 1000), std::invalid_argument);
+}
+
 TEST(NocConstruction, WidestRouterServesEveryPortInRoundRobinOrder) {
   // Port 31 is the top bit of the occupancy masks.  Every port of a
   // 32-port crossbar sends one flit to port 0 at cycle 0; they must leave
@@ -451,6 +468,54 @@ TEST(NocConstruction, WidestRouterServesEveryPortInRoundRobinOrder) {
   for (std::uint32_t i = 0; i < kPorts; ++i) {
     EXPECT_EQ(got[i].first, i + 1);
     EXPECT_EQ(got[i].second, got[0].second + i);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The switch allocator's work counter.  On an idle True 3-D Mesh ticked
+// only at the cycles next_event() names, a 1-flit packet makes exactly one
+// (output, VC) visit at each of the k routers it crosses when every hop
+// goes to a lower-numbered router: a router handed the flit takes its next
+// turn in the next tick's walk, when the flit is ready.  When every hop
+// goes to a higher-numbered router, that router also takes a turn later in
+// the same walk and finds the head not yet ready: 2k - 1 visits.  Router
+// (x, y, z) is number 16z + 4y + x, and a route runs X, then Y, then Z.
+// ---------------------------------------------------------------------------
+std::uint64_t visits_to_deliver(MemRequest* request, MemResponse* response) {
+  auto icn = make_noc(NocTopology::kTrueMesh3d, NocConfig{}, power_model());
+  EXPECT_TRUE(request ? icn->try_inject_request(*request, 0)
+                      : icn->try_inject_response(*response, 0));
+  DeliveryLog got;
+  for (Cycle t = icn->next_event(0); t != kNeverCycle;
+       t = icn->next_event(t + 1)) {
+    got.tick(*icn, t);
+  }
+  EXPECT_EQ(got.requests.size() + got.responses.size(), 1u);
+  return icn->stats().output_visits;
+}
+
+TEST(NocWork, OneFlitPacketVisitsOneOutputPerRouter) {
+  struct Trip {
+    CoreId core;
+    BankId bank;
+    std::uint64_t routers;  ///< |dx| + |dy| + tier + 1
+  };
+  for (const Trip& trip : {Trip{0, 31, 9}, Trip{0, 0, 2}, Trip{5, 21, 3},
+                           Trip{4, 30, 7}}) {
+    // A write acknowledgement is one flit; from a bank to a core at a
+    // lower x and y every hop (west, south, down) lowers the router number.
+    MemResponse ack{.id = 1, .core = trip.core, .bank = trip.bank, .addr = 0,
+                    .is_write = true, .l2_hit = true, .issue_cycle = 0};
+    // A read request is one flit; core to bank, every hop raises it.
+    MemRequest read{.id = 2, .core = trip.core, .bank = trip.bank, .addr = 0,
+                    .is_write = false, .issue_cycle = 0};
+    const bool descending = trip.core % 4 <= (trip.bank % 16) % 4 &&
+                            trip.core / 4 <= (trip.bank % 16) / 4;
+    ASSERT_TRUE(descending) << "pick trips whose response only descends";
+    EXPECT_EQ(visits_to_deliver(nullptr, &ack), trip.routers)
+        << "bank " << trip.bank << " -> core " << trip.core;
+    EXPECT_EQ(visits_to_deliver(&read, nullptr), 2 * trip.routers - 1)
+        << "core " << trip.core << " -> bank " << trip.bank;
   }
 }
 
