@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -595,7 +596,17 @@ SimResult Cluster::run() {
   set_lazy_cores(false);  // every core's books close at now_
   thermal_finalize();
   obs_finalize();
-  return collect_result();
+  SimResult r = collect_result();
+  if (r.thermal.unconverged_solves > 0) {
+    std::cerr << "warning: " << r.thermal.unconverged_solves
+              << " thermal steady-state solve(s) stopped at the "
+              << thermal::ThermalRcSolver::kSteadyMaxSweeps
+              << "-sweep cap unconverged on a floorplan of "
+              << thermal_->floorplan().columns()
+              << " columns; the warm start and thermal_steady_peak_c are "
+                 "approximate\n";
+  }
+  return r;
 }
 
 void Cluster::poll() {

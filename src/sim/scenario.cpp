@@ -98,6 +98,11 @@ JsonObject run_metrics(const ScenarioRun& run, const cluster::SimResult& r) {
         .set("thermal_leakage_pj", t.leakage_pj)
         .set("thermal_leakage_ref_pj", t.leakage_ref_pj)
         .set("thermal_leakage_delta_pj", t.leakage_delta_pj());
+    // Only a run whose solver hit the sweep cap carries the count, so
+    // every converged run keeps the field set its golden pins.
+    if (t.unconverged_solves > 0) {
+      o.set("thermal_unconverged_solves", t.unconverged_solves);
+    }
   }
   // Stacked-DRAM fields appear only for stacked-backend runs — every
   // constant-backend run (all legacy goldens) keeps its exact field set.

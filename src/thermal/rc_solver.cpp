@@ -12,7 +12,6 @@ namespace {
 constexpr double kStabilitySafety = 0.5;
 /// Gauss-Seidel convergence: max per-sweep temperature change, °C.
 constexpr double kSteadyTolC = 1e-9;
-constexpr std::size_t kSteadyMaxSweeps = 20000;
 }  // namespace
 
 ThermalRcSolver::ThermalRcSolver(const ThermalFloorplan& flp, double ambient_c)
@@ -74,7 +73,7 @@ void ThermalRcSolver::step(const std::vector<double>& power_w, double dt_s) {
 }
 
 std::vector<double> ThermalRcSolver::steady_state(
-    const std::vector<double>& power_w) const {
+    const std::vector<double>& power_w, bool* converged) const {
   assert(power_w.size() == cap_.size());
   // Each tile's sweep-invariant term, P + G_sink * T_amb: the product and
   // sum a sweep computes first, hoisted out of the sweeps.
@@ -96,6 +95,7 @@ std::vector<double> ThermalRcSolver::steady_state(
   // Seed from the transient state: close to the answer during a run.
   std::vector<double> t = temp_;
   const std::size_t wavefronts = columns_ + layers_ - 1;
+  if (converged != nullptr) *converged = false;
   for (std::size_t sweep = 0; sweep < kSteadyMaxSweeps; ++sweep) {
     double max_delta = 0.0;
     for (std::size_t s = 0; s < wavefronts; ++s) {
@@ -116,7 +116,10 @@ std::vector<double> ThermalRcSolver::steady_state(
         t[i] = next;
       }
     }
-    if (max_delta < kSteadyTolC) break;
+    if (max_delta < kSteadyTolC) {
+      if (converged != nullptr) *converged = true;
+      break;
+    }
   }
   return t;
 }

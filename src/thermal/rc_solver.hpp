@@ -51,9 +51,13 @@ class ThermalRcSolver {
 
   /// Steady-state temperatures for constant `power_w`, by Gauss-Seidel
   /// sweeps from the transient state to a fixed tolerance (deterministic
-  /// order and sweep count, at most 20 000 sweeps); does not modify the
-  /// transient state.
-  std::vector<double> steady_state(const std::vector<double>& power_w) const;
+  /// order and sweep count); does not modify the transient state.  A solve
+  /// that reaches kSteadyMaxSweeps stops there unconverged and says so
+  /// through `converged` when given: on floorplans of 64 columns and wider
+  /// a solve from ambient ends short of the steady state.
+  std::vector<double> steady_state(const std::vector<double>& power_w,
+                                   bool* converged = nullptr) const;
+  static constexpr std::size_t kSteadyMaxSweeps = 20000;
 
   /// Replace the transient state (e.g. warm-start from a steady solve).
   void set_temperatures(const std::vector<double>& temps_c);

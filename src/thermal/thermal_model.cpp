@@ -49,7 +49,7 @@ void ThermalModel::advance(const ThermalSources& src, Cycle cycles) {
   if (cycles == 0) return;
 
   if (cfg_.warm_start && !warmed_) {
-    solver_.set_temperatures(steady_fixed_point(src));
+    solver_.set_temperatures(steady_fixed_point(src, unconverged_solves_));
     warmed_ = true;
   }
 
@@ -107,7 +107,7 @@ void ThermalModel::advance(const ThermalSources& src, Cycle cycles) {
 }
 
 std::vector<double> ThermalModel::steady_fixed_point(
-    const ThermalSources& src) const {
+    const ThermalSources& src, std::uint64_t& unconverged) const {
   const std::size_t n = flp_.tile_count();
   std::vector<double> temps = solver_.temperatures_c();
   std::vector<double> power(n, 0.0);
@@ -115,7 +115,9 @@ std::vector<double> ThermalModel::steady_fixed_point(
     for (std::size_t i = 0; i < n; ++i) {
       power[i] = src.dynamic_w[i] + tile_leak_w(src, i, temps[i]);
     }
-    const std::vector<double> next = solver_.steady_state(power);
+    bool converged = false;
+    const std::vector<double> next = solver_.steady_state(power, &converged);
+    unconverged += converged ? 0 : 1;
     double max_delta = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       max_delta = std::max(max_delta, std::abs(next[i] - temps[i]));
@@ -135,6 +137,7 @@ ThermalSummary ThermalModel::summary() const {
   s.peak_c = peak_c_;
   s.final_peak_c = solver_.peak_c();
   s.samples = samples_;
+  s.unconverged_solves = unconverged_solves_;
   s.leakage_pj = core_static_pj_ + l2_static_pj_ + icn_static_pj_;
   s.leakage_ref_pj = baseline_static_pj_;
 
@@ -148,7 +151,8 @@ ThermalSummary ThermalModel::summary() const {
       avg.l2_leak_ref_w[i] = l2_leak_ref_pj_accum_[i] / cyc * 1e-3;
       avg.icn_leak_ref_w[i] = icn_leak_ref_pj_accum_[i] / cyc * 1e-3;
     }
-    const std::vector<double> steady = steady_fixed_point(avg);
+    const std::vector<double> steady =
+        steady_fixed_point(avg, s.unconverged_solves);
     double m = cfg_.ambient_c;
     for (double t : steady) m = std::max(m, t);
     s.steady_peak_c = m;

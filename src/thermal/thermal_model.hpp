@@ -113,6 +113,9 @@ struct ThermalSummary {
   double final_peak_c = 0.0;         ///< hottest tile at run end
   double steady_peak_c = 0.0;        ///< steady state at run-average power
   std::uint64_t samples = 0;
+  /// Steady-state solves (warm start and steady_peak_c) that stopped at
+  /// the sweep cap unconverged: non-zero means those two are approximate.
+  std::uint64_t unconverged_solves = 0;
 
   // Governor activity (filled by the cluster).
   std::uint64_t throttle_events = 0;   ///< demotions (bank gates + holds)
@@ -173,8 +176,10 @@ class ThermalModel {
   /// Each iteration is one ThermalRcSolver::steady_state() solve (the
   /// wavefront Gauss-Seidel, DESIGN.md "RC solver"), seeded from the
   /// transient state rather than the previous iterate; at the warm start
-  /// that state is ambient, so every iteration pays a full solve.
-  std::vector<double> steady_fixed_point(const ThermalSources& src) const;
+  /// that state is ambient, so every iteration pays a full solve.  Adds
+  /// the solves that stopped at the sweep cap to `unconverged`.
+  std::vector<double> steady_fixed_point(const ThermalSources& src,
+                                         std::uint64_t& unconverged) const;
 
   ThermalConfig cfg_;
   ThermalFloorplan flp_;
@@ -182,6 +187,7 @@ class ThermalModel {
   bool warmed_ = false;
 
   std::uint64_t samples_ = 0;
+  std::uint64_t unconverged_solves_ = 0;  ///< warm start's (advance())
   Cycle total_cycles_ = 0;
   std::vector<double> peak_layer_c_;
   double peak_c_;

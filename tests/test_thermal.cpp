@@ -19,6 +19,7 @@
 #include "phys/wire.hpp"
 #include "power/core_power.hpp"
 #include "power/energy_ledger.hpp"
+#include "sim/scenario.hpp"
 #include "thermal/floorplan.hpp"
 #include "thermal/governor.hpp"
 #include "thermal/rc_solver.hpp"
@@ -674,6 +675,81 @@ TEST(ThermalCluster, DisabledThermalLeavesResultsUntouched) {
                   cluster::SchedulerMode::kEventDriven);
   EXPECT_EQ(plain.cycles, with_thermal.cycles);
   EXPECT_EQ(plain.instructions, with_thermal.instructions);
+}
+
+// ---- the steady solver's sweep cap, made visible ---------------------------
+
+/// One warm-started interval on a die of `columns` columns, with the
+/// 16-column die's uniform per-layer power (0.08 / 0.03 / 0.02 W per tile)
+/// spread so the die still dissipates 2.08 W.  One leakage iteration per
+/// fixed point keeps it to two solves: the warm start from ambient, and
+/// summary()'s at run-average power.
+thermal::ThermalSummary spread_power_summary(std::size_t columns) {
+  thermal::ThermalConfig cfg =
+      thermal::ThermalConfig::from_envelope(thermal::ThermalEnvelope{true, 45.0, 85.0});
+  cfg.max_leakage_iters = 1;
+  phys::FloorplanParams fp;
+  fp.max_cores = columns;
+  thermal::ThermalModel model(cfg, fp, phys::default_technology());
+  const ThermalFloorplan& flp = model.floorplan();
+  EXPECT_EQ(flp.columns(), columns);
+  thermal::ThermalSources src = model.make_sources();
+  const double per_tile_w[] = {0.08, 0.03, 0.02};
+  for (std::size_t layer = 0; layer < flp.layers(); ++layer) {
+    for (std::size_t col = 0; col < columns; ++col) {
+      src.dynamic_w[flp.tile_index(layer, col)] =
+          per_tile_w[layer] * 16.0 / static_cast<double>(columns);
+    }
+  }
+  model.advance(src, 10000);
+  return model.summary();
+}
+
+TEST(ThermalModel, CountsSolvesThatStopAtTheSweepCap) {
+  // From ambient a 128-column solve ends at the cap, 3.6 °C short of the
+  // closed-form peak; 32 columns converge in about 11 600 sweeps.
+  EXPECT_GT(spread_power_summary(128).unconverged_solves, 0u);
+  EXPECT_EQ(spread_power_summary(32).unconverged_solves, 0u);
+}
+
+TEST(ThermalCluster, UnconvergedSolvesReachTheResultTheJsonAndStderr) {
+  // A thermal run at 64 cores (64 columns) warm-starts from ambient into
+  // the cap; the paper's 16-column die converges.
+  auto run = [](const core::PowerState& state, std::string* err) {
+    cluster::ClusterConfig cfg = cluster::make_paper_config(
+        workload::profile_by_name("fft"), cluster::Fabric::kMot, state,
+        mem::DramPreset::kDdr3_200ns, 0.002, 42);
+    cfg.thermal = thermal::ThermalConfig::from_envelope(
+        thermal::ThermalEnvelope{true, 45.0, 85.0});
+    ::testing::internal::CaptureStderr();
+    cluster::SimResult r = cluster::Cluster(cfg).run();
+    *err = ::testing::internal::GetCapturedStderr();
+    return r;
+  };
+  sim::ScenarioRun scenario;
+  scenario.app = "fft";
+  scenario.thermal = thermal::ThermalEnvelope{true, 45.0, 85.0};
+
+  std::string err;
+  const cluster::SimResult wide =
+      run(core::PowerState("Full64x128", 64, 64, 128, 128), &err);
+  ASSERT_GT(wide.thermal.unconverged_solves, 0u);
+  EXPECT_EQ(err, "warning: " + std::to_string(wide.thermal.unconverged_solves) +
+                     " thermal steady-state solve(s) stopped at the 20000-sweep "
+                     "cap unconverged on a floorplan of 64 columns; the warm "
+                     "start and thermal_steady_peak_c are approximate\n");
+  scenario.state = core::PowerState("Full64x128", 64, 64, 128, 128);
+  EXPECT_NE(sim::run_metrics_json(scenario, wide)
+                .find("\"thermal_unconverged_solves\": " +
+                      std::to_string(wide.thermal.unconverged_solves)),
+            std::string::npos);
+
+  const cluster::SimResult paper = run(core::PowerState::full(), &err);
+  EXPECT_EQ(paper.thermal.unconverged_solves, 0u);
+  EXPECT_EQ(err, "");
+  scenario.state = core::PowerState::full();
+  EXPECT_EQ(sim::run_metrics_json(scenario, paper).find("unconverged"),
+            std::string::npos);
 }
 
 // ---- thermal-aware advisor layer -------------------------------------------
