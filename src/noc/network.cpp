@@ -54,6 +54,11 @@ std::uint32_t NocNetwork::add_bus(double wire_mm, unsigned cycles_per_flit) {
 
 std::uint32_t NocNetwork::add_bus_attachment(std::uint32_t bus) {
   Bus& b = buses_.at(bus);
+  if (b.slots.size() == kMaxBusSlots) {
+    throw std::invalid_argument("bus " + std::to_string(bus) + " already has " +
+                                std::to_string(kMaxBusSlots) +
+                                " attachments, all its occupancy mask holds");
+  }
   b.slots.emplace_back();
   return static_cast<std::uint32_t>(b.slots.size() - 1);
 }
@@ -140,14 +145,16 @@ void NocNetwork::pop(Router& r, std::uint32_t port, std::uint8_t vc) {
 
 void NocNetwork::push(Bus& bus, std::uint32_t slot, const Flit& flit) {
   bus.slots[slot].push_back(flit);
-  if (bus.buffered++ == 0) {
-    busy_buses_.insert(static_cast<std::size_t>(&bus - buses_.data()));
-  }
+  bus.occupied |= PortMask{1} << slot;
+  busy_buses_.insert(static_cast<std::size_t>(&bus - buses_.data()));
 }
 
 void NocNetwork::pop(Bus& bus, std::uint32_t slot) {
-  bus.slots[slot].pop_front();
-  if (--bus.buffered == 0) {
+  FlitQueue& q = bus.slots[slot];
+  q.pop_front();
+  if (!q.empty()) return;
+  bus.occupied &= ~(PortMask{1} << slot);
+  if (bus.occupied == 0) {
     busy_buses_.erase(static_cast<std::size_t>(&bus - buses_.data()));
   }
 }
@@ -266,33 +273,41 @@ void NocNetwork::tick(Cycle now) {
   //    The lock is *hard*: even if the owning slot has no flit ready this
   //    cycle, no other slot may use the bus — otherwise two packets
   //    interleave into one router input queue and break worm framing.
+  //    An unlocked bus grants the first occupied slot, round-robin from
+  //    `rr`, whose front is a ready head flit.  At most one transfer per
+  //    bus per slot time; a blocked transfer holds the bus.
   busy_buses_.for_each([&](std::size_t b) {
     Bus& bus = buses_[b];
     if (bus.busy_until > now) return;
-    const std::size_t n = bus.slots.size();
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t s = bus.locked_slot >= 0
-                                ? static_cast<std::size_t>(bus.locked_slot)
-                                : (bus.rr + k) % n;
-      const FlitQueue& q = bus.slots[s];
-      if (bus.locked_slot < 0 &&
-          (q.empty() || q.front().ready_at > now || !q.front().head)) {
-        continue;  // unlocked bus only grants a fresh head flit
-      }
-      if (q.empty() || q.front().ready_at > now) break;  // hold bus
-      const Flit moving = q.front();
-      const Target& t = bus.route.at(moving.dst);
-      if (!deliver_to_target(t, moving, now)) break;  // blocked: hold the bus
-      pop(bus, static_cast<std::uint32_t>(s));
-      ++stats_.flit_bus_transfers;
-      bus.busy_until = now + bus.cycles_per_flit;
-      if (moving.tail) {
-        bus.locked_slot = -1;
-        bus.rr = (s + 1) % n;
-      } else {
-        bus.locked_slot = static_cast<int>(s);
-      }
-      break;  // one transfer per bus per slot time
+    int s = bus.locked_slot;
+    if (s < 0) {
+      auto first_ready_head = [&](PortMask slots) {
+        for (; slots != 0; slots &= slots - 1) {
+          const int i = std::countr_zero(slots);
+          const Flit& f = bus.slots[static_cast<std::size_t>(i)].front();
+          if (f.ready_at <= now && f.head) return i;
+        }
+        return -1;
+      };
+      const PortMask from_rr = bus.occupied & ports_from(bus.rr);
+      s = first_ready_head(from_rr);
+      if (s < 0) s = first_ready_head(bus.occupied & ~from_rr);
+      if (s < 0) return;
+    }
+    const auto slot = static_cast<std::uint32_t>(s);
+    const FlitQueue& q = bus.slots[slot];
+    if (q.empty() || q.front().ready_at > now) return;  // hold bus
+    const Flit moving = q.front();
+    const Target& t = bus.route.at(moving.dst);
+    if (!deliver_to_target(t, moving, now)) return;  // blocked: hold the bus
+    pop(bus, slot);
+    ++stats_.flit_bus_transfers;
+    bus.busy_until = now + bus.cycles_per_flit;
+    if (moving.tail) {
+      bus.locked_slot = -1;
+      bus.rr = static_cast<std::uint32_t>((slot + 1) % bus.slots.size());
+    } else {
+      bus.locked_slot = s;
     }
   });
 
@@ -390,9 +405,9 @@ Cycle NocNetwork::next_event(Cycle now) const {
   }
   if (each(busy_buses_, [&](std::size_t b) {
         const Bus& bus = buses_[b];
-        for (const FlitQueue& q : bus.slots) {
-          if (!q.empty() &&
-              earliest(std::max(q.front().ready_at, bus.busy_until))) {
+        for (PortMask m = bus.occupied; m != 0; m &= m - 1) {
+          const auto s = static_cast<std::size_t>(std::countr_zero(m));
+          if (earliest(std::max(bus.slots[s].front().ready_at, bus.busy_until))) {
             return true;
           }
         }

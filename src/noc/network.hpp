@@ -78,6 +78,8 @@ class NocNetwork {
 
   /// Most ports a router may have: one bit each in its occupancy masks.
   static constexpr std::size_t kMaxRouterPorts = 32;
+  /// Most attachments a bus may have: one bit each in its occupancy mask.
+  static constexpr std::size_t kMaxBusSlots = 32;
 
   // ---- construction (builders only) ----
   /// Adds a router with `num_ports` ports; returns its id.  Throws
@@ -91,7 +93,8 @@ class NocNetwork {
   /// (Bus-Tree) pays more capacitive load and a longer TDMA frame.
   std::uint32_t add_bus(double wire_mm, unsigned cycles_per_flit);
   /// Attach a sender to the bus: flits from this slot are arbitrated RR.
-  /// Returns the attachment slot id used with bus_push.
+  /// Returns the attachment slot id used with bus_push.  Throws
+  /// std::invalid_argument past kMaxBusSlots.
   std::uint32_t add_bus_attachment(std::uint32_t bus);
   /// Where the bus delivers flits destined to endpoint `e`.
   void set_bus_route(std::uint32_t bus, NodeId e, Target target);
@@ -173,7 +176,7 @@ class NocNetwork {
     unsigned cycles_per_flit = 2;
     std::vector<Target> route;  ///< per endpoint -> delivery target
     double wire_mm = 0.0;
-    std::size_t buffered = 0;  ///< flits over every slot (push()/pop())
+    PortMask occupied = 0;  ///< non-empty slots (push()/pop())
   };
   struct EndpointNi {
     Target injection;                      ///< router port or bus slot
@@ -183,7 +186,7 @@ class NocNetwork {
   };
 
   // Every flit enters and leaves a FIFO through push()/pop(), which keep
-  // the summaries (a router's masks, Bus::buffered and the busy sets) equal
+  // the summaries (router and bus masks, and the busy sets) equal
   // to what a scan of the queues would find.  tick() and next_event() walk
   // only the busy components, and a router only its requested or locked
   // outputs.

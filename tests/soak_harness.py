@@ -221,8 +221,8 @@ REQUIRED_REPORT_KEYS = ("bench", "scheduler", "scale", "seed", "cells",
                         "total_wall_seconds", "total_simulated_cycles",
                         "cycles_per_second")
 REQUIRED_CELL_KEYS = ("app", "cores", "banks", "state", "cycles",
-                      "instructions", "core_ticks", "wall_seconds",
-                      "cycles_per_second")
+                      "instructions", "core_ticks", "output_visits",
+                      "wall_seconds", "cycles_per_second")
 
 # A deliberately tiny grid: the soak harness checks the *contract* of
 # `bench` (report shape, exit codes), not its throughput numbers.
@@ -393,6 +393,34 @@ def bench_tests(binary):
                 expect_exit=1,
                 expect_patterns=[r"REGRESSION all_to_all@16@bustree: modeled"],
                 forbid_patterns=[r"REGRESSION all_to_all@16:"]))
+
+        # The switch allocator's work counter (router-output visits) must
+        # match exactly; a baseline recorded before it existed still loads.
+        for label, doctor, rc, pattern in (
+                ("output_visits drift exits 1",
+                 lambda cell: cell.__setitem__("output_visits",
+                                               cell["output_visits"] - 1),
+                 1, r"REGRESSION all_to_all@16@bustree: work drift "
+                    r".*output_visits"),
+                ("baseline without output_visits passes (exit 0)",
+                 lambda cell: cell.pop("output_visits"),
+                 0, r"baseline OK")):
+            doctored = os.path.join(tmp, "noc_visits.json")
+            try:
+                with open(noc_base, encoding="utf-8") as f:
+                    doc = json.load(f)
+                for cell in doc["cells"]:
+                    if cell.get("fabric") == "bustree":
+                        doctor(cell)
+                with open(doctored, "w", encoding="utf-8") as f:
+                    json.dump(doc, f)
+            except (OSError, ValueError, KeyError) as e:
+                results.append(TestResult(f"doctor for: {label}", False,
+                                          str(e)))
+                continue
+            results.append(run_test(
+                binary, label, noc_grid + [f"--baseline={doctored}"],
+                expect_exit=rc, expect_patterns=[pattern]))
 
         results.append(run_test(
             binary, "unknown fabric exits 2",

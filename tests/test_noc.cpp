@@ -424,6 +424,15 @@ TEST(NocConstruction, RouterPortsAreBoundedByTheOccupancyMask) {
   EXPECT_EQ(net.num_routers(), 1u);
 }
 
+TEST(NocConstruction, BusAttachmentsAreBoundedByTheOccupancyMask) {
+  NocNetwork net(NocConfig{});
+  const std::uint32_t bus = net.add_bus(0.08, 2);
+  for (std::size_t i = 0; i < NocNetwork::kMaxBusSlots; ++i) {
+    EXPECT_EQ(net.add_bus_attachment(bus), i);
+  }
+  EXPECT_THROW(net.add_bus_attachment(bus), std::invalid_argument);
+}
+
 TEST(NocConstruction, RoutesMustNameAPortOfTheRouter) {
   // A head routed to a missing port would never match an output and would
   // surface much later as a deadlock; the table rejects it instead.
