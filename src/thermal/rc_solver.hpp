@@ -57,6 +57,7 @@ class ThermalRcSolver {
   /// a solve from ambient ends short of the steady state.
   std::vector<double> steady_state(const std::vector<double>& power_w,
                                    bool* converged = nullptr) const;
+  /// Sweeps after which steady_state() stops, converged or not.
   static constexpr std::size_t kSteadyMaxSweeps = 20000;
 
   /// Replace the transient state (e.g. warm-start from a steady solve).

@@ -117,7 +117,7 @@ std::vector<double> ThermalModel::steady_fixed_point(
     }
     bool converged = false;
     const std::vector<double> next = solver_.steady_state(power, &converged);
-    unconverged += converged ? 0 : 1;
+    if (!converged) ++unconverged;
     double max_delta = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       max_delta = std::max(max_delta, std::abs(next[i] - temps[i]));
