@@ -250,7 +250,10 @@ TEST(NocOrdering, BusTreeSaturatesUnderLoad) {
 // occupancy-driven tick replaced, with each tick's log stably reordered
 // responses-first; the last three from the output-first switch allocator
 // (every output scanning the inputs for a head routed to it).  Only a
-// deliberate model change may move them.
+// deliberate model change may move them.  Each case also pins the run's
+// router (output, VC) visits, recorded from the input-first allocator: a
+// change that visits outputs with nothing to send fails here even though
+// it delivers the same packets at the same cycles.
 // ---------------------------------------------------------------------------
 struct OrderCase {
   const char* name;
@@ -261,9 +264,15 @@ struct OrderCase {
   unsigned throttle_cycles = 0;  ///< 0 = every router healthy
   std::size_t buffer_flits = NocConfig{}.buffer_flits;
   const char* digest = "";
+  std::uint64_t output_visits = 0;
 };
 
-std::string delivery_order_digest(const OrderCase& c) {
+struct OrderOutcome {
+  std::string digest;
+  std::uint64_t output_visits = 0;
+};
+
+OrderOutcome saturated_delivery_order(const OrderCase& c) {
   constexpr Cycle kInjectCycles = 1200;
   constexpr Cycle kDrainLimit = 200000;
   NocConfig cfg;
@@ -329,7 +338,7 @@ std::string delivery_order_digest(const OrderCase& c) {
   EXPECT_TRUE(icn->idle()) << c.name << " wedged at cycle " << t;
   EXPECT_EQ(delivered, injected) << c.name;
   EXPECT_GT(refused, 0u) << c.name << " never filled an injection queue";
-  return sha256_hex(log);
+  return {sha256_hex(log), icn->stats().output_visits};
 }
 
 void PrintTo(const OrderCase& c, std::ostream* os) { *os << c.name; }
@@ -337,7 +346,9 @@ void PrintTo(const OrderCase& c, std::ostream* os) { *os << c.name; }
 class NocOrderPin : public ::testing::TestWithParam<OrderCase> {};
 
 TEST_P(NocOrderPin, SaturatedDeliveryOrderIsPinned) {
-  EXPECT_EQ(delivery_order_digest(GetParam()), GetParam().digest);
+  const OrderOutcome got = saturated_delivery_order(GetParam());
+  EXPECT_EQ(got.digest, GetParam().digest);
+  EXPECT_EQ(got.output_visits, GetParam().output_visits);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -345,49 +356,58 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         OrderCase{.name = "TrueMesh3d", .topology = NocTopology::kTrueMesh3d,
                   .digest =
-                      "f2f6f17781a4d6d91841243679d2e0942d28a991b4065f3c3eb3c76d868d3e84"},
+                      "f2f6f17781a4d6d91841243679d2e0942d28a991b4065f3c3eb3c76d868d3e84",
+                  .output_visits = 215670},
         OrderCase{.name = "BusMesh", .topology = NocTopology::kHybridBusMesh,
                   .digest =
-                      "4fede7490cae1e1a8f26c2b0fbb0b787d651378b2bc76d7f79e2680dae3a7859"},
+                      "4fede7490cae1e1a8f26c2b0fbb0b787d651378b2bc76d7f79e2680dae3a7859",
+                  .output_visits = 105024},
         OrderCase{.name = "BusTree", .topology = NocTopology::kHybridBusTree,
                   .digest =
-                      "a1f6ce7f4eecaff5f34c4d1dae582306934cf527b810537c2fbeccbb55b43dcc"},
+                      "a1f6ce7f4eecaff5f34c4d1dae582306934cf527b810537c2fbeccbb55b43dcc",
+                  .output_visits = 63150},
         // Router 5 is tile (1,1) of the core tier: on most XY paths.
         OrderCase{.name = "TrueMesh3dThrottled",
                   .topology = NocTopology::kTrueMesh3d,
                   .throttled_router = 5, .throttle_cycles = 2,
                   .digest =
-                      "9abcd5c12e2da47795d999a05d3d497ba669e8e80151122a99dc0f4db1641855"},
+                      "9abcd5c12e2da47795d999a05d3d497ba669e8e80151122a99dc0f4db1641855",
+                  .output_visits = 152647},
         // Zero-latency hops: a flit handed on is ready in the same tick,
         // so the order in which buses and routers take their turns shows.
         OrderCase{.name = "TrueMesh3dZeroLatency",
                   .topology = NocTopology::kTrueMesh3d, .link_cycles = 0,
                   .router_pipeline_cycles = 0,
                   .digest =
-                      "8dcd88a602eb8b5b6bcbad2cfb50cac028e15d26a938d31d3fcba0db03e9d778"},
+                      "8dcd88a602eb8b5b6bcbad2cfb50cac028e15d26a938d31d3fcba0db03e9d778",
+                  .output_visits = 196104},
         OrderCase{.name = "BusMeshZeroLatency",
                   .topology = NocTopology::kHybridBusMesh, .link_cycles = 0,
                   .router_pipeline_cycles = 0,
                   .digest =
-                      "8ed8e08c58a66e0af2b293b96a0dae52ec5f141dc53d859639370059c2b2f5ca"},
+                      "8ed8e08c58a66e0af2b293b96a0dae52ec5f141dc53d859639370059c2b2f5ca",
+                  .output_visits = 84062},
         // The root (4 ports) and quad routers (6 ports) with their buses.
         OrderCase{.name = "BusTreeZeroLatency",
                   .topology = NocTopology::kHybridBusTree, .link_cycles = 0,
                   .router_pipeline_cycles = 0,
                   .digest =
-                      "04cf451ceedaa0f55232f8d3f7d4e81494214b2ec5e98a36e8debf57c5c17fab"},
+                      "04cf451ceedaa0f55232f8d3f7d4e81494214b2ec5e98a36e8debf57c5c17fab",
+                  .output_visits = 54430},
         // Router 5 is tile (1,1), which also feeds its own pillar bus.
         OrderCase{.name = "BusMeshThrottled",
                   .topology = NocTopology::kHybridBusMesh,
                   .throttled_router = 5, .throttle_cycles = 2,
                   .digest =
-                      "94efb89ec78ffc45dc5381631c2068707902d3b3d0202b7b1c567fa3c1f3ec38"},
+                      "94efb89ec78ffc45dc5381631c2068707902d3b3d0202b7b1c567fa3c1f3ec38",
+                  .output_visits = 146437},
         // One-flit buffers: every worm spans several routers, so heads
         // wait at the front of their queues through long back-pressure.
         OrderCase{.name = "TrueMesh3dOneFlitBuffers",
                   .topology = NocTopology::kTrueMesh3d, .buffer_flits = 1,
                   .digest =
-                      "d1a51fcd86ba4630d571742edfde83a363ec6bec07b55b84c8db7a039ebe1d90"}),
+                      "d1a51fcd86ba4630d571742edfde83a363ec6bec07b55b84c8db7a039ebe1d90",
+                  .output_visits = 209467}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(NocConstruction, BuildersRejectShapesTheyCannotWire) {
