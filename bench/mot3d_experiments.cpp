@@ -462,7 +462,7 @@ int cmd_grid(const CliArgs& cli) {
   return sim::run_and_present(spec, run_options(cli, spec), std::cout);
 }
 
-// ---- bench: the perf guardrail (BENCH_scale.json, BENCH_noc.json) ----------
+// ---- bench: the perf guardrail (BENCH_scale.json, BENCH_noc*.json) ---------
 //
 // `bench` runs an ad-hoc grid one cell at a time on this thread with phase
 // timing on, and reports modeled results (cycles, instructions) next to

@@ -510,10 +510,12 @@ TEST(NocConstruction, WidestRouterServesEveryPortInRoundRobinOrder) {
 // the same walk and finds the head not yet ready: 2k - 1 visits.  Router
 // (x, y, z) is number 16z + 4y + x, and a route runs X, then Y, then Z.
 // ---------------------------------------------------------------------------
-std::uint64_t visits_to_deliver(MemRequest* request, MemResponse* response) {
+/// Visits an idle True 3-D Mesh makes to deliver the one packet `inject`
+/// offers it at cycle 0.
+template <typename Inject>
+std::uint64_t visits_to_deliver(Inject inject) {
   auto icn = make_noc(NocTopology::kTrueMesh3d, NocConfig{}, power_model());
-  EXPECT_TRUE(request ? icn->try_inject_request(*request, 0)
-                      : icn->try_inject_response(*response, 0));
+  EXPECT_TRUE(inject(*icn));
   DeliveryLog got;
   for (Cycle t = icn->next_event(0); t != kNeverCycle;
        t = icn->next_event(t + 1)) {
@@ -541,9 +543,15 @@ TEST(NocWork, OneFlitPacketVisitsOneOutputPerRouter) {
     const bool descending = trip.core % 4 <= (trip.bank % 16) % 4 &&
                             trip.core / 4 <= (trip.bank % 16) / 4;
     ASSERT_TRUE(descending) << "pick trips whose response only descends";
-    EXPECT_EQ(visits_to_deliver(nullptr, &ack), trip.routers)
+    EXPECT_EQ(visits_to_deliver([&](Interconnect& icn) {
+                return icn.try_inject_response(ack, 0);
+              }),
+              trip.routers)
         << "bank " << trip.bank << " -> core " << trip.core;
-    EXPECT_EQ(visits_to_deliver(&read, nullptr), 2 * trip.routers - 1)
+    EXPECT_EQ(visits_to_deliver([&](Interconnect& icn) {
+                return icn.try_inject_request(read, 0);
+              }),
+              2 * trip.routers - 1)
         << "core " << trip.core << " -> bank " << trip.bank;
   }
 }
