@@ -31,7 +31,7 @@
 #include "fault/watchdog.hpp"
 #include "mem/dram.hpp"
 #include "mem/l2_system.hpp"
-#include "noc/noc_interconnect.hpp"
+#include "noc/network.hpp"
 #include "obs/latency.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs_config.hpp"
@@ -392,7 +392,7 @@ class Cluster final : private mem::ReadSink {
   std::unique_ptr<coherence::CoherenceDirectory> coh_dir_;  ///< sharing runs
   std::unique_ptr<Interconnect> interconnect_;
   core::MotInterconnect* mot_ = nullptr;  ///< non-null when fabric == kMot
-  noc::NocInterconnect* noc_ = nullptr;   ///< non-null for packet fabrics
+  noc::NocNetwork* noc_ = nullptr;        ///< non-null for packet fabrics
   std::unique_ptr<core::MotTimingModel> mot_timing_;
   cpu::BarrierController barriers_;
   std::unique_ptr<workload::Workload> workload_;

@@ -1,4 +1,4 @@
-// Flits and packets for the packet-switched 3-D NoC baselines.
+// Flits for the packet-switched 3-D NoC baselines.
 //
 // The paper compares its circuit-switched MoT against True 3-D Mesh,
 // 3-D Hybrid Bus-Mesh [2] and 3-D Hybrid Bus-Tree [21]; all three are
@@ -9,31 +9,15 @@
 
 #include <cstdint>
 
-#include "common/messages.hpp"
 #include "common/types.hpp"
 
 namespace mot3d::noc {
 
 /// Endpoint id: cores are [0, num_cores), banks [num_cores, num_cores+banks).
 using NodeId = std::uint32_t;
-using PacketId = std::uint64_t;
-
-enum class PacketKind : std::uint8_t { kRequest, kResponse };
-
-struct Packet {
-  PacketId id = 0;
-  PacketKind kind = PacketKind::kRequest;
-  NodeId src = 0;
-  NodeId dst = 0;
-  std::size_t length_flits = 1;
-  Cycle created = 0;
-  // Payload (one of the two is meaningful, per kind).
-  MemRequest req;
-  MemResponse resp;
-};
 
 struct Flit {
-  PacketId packet = 0;
+  std::uint32_t message = 0;  ///< the network's slot for its message
   NodeId dst = 0;        ///< destination endpoint (head carries the route)
   bool head = false;
   bool tail = false;

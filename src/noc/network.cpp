@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/trace.hpp"
+
 namespace mot3d::noc {
 
 namespace {
@@ -17,8 +19,11 @@ constexpr std::uint32_t ports_from(std::uint32_t from) {
 
 }  // namespace
 
-NocNetwork::NocNetwork(const NocConfig& cfg)
-    : cfg_(cfg),
+NocNetwork::NocNetwork(const char* name, const NocConfig& cfg,
+                       const power::InterconnectPowerModel& power)
+    : name_(name),
+      cfg_(cfg),
+      power_(power),
       endpoints_(cfg.num_endpoints()),
       busy_nis_(cfg.num_endpoints()) {}
 
@@ -67,10 +72,8 @@ void NocNetwork::set_bus_route(std::uint32_t bus, NodeId e, Target target) {
   buses_.at(bus).route.at(e) = target;
 }
 
-void NocNetwork::set_endpoint_injection(NodeId e, Target target,
-                                        std::optional<std::uint32_t> bus_slot) {
+void NocNetwork::set_endpoint_injection(NodeId e, Target target) {
   endpoints_.at(e).injection = target;
-  endpoints_.at(e).bus_slot = bus_slot;
 }
 
 void NocNetwork::set_route(std::uint32_t router, NodeId dst, std::uint32_t out_port) {
@@ -87,20 +90,47 @@ void NocNetwork::set_router_throttle(std::uint32_t router, unsigned extra_cycles
   routers_.at(router).throttle += extra_cycles;
 }
 
-bool NocNetwork::try_inject(const Packet& p, Cycle now) {
-  EndpointNi& ni = endpoints_.at(p.src);
-  if (ni.inject_q.size() + p.length_flits > EndpointNi::kMaxInjectQ) return false;
-  packets_.emplace(p.id, p);
-  for (std::size_t f = 0; f < p.length_flits; ++f) {
-    Flit flit;
-    flit.packet = p.id;
-    flit.dst = p.dst;
-    flit.head = (f == 0);
-    flit.tail = (f + 1 == p.length_flits);
-    flit.vc = p.kind == PacketKind::kRequest ? kRequestVc : kResponseVc;
-    flit.ready_at = now;
-    push(ni, flit);
+NocNetwork::Message* NocNetwork::inject(NodeId src, NodeId dst,
+                                        std::size_t flits, std::uint8_t vc,
+                                        Cycle now) {
+  EndpointNi& ni = endpoints_.at(src);
+  if (ni.inject_q.size() + flits > EndpointNi::kMaxInjectQ) return nullptr;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   }
+  for (std::size_t f = 0; f < flits; ++f) {
+    push(ni, Flit{.message = slot, .dst = dst, .head = f == 0,
+                  .tail = f + 1 == flits, .vc = vc, .ready_at = now});
+  }
+  Message& m = slots_[slot];
+  m.injected = now;
+  return &m;
+}
+
+bool NocNetwork::try_inject_request(const MemRequest& req, Cycle now) {
+  // The packet fabrics run the full (ungated) configuration: logical ==
+  // physical bank.
+  Message* m = inject(req.core, bank_node(req.bank),
+                      1 + (req.is_write ? cfg_.line_flits() : 0), kRequestVc,
+                      now);
+  if (m == nullptr) return false;
+  m->req = req;
+  ++stats_.requests_injected;
+  return true;
+}
+
+bool NocNetwork::try_inject_response(const MemResponse& resp, Cycle now) {
+  Message* m = inject(bank_node(resp.bank), resp.core,
+                      1 + (resp.is_write ? 0 : cfg_.line_flits()), kResponseVc,
+                      now);
+  if (m == nullptr) return false;
+  m->resp = resp;
+  ++stats_.responses_injected;
   return true;
 }
 
@@ -178,11 +208,27 @@ bool NocNetwork::router_in_has_space(std::uint32_t router, std::uint32_t port,
 
 void NocNetwork::eject(const Flit& flit, Cycle now) {
   if (!flit.tail) return;
-  auto it = packets_.find(flit.packet);
-  assert(it != packets_.end());
-  ++stats_.packets_delivered;
-  if (delivery_) delivery_(it->second, now);
-  packets_.erase(it);
+  const Message& m = slots_[flit.message];
+  // ts = injection, dur = full in-network latency (queueing +
+  // serialisation + hops); recorded only at delivery, which is a model
+  // state change in both scheduler modes.
+  if (flit.vc == kRequestVc) {
+    ++stats_.requests_delivered;
+    if (trace_ != nullptr) {
+      trace_->complete("route_req", trace_track_, m.injected, now - m.injected,
+                       "core", m.req.core, "bank", m.req.bank);
+    }
+    delivered_requests_.push_back(m.req);
+  } else {
+    ++stats_.responses_delivered;
+    if (trace_ != nullptr) {
+      trace_->complete("route_resp", trace_track_, m.injected,
+                       now - m.injected, "core", m.resp.core, "bank",
+                       m.resp.bank);
+    }
+    delivered_responses_.push_back(m.resp);
+  }
+  free_slots_.push_back(flit.message);
 }
 
 bool NocNetwork::deliver_to_target(const Target& t, Flit flit, Cycle now) {
@@ -191,12 +237,12 @@ bool NocNetwork::deliver_to_target(const Target& t, Flit flit, Cycle now) {
       if (!router_in_has_space(t.index, t.port, flit.vc)) return false;
       flit.ready_at = now + cfg_.link_cycles + cfg_.router_pipeline_cycles;
       push(routers_[t.index], t.port, flit);
-      stats_.flit_link_mm += t.wire_mm;
+      transport_.flit_link_mm += t.wire_mm;
       return true;
     }
     case Target::Kind::kEndpoint:
       eject(flit, now);
-      stats_.flit_link_mm += t.wire_mm;
+      transport_.flit_link_mm += t.wire_mm;
       return true;
     case Target::Kind::kBus: {
       Bus& bus = buses_[t.index];
@@ -246,7 +292,7 @@ bool NocNetwork::router_output_step(std::uint32_t ri, std::uint32_t po,
   Flit flit = r.in[in_port].q[vc].front();
   if (!deliver_to_target(op.target, flit, now)) return false;  // back-pressure
   pop(r, in_port, vc);
-  ++stats_.flit_router_traversals;
+  ++transport_.flit_router_traversals;
   if (flit.head && !flit.tail) {
     op.locked_in[vc] = chosen;
     r.locked[vc] |= PortMask{1} << po;
@@ -301,7 +347,7 @@ void NocNetwork::tick(Cycle now) {
     const Target& t = bus.route.at(moving.dst);
     if (!deliver_to_target(t, moving, now)) return;  // blocked: hold the bus
     pop(bus, slot);
-    ++stats_.flit_bus_transfers;
+    ++transport_.flit_bus_transfers;
     bus.busy_until = now + bus.cycles_per_flit;
     if (moving.tail) {
       bus.locked_slot = -1;
@@ -342,7 +388,7 @@ void NocNetwork::tick(Cycle now) {
       for (std::uint8_t i = 0; i < kNumVcs; ++i) {
         const auto vc = static_cast<std::uint8_t>((first + i) % kNumVcs);
         if ((in_play(vc) >> po & 1) == 0) continue;
-        ++output_visits_;
+        ++stats_.output_visits;
         if (router_output_step(static_cast<std::uint32_t>(ri), po, vc, now)) {
           op.vc_rr = static_cast<std::uint8_t>((vc + 1) % kNumVcs);
           moved = true;
@@ -367,9 +413,9 @@ void NocNetwork::tick(Cycle now) {
       pop(ni);
     } else if (t.kind == Target::Kind::kBus) {
       Bus& bus = buses_[t.index];
-      if (bus.slots.at(*ni.bus_slot).size() >= cfg_.buffer_flits) return;
+      if (bus.slots.at(t.port).size() >= cfg_.buffer_flits) return;
       flit.ready_at = now + 1;
-      push(bus, *ni.bus_slot, flit);
+      push(bus, t.port, flit);
       pop(ni);
     } else {
       assert(false && "endpoint without injection wiring");
@@ -377,10 +423,8 @@ void NocNetwork::tick(Cycle now) {
   });
 }
 
-bool NocNetwork::idle() const { return packets_.empty(); }
-
 Cycle NocNetwork::next_event(Cycle now) const {
-  if (packets_.empty()) return kNeverCycle;
+  if (idle()) return kNeverCycle;
   Cycle next = kNeverCycle;
   // Every queued flit sits in exactly one FIFO (NI inject queue, bus
   // slot, or router input buffer); only heads can move, so the earliest
@@ -430,6 +474,26 @@ Cycle NocNetwork::next_event(Cycle now) const {
     return now;
   }
   return next;
+}
+
+double NocNetwork::dynamic_energy_pj() const {
+  const double router_pj =
+      static_cast<double>(transport_.flit_router_traversals) *
+      power_.router_hop_pj();
+  const double link_pj =
+      power_.wire_transfer_pj(transport_.flit_link_mm, cfg_.flit_bits);
+  // Bus transfers cross the TSV stack: charge the TSV capacitance per bit.
+  const double bus_pj = static_cast<double>(transport_.flit_bus_transfers) *
+                        power_.wire().tech().tsv_energy_fj_per_bit * 1e-3 *
+                        static_cast<double>(cfg_.flit_bits);
+  return router_pj + link_pj + bus_pj;
+}
+
+double NocNetwork::leakage_mw() const {
+  const double routers =
+      static_cast<double>(routers_.size()) * power_.router_leakage_mw();
+  const double links = power_.wire_leakage_mw(total_link_mm_, cfg_.flit_bits);
+  return routers + links;
 }
 
 }  // namespace mot3d::noc

@@ -1,6 +1,7 @@
-// Flit-level cycle-driven NoC fabric: wormhole routers, TSV buses, network
-// interfaces, plus builders for the paper's three packet-switched 3-D
-// baselines (True 3-D Mesh, Hybrid Bus-Mesh [2], Hybrid Bus-Tree [21]).
+// Flit-level cycle-driven NoC fabric: wormhole routers, TSV buses and
+// network interfaces, driven as an Interconnect, plus make_noc(), which
+// wires in one of the paper's three packet-switched 3-D baselines (True
+// 3-D Mesh, Hybrid Bus-Mesh [2], Hybrid Bus-Tree [21]).
 //
 // Router micro-architecture: input-buffered, one flit per output per cycle,
 // round-robin switch allocation (input-first: a head flit at the front of
@@ -21,15 +22,15 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "common/index_set.hpp"
+#include "common/interconnect.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/types.hpp"
 #include "noc/flit.hpp"
+#include "power/interconnect_power.hpp"
 
 namespace mot3d::noc {
 
@@ -55,7 +56,6 @@ struct NocConfig {
 };
 
 struct NocTransportStats {
-  std::uint64_t packets_delivered = 0;
   std::uint64_t flit_router_traversals = 0;  ///< buffer+xbar energy events
   std::uint64_t flit_bus_transfers = 0;
   double flit_link_mm = 0.0;                 ///< wire-length-weighted flits
@@ -66,22 +66,32 @@ struct Target {
   enum class Kind : std::uint8_t { kNone, kRouterPort, kEndpoint, kBus };
   Kind kind = Kind::kNone;
   std::uint32_t index = 0;  ///< router id / endpoint id / bus id
-  std::uint32_t port = 0;   ///< router input port (kRouterPort only)
+  std::uint32_t port = 0;   ///< router input port, or bus attachment slot
   double wire_mm = 0.0;     ///< physical link length (energy accounting)
 };
 
-/// The assembled network.  Topology builders populate the graph; the
-/// NocInterconnect adapter drives inject/tick/delivery.
-class NocNetwork {
+/// Which baseline make_noc() wires.
+enum class NocTopology { kTrueMesh3d, kHybridBusMesh, kHybridBusTree };
+
+const char* topology_name(NocTopology t);
+
+/// The packet-switched fabric.  Each message waits in a slot of a table
+/// from injection until its tail flit ejects, and its flits carry the
+/// slot's index; a worm's flits leave in order on one path, so no flit
+/// names a slot after its tail has ejected.
+class NocNetwork final : public Interconnect {
  public:
-  explicit NocNetwork(const NocConfig& cfg);
+  /// A bare network: no routers, buses or wiring yet.  make_noc() wires
+  /// one of the baselines into it; tests wire their own.
+  NocNetwork(const char* name, const NocConfig& cfg,
+             const power::InterconnectPowerModel& power);
 
   /// Most ports a router may have: one bit each in its occupancy masks.
   static constexpr std::size_t kMaxRouterPorts = 32;
   /// Most attachments a bus may have: one bit each in its occupancy mask.
   static constexpr std::size_t kMaxBusSlots = 32;
 
-  // ---- construction (builders only) ----
+  // ---- construction ----
   /// Adds a router with `num_ports` ports; returns its id.  Throws
   /// std::invalid_argument above kMaxRouterPorts.
   std::uint32_t add_router(std::size_t num_ports);
@@ -93,52 +103,43 @@ class NocNetwork {
   /// (Bus-Tree) pays more capacitive load and a longer TDMA frame.
   std::uint32_t add_bus(double wire_mm, unsigned cycles_per_flit);
   /// Attach a sender to the bus: flits from this slot are arbitrated RR.
-  /// Returns the attachment slot id used with bus_push.  Throws
-  /// std::invalid_argument past kMaxBusSlots.
+  /// Returns the attachment slot id, the `port` of a Target that injects
+  /// into this bus.  Throws std::invalid_argument past kMaxBusSlots.
   std::uint32_t add_bus_attachment(std::uint32_t bus);
   /// Where the bus delivers flits destined to endpoint `e`.
   void set_bus_route(std::uint32_t bus, NodeId e, Target target);
   /// Attach endpoint `e`'s injection to a router input port or a bus slot.
-  void set_endpoint_injection(NodeId e, Target target,
-                              std::optional<std::uint32_t> bus_slot = {});
+  void set_endpoint_injection(NodeId e, Target target);
   /// Routing table entry: at `router`, packets for endpoint `dst` leave by
   /// `out_port`.  Throws std::invalid_argument when `out_port` is not one of
   /// the router's ports.
   void set_route(std::uint32_t router, NodeId dst, std::uint32_t out_port);
 
-  // ---- runtime ----
-  using Delivery = std::function<void(const Packet&, Cycle)>;
-  void set_delivery(Delivery d) { delivery_ = std::move(d); }
-
-  /// Queue `p` at its source endpoint NI; false if the NI queue is full.
-  bool try_inject(const Packet& p, Cycle now);
-
-  void tick(Cycle now);
-  bool idle() const;
-
+  // ---- Interconnect ----
+  const char* name() const override { return name_; }
+  /// Queue the message's flits at its source NI: one flit, plus
+  /// line_flits() when it carries a line.  False when the NI queue has no
+  /// room for them.
+  bool try_inject_request(const MemRequest& req, Cycle now) override;
+  bool try_inject_response(const MemResponse& resp, Cycle now) override;
+  void tick(Cycle now) override;
+  bool idle() const override { return free_slots_.size() == slots_.size(); }
   /// Next-event contract (see DESIGN.md): earliest cycle >= `now` at which
   /// tick() could move a flit.  Any flit that is ready but back-pressured
   /// pins the result to `now` (dense ticking resumes until it drains).
-  Cycle next_event(Cycle now) const;
+  Cycle next_event(Cycle now) const override;
+  double dynamic_energy_pj() const override;
+  double leakage_mw() const override;
 
   const NocConfig& config() const { return cfg_; }
-  const NocTransportStats& transport_stats() const { return stats_; }
-  /// (router output, VC) arbitration attempts tick() has made.  Host work,
-  /// not a modeled number: each tick visits only the outputs with a request
-  /// or a lock, so a dense run that ticks every cycle makes more than an
-  /// event-driven one.
-  std::uint64_t output_visits() const { return output_visits_; }
+  const NocTransportStats& transport_stats() const { return transport_; }
   std::size_t num_routers() const { return routers_.size(); }
-  std::size_t num_buses() const { return buses_.size(); }
 
   /// Fault injection: serialise router `router`'s crossbar — at most one
   /// flit moves per window and each moved flit costs `extra_cycles` extra
   /// pause (a degraded link retrains/retries every transfer).  Cumulative
   /// and permanent.
   void set_router_throttle(std::uint32_t router, unsigned extra_cycles);
-
-  /// Total link wire in the topology (leakage accounting), mm.
-  double total_link_mm() const { return total_link_mm_; }
 
  private:
   using FlitQueue = RingBuffer<Flit>;
@@ -179,10 +180,16 @@ class NocNetwork {
     PortMask occupied = 0;  ///< non-empty slots (push()/pop())
   };
   struct EndpointNi {
-    Target injection;                      ///< router port or bus slot
-    std::optional<std::uint32_t> bus_slot; ///< slot id when injecting via bus
+    Target injection;  ///< router input port, or bus and slot
     FlitQueue inject_q;
     static constexpr std::size_t kMaxInjectQ = 64;
+  };
+  /// A message in flight; the VC of its flits says which of `req` and
+  /// `resp` it is.
+  struct Message {
+    Cycle injected = 0;
+    MemRequest req;
+    MemResponse resp;
   };
 
   // Every flit enters and leaves a FIFO through push()/pop(), which keep
@@ -201,6 +208,13 @@ class NocNetwork {
   static void request(Router& r, std::uint32_t port, const Flit& head);
   static void withdraw(Router& r, std::uint32_t port, const Flit& head);
 
+  NodeId bank_node(BankId b) const {
+    return static_cast<NodeId>(cfg_.num_cores + b);
+  }
+  /// Queue a `flits`-long message from `src` to `dst` on `vc` and return
+  /// the slot it waits in, or null when `src`'s NI queue has no room.
+  Message* inject(NodeId src, NodeId dst, std::size_t flits, std::uint8_t vc,
+                  Cycle now);
   bool deliver_to_target(const Target& t, Flit flit, Cycle now);
   void eject(const Flit& flit, Cycle now);
   bool router_in_has_space(std::uint32_t router, std::uint32_t port,
@@ -210,26 +224,26 @@ class NocNetwork {
   bool router_output_step(std::uint32_t ri, std::uint32_t po, std::uint8_t vc,
                           Cycle now);
 
+  const char* name_;
   NocConfig cfg_;
+  power::InterconnectPowerModel power_;
   std::vector<Router> routers_;
   std::vector<Bus> buses_;
   std::vector<EndpointNi> endpoints_;
-  std::unordered_map<PacketId, Packet> packets_;
-  Delivery delivery_;
-  NocTransportStats stats_;
-  double total_link_mm_ = 0.0;
-  std::uint64_t output_visits_ = 0;
+  std::vector<Message> slots_;
+  std::vector<std::uint32_t> free_slots_;  ///< slots no message holds
+  NocTransportStats transport_;
+  double total_link_mm_ = 0.0;  ///< router-to-router wire, for leakage
   // The components that buffer a flit, kept by push()/pop().
   IndexSet busy_routers_;
   IndexSet busy_buses_;
   IndexSet busy_nis_;
 };
 
-/// Builders for the paper's three baselines (16 cores, 32 banks over two
-/// stacked tiers).  Each returns a fully wired network, and throws
-/// std::invalid_argument for any other shape.
-NocNetwork build_true_mesh_3d(const NocConfig& cfg);
-NocNetwork build_hybrid_bus_mesh(const NocConfig& cfg);
-NocNetwork build_hybrid_bus_tree(const NocConfig& cfg);
+/// One of the paper's three baselines, fully wired (16 cores, 32 banks
+/// over two stacked tiers).  Throws std::invalid_argument for any other
+/// shape.
+std::unique_ptr<NocNetwork> make_noc(NocTopology topology, const NocConfig& cfg,
+                                     const power::InterconnectPowerModel& power);
 
 }  // namespace mot3d::noc

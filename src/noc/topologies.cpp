@@ -1,4 +1,5 @@
-// Topology builders for the paper's three packet-switched 3-D baselines.
+// make_noc(): the paper's three packet-switched 3-D baselines, each wired
+// into a bare NocNetwork.
 //
 // Geometry: a 4x4 grid of tiles on the core tier (one core per tile) and
 // two stacked bank tiers of 16 banks each (bank b sits at tile b%16, tier
@@ -6,6 +7,7 @@
 // rejected at construction: it would leave endpoints unwired.
 #include <array>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 
 #include "noc/network.hpp"
@@ -28,14 +30,6 @@ Tile tile_of_bank(std::uint32_t b) {
 }
 int tier_of_bank(std::uint32_t b) { return 1 + static_cast<int>(b / 16); }
 
-void require_table1_shape(const NocConfig& cfg) {
-  if (cfg.num_cores != 16 || cfg.num_banks != 32) {
-    throw std::invalid_argument(
-        "packet-switched baselines are hardwired to the 16-core/32-bank "
-        "Table I cluster; scale-out shapes run the MoT fabric only");
-  }
-}
-
 NodeId bank_endpoint(const NocConfig& cfg, std::uint32_t b) {
   return static_cast<NodeId>(cfg.num_cores + b);
 }
@@ -50,15 +44,12 @@ int xy_next_port(Tile at, Tile to) {
   return -1;
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // True 3-D Mesh: 4x4x3 routers, 7 ports (E W N S Up Down Local), XYZ
 // dimension-order routing (deadlock-free).
 // ---------------------------------------------------------------------------
-NocNetwork build_true_mesh_3d(const NocConfig& cfg) {
-  require_table1_shape(cfg);
-  NocNetwork net(cfg);
+void wire_true_mesh_3d(NocNetwork& net) {
+  const NocConfig& cfg = net.config();
   constexpr std::uint32_t kUp = 4, kDown = 5, kLocal = 6;
   const double pitch = cfg.mesh_pitch_mm;
   const double tsv_mm = 0.04;  // 40 µm tier gap
@@ -143,7 +134,6 @@ NocNetwork build_true_mesh_3d(const NocConfig& cfg) {
       }
     }
   }
-  return net;
 }
 
 // ---------------------------------------------------------------------------
@@ -151,9 +141,8 @@ NocNetwork build_true_mesh_3d(const NocConfig& cfg) {
 // on the core tier; each router owns a vertical dTDMA TSV-bus pillar shared
 // by the two banks stacked above its tile.
 // ---------------------------------------------------------------------------
-NocNetwork build_hybrid_bus_mesh(const NocConfig& cfg) {
-  require_table1_shape(cfg);
-  NocNetwork net(cfg);
+void wire_hybrid_bus_mesh(NocNetwork& net) {
+  const NocConfig& cfg = net.config();
   constexpr std::uint32_t kLocal = 4, kBusPort = 5;
   const double pitch = cfg.mesh_pitch_mm;
 
@@ -182,7 +171,7 @@ NocNetwork build_hybrid_bus_mesh(const NocConfig& cfg) {
         const std::uint32_t b = static_cast<std::uint32_t>(tier * 16 + y * 4 + x);
         const NodeId e = bank_endpoint(cfg, b);
         const std::uint32_t slot = net.add_bus_attachment(bus);
-        net.set_endpoint_injection(e, {Target::Kind::kBus, bus, slot, 0.04}, slot);
+        net.set_endpoint_injection(e, {Target::Kind::kBus, bus, slot, 0.04});
         net.set_bus_route(bus, e, {Target::Kind::kEndpoint, e, 0, 0.04});
       }
       // Anything not a pillar bank returns into the router.
@@ -213,7 +202,6 @@ NocNetwork build_hybrid_bus_mesh(const NocConfig& cfg) {
       }
     }
   }
-  return net;
 }
 
 // ---------------------------------------------------------------------------
@@ -222,9 +210,8 @@ NocNetwork build_hybrid_bus_mesh(const NocConfig& cfg) {
 // shared by the EIGHT banks above one quadrant — less hop count than the
 // mesh but far more bus sharing, which is why it performs worst.
 // ---------------------------------------------------------------------------
-NocNetwork build_hybrid_bus_tree(const NocConfig& cfg) {
-  require_table1_shape(cfg);
-  NocNetwork net(cfg);
+void wire_hybrid_bus_tree(NocNetwork& net) {
+  const NocConfig& cfg = net.config();
   constexpr std::uint32_t kUpPort = 4, kBusPort = 5;
   const double link = cfg.tree_link_mm;
 
@@ -255,7 +242,7 @@ NocNetwork build_hybrid_bus_tree(const NocConfig& cfg) {
       if (quad_of_bank(b) != q) continue;
       const NodeId e = bank_endpoint(cfg, b);
       const std::uint32_t slot = net.add_bus_attachment(bus);
-      net.set_endpoint_injection(e, {Target::Kind::kBus, bus, slot, 0.04}, slot);
+      net.set_endpoint_injection(e, {Target::Kind::kBus, bus, slot, 0.04});
       net.set_bus_route(bus, e, {Target::Kind::kEndpoint, e, 0, 0.04});
     }
     for (NodeId c = 0; c < cfg.num_cores; ++c) {
@@ -281,6 +268,32 @@ NocNetwork build_hybrid_bus_tree(const NocConfig& cfg) {
             ? quad_of_core(e)
             : quad_of_bank(static_cast<std::uint32_t>(e - cfg.num_cores));
     net.set_route(root, e, q);
+  }
+}
+
+}  // namespace
+
+const char* topology_name(NocTopology t) {
+  switch (t) {
+    case NocTopology::kTrueMesh3d: return "True 3-D Mesh";
+    case NocTopology::kHybridBusMesh: return "3-D Hybrid Bus-Mesh";
+    case NocTopology::kHybridBusTree: return "3-D Hybrid Bus-Tree";
+  }
+  return "?";
+}
+
+std::unique_ptr<NocNetwork> make_noc(NocTopology topology, const NocConfig& cfg,
+                                     const power::InterconnectPowerModel& power) {
+  if (cfg.num_cores != 16 || cfg.num_banks != 32) {
+    throw std::invalid_argument(
+        "packet-switched baselines are hardwired to the 16-core/32-bank "
+        "Table I cluster; scale-out shapes run the MoT fabric only");
+  }
+  auto net = std::make_unique<NocNetwork>(topology_name(topology), cfg, power);
+  switch (topology) {
+    case NocTopology::kTrueMesh3d: wire_true_mesh_3d(*net); break;
+    case NocTopology::kHybridBusMesh: wire_hybrid_bus_mesh(*net); break;
+    case NocTopology::kHybridBusTree: wire_hybrid_bus_tree(*net); break;
   }
   return net;
 }

@@ -9,7 +9,7 @@
 #include "cacti/sram_model.hpp"
 #include "core/mot_timing.hpp"
 #include "memory_test_doubles.hpp"
-#include "noc/noc_interconnect.hpp"
+#include "noc/network.hpp"
 #include "workload/synthetic_trace.hpp"
 
 namespace mot3d {

@@ -14,7 +14,7 @@
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
 #include "memory_test_doubles.hpp"
-#include "noc/noc_interconnect.hpp"
+#include "noc/network.hpp"
 
 namespace mot3d::noc {
 namespace {
@@ -28,7 +28,7 @@ class NocTest : public ::testing::TestWithParam<NocTopology> {
   NocConfig cfg;
   DeliveryLog got;
 
-  std::unique_ptr<NocInterconnect> make() {
+  std::unique_ptr<NocNetwork> make() {
     return make_noc(GetParam(), cfg, power_model());
   }
 
@@ -117,7 +117,7 @@ TEST_P(NocTest, EnergyAndStatsAccumulate) {
   EXPECT_GT(icn->leakage_mw(), 0.0);
   EXPECT_EQ(icn->stats().requests_injected, 1u);
   EXPECT_EQ(icn->stats().requests_delivered, 1u);
-  EXPECT_GT(icn->network().transport_stats().flit_router_traversals, 0u);
+  EXPECT_GT(icn->transport_stats().flit_router_traversals, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, NocTest,
@@ -437,7 +437,7 @@ TEST(NocConstruction, BuildersRejectShapesTheyCannotWire) {
 }
 
 TEST(NocConstruction, RouterPortsAreBoundedByTheOccupancyMask) {
-  NocNetwork net(NocConfig{});
+  NocNetwork net("bare", NocConfig{}, power_model());
   EXPECT_NO_THROW(net.add_router(NocNetwork::kMaxRouterPorts));
   EXPECT_THROW(net.add_router(NocNetwork::kMaxRouterPorts + 1),
                std::invalid_argument);
@@ -445,7 +445,7 @@ TEST(NocConstruction, RouterPortsAreBoundedByTheOccupancyMask) {
 }
 
 TEST(NocConstruction, BusAttachmentsAreBoundedByTheOccupancyMask) {
-  NocNetwork net(NocConfig{});
+  NocNetwork net("bare", NocConfig{}, power_model());
   const std::uint32_t bus = net.add_bus(0.08, 2);
   for (std::size_t i = 0; i < NocNetwork::kMaxBusSlots; ++i) {
     EXPECT_EQ(net.add_bus_attachment(bus), i);
@@ -456,7 +456,7 @@ TEST(NocConstruction, BusAttachmentsAreBoundedByTheOccupancyMask) {
 TEST(NocConstruction, RoutesMustNameAPortOfTheRouter) {
   // A head routed to a missing port would never match an output and would
   // surface much later as a deadlock; the table rejects it instead.
-  NocNetwork net(NocConfig{});
+  NocNetwork net("bare", NocConfig{}, power_model());
   const std::uint32_t r = net.add_router(4);
   EXPECT_NO_THROW(net.set_route(r, 0, 3));
   try {
@@ -471,32 +471,32 @@ TEST(NocConstruction, RoutesMustNameAPortOfTheRouter) {
 }
 
 TEST(NocConstruction, WidestRouterServesEveryPortInRoundRobinOrder) {
-  // Port 31 is the top bit of the occupancy masks.  Every port of a
-  // 32-port crossbar sends one flit to port 0 at cycle 0; they must leave
-  // one per cycle in port order.
+  // Port 31 is the top bit of the occupancy masks.  Bank b injects on
+  // port b of a 32-port crossbar, and every bank sends core 0 a one-flit
+  // write acknowledgement at cycle 0; they must leave by port 0 one per
+  // cycle in port order.
   constexpr std::uint32_t kPorts = NocNetwork::kMaxRouterPorts;
-  NocNetwork net(NocConfig{});
+  const NocConfig cfg;
+  ASSERT_EQ(cfg.num_banks, kPorts);
+  NocNetwork net("bare", cfg, power_model());
   const std::uint32_t r = net.add_router(kPorts);
+  net.set_output(r, 0, {Target::Kind::kEndpoint, 0, 0, 0.1});
+  net.set_route(r, 0, 0);
   for (std::uint32_t p = 0; p < kPorts; ++p) {
-    net.set_output(r, p, {Target::Kind::kEndpoint, p, 0, 0.1});
-    net.set_endpoint_injection(p, {Target::Kind::kRouterPort, r, p, 0.1});
-    net.set_route(r, p, p);
+    net.set_endpoint_injection(static_cast<NodeId>(cfg.num_cores + p),
+                               {Target::Kind::kRouterPort, r, p, 0.1});
   }
-  std::vector<std::pair<PacketId, Cycle>> got;
-  net.set_delivery(
-      [&](const Packet& pk, Cycle t) { got.emplace_back(pk.id, t); });
-  for (std::uint32_t p = 0; p < kPorts; ++p) {
-    Packet pk;
-    pk.id = p + 1;
-    pk.src = p;
-    pk.dst = 0;
-    ASSERT_TRUE(net.try_inject(pk, 0));
+  for (BankId b = 0; b < kPorts; ++b) {
+    const MemResponse ack{.id = b + 1u, .core = 0, .bank = b, .addr = 0,
+                          .is_write = true, .l2_hit = true, .issue_cycle = 0};
+    ASSERT_TRUE(net.try_inject_response(ack, 0));
   }
-  for (Cycle t = 0; t < 200 && !net.idle(); ++t) net.tick(t);
-  ASSERT_EQ(got.size(), kPorts);
+  DeliveryLog got;
+  for (Cycle t = 0; t < 200 && !net.idle(); ++t) got.tick(net, t);
+  ASSERT_EQ(got.responses.size(), kPorts);
   for (std::uint32_t i = 0; i < kPorts; ++i) {
-    EXPECT_EQ(got[i].first, i + 1);
-    EXPECT_EQ(got[i].second, got[0].second + i);
+    EXPECT_EQ(got.responses[i].first.bank, i);
+    EXPECT_EQ(got.responses[i].second, got.responses[0].second + i);
   }
 }
 
