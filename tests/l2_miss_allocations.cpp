@@ -1,7 +1,7 @@
-// Heap allocations on two hot paths: per L2 miss on the memory side, and
-// per MoT request round trip.  This file replaces the global operator new
-// to count calls, so it links into its own test executable
-// (mot3d_alloc_tests) rather than mot3d_tests.
+// Heap allocations on three hot paths: per L2 miss on the memory side, per
+// MoT request round trip, and per packet-fabric message.  This file
+// replaces the global operator new to count calls, so it links into its
+// own test executable (mot3d_alloc_tests) rather than mot3d_tests.
 //
 // L2 misses: eight banks each take a fresh line every 40 cycles, so every
 // access misses and rides the Miss bus to DRAM and back.  After a warm-up
@@ -13,16 +13,23 @@
 // each request the fabric delivers is answered the same cycle.  After
 // warm-up, a round trip allocates nothing: the message energies are a
 // per-state table.
+//
+// Packet-fabric messages: the same round trips on each NoC baseline.
+// After warm-up, a message allocates nothing: it waits in a reused slot
+// of the network's table, and the flit queues and delivery batches have
+// reached their steady-state capacity.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "cacti/sram_model.hpp"
 #include "core/mot_interconnect.hpp"
 #include "mem/dram.hpp"
 #include "mem/l2_system.hpp"
 #include "memory_test_doubles.hpp"
+#include "noc/network.hpp"
 
 namespace {
 std::uint64_t g_allocations = 0;
@@ -137,6 +144,68 @@ TEST(MotRoundTripAllocations, NoAllocationPerRequest) {
   RecordProperty("allocations_per_request", std::to_string(per_request));
   EXPECT_LT(per_request, 0.01) << g_allocations << " allocations over "
                                << requests << " requests";
+}
+
+TEST(NocRoundTripAllocations, NoAllocationPerMessage) {
+  constexpr Cycle kWarmup = 5'000;
+  constexpr Cycle kMeasured = 50'000;
+
+  const power::InterconnectPowerModel power(
+      phys::WireModel(phys::default_technology()));
+  const struct {
+    noc::NocTopology topology;
+    const char* name;
+  } fabrics[] = {{noc::NocTopology::kTrueMesh3d, "mesh3d"},
+                 {noc::NocTopology::kHybridBusMesh, "busmesh"},
+                 {noc::NocTopology::kHybridBusTree, "bustree"}};
+  for (const auto& fabric : fabrics) {
+    SCOPED_TRACE(fabric.name);
+    const noc::NocConfig cfg;
+    const auto icn = noc::make_noc(fabric.topology, cfg, power);
+    auto delivered = [&icn] {
+      return icn->stats().requests_delivered + icn->stats().responses_delivered;
+    };
+
+    std::uint64_t next_id = 0;
+    std::uint64_t delivered_at_start = 0;
+    for (Cycle t = 0; t < kWarmup + kMeasured; ++t) {
+      if (t == kWarmup) {
+        delivered_at_start = delivered();
+        g_allocations = 0;
+        g_counting = true;
+      }
+      // Every core offers a request each cycle; half of them carry a line.
+      for (CoreId c = 0; c < cfg.num_cores; ++c) {
+        const MemRequest req{.id = next_id,
+                             .core = c,
+                             .bank = static_cast<BankId>((c * 7 + t) % cfg.num_banks),
+                             .is_write = next_id % 2 == 0,
+                             .issue_cycle = t};
+        if (icn->try_inject_request(req, t)) ++next_id;
+      }
+      icn->tick(t);
+      for (const MemRequest& r : icn->delivered_requests()) {
+        icn->try_inject_response(MemResponse{.id = r.id,
+                                             .core = r.core,
+                                             .bank = r.bank,
+                                             .is_write = r.is_write,
+                                             .issue_cycle = r.issue_cycle},
+                                 t);
+      }
+      icn->clear_deliveries();
+    }
+    g_counting = false;
+
+    // The Bus-Tree's quadrant buses deliver fewer messages than cycles.
+    const std::uint64_t messages = delivered() - delivered_at_start;
+    ASSERT_GT(messages, kMeasured / 4);
+    const double per_message =
+        static_cast<double>(g_allocations) / static_cast<double>(messages);
+    RecordProperty(std::string("allocations_per_message_") + fabric.name,
+                   std::to_string(per_message));
+    EXPECT_LT(per_message, 0.01) << g_allocations << " allocations over "
+                                 << messages << " messages";
+  }
 }
 
 }  // namespace
