@@ -10,6 +10,7 @@
 // trace exactly equal the statistics aggregates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -217,16 +218,17 @@ TEST(ObsCluster, MetricsSamplesLandOnEpochBoundariesAndRunEnd) {
 
 // Satellite cross-check: counts derived from the trace equal the stats
 // aggregates — the trace is the same model, not a parallel accounting.
-void expect_trace_matches_stats(cluster::SchedulerMode mode) {
-  cluster::ClusterConfig cfg =
-      paper_cfg("producer_consumer", cluster::Fabric::kMot, mode);
+void expect_trace_matches_stats(cluster::Fabric fabric,
+                                cluster::SchedulerMode mode) {
+  cluster::ClusterConfig cfg = paper_cfg("producer_consumer", fabric, mode);
   cfg.obs.trace = true;
   const cluster::SimResult r = cluster::Cluster(cfg).run();
   ASSERT_NE(r.trace, nullptr);
 
   std::uint64_t invalidates = 0, l2_misses = 0, grants = 0;
   std::uint64_t inv_acks = 0, data_forwards = 0;
-  Cycle grant_wait = 0;
+  std::uint64_t routed_requests = 0, routed_responses = 0;
+  Cycle grant_wait = 0, last_route_end = 0;
   for (std::size_t i = 0; i < r.trace->size(); ++i) {
     const TraceEvent& e = r.trace->event(i);
     if (std::strcmp(e.name, "Invalidate") == 0) ++invalidates;
@@ -234,6 +236,13 @@ void expect_trace_matches_stats(cluster::SchedulerMode mode) {
     if (std::strcmp(e.name, "grant") == 0) {
       ++grants;
       grant_wait += e.dur;
+    }
+    const bool route_req = std::strcmp(e.name, "route_req") == 0;
+    const bool route_resp = std::strcmp(e.name, "route_resp") == 0;
+    routed_requests += route_req;
+    routed_responses += route_resp;
+    if (route_req || route_resp) {
+      last_route_end = std::max(last_route_end, e.ts + e.dur);
     }
     // The ack legs appear twice (injection instant at the core, round-trip
     // complete at the bank); count only the completes.
@@ -246,18 +255,45 @@ void expect_trace_matches_stats(cluster::SchedulerMode mode) {
   EXPECT_EQ(l2_misses, r.l2.misses);
   EXPECT_EQ(inv_acks, r.coherence.inv_acks);
   EXPECT_EQ(data_forwards, r.coherence.data_forwards);
-  // One MoT grant per delivered request; the summed grant durations are
-  // exactly the fabric's aggregate arbitration wait.
-  EXPECT_EQ(grants, r.interconnect.requests_delivered);
-  EXPECT_EQ(grant_wait, r.interconnect.arbitration_wait_cycles);
+  if (fabric == cluster::Fabric::kMot) {
+    // One MoT grant per delivered request; the summed grant durations are
+    // exactly the fabric's aggregate arbitration wait.
+    EXPECT_EQ(grants, r.interconnect.requests_delivered);
+    EXPECT_EQ(grant_wait, r.interconnect.arbitration_wait_cycles);
+  } else {
+    // One route event per delivered message, spanning injection to
+    // delivery, both inside the run.
+    EXPECT_GT(routed_requests, 0u);
+    EXPECT_EQ(routed_requests, r.interconnect.requests_delivered);
+    EXPECT_EQ(routed_responses, r.interconnect.responses_delivered);
+    EXPECT_LE(last_route_end, r.cycles);
+  }
 }
 
 TEST(ObsCluster, TraceCountsMatchStatsAggregatesEventDriven) {
-  expect_trace_matches_stats(cluster::SchedulerMode::kEventDriven);
+  expect_trace_matches_stats(cluster::Fabric::kMot,
+                             cluster::SchedulerMode::kEventDriven);
 }
 
 TEST(ObsCluster, TraceCountsMatchStatsAggregatesDenseTick) {
-  expect_trace_matches_stats(cluster::SchedulerMode::kDenseTick);
+  expect_trace_matches_stats(cluster::Fabric::kMot,
+                             cluster::SchedulerMode::kDenseTick);
+}
+
+TEST(ObsCluster, RouteEventsMatchPacketFabricDeliveriesEventDriven) {
+  for (const cluster::Fabric f :
+       {cluster::Fabric::kTrueMesh3d, cluster::Fabric::kHybridBusTree}) {
+    SCOPED_TRACE(cluster::fabric_name(f));
+    expect_trace_matches_stats(f, cluster::SchedulerMode::kEventDriven);
+  }
+}
+
+TEST(ObsCluster, RouteEventsMatchPacketFabricDeliveriesDenseTick) {
+  for (const cluster::Fabric f :
+       {cluster::Fabric::kTrueMesh3d, cluster::Fabric::kHybridBusTree}) {
+    SCOPED_TRACE(cluster::fabric_name(f));
+    expect_trace_matches_stats(f, cluster::SchedulerMode::kDenseTick);
+  }
 }
 
 // Satellite cross-check, DRAM leg: the final metrics-registry sample of
