@@ -964,14 +964,17 @@ thermal::ThermalSources Cluster::thermal_build_sources(
   // Cores: per-core dynamic energy from per-core counter deltas (finer
   // placement than the component ledger gives); leakage at reference
   // temperature — the model's fixed point applies the temperature law.
+  // Coherence invalidations probe the L1D array, as the ledger charges
+  // them (accumulate_dynamic_energy).
   for (CoreId c : active_cores_) {
     const cpu::CoreStats& st = cores_[c]->stats();
+    const std::uint64_t l1 = cores_[c]->l1_accesses() + st.invalidations_received;
     const std::uint64_t d_instr = st.instructions - prev_core_instr_[c];
     const std::uint64_t d_spin = st.spin_cycles - prev_core_spin_[c];
-    const std::uint64_t d_l1 = cores_[c]->l1_accesses() - prev_core_l1_[c];
+    const std::uint64_t d_l1 = l1 - prev_core_l1_[c];
     prev_core_instr_[c] = st.instructions;
     prev_core_spin_[c] = st.spin_cycles;
-    prev_core_l1_[c] = cores_[c]->l1_accesses();
+    prev_core_l1_[c] = l1;
     const double pj =
         static_cast<double>(d_instr) * cfg_.core_power.energy_per_instr_pj +
         core_model.spin_pj(d_spin) +

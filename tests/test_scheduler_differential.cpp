@@ -218,7 +218,7 @@ TEST(PollOrderPin, MotStackedRemapFft) {
 TEST(PollOrderPin, MotStackedRemapProducerConsumer) {
   expect_pinned({"producer_consumer", Fabric::kMot,
                  sim::DramBackendMode::kStackedRemap, kMixedFaults},
-                "d518599d91c21d9ddd5554a8f841b55eefde6a21c981145432465da395a78d43");
+                "dfd50536481f00059db44ddee33cc814fafcbe87f1a4238b819bdc241a5a4390");
 }
 
 TEST(PollOrderPin, Mesh3dDegradeOnlyFaults) {
