@@ -115,7 +115,7 @@ NocNetwork::Message* NocNetwork::inject(NodeId src, NodeId dst,
 bool NocNetwork::try_inject_request(const MemRequest& req, Cycle now) {
   // The packet fabrics run the full (ungated) configuration: logical ==
   // physical bank.
-  Message* m = inject(req.core, bank_node(req.bank),
+  Message* m = inject(req.core, cfg_.bank_node(req.bank),
                       1 + (req.is_write ? cfg_.line_flits() : 0), kRequestVc,
                       now);
   if (m == nullptr) return false;
@@ -125,7 +125,7 @@ bool NocNetwork::try_inject_request(const MemRequest& req, Cycle now) {
 }
 
 bool NocNetwork::try_inject_response(const MemResponse& resp, Cycle now) {
-  Message* m = inject(bank_node(resp.bank), resp.core,
+  Message* m = inject(cfg_.bank_node(resp.bank), resp.core,
                       1 + (resp.is_write ? 0 : cfg_.line_flits()), kResponseVc,
                       now);
   if (m == nullptr) return false;

@@ -53,6 +53,9 @@ struct NocConfig {
 
   std::size_t line_flits() const { return line_bytes * 8 / flit_bits; }
   std::size_t num_endpoints() const { return num_cores + num_banks; }
+  NodeId bank_node(std::uint32_t b) const {
+    return static_cast<NodeId>(num_cores + b);
+  }
 };
 
 struct NocTransportStats {
@@ -208,9 +211,6 @@ class NocNetwork final : public Interconnect {
   static void request(Router& r, std::uint32_t port, const Flit& head);
   static void withdraw(Router& r, std::uint32_t port, const Flit& head);
 
-  NodeId bank_node(BankId b) const {
-    return static_cast<NodeId>(cfg_.num_cores + b);
-  }
   /// Queue a `flits`-long message from `src` to `dst` on `vc` and return
   /// the slot it waits in, or null when `src`'s NI queue has no room.
   Message* inject(NodeId src, NodeId dst, std::size_t flits, std::uint8_t vc,

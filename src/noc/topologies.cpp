@@ -30,10 +30,6 @@ Tile tile_of_bank(std::uint32_t b) {
 }
 int tier_of_bank(std::uint32_t b) { return 1 + static_cast<int>(b / 16); }
 
-NodeId bank_endpoint(const NocConfig& cfg, std::uint32_t b) {
-  return static_cast<NodeId>(cfg.num_cores + b);
-}
-
 /// XY-dimension-order next hop within one tier's 4x4 mesh; returns the port
 /// or -1 when (x, y) is the destination tile.
 int xy_next_port(Tile at, Tile to) {
@@ -102,7 +98,7 @@ void wire_true_mesh_3d(NocNetwork& net) {
   for (std::uint32_t b = 0; b < cfg.num_banks; ++b) {
     const Tile t = tile_of_bank(b);
     const std::uint32_t r = rid(t.x, t.y, tier_of_bank(b));
-    const NodeId e = bank_endpoint(cfg, b);
+    const NodeId e = cfg.bank_node(b);
     net.set_output(r, kLocal, {Target::Kind::kEndpoint, e, 0, 0.1});
     net.set_endpoint_injection(e, {Target::Kind::kRouterPort, r, kLocal, 0.1});
   }
@@ -169,7 +165,7 @@ void wire_hybrid_bus_mesh(NocNetwork& net) {
       net.set_output(r, kBusPort, {Target::Kind::kBus, bus, router_slot, 0.04});
       for (int tier = 0; tier < 2; ++tier) {
         const std::uint32_t b = static_cast<std::uint32_t>(tier * 16 + y * 4 + x);
-        const NodeId e = bank_endpoint(cfg, b);
+        const NodeId e = cfg.bank_node(b);
         const std::uint32_t slot = net.add_bus_attachment(bus);
         net.set_endpoint_injection(e, {Target::Kind::kBus, bus, slot, 0.04});
         net.set_bus_route(bus, e, {Target::Kind::kEndpoint, e, 0, 0.04});
@@ -240,7 +236,7 @@ void wire_hybrid_bus_tree(NocNetwork& net) {
     net.set_output(quad[q], kBusPort, {Target::Kind::kBus, bus, router_slot, 0.04});
     for (std::uint32_t b = 0; b < cfg.num_banks; ++b) {
       if (quad_of_bank(b) != q) continue;
-      const NodeId e = bank_endpoint(cfg, b);
+      const NodeId e = cfg.bank_node(b);
       const std::uint32_t slot = net.add_bus_attachment(bus);
       net.set_endpoint_injection(e, {Target::Kind::kBus, bus, slot, 0.04});
       net.set_bus_route(bus, e, {Target::Kind::kEndpoint, e, 0, 0.04});

@@ -483,7 +483,7 @@ TEST(NocConstruction, WidestRouterServesEveryPortInRoundRobinOrder) {
   net.set_output(r, 0, {Target::Kind::kEndpoint, 0, 0, 0.1});
   net.set_route(r, 0, 0);
   for (std::uint32_t p = 0; p < kPorts; ++p) {
-    net.set_endpoint_injection(static_cast<NodeId>(cfg.num_cores + p),
+    net.set_endpoint_injection(cfg.bank_node(p),
                                {Target::Kind::kRouterPort, r, p, 0.1});
   }
   for (BankId b = 0; b < kPorts; ++b) {
