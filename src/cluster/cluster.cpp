@@ -968,7 +968,8 @@ thermal::ThermalSources Cluster::thermal_build_sources(
   // them (accumulate_dynamic_energy).
   for (CoreId c : active_cores_) {
     const cpu::CoreStats& st = cores_[c]->stats();
-    const std::uint64_t l1 = cores_[c]->l1_accesses() + st.invalidations_received;
+    const std::uint64_t l1 =
+        cores_[c]->l1_accesses() + st.invalidations_received;
     const std::uint64_t d_instr = st.instructions - prev_core_instr_[c];
     const std::uint64_t d_spin = st.spin_cycles - prev_core_spin_[c];
     const std::uint64_t d_l1 = l1 - prev_core_l1_[c];
