@@ -10,7 +10,6 @@
 // trace exactly equal the statistics aggregates.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -228,6 +227,7 @@ void expect_trace_matches_stats(cluster::Fabric fabric,
   std::uint64_t invalidates = 0, l2_misses = 0, grants = 0;
   std::uint64_t inv_acks = 0, data_forwards = 0;
   std::uint64_t routed_requests = 0, routed_responses = 0;
+  std::uint64_t route_ends_out_of_order = 0;
   Cycle grant_wait = 0, last_route_end = 0;
   for (std::size_t i = 0; i < r.trace->size(); ++i) {
     const TraceEvent& e = r.trace->event(i);
@@ -242,7 +242,9 @@ void expect_trace_matches_stats(cluster::Fabric fabric,
     routed_requests += route_req;
     routed_responses += route_resp;
     if (route_req || route_resp) {
-      last_route_end = std::max(last_route_end, e.ts + e.dur);
+      // Recorded as the message is delivered, so ts + dur is that cycle.
+      route_ends_out_of_order += e.ts + e.dur < last_route_end;
+      last_route_end = e.ts + e.dur;
     }
     // The ack legs appear twice (injection instant at the core, round-trip
     // complete at the bank); count only the completes.
@@ -266,6 +268,7 @@ void expect_trace_matches_stats(cluster::Fabric fabric,
     EXPECT_GT(routed_requests, 0u);
     EXPECT_EQ(routed_requests, r.interconnect.requests_delivered);
     EXPECT_EQ(routed_responses, r.interconnect.responses_delivered);
+    EXPECT_EQ(route_ends_out_of_order, 0u);
     EXPECT_LE(last_route_end, r.cycles);
   }
 }
