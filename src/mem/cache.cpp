@@ -16,7 +16,7 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
     throw std::invalid_argument("set count must be a power of two");
   }
   line_shift_ = log2_exact(cfg.line_bytes);
-  ways_.resize(cfg.num_sets() * cfg.associativity);
+  set_slot_.assign(cfg.num_sets(), 0);
 }
 
 std::size_t Cache::set_of(Addr line) const {
@@ -25,11 +25,16 @@ std::size_t Cache::set_of(Addr line) const {
                                   (cfg_.num_sets() - 1));
 }
 
+Cache::Way* Cache::set_ways(std::size_t set) {
+  const std::uint32_t slot = set_slot_[set];
+  return slot == 0 ? nullptr : &ways_[(slot - 1) * cfg_.associativity];
+}
+
 Cache::Way* Cache::find(Addr line) {
-  const std::size_t base = set_of(line) * cfg_.associativity;
+  Way* ways = set_ways(set_of(line));
+  if (ways == nullptr) return nullptr;
   for (std::size_t i = 0; i < cfg_.associativity; ++i) {
-    Way& w = ways_[base + i];
-    if (w.valid && w.line == line) return &w;
+    if (ways[i].valid && ways[i].line == line) return &ways[i];
   }
   return nullptr;
 }
@@ -76,10 +81,18 @@ InsertResult Cache::insert(Addr addr, bool dirty, bool shared) {
     existing->shared = shared && !existing->dirty;
     return result;
   }
-  const std::size_t base = set_of(line) * cfg_.associativity;
+  const std::size_t set = set_of(line);
+  Way* ways = set_ways(set);
+  if (ways == nullptr) {
+    // First line in this set: allocate its ways, all invalid.
+    set_slot_[set] =
+        static_cast<std::uint32_t>(ways_.size() / cfg_.associativity + 1);
+    ways_.resize(ways_.size() + cfg_.associativity);
+    ways = &ways_[ways_.size() - cfg_.associativity];
+  }
   Way* victim = nullptr;
   for (std::size_t i = 0; i < cfg_.associativity; ++i) {
-    Way& w = ways_[base + i];
+    Way& w = ways[i];
     if (!w.valid) {
       victim = &w;
       break;
@@ -93,6 +106,8 @@ InsertResult Cache::insert(Addr addr, bool dirty, bool shared) {
     result.evicted_line_addr = victim->line;
     ++stats_.evictions;
     if (victim->dirty) ++stats_.dirty_evictions;
+  } else {
+    ++valid_lines_;
   }
   victim->line = line;
   victim->valid = true;
@@ -116,13 +131,21 @@ bool Cache::line_shared(Addr addr) const {
 }
 
 std::vector<Addr> Cache::flush() {
+  // Set order, then way order, whatever order the sets were touched in:
+  // ReconfigManager posts the write-backs to DRAM in this order.
   std::vector<Addr> dirty;
-  for (Way& w : ways_) {
-    if (w.valid && w.dirty) dirty.push_back(w.line);
-    w.valid = false;
-    w.dirty = false;
-    w.shared = false;
+  for (std::size_t set = 0; set < set_slot_.size(); ++set) {
+    Way* ways = set_ways(set);
+    if (ways == nullptr) continue;
+    for (std::size_t i = 0; i < cfg_.associativity; ++i) {
+      Way& w = ways[i];
+      if (w.valid && w.dirty) dirty.push_back(w.line);
+      w.valid = false;
+      w.dirty = false;
+      w.shared = false;
+    }
   }
+  valid_lines_ = 0;
   return dirty;
 }
 
@@ -133,13 +156,8 @@ std::optional<bool> Cache::invalidate(Addr addr) {
   w->valid = false;
   w->dirty = false;
   w->shared = false;
+  --valid_lines_;
   return was_dirty;
-}
-
-std::size_t Cache::valid_lines() const {
-  std::size_t n = 0;
-  for (const Way& w : ways_) n += w.valid ? 1 : 0;
-  return n;
 }
 
 std::size_t Cache::dirty_lines() const {

@@ -95,17 +95,18 @@ class Cache {
   /// MESI Shared bit of the line holding `addr` (false if absent).
   bool line_shared(Addr addr) const;
 
-  /// Remove all lines; returns the full addresses of dirty lines (the
-  /// write-back set the reconfiguration manager must push to DRAM before
-  /// power-gating this bank).
+  /// Remove all lines; returns the full addresses of dirty lines in set
+  /// order, then way order (the write-back set the reconfiguration manager
+  /// posts to DRAM, in that order, before power-gating this bank).
   std::vector<Addr> flush();
 
   /// Invalidate a single line if present; returns whether it was dirty.
   std::optional<bool> invalidate(Addr addr);
 
-  /// Number of currently valid lines (for occupancy checks in tests).
-  std::size_t valid_lines() const;
-  /// Number of currently dirty lines.
+  /// Number of currently valid lines: an L2 bank's share of a run's
+  /// `l2_resident_lines`.  O(1): insert, invalidate and flush count them.
+  std::size_t valid_lines() const { return valid_lines_; }
+  /// Number of currently dirty lines (walks the touched sets).
   std::size_t dirty_lines() const;
 
   const CacheStats& stats() const { return stats_; }
@@ -122,12 +123,19 @@ class Cache {
 
   Addr line_of(Addr addr) const { return addr & ~static_cast<Addr>(cfg_.line_bytes - 1); }
   std::size_t set_of(Addr line) const;
+  /// First way of `set` in ways_, or nullptr while the set holds no line.
+  Way* set_ways(std::size_t set);
   Way* find(Addr line);
   const Way* find(Addr line) const;
 
   CacheConfig cfg_;
   unsigned line_shift_;
-  std::vector<Way> ways_;      ///< num_sets * associativity, set-major
+  /// Per set: 1 + its index among the touched sets, or 0 until a line is
+  /// first installed there.  A run touches few of an L2 bank's sets, so
+  /// the ways are allocated on first touch, not zero-filled up front.
+  std::vector<std::uint32_t> set_slot_;
+  std::vector<Way> ways_;      ///< associativity ways per touched set
+  std::size_t valid_lines_ = 0;
   std::uint64_t lru_clock_ = 0;
   CacheStats stats_;
 };

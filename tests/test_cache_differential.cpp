@@ -1,6 +1,7 @@
 // Differential test: the production Cache against an obviously-correct
 // reference model (std::list-based true LRU with full-address tags) under
-// long randomized access/insert/flush sequences, across geometries.
+// long randomized access/insert/invalidate/flush sequences, across
+// geometries.
 // This is the strongest correctness net for the component every timing
 // result in the repo stands on.
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <algorithm>
 #include <list>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -58,6 +60,20 @@ class ReferenceCache {
     return evicted;
   }
 
+  // Returns whether the removed line was dirty, or nullopt if absent.
+  std::optional<bool> invalidate(Addr addr) {
+    const Addr line = line_of(addr);
+    auto& set = sets_[set_of(line)];
+    for (auto it = set.begin(); it != set.end(); ++it) {
+      if (it->line == line) {
+        const bool dirty = it->dirty;
+        set.erase(it);
+        return dirty;
+      }
+    }
+    return std::nullopt;
+  }
+
   std::vector<Addr> flush() {
     std::vector<Addr> dirty;
     for (auto& [idx, set] : sets_) {
@@ -73,6 +89,14 @@ class ReferenceCache {
   std::size_t valid_lines() const {
     std::size_t n = 0;
     for (const auto& [idx, set] : sets_) n += set.size();
+    return n;
+  }
+
+  std::size_t dirty_lines() const {
+    std::size_t n = 0;
+    for (const auto& [idx, set] : sets_) {
+      for (const Entry& e : set) n += e.dirty ? 1 : 0;
+    }
     return n;
   }
 
@@ -118,7 +142,7 @@ TEST_P(CacheDifferential, RandomisedAgreement) {
       // lookup (reads and writes)
       const bool w = rng.next_bool(0.3);
       ASSERT_EQ(dut.lookup(addr, w).hit, ref.lookup(addr, w)) << "step " << step;
-    } else if (op < 97) {
+    } else if (op < 90) {
       // miss-refill insert
       const bool dirty = rng.next_bool(0.25);
       const InsertResult di = dut.insert(addr, dirty);
@@ -128,15 +152,18 @@ TEST_P(CacheDifferential, RandomisedAgreement) {
         ASSERT_EQ(di.evicted_line_addr, ri->first) << "step " << step;
         ASSERT_EQ(di.evicted_dirty, ri->second) << "step " << step;
       }
+    } else if (op < 97) {
+      // single-line invalidation (the coherence path)
+      ASSERT_EQ(dut.invalidate(addr), ref.invalidate(addr)) << "step " << step;
     } else {
       // occasional full flush (the power-gating path)
       std::vector<Addr> dd = dut.flush();
       std::sort(dd.begin(), dd.end());
       ASSERT_EQ(dd, ref.flush()) << "step " << step;
     }
-    if (step % 997 == 0) {
-      ASSERT_EQ(dut.valid_lines(), ref.valid_lines()) << "step " << step;
-    }
+    // The live-line count is kept by insert/invalidate/flush, not walked.
+    ASSERT_EQ(dut.valid_lines(), ref.valid_lines()) << "step " << step;
+    ASSERT_EQ(dut.dirty_lines(), ref.dirty_lines()) << "step " << step;
   }
 }
 
@@ -203,6 +230,38 @@ TEST(CacheDirected, FlushReturnsExactlyTheDirtyLines) {
   EXPECT_EQ(cache.dirty_lines(), 0u);
   // A flushed cache misses everything it previously held.
   for (Addr k = 0; k < 32; ++k) EXPECT_FALSE(cache.probe(k * 32)) << k;
+}
+
+TEST(CacheDirected, FlushReturnsSetOrderThenWayOrder) {
+  // 8 sets x 4 ways; line(s, k) is the k-th line of set s.  ReconfigManager
+  // posts flushed lines to DRAM in the order flush() returns them, so the
+  // order is pinned: set order, then way order — not the order the sets
+  // or lines were filled in.
+  const CacheConfig cfg{.capacity_bytes = 1024,
+                        .line_bytes = 32,
+                        .associativity = 4,
+                        .index_shift = 0};
+  Cache cache(cfg);
+  auto line = [](Addr set, Addr k) { return (k * 8 + set) * 32; };
+
+  cache.insert(line(5, 0), true);
+  cache.insert(line(5, 1), false);
+  cache.insert(line(5, 2), true);
+  cache.insert(line(2, 0), true);
+  cache.insert(line(2, 1), true);
+  cache.insert(line(2, 2), true);
+  // Free way 0 of set 2; the next line of that set takes it.
+  EXPECT_EQ(cache.invalidate(line(2, 0)), std::optional<bool>(true));
+  cache.insert(line(2, 3), true);
+  cache.insert(line(7, 0), true);
+  cache.insert(line(0, 0), false);
+  EXPECT_EQ(cache.dirty_lines(), 6u);
+
+  EXPECT_EQ(cache.flush(),
+            (std::vector<Addr>{line(2, 3), line(2, 1), line(2, 2), line(5, 0),
+                               line(5, 2), line(7, 0)}));
+  EXPECT_EQ(cache.valid_lines(), 0u);
+  EXPECT_EQ(cache.dirty_lines(), 0u);
 }
 
 TEST(CacheDirected, InsertingDirtyOverCleanUpgradesAndSticks) {
