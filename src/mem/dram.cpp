@@ -25,13 +25,22 @@ const char* dram_preset_name(DramPreset preset) {
 }
 
 DramBackend::DramBackend(const DramConfig& cfg, std::size_t num_requesters)
-    : cfg_(cfg), queues_(num_requesters) {
+    : cfg_(cfg), queues_(num_requesters), waiting_(num_requesters) {
   if (num_requesters == 0) throw std::invalid_argument("need >= 1 requester");
 }
 
 void DramBackend::enqueue(const Txn& txn) {
   queues_.at(txn.requester).push_back(txn);
+  waiting_.insert(txn.requester);
   ++pending_count_;
+}
+
+std::size_t DramBackend::next_ready(std::size_t from, std::size_t end,
+                                    Cycle now) const {
+  for (std::size_t q = waiting_.next(from); q < end; q = waiting_.next(q + 1)) {
+    if (queues_[q].front().enqueued <= now) return q;
+  }
+  return IndexSet::npos;
 }
 
 Cycle DramBackend::access_latency_cycles(Addr addr) {
@@ -56,45 +65,45 @@ void DramBackend::tick(Cycle now) {
   // requester queues (the paper's round-robin line-refill policy).  A
   // transaction enqueued with a future cycle (the L2 dates miss refills
   // after the tag check) only competes once that cycle has arrived.
-  if (bus_free_at_ > now || pending_count_ == 0) return;
+  // The round-robin order is rr_next_ .. n-1, then 0 .. rr_next_-1, over
+  // the waiting requesters only.
+  if (bus_free_at_ > now || waiting_.empty()) return;
   const std::size_t n = queues_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t q = (rr_next_ + i) % n;
-    if (queues_[q].empty() || queues_[q].front().enqueued > now) continue;
-    const Txn txn = queues_[q].front();
-    queues_[q].pop_front();
-    --pending_count_;
-    rr_next_ = (q + 1) % n;
+  std::size_t q = next_ready(rr_next_, n, now);
+  if (q == IndexSet::npos) q = next_ready(0, rr_next_, now);
+  if (q == IndexSet::npos) return;
+  const Txn txn = queues_[q].front();
+  queues_[q].pop_front();
+  if (queues_[q].empty()) waiting_.erase(q);
+  --pending_count_;
+  rr_next_ = (q + 1) % n;
 
-    stats_.total_wait_cycles += now - txn.enqueued;
-    bus_free_at_ = now + cfg_.bus_transfer_cycles;
+  stats_.total_wait_cycles += now - txn.enqueued;
+  bus_free_at_ = now + cfg_.bus_transfer_cycles;
 
-    // Channel serialisation at the controller.
-    const Cycle start = std::max(now + cfg_.bus_transfer_cycles, channel_free_at_);
-    channel_free_at_ = start + cfg_.channel_burst_cycles;
-    stats_.dynamic_energy_pj += cfg_.energy_per_access_pj;
+  // Channel serialisation at the controller.
+  const Cycle start = std::max(now + cfg_.bus_transfer_cycles, channel_free_at_);
+  channel_free_at_ = start + cfg_.channel_burst_cycles;
+  stats_.dynamic_energy_pj += cfg_.energy_per_access_pj;
 
-    if (txn.is_write) {
-      ++stats_.writes;
-      // Posted: occupies bandwidth only.
-    } else {
-      ++stats_.reads;
-      schedule_read(txn, start + access_latency_cycles(txn.addr));
-    }
-    break;  // one bus grant per cycle window
+  if (txn.is_write) {
+    ++stats_.writes;
+    // Posted: occupies bandwidth only.
+  } else {
+    ++stats_.reads;
+    schedule_read(txn, start + access_latency_cycles(txn.addr));
   }
 }
 
 Cycle DramBackend::next_event(Cycle now) const {
   Cycle next = next_completion(now);
-  if (pending_count_ > 0) {
-    // Per-requester FIFOs grant strictly from the head; the earliest
-    // grant is bounded by the bus and the earliest head arrival.
-    for (const auto& q : queues_) {
-      if (q.empty()) continue;
-      next = std::min(next, std::max({bus_free_at_, q.front().enqueued, now}));
-      if (next <= now) break;
-    }
+  // Per-requester FIFOs grant strictly from the head; the earliest grant
+  // is bounded by the bus and the earliest head arrival.
+  for (std::size_t q = waiting_.next(0); q != IndexSet::npos;
+       q = waiting_.next(q + 1)) {
+    next = std::min(next,
+                    std::max({bus_free_at_, queues_[q].front().enqueued, now}));
+    if (next <= now) break;
   }
   return next;
 }

@@ -13,9 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "common/index_set.hpp"
+#include "common/ring_buffer.hpp"
 #include "common/types.hpp"
 #include "mem/memory_backend.hpp"
 
@@ -55,8 +56,15 @@ class DramBackend final : public MemoryBackend {
   /// Latency for one access honouring the page policy.
   Cycle access_latency_cycles(Addr addr);
 
+  /// The first waiting requester in [from, end) whose head is due by
+  /// `now`, or IndexSet::npos.
+  std::size_t next_ready(std::size_t from, std::size_t end, Cycle now) const;
+
   DramConfig cfg_;
-  std::vector<std::deque<Txn>> queues_;  ///< one per requester (Miss bus RR)
+  std::vector<RingBuffer<Txn>> queues_;  ///< one per requester (Miss bus RR)
+  /// Requesters with a non-empty queue: arbitration and next_event() walk
+  /// these, not all banks + cores.
+  IndexSet waiting_;
   std::size_t rr_next_ = 0;
   Cycle bus_free_at_ = 0;
   Cycle channel_free_at_ = 0;

@@ -70,6 +70,41 @@ TEST(Dram, RoundRobinAcrossRequesters) {
   EXPECT_EQ(completion_order, (std::vector<std::uint32_t>{0, 1, 2, 0, 1, 2}));
 }
 
+TEST(Dram, RoundRobinWrapsPastAHeadDatedInTheFuture) {
+  // Requester 0 takes the first grant, so requester 1 is next in the round
+  // robin.  Its head is dated cycle 50 (the L2 dates refills after the tag
+  // check), while requester 0's next read is ready at cycle 10: the grant
+  // must wrap past 1 (not yet due) and 2 (empty) back to 0, and requester
+  // 1 is granted once cycle 50 arrives.
+  DramBackend dram(cfg_200(), 3);
+  RecordingSink sink;
+  dram.set_read_sink(&sink);
+  dram.read(0, 0x1000, 0, /*tag=*/1);
+  dram.tick(0);
+  dram.read(1, 0x2000, 50, /*tag=*/3);
+  dram.read(0, 0x3000, 10, /*tag=*/2);
+
+  EXPECT_EQ(dram.next_event(1), 10u);  // requester 0's head
+  for (Cycle t = 1; t <= 10; ++t) dram.tick(t);
+  EXPECT_EQ(dram.next_event(11), 50u);  // requester 1's head
+  for (Cycle t = 11; t <= 50; ++t) dram.tick(t);
+  EXPECT_EQ(dram.next_event(51), 202u);  // only the first read's data left
+  for (Cycle t = 51; t <= 400; ++t) dram.tick(t);
+
+  // Each read: bus (2) + latency (200) from its grant at 0, 10 and 50.
+  ASSERT_EQ(sink.done.size(), 3u);
+  const std::uint32_t requesters[] = {0, 0, 1};
+  const std::uint64_t tags[] = {1, 2, 3};
+  const Cycle at[] = {202, 212, 252};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(sink.done[i].requester, requesters[i]) << i;
+    EXPECT_EQ(sink.done[i].tag, tags[i]) << i;
+    EXPECT_EQ(sink.done[i].at, at[i]) << i;
+  }
+  EXPECT_EQ(dram.stats().total_wait_cycles, 0u);
+  EXPECT_TRUE(dram.idle());
+}
+
 TEST(Dram, QueueingDelaysLaterRequests) {
   DramBackend dram(cfg_200(), 1);
   RecordingSink sink;
