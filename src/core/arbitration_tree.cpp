@@ -1,9 +1,23 @@
 #include "core/arbitration_tree.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 namespace mot3d::core {
+
+std::shared_ptr<const ArbitrationTree::Gating> ArbitrationTree::gating(
+    const PowerState& state) {
+  // Flags over the whole heap: the cores are the leaves [n-1, 2n-2], and
+  // a switch is powered iff either child is.
+  const std::size_t n = state.total_cores();
+  Gating on(2 * n - 1, 0);
+  for (std::size_t c = 0; c < n; ++c) {
+    on[n - 1 + c] = state.core_active(static_cast<CoreId>(c)) ? 1 : 0;
+  }
+  for (std::size_t k = n - 1; k-- > 0;) on[k] = on[2 * k + 1] | on[2 * k + 2];
+  return std::make_shared<const Gating>(on.begin(), on.begin() + (n - 1));
+}
 
 ArbitrationTree::ArbitrationTree(std::size_t total_cores)
     : total_cores_(total_cores) {
@@ -11,7 +25,8 @@ ArbitrationTree::ArbitrationTree(std::size_t total_cores)
     throw std::invalid_argument("arbitration tree needs a power-of-two >= 2 inputs");
   }
   levels_ = log2_exact(total_cores);
-  nodes_.resize(total_cores - 1);
+  gating_ = std::make_shared<const Gating>(total_cores - 1, 1);
+  prefer_.assign(total_cores - 1, 0);
   node_req_.assign(2 * total_cores - 1, 0);
 }
 
@@ -19,22 +34,15 @@ std::size_t ArbitrationTree::configure(const PowerState& state) {
   if (state.total_cores() != total_cores_) {
     throw std::invalid_argument("power state core count mismatch");
   }
-  // A switch stays powered iff at least one core in its subtree is active.
-  for (unsigned l = 0; l < levels_; ++l) {
-    const std::size_t count = std::size_t{1} << l;
-    const std::size_t span = total_cores_ >> l;  // cores per subtree
-    for (std::size_t i = 0; i < count; ++i) {
-      bool any = false;
-      for (std::size_t c = i * span; c < (i + 1) * span; ++c) {
-        if (state.core_active(static_cast<CoreId>(c))) {
-          any = true;
-          break;
-        }
-      }
-      nodes_[node_index(l, i)].set_powered(any);
-    }
-  }
+  configure(gating(state));
   return powered_switches();
+}
+
+void ArbitrationTree::configure(std::shared_ptr<const Gating> gating) {
+  if (gating == nullptr || gating->size() != total_cores_ - 1) {
+    throw std::invalid_argument("gating mask does not fit the tree");
+  }
+  gating_ = std::move(gating);
 }
 
 ArbitrationTree::Outcome ArbitrationTree::descend(unsigned level, std::size_t index,
@@ -45,12 +53,12 @@ ArbitrationTree::Outcome ArbitrationTree::descend(unsigned level, std::size_t in
     const bool req = index < requesting.size() && requesting[index];
     return {req, static_cast<CoreId>(index)};
   }
-  ArbitrationSwitch& sw = nodes_[node_index(level, index)];
-  if (!sw.powered()) return {false, 0};
+  const std::size_t k = node_index(level, index);
+  if ((*gating_)[k] == 0) return {false, 0};
 
   const Outcome left = descend(level + 1, index * 2, requesting);
   const Outcome right = descend(level + 1, index * 2 + 1, requesting);
-  const std::optional<unsigned> choice = sw.peek(left.requesting, right.requesting);
+  const std::optional<unsigned> choice = peek(k, left.requesting, right.requesting);
   if (!choice.has_value()) return {false, 0};
   return {true, *choice == 0 ? left.winner : right.winner};
 }
@@ -59,15 +67,15 @@ void ArbitrationTree::commit_path(unsigned level, std::size_t index,
                                   const std::vector<bool>& requesting) {
   const std::size_t span = total_cores_ >> level;
   if (span == 1) return;
-  ArbitrationSwitch& sw = nodes_[node_index(level, index)];
+  const std::size_t k = node_index(level, index);
   const Outcome left = descend(level + 1, index * 2, requesting);
   const Outcome right = descend(level + 1, index * 2 + 1, requesting);
-  const std::optional<unsigned> choice = sw.peek(left.requesting, right.requesting);
+  const std::optional<unsigned> choice = peek(k, left.requesting, right.requesting);
   if (!choice.has_value()) return;
   // Round-robin priority rotates only along the granted spine; switches in
   // losing subtrees keep their pointers — this is what bounds any core's
   // wait by the number of contenders.
-  sw.commit(*choice);
+  commit(k, *choice);
   commit_path(level + 1, index * 2 + *choice, requesting);
 }
 
@@ -84,6 +92,7 @@ std::optional<CoreId> ArbitrationTree::arbitrate_sparse(const CoreId* candidates
   // through powered switches.  A node's flag ends up true exactly when the
   // recursive descend() would report Outcome.requesting for it: the node is
   // powered and some candidate leaf reaches it through powered switches.
+  const Gating& powered = *gating_;
   for (std::size_t k = 0; k < count; ++k) {
     const CoreId c = candidates[k];
     assert(c < total_cores_);
@@ -94,7 +103,7 @@ std::optional<CoreId> ArbitrationTree::arbitrate_sparse(const CoreId* candidates
     while (idx != 0) {
       idx = (idx - 1) / 2;
       if (node_req_[idx]) break;            // path already raised
-      if (!nodes_[idx].powered()) break;    // gated subtree blocks the wire
+      if (powered[idx] == 0) break;         // gated subtree blocks the wire
       node_req_[idx] = 1;
       marked_.push_back(static_cast<std::uint32_t>(idx));
     }
@@ -110,9 +119,9 @@ std::optional<CoreId> ArbitrationTree::arbitrate_sparse(const CoreId* candidates
       const std::size_t l = idx * 2 + 1;
       const std::size_t r = idx * 2 + 2;
       const std::optional<unsigned> choice =
-          nodes_[idx].peek(node_req_[l] != 0, node_req_[r] != 0);
+          peek(idx, node_req_[l] != 0, node_req_[r] != 0);
       assert(choice.has_value());
-      nodes_[idx].commit(*choice);
+      commit(idx, *choice);
       idx = (*choice == 0) ? l : r;
     }
     winner = static_cast<CoreId>(idx - (total_cores_ - 1));
@@ -124,14 +133,8 @@ std::optional<CoreId> ArbitrationTree::arbitrate_sparse(const CoreId* candidates
 }
 
 std::size_t ArbitrationTree::powered_switches() const {
-  std::size_t n = 0;
-  for (const ArbitrationSwitch& sw : nodes_) n += sw.powered() ? 1 : 0;
-  return n;
-}
-
-const ArbitrationSwitch& ArbitrationTree::switch_at(unsigned level,
-                                                    std::size_t index) const {
-  return nodes_.at(node_index(level, index));
+  return static_cast<std::size_t>(
+      std::count(gating_->begin(), gating_->end(), std::uint8_t{1}));
 }
 
 }  // namespace mot3d::core

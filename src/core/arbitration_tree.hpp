@@ -5,9 +5,14 @@
 // cycle at most one contender wins and proceeds onto the bank's TSV bus;
 // the hierarchical round-robin pointers guarantee starvation freedom with
 // a worst-case wait bounded by the number of contenders.
+//
+// Gating depends only on the core mask, so every bank's tree of one
+// cluster shares one mask of powered switches, computed once per
+// configuration; a tree itself keeps one round-robin byte per switch.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -19,11 +24,25 @@ namespace mot3d::core {
 
 class ArbitrationTree {
  public:
+  /// Powered flag per switch in heap order (root first, children of k at
+  /// 2k+1 and 2k+2): a switch stays powered iff at least one core of its
+  /// subtree is active.
+  using Gating = std::vector<std::uint8_t>;
+
+  /// The gating of a `state.total_cores()`-input tree, computed bottom-up
+  /// in O(cores).
+  static std::shared_ptr<const Gating> gating(const PowerState& state);
+
+  /// A tree with every switch powered.
   explicit ArbitrationTree(std::size_t total_cores);
 
   /// Program the tree for `state` (gates switches whose whole subtree of
   /// cores is powered off); returns the number of powered switches.
   std::size_t configure(const PowerState& state);
+
+  /// Gate the tree by `gating` (from gating()), which trees of the same
+  /// shape share.
+  void configure(std::shared_ptr<const Gating> gating);
 
   /// Grant one requester among `requesting` (indexed by physical core id);
   /// returns the winner or nullopt when nobody requests.  Updates the
@@ -45,9 +64,6 @@ class ArbitrationTree {
   unsigned levels() const { return levels_; }
   std::size_t powered_switches() const;
 
-  /// Test hook: the switch at (level, index), level 0 = root.
-  const ArbitrationSwitch& switch_at(unsigned level, std::size_t index) const;
-
  private:
   struct Outcome {
     bool requesting = false;
@@ -57,15 +73,24 @@ class ArbitrationTree {
                   const std::vector<bool>& requesting);
   void commit_path(unsigned level, std::size_t index,
                    const std::vector<bool>& requesting);
+  /// ArbitrationSwitch::peek of the switch at heap node `k`.
+  std::optional<unsigned> peek(std::size_t k, bool req0, bool req1) const {
+    return ArbitrationSwitch::grant((*gating_)[k] != 0, prefer_[k], req0, req1);
+  }
+  void commit(std::size_t k, unsigned winner) {
+    prefer_[k] = static_cast<std::uint8_t>(1u - winner);
+  }
   std::size_t node_index(unsigned level, std::size_t index) const {
     return (std::size_t{1} << level) - 1 + index;
   }
 
   std::size_t total_cores_;
   unsigned levels_;
-  std::vector<ArbitrationSwitch> nodes_;
+  std::shared_ptr<const Gating> gating_;
+  /// Round-robin pointer per switch, heap order: the input a tie goes to.
+  std::vector<std::uint8_t> prefer_;
   /// arbitrate_sparse scratch: request flag per heap node (internal nodes
-  /// share indices with nodes_; leaves occupy [total_cores_-1, 2n-2]).
+  /// share indices with prefer_; leaves occupy [total_cores_-1, 2n-2]).
   /// Touched entries are recorded in marked_ and cleared after each call,
   /// so the per-call cost tracks the candidate count, not the tree size.
   std::vector<std::uint8_t> node_req_;

@@ -16,15 +16,13 @@ MotInterconnect::MotInterconnect(const MotTimingModel& timing,
       state_(initial),
       state_timing_(timing.timing(initial)),
       routing_(initial.total_banks()),
+      bank_arbiters_(initial.total_banks(),
+                     ArbitrationTree(initial.total_cores())),
       core_slot_(initial.total_cores()),
       bank_free_at_(initial.total_banks(), 0),
       bank_waiters_(initial.total_banks()),
       pending_banks_(initial.total_banks()),
       bank_fault_penalty_(initial.total_banks(), 0) {
-  bank_arbiters_.reserve(initial.total_banks());
-  for (std::size_t b = 0; b < initial.total_banks(); ++b) {
-    bank_arbiters_.emplace_back(initial.total_cores());
-  }
   configure(initial);
 }
 
@@ -36,7 +34,9 @@ void MotInterconnect::configure(const PowerState& state) {
     response_pj_[line] = timing_.response_energy_pj(state, line);
   }
   routing_.configure(state);
-  for (ArbitrationTree& at : bank_arbiters_) at.configure(state);
+  // Gating depends only on the core mask: compute it once for all banks.
+  const auto gating = ArbitrationTree::gating(state);
+  for (ArbitrationTree& at : bank_arbiters_) at.configure(gating);
   // Rebuild the waiter index from the slots.  Reconfiguration normally
   // happens drained (no valid slots); in-flight requests keep the physical
   // bank they were routed to at injection, exactly as before.

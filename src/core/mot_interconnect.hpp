@@ -99,7 +99,8 @@ class MotInterconnect final : public Interconnect {
 
   RoutingTree routing_;                    ///< shared resolver (per-core trees
                                            ///< are identically configured)
-  std::vector<ArbitrationTree> bank_arbiters_;  ///< one per physical bank
+  std::vector<ArbitrationTree> bank_arbiters_;  ///< one per physical bank,
+                                                ///< sharing one gating mask
   std::vector<InFlight> core_slot_;        ///< one outstanding per core
   std::vector<Cycle> bank_free_at_;        ///< circuit hold per bank
   RingBuffer<PendingResponse> responses_;  ///< constant-delay return path

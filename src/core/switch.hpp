@@ -95,21 +95,28 @@ class ArbitrationSwitch {
   /// (the hardware only rotates priority on switches along the *granted*
   /// path; see ArbitrationTree).
   std::optional<unsigned> peek(bool req0, bool req1) const {
-    if (!powered_) return std::nullopt;
+    return grant(powered_, prefer_, req0, req1);
+  }
+
+  /// The grant rule for a switch that is `powered` and gives a tie to
+  /// input `prefer`.  ArbitrationTree applies it to its packed pointers.
+  static std::optional<unsigned> grant(bool powered, unsigned prefer,
+                                       bool req0, bool req1) {
+    if (!powered) return std::nullopt;
     if (!req0 && !req1) return std::nullopt;
-    if (req0 && req1) return prefer_;
+    if (req0 && req1) return prefer;
     return req0 ? 0u : 1u;
   }
 
   /// Rotate priority after a grant travelled through this switch.
-  void commit(unsigned winner) { prefer_ = 1u - winner; }
+  void commit(unsigned winner) { prefer_ = static_cast<std::uint8_t>(1u - winner); }
 
   unsigned preferred_input() const { return prefer_; }
   void set_powered(bool on) { powered_ = on; }
   bool powered() const { return powered_; }
 
  private:
-  unsigned prefer_ = 0;
+  std::uint8_t prefer_ = 0;
   bool powered_ = true;
 };
 
