@@ -72,6 +72,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "common/table.hpp"
 #include "sim/json_reader.hpp"
 #include "sim/scenario.hpp"
@@ -467,8 +469,9 @@ int cmd_grid(const CliArgs& cli) {
 // `bench` runs an ad-hoc grid one cell at a time on this thread with phase
 // timing on, and reports modeled results (cycles, instructions) next to
 // simulator work (core ticks, router-output visits) and throughput
-// (cycles/s).  --baseline=<path> compares each cell against a committed
-// BENCH document in three tiers:
+// (cycles/s), then the process's peak RSS over the whole grid
+// (`peak_rss_mb`, never compared).  --baseline=<path> compares each cell
+// against a committed BENCH document in three tiers:
 //  * cycles and instructions are modeled and deterministic, so they must
 //    match exactly — drift means simulator behaviour changed, and the
 //    baseline (with the goldens) needs a deliberate refresh;
@@ -619,8 +622,17 @@ void run_bench_cell(BenchCell& c, const sim::ScenarioOptions& opt) {
   }
 }
 
+/// Peak resident set of this process so far, in MB (getrusage's
+/// ru_maxrss, in KiB on Linux).
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
 std::string bench_report(const sim::ScenarioOptions& opt,
-                         const std::vector<BenchCell>& cells) {
+                         const std::vector<BenchCell>& cells,
+                         double peak_rss) {
   double total_wall = 0.0;
   std::uint64_t total_cycles = 0;
   sim::JsonArray arr;
@@ -660,7 +672,8 @@ std::string bench_report(const sim::ScenarioOptions& opt,
       .set("total_simulated_cycles", total_cycles)
       .set("cycles_per_second",
            total_wall > 0.0 ? static_cast<double>(total_cycles) / total_wall
-                            : 0.0);
+                            : 0.0)
+      .set("peak_rss_mb", peak_rss);
   return out.str();
 }
 
@@ -767,6 +780,9 @@ int cmd_bench(const CliArgs& cli) {
         static_cast<unsigned long long>(c.output_visits), c.wall_seconds,
         c.cycles_per_second());
   }
+  // Telemetry, like wall time: --baseline never compares it.
+  const double peak_rss = peak_rss_mb();
+  std::printf("  peak RSS %.1f MB\n", peak_rss);
   if (failed > 0) {
     std::cerr << failed << " cell(s) failed\n";
     return 1;
@@ -774,7 +790,7 @@ int cmd_bench(const CliArgs& cli) {
 
   if (!opt.json_path.empty()) {
     std::ofstream out(opt.json_path);
-    out << bench_report(opt, cells) << "\n" << std::flush;
+    out << bench_report(opt, cells, peak_rss) << "\n" << std::flush;
     if (!out) {
       std::cerr << "error: cannot write '" << opt.json_path << "'\n";
       return 1;

@@ -219,7 +219,7 @@ def full_tests(binary):
 
 REQUIRED_REPORT_KEYS = ("bench", "scheduler", "scale", "seed", "cells",
                         "total_wall_seconds", "total_simulated_cycles",
-                        "cycles_per_second")
+                        "cycles_per_second", "peak_rss_mb")
 REQUIRED_CELL_KEYS = ("app", "cores", "banks", "state", "cycles",
                       "instructions", "core_ticks", "output_visits",
                       "wall_seconds", "cycles_per_second")
