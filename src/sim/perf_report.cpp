@@ -2,96 +2,116 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 
 namespace mot3d::sim {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
+/// Appends `s` escaped.  Runs of characters that need no escape are
+/// copied with one append each; bytes >= 0x80 pass through unchanged.
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // first character not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
-  return out;
+  out.append(s.data() + run, s.size() - run);
+}
+
+/// Appends `s` as a JSON string literal: quoted and escaped.
+void append_string(std::string& out, std::string_view s) {
+  out += '"';
+  append_escaped(out, s);
+  out += '"';
+}
+
+/// Shortest round-trip formatting; a non-finite value writes 0.
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += '0';
+    return;
+  }
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
 }
 
 }  // namespace
 
 std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);  // shortest round-trip
-  return std::string(buf, res.ptr);
-}
-
-std::string json_string(const std::string& s) {
-  // Sequential appends: no operator+ temporaries on the serialisation path.
-  std::string out = "\"";
-  out += json_escape(s);
-  out += '"';
+  std::string out;
+  append_number(out, v);
   return out;
 }
 
-JsonObject& JsonObject::set(const std::string& key, const std::string& value) {
-  fields_.emplace_back(key, json_string(value));
+std::string json_string(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_string(out, s);
+  return out;
+}
+
+std::string& JsonObject::field(std::string_view key) {
+  if (!fields_.empty()) fields_ += ", ";
+  append_string(fields_, key);
+  fields_ += ": ";
+  return fields_;
+}
+
+JsonObject& JsonObject::set(std::string_view key, std::string_view value) {
+  append_string(field(key), value);
   return *this;
 }
 
-JsonObject& JsonObject::set(const std::string& key, const char* value) {
-  return set(key, std::string(value));
-}
-
-JsonObject& JsonObject::set(const std::string& key, double value) {
-  fields_.emplace_back(key, json_number(value));
+JsonObject& JsonObject::set(std::string_view key, double value) {
+  append_number(field(key), value);
   return *this;
 }
 
-JsonObject& JsonObject::set(const std::string& key, std::uint64_t value) {
-  fields_.emplace_back(key, std::to_string(value));
+JsonObject& JsonObject::set(std::string_view key, std::uint64_t value) {
+  char buf[20];
+  const auto res = std::to_chars(buf, buf + sizeof buf, value);
+  field(key).append(buf, res.ptr);
   return *this;
 }
 
-JsonObject& JsonObject::set(const std::string& key, bool value) {
-  fields_.emplace_back(key, value ? "true" : "false");
+JsonObject& JsonObject::set(std::string_view key, bool value) {
+  field(key) += value ? "true" : "false";
   return *this;
 }
 
-JsonObject& JsonObject::set_raw(const std::string& key, const std::string& raw_json) {
-  fields_.emplace_back(key, raw_json);
+JsonObject& JsonObject::set_raw(std::string_view key, std::string_view raw_json) {
+  field(key) += raw_json;
   return *this;
 }
 
 JsonObject& JsonObject::merge(const JsonObject& other) {
-  fields_.insert(fields_.end(), other.fields_.begin(), other.fields_.end());
+  if (other.fields_.empty()) return *this;
+  if (!fields_.empty()) fields_ += ", ";
+  fields_ += other.fields_;
   return *this;
 }
 
 std::string JsonObject::str() const {
-  std::string out = "{";
-  for (std::size_t i = 0; i < fields_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += '"';
-    out += json_escape(fields_[i].first);
-    out += "\": ";
-    out += fields_[i].second;
-  }
-  out += "}";
+  std::string out;
+  out.reserve(fields_.size() + 2);
+  out += '{';
+  out += fields_;
+  out += '}';
   return out;
 }
 

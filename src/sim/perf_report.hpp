@@ -4,12 +4,14 @@
 // and SweepRunner telemetry (wall seconds, simulated cycles, cycles/s) so
 // successive PRs can chart simulator throughput over time (BENCH_*.json).
 // The writer is deliberately tiny: flat objects, insertion-ordered keys,
-// deterministic number formatting — no external JSON dependency.
+// deterministic number formatting — no external JSON dependency.  The
+// same writer builds the canonical spec JSON the sweep service hashes,
+// every run's metrics JSON and every service response line.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "sim/sweep_runner.hpp"
@@ -21,23 +23,30 @@ namespace mot3d::sim {
 std::string json_number(double v);
 
 /// Canonical JSON string literal (quoted + escaped).
-std::string json_string(const std::string& s);
+std::string json_string(std::string_view s);
 
 class JsonArray;
 
 /// Flat JSON object with insertion-ordered, deterministic serialisation.
+/// Each set() appends `, "key": value` straight into one buffer: escaping
+/// copies runs of plain characters in place and numbers are formatted
+/// into it directly, so a field costs no allocation of its own.  str()
+/// adds the braces.
 class JsonObject {
  public:
-  JsonObject& set(const std::string& key, const std::string& value);
-  JsonObject& set(const std::string& key, const char* value);
-  JsonObject& set(const std::string& key, double value);
-  JsonObject& set(const std::string& key, std::uint64_t value);
-  JsonObject& set(const std::string& key, unsigned value) {
+  JsonObject& set(std::string_view key, std::string_view value);
+  /// Without this overload a string literal would convert to bool.
+  JsonObject& set(std::string_view key, const char* value) {
+    return set(key, std::string_view(value));
+  }
+  JsonObject& set(std::string_view key, double value);
+  JsonObject& set(std::string_view key, std::uint64_t value);
+  JsonObject& set(std::string_view key, unsigned value) {
     return set(key, static_cast<std::uint64_t>(value));
   }
-  JsonObject& set(const std::string& key, bool value);
+  JsonObject& set(std::string_view key, bool value);
   /// Nest an already-serialised JSON value (object or array) under `key`.
-  JsonObject& set_raw(const std::string& key, const std::string& raw_json);
+  JsonObject& set_raw(std::string_view key, std::string_view raw_json);
 
   /// Append every field of `other` after this object's own fields.
   JsonObject& merge(const JsonObject& other);
@@ -45,7 +54,11 @@ class JsonObject {
   std::string str() const;
 
  private:
-  std::vector<std::pair<std::string, std::string>> fields_;  ///< key -> raw json
+  /// Appends the separator, the quoted key and ": "; returns the buffer
+  /// for the value to be appended to.
+  std::string& field(std::string_view key);
+
+  std::string fields_;  ///< `"key": value` pairs joined by ", "
 };
 
 /// JSON array of already-serialised values, one element per line when

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "sim/perf_report.hpp"
 #include "sim/sweep_runner.hpp"
@@ -161,6 +164,54 @@ TEST(PerfReport, JsonObjectSerialisesDeterministically) {
   JsonObject o;
   o.set("bench", "fig6a").set("runs", std::uint64_t{32}).set("scale", 0.25);
   EXPECT_EQ(o.str(), "{\"bench\": \"fig6a\", \"runs\": 32, \"scale\": 0.25}");
+}
+
+TEST(PerfReport, JsonObjectPinsEscapesNumbersAndMerges) {
+  // Spec hashes, goldens and service responses are these bytes.
+  JsonObject o;
+  o.set("k\"ey\\", "q\" b\\ n\n t\t r\r")
+      .set("ctl", std::string("\x00\x01" "\x1f" "\x7f", 4))
+      .set("utf8", "caf\xc3\xa9 \xff")
+      .set("nan", std::nan(""))
+      .set("-inf", -std::numeric_limits<double>::infinity())
+      .set("doubles", 0.1)
+      .set("third", 1.0 / 3.0)
+      .set("whole", 3.0)
+      .set("neg", -2.5)
+      .set("big", 1e300)
+      .set("tiny", 5e-324)
+      .set("u64max", std::numeric_limits<std::uint64_t>::max())
+      .set("zero", std::uint64_t{0})
+      .set("u", 7u)
+      .set("yes", true)
+      .set("no", false)
+      .set_raw("raw", "[1, {\"k\": null}]");
+  EXPECT_EQ(o.str(),
+            "{\"k\\\"ey\\\\\": \"q\\\" b\\\\ n\\n t\\t r\\u000d\", "
+            "\"ctl\": \"\\u0000\\u0001\\u001f\x7f\", "
+            "\"utf8\": \"caf\xc3\xa9 \xff\", "
+            "\"nan\": 0, \"-inf\": 0, \"doubles\": 0.1, "
+            "\"third\": 0.3333333333333333, \"whole\": 3, \"neg\": -2.5, "
+            "\"big\": 1e+300, \"tiny\": 5e-324, "
+            "\"u64max\": 18446744073709551615, \"zero\": 0, \"u\": 7, "
+            "\"yes\": true, \"no\": false, \"raw\": [1, {\"k\": null}]}");
+  EXPECT_EQ(json_string("a\"\\\n\x1f"), "\"a\\\"\\\\\\n\\u001f\"");
+  EXPECT_EQ(json_number(0.25), "0.25");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "0");
+
+  JsonObject empty;
+  EXPECT_EQ(empty.str(), "{}");
+  EXPECT_EQ(JsonObject(empty).merge(JsonObject{}).str(), "{}");
+  JsonObject one;
+  one.set("a", 1u);
+  EXPECT_EQ(JsonObject(one).merge(empty).str(), "{\"a\": 1}");
+  EXPECT_EQ(JsonObject(empty).merge(one).str(), "{\"a\": 1}");
+  JsonObject two;
+  two.set("b", "x");
+  EXPECT_EQ(JsonObject(one).merge(two).str(), "{\"a\": 1, \"b\": \"x\"}");
+  JsonObject nested;
+  nested.set_raw("o", one.str()).merge(two);
+  EXPECT_EQ(nested.str(), "{\"o\": {\"a\": 1}, \"b\": \"x\"}");
 }
 
 TEST(PerfReport, WritesMergedReport) {
