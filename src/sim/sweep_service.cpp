@@ -11,6 +11,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "common/sha256.hpp"
 #include "sim/json_reader.hpp"
@@ -82,16 +83,37 @@ SweepService::SweepService(ServiceConfig cfg) : cfg_(std::move(cfg)) {
     }
   }
   fs::remove(probe, ec);
+
+  // Seed the LRU index with one scan: oldest file time first, ties broken
+  // by name, so every process starting on this directory sees one order.
+  struct Found {
+    fs::file_time_type time;
+    std::string hash;
+    std::uint64_t bytes = 0;
+  };
+  std::vector<Found> found;
+  for (const fs::directory_entry& e : fs::directory_iterator(cfg_.cache_dir, ec)) {
+    if (!is_entry_file(e)) continue;
+    const fs::file_time_type time = e.last_write_time(ec);
+    if (ec) continue;
+    const std::uintmax_t bytes = e.file_size(ec);
+    if (ec) continue;
+    found.push_back(Found{time, e.path().stem().string(), bytes});
+  }
+  std::sort(found.begin(), found.end(), [](const Found& a, const Found& b) {
+    return std::tie(a.time, a.hash) < std::tie(b.time, b.hash);
+  });
+  for (const Found& f : found) record(f.hash, f.bytes);
 }
 
 std::string SweepService::entry_path(const std::string& hash) const {
   return (fs::path(cfg_.cache_dir) / (hash + kEntryExt)).string();
 }
 
-SweepService::Probe SweepService::load_entry(const std::string& hash,
+SweepService::Probe SweepService::load_entry(const std::string& path,
+                                             const std::string& hash,
                                              std::string* payload,
                                              std::string* reason) const {
-  const std::string path = entry_path(hash);
   std::ifstream f(path, std::ios::binary);
   if (!f) return Probe::kMiss;
 
@@ -132,27 +154,44 @@ SweepService::Probe SweepService::load_entry(const std::string& hash,
   if (sha256_hex(*payload) != payload_sha) {
     return corrupt("payload hash mismatch");
   }
-  // Refresh the entry's file time so the byte-cap eviction is LRU, not
-  // insertion-order.  Best effort: a read-only cache still serves hits.
-  std::error_code ec;
-  fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
   return Probe::kHit;
+}
+
+void SweepService::touch_entry(const std::string& path, const std::string& hash) {
+  std::lock_guard<std::mutex> lock(store_mutex_);
+  std::error_code ec;
+  if (const auto it = by_hash_.find(hash); it != by_hash_.end()) {
+    lru_.splice(lru_.end(), lru_, it->second);
+  } else {
+    const std::uintmax_t bytes = fs::file_size(path, ec);
+    if (!ec) record(hash, bytes);
+  }
+  // Best effort: a read-only cache still serves hits.
+  fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
 }
 
 bool SweepService::store_entry(const SweepJob& job, const std::string& hash,
                                const std::string& payload) {
+  // The whole entry as one string: its size is the entry's bytes.
+  std::string entry(kMagic);
+  entry.append("\nspec_sha256 ")
+      .append(hash)
+      .append("\npayload_sha256 ")
+      .append(sha256_hex(payload))
+      .append("\npayload_bytes ")
+      .append(std::to_string(payload.size()))
+      .append("\n")
+      .append(canonical_job_json(job))
+      .append("\n")
+      .append(payload);
+
   std::lock_guard<std::mutex> lock(store_mutex_);
   const std::string path = entry_path(hash);
   const std::string tmp = path + ".tmp";
   {
     std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
     if (!f) return false;
-    f << kMagic << "\n"
-      << "spec_sha256 " << hash << "\n"
-      << "payload_sha256 " << sha256_hex(payload) << "\n"
-      << "payload_bytes " << payload.size() << "\n"
-      << canonical_job_json(job) << "\n"
-      << payload;
+    f.write(entry.data(), static_cast<std::streamsize>(entry.size()));
     f.flush();
     if (!f) {
       std::error_code ec;
@@ -168,36 +207,37 @@ bool SweepService::store_entry(const SweepJob& job, const std::string& hash,
     fs::remove(tmp, ec);
     return false;
   }
+  // Stamp with the clock hits use: the kernel's own write stamp is coarser
+  // and can sort before an earlier hit's.
+  fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
+  record(hash, entry.size());
   if (cfg_.max_cache_bytes > 0) evict_over_cap();
   return true;
 }
 
-void SweepService::evict_over_cap() {
-  // Caller holds store_mutex_.
-  struct Entry {
-    fs::file_time_type mtime;
-    std::uint64_t bytes = 0;
-    fs::path path;
-  };
-  std::vector<Entry> entries;
-  std::uint64_t total = 0;
-  std::error_code ec;
-  for (const fs::directory_entry& e : fs::directory_iterator(cfg_.cache_dir, ec)) {
-    if (!is_entry_file(e)) continue;
-    Entry ent{e.last_write_time(ec), e.file_size(ec), e.path()};
-    total += ent.bytes;
-    entries.push_back(std::move(ent));
+void SweepService::record(const std::string& hash, std::uint64_t bytes) {
+  if (const auto it = by_hash_.find(hash); it != by_hash_.end()) {
+    indexed_bytes_ -= it->second->bytes;
+    it->second->bytes = bytes;
+    lru_.splice(lru_.end(), lru_, it->second);
+  } else {
+    lru_.push_back(Indexed{hash, bytes});
+    by_hash_.emplace(lru_.back().hash, std::prev(lru_.end()));
   }
-  if (total <= cfg_.max_cache_bytes) return;
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.mtime < b.mtime; });
+  indexed_bytes_ += bytes;
+}
+
+void SweepService::evict_over_cap() {
   std::uint64_t evicted = 0;
-  for (const Entry& ent : entries) {
-    if (total <= cfg_.max_cache_bytes) break;
-    fs::remove(ent.path, ec);
-    if (ec) continue;
-    total -= ent.bytes;
-    ++evicted;
+  std::error_code ec;
+  while (indexed_bytes_ > cfg_.max_cache_bytes) {
+    const Indexed& victim = lru_.front();
+    // A file that is already gone (another process removed it) leaves the
+    // index without counting as an eviction.
+    if (fs::remove(entry_path(victim.hash), ec)) ++evicted;
+    indexed_bytes_ -= victim.bytes;
+    by_hash_.erase(victim.hash);  // before its key's string goes
+    lru_.pop_front();
   }
   counters_.add_evictions(evicted);
 }
@@ -222,6 +262,9 @@ std::size_t SweepService::cache_clear() {
     fs::remove(e.path(), ec);
     if (!ec) ++removed;
   }
+  by_hash_.clear();
+  lru_.clear();
+  indexed_bytes_ = 0;
   return removed;
 }
 
@@ -264,8 +307,10 @@ std::vector<JobOutcome> SweepService::run_batch(const std::vector<SweepJob>& job
       }
     }
     std::string payload, reason;
-    const Probe probe = load_entry(q.hash, &payload, &reason);
+    const std::string path = entry_path(q.hash);
+    const Probe probe = load_entry(path, q.hash, &payload, &reason);
     if (probe == Probe::kHit) {
+      touch_entry(path, q.hash);
       counters_.add_hit();
       q.outcome.cache_hit = true;
       q.outcome.payload = std::move(payload);

@@ -29,9 +29,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <iosfwd>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -75,8 +77,10 @@ struct ServiceConfig {
   unsigned threads = 0;  ///< SweepRunner budget; 0 = hardware concurrency
   cluster::SchedulerMode scheduler = cluster::SchedulerMode::kEventDriven;
   /// Cache capacity in bytes (0 = unlimited).  When a store pushes the
-  /// total over the cap, least-recently-used entries (by file time,
-  /// refreshed on hit) are evicted oldest-first until back under it.
+  /// entries this service knows (found at start-up, stored or hit) over
+  /// the cap, the least recently used are evicted until back under it.
+  /// The order lives in memory; file times, stamped on every store and
+  /// hit from one clock, carry it to the next process.
   std::uint64_t max_cache_bytes = 0;
 };
 
@@ -89,6 +93,8 @@ class SweepService {
  public:
   /// Creates the cache directory; throws std::runtime_error when it cannot
   /// be created or written (the CLI turns that into one clean error line).
+  /// One scan of the directory seeds the LRU index: entries oldest file
+  /// time first, ties broken by file name.
   explicit SweepService(ServiceConfig cfg);
 
   /// Resolve every job — cache hits from disk, misses computed across the
@@ -100,8 +106,10 @@ class SweepService {
   /// recomputed and rewritten — never served.
   std::vector<JobOutcome> run_batch(const std::vector<SweepJob>& jobs);
 
-  CacheStats cache_stats() const;  ///< scans the cache directory
-  std::size_t cache_clear();       ///< removes every entry; returns count
+  /// Scans the cache directory, so it counts other processes' entries too.
+  CacheStats cache_stats() const;
+  /// Removes every entry and empties the index; returns the count removed.
+  std::size_t cache_clear();
 
   obs::ServiceCounters& counters() { return counters_; }
   const obs::ServiceCounters& counters() const { return counters_; }
@@ -117,18 +125,40 @@ class SweepService {
     JobOutcome outcome;
   };
 
+  /// One entry of the LRU index.
+  struct Indexed {
+    std::string hash;
+    std::uint64_t bytes = 0;  ///< the entry file's size
+  };
+  using Lru = std::list<Indexed>;
+
   std::string entry_path(const std::string& hash) const;
-  Probe load_entry(const std::string& hash, std::string* payload,
-                   std::string* reason) const;
+  /// Read and verify the entry at `path` (entry_path(hash)).
+  Probe load_entry(const std::string& path, const std::string& hash,
+                   std::string* payload, std::string* reason) const;
+  /// A verified hit: move the entry to the most-recent end (indexing it
+  /// with its file size if another process stored it) and refresh its
+  /// file time.
+  void touch_entry(const std::string& path, const std::string& hash);
   bool store_entry(const SweepJob& job, const std::string& hash,
                    const std::string& payload);
+  /// Index `hash` as most recent with `bytes`.  Caller holds store_mutex_.
+  void record(const std::string& hash, std::uint64_t bytes);
+  /// Pop least-recent entries, removing their files, until the indexed
+  /// bytes fit the cap.  Caller holds store_mutex_.
   void evict_over_cap();
 
   ServiceConfig cfg_;
   obs::ServiceCounters counters_;
   std::mutex mutex_;  ///< guards inflight_
   std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
-  std::mutex store_mutex_;  ///< serialises store + eviction scans
+  /// Serialises stores and guards the LRU index (lru_, by_hash_,
+  /// indexed_bytes_), which hits update too.
+  std::mutex store_mutex_;
+  Lru lru_;  ///< least recently used first
+  /// Keys view the hashes held in lru_'s nodes, which never move.
+  std::unordered_map<std::string_view, Lru::iterator> by_hash_;
+  std::uint64_t indexed_bytes_ = 0;  ///< Σ bytes over lru_
 };
 
 // ---- request protocol ------------------------------------------------------

@@ -7,7 +7,10 @@
 //    scheduler axis, which is deliberately not part of the key);
 //  * concurrent batches compute each unique spec exactly once;
 //  * truncated / tampered entries are detected and recomputed, never
-//    served; errors are never cached; unwritable dirs fail loudly.
+//    served; errors are never cached; unwritable dirs fail loudly;
+//  * eviction is exact LRU over the entries a service knows, so identical
+//    request streams give identical counts, and a restarted service
+//    reads the same use order back from the file times.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +21,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/rng.hpp"
 #include "common/sha256.hpp"
 #include "sim/json_reader.hpp"
 #include "sim/scenario_registry.hpp"
@@ -66,6 +70,39 @@ class SweepServiceTest : public ::testing::Test {
     }
     ADD_FAILURE() << "no .entry file in " << dir_;
     return {};
+  }
+
+  /// `j`'s entry file in this test's cache directory.
+  fs::path entry_of(const SweepJob& j) const {
+    return dir_ / (job_hash(j) + ".entry");
+  }
+
+  /// Each job's entry size in bytes, measured by storing the jobs in a
+  /// scratch directory beside this test's own.
+  std::vector<std::uint64_t> entry_bytes(const std::vector<SweepJob>& jobs) const {
+    const fs::path sizes = dir_.string() + "_sizes";
+    fs::remove_all(sizes);
+    std::vector<std::uint64_t> bytes;
+    {
+      ServiceConfig cfg = config();
+      cfg.cache_dir = sizes.string();
+      SweepService sizing(cfg);
+      for (const JobOutcome& o : sizing.run_batch(jobs)) {
+        EXPECT_TRUE(o.ok()) << o.error;
+      }
+      for (const SweepJob& j : jobs) {
+        bytes.push_back(fs::file_size(sizes / (job_hash(j) + ".entry")));
+      }
+    }
+    fs::remove_all(sizes);
+    return bytes;
+  }
+
+  /// One request of one job, as `serve` and `batch` make them.
+  static JobOutcome request(SweepService& service, const SweepJob& j) {
+    const std::vector<JobOutcome> out = service.run_batch({j});
+    EXPECT_TRUE(out.at(0).ok()) << out[0].error;
+    return out[0];
   }
 
   fs::path dir_;
@@ -374,6 +411,234 @@ TEST_F(SweepServiceTest, EvictionKeepsTheCacheUnderItsByteCap) {
   ASSERT_TRUE(out[1].ok());
   EXPECT_LE(service.cache_stats().entries, 1u);
   EXPECT_GE(service.counters().snapshot().evictions, 1u);
+}
+
+// ---- LRU eviction: exact, deterministic, shared with other processes -------
+
+TEST_F(SweepServiceTest, IdenticalRequestStreamsGiveIdenticalCounts) {
+  // Twelve specs, a cap of about six entries and a seeded stream skewed
+  // toward the first specs: many hits, misses and evictions, so an order
+  // that depended on file-time resolution would show.
+  std::vector<SweepJob> specs;
+  for (const char* app : {"fft", "radix", "volrend", "fmm"}) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      SweepJob j = job(app, 0.002);
+      j.seed = seed;
+      specs.push_back(j);
+    }
+  }
+  std::uint64_t total = 0;
+  for (const std::uint64_t b : entry_bytes(specs)) total += b;
+  SplitMix64 rng(2024);
+  std::vector<std::size_t> stream(300);
+  for (std::size_t& s : stream) {
+    const std::size_t u = rng.next() % specs.size();
+    const std::size_t v = rng.next() % specs.size();
+    s = std::min(u, v);
+  }
+
+  struct Replay {
+    std::vector<bool> hit;
+    std::vector<std::string> payload;
+    obs::ServiceSnapshot counts;
+  };
+  auto replay = [&](const char* subdir) {
+    ServiceConfig cfg = config();
+    cfg.cache_dir = (dir_ / subdir).string();
+    cfg.max_cache_bytes = total / 2;
+    SweepService service(cfg);
+    Replay r;
+    for (const std::size_t s : stream) {
+      const JobOutcome o = request(service, specs[s]);
+      r.hit.push_back(o.cache_hit);
+      r.payload.push_back(o.payload);
+    }
+    r.counts = service.counters().snapshot();
+    return r;
+  };
+  const Replay a = replay("a");
+  const Replay b = replay("b");
+  EXPECT_EQ(a.hit, b.hit);
+  EXPECT_EQ(a.payload, b.payload);
+  EXPECT_EQ(a.counts.hits, b.counts.hits);
+  EXPECT_EQ(a.counts.misses, b.counts.misses);
+  EXPECT_EQ(a.counts.evictions, b.counts.evictions);
+  RecordProperty("hits", std::to_string(a.counts.hits));
+  RecordProperty("misses", std::to_string(a.counts.misses));
+  RecordProperty("evictions", std::to_string(a.counts.evictions));
+  EXPECT_GT(a.counts.hits, 0u);
+  EXPECT_GT(a.counts.misses, specs.size()) << "the cap never evicted a spec";
+  EXPECT_GT(a.counts.evictions, 0u);
+}
+
+TEST_F(SweepServiceTest, StoreEvictsTheLeastRecentlyUsedAndKeepsItself) {
+  // C, a stacked-DRAM run, carries more fields than B.
+  const SweepJob a = job("fft", 0.002);
+  const SweepJob b = job("radix", 0.002);
+  SweepJob c = job("fft", 0.002);
+  c.run.dram_backend = DramBackendMode::kStacked;
+  const std::vector<std::uint64_t> size = entry_bytes({a, b, c});
+  ASSERT_LT(size[1], size[2]);
+  // A and B fit, C fits alone, C with A does not.
+  ServiceConfig cfg = config();
+  cfg.max_cache_bytes = std::max(size[0] + size[1], size[2]);
+  SweepService service(cfg);
+  request(service, a);
+  request(service, b);
+  EXPECT_TRUE(request(service, a).cache_hit);
+  EXPECT_EQ(service.counters().snapshot().evictions, 0u);
+  request(service, c);
+  EXPECT_EQ(service.counters().snapshot().evictions, 2u);
+  EXPECT_FALSE(fs::exists(entry_of(a)));
+  EXPECT_FALSE(fs::exists(entry_of(b)));
+  EXPECT_TRUE(fs::exists(entry_of(c))) << "the entry just stored was evicted";
+}
+
+TEST_F(SweepServiceTest, AHitKeepsItsEntryPastTheNextEviction) {
+  const SweepJob a = job("fft", 0.002);
+  const SweepJob b = job("radix", 0.002);
+  const SweepJob c = job("volrend", 0.002);
+  const std::vector<std::uint64_t> size = entry_bytes({a, b, c});
+  // A and B fit, and so do A and C: storing C evicts one entry.
+  ServiceConfig cfg = config();
+  cfg.max_cache_bytes = size[0] + std::max(size[1], size[2]);
+  SweepService service(cfg);
+  request(service, a);
+  request(service, b);
+  EXPECT_TRUE(request(service, a).cache_hit);
+  request(service, c);
+  EXPECT_EQ(service.counters().snapshot().evictions, 1u);
+  EXPECT_TRUE(fs::exists(entry_of(a))) << "the entry hit last was evicted";
+  EXPECT_FALSE(fs::exists(entry_of(b)));
+  EXPECT_TRUE(fs::exists(entry_of(c)));
+}
+
+TEST_F(SweepServiceTest, RestartedServiceKeepsTheUseOrder) {
+  const SweepJob a = job("fft", 0.002);
+  const SweepJob b = job("radix", 0.002);
+  const SweepJob c = job("volrend", 0.002);
+  const SweepJob d = job("fmm", 0.002);
+  const std::vector<std::uint64_t> size = entry_bytes({a, b, c, d});
+  // Store `first`, `second` and C, hit `first`, restart, then store D
+  // over a cap that holds all but `second`: the rebuilt service reads the
+  // use order second, C, first from the file times.  Run with A and B in
+  // both roles: a directory listing, ordered by name or by creation,
+  // cannot put the victim first both times.
+  auto restart_evicts = [&](const char* subdir, const SweepJob& first,
+                            const SweepJob& second, std::uint64_t kept_bytes) {
+    SCOPED_TRACE(subdir);
+    const fs::path dir = dir_ / subdir;
+    auto stored = [&](const SweepJob& j) {
+      return fs::exists(dir / (job_hash(j) + ".entry"));
+    };
+    ServiceConfig cfg = config();
+    cfg.cache_dir = dir.string();
+    {
+      SweepService before(cfg);
+      request(before, first);
+      request(before, second);
+      request(before, c);
+      EXPECT_TRUE(request(before, first).cache_hit);
+    }
+    cfg.max_cache_bytes = kept_bytes;
+    SweepService after(cfg);
+    request(after, d);
+    EXPECT_EQ(after.counters().snapshot().evictions, 1u);
+    EXPECT_FALSE(stored(second));
+    for (const SweepJob* j : {&first, &c, &d}) EXPECT_TRUE(stored(*j));
+  };
+  restart_evicts("a_hit", a, b, size[0] + size[2] + size[3]);
+  restart_evicts("b_hit", b, a, size[1] + size[2] + size[3]);
+}
+
+TEST_F(SweepServiceTest, RewrittenCorruptEntryCountsAtItsNewSize) {
+  const SweepJob a = job("fft", 0.002);
+  {
+    SweepService first(config());
+    request(first, a);
+  }
+  fs::resize_file(entry_of(a), 1);
+  // The restarted service indexes A at 1 byte, within the cap; the
+  // rewrite is a whole entry, over it.
+  ServiceConfig cfg = config();
+  cfg.max_cache_bytes = 1;
+  SweepService second(cfg);
+  EXPECT_FALSE(request(second, a).cache_hit);
+  EXPECT_EQ(second.counters().snapshot().corrupt_entries, 1u);
+  EXPECT_EQ(second.counters().snapshot().evictions, 1u)
+      << "the rewritten entry kept its truncated size";
+  EXPECT_FALSE(fs::exists(entry_of(a)));
+}
+
+TEST_F(SweepServiceTest, EntryDeletedBehindTheServiceIsRecomputedNotServed) {
+  SweepService service(config());
+  const SweepJob a = job("fft", 0.002);
+  const JobOutcome cold = request(service, a);
+  ASSERT_TRUE(fs::remove(entry_of(a)));  // another process removes it
+  const JobOutcome again = request(service, a);
+  EXPECT_FALSE(again.cache_hit);
+  EXPECT_EQ(again.payload, cold.payload);
+  EXPECT_TRUE(fs::exists(entry_of(a))) << "the recomputed entry was not stored";
+  EXPECT_TRUE(request(service, a).cache_hit);
+  EXPECT_EQ(service.counters().snapshot().computed, 2u);
+}
+
+TEST_F(SweepServiceTest, EvictingAVanishedFileCountsNoEviction) {
+  const SweepJob a = job("fft", 0.002);
+  const SweepJob b = job("radix", 0.002);
+  const SweepJob c = job("volrend", 0.002);
+  const std::vector<std::uint64_t> size = entry_bytes({a, b, c});
+  // A and B fit; storing C pushes A, the least recent, out.
+  ServiceConfig cfg = config();
+  cfg.max_cache_bytes = size[1] + std::max(size[0], size[2]);
+  SweepService service(cfg);
+  request(service, a);
+  request(service, b);
+  ASSERT_TRUE(fs::remove(entry_of(a)));  // another process removes it
+  request(service, c);
+  EXPECT_EQ(service.counters().snapshot().evictions, 0u);
+  EXPECT_TRUE(fs::exists(entry_of(b)));
+  EXPECT_TRUE(fs::exists(entry_of(c)));
+}
+
+TEST_F(SweepServiceTest, ClearedServiceEvictsNoEntryItDoesNotKnow) {
+  const SweepJob a = job("fft", 0.002);
+  const SweepJob b = job("radix", 0.002);
+  const SweepJob c = job("volrend", 0.002);
+  const std::vector<std::uint64_t> size = entry_bytes({a, b, c});
+  ServiceConfig cfg = config();
+  cfg.max_cache_bytes = std::max(size[0] + size[1], size[2]);
+  SweepService service(cfg);
+  request(service, a);
+  request(service, b);
+  EXPECT_EQ(service.cache_clear(), 2u);
+  {
+    SweepService other(config());  // another process stores A again
+    request(other, a);
+  }
+  // This service knows only C now: A, B and C would be over the cap.
+  request(service, c);
+  EXPECT_EQ(service.counters().snapshot().evictions, 0u);
+  EXPECT_TRUE(fs::exists(entry_of(a)));
+  EXPECT_TRUE(fs::exists(entry_of(c)));
+}
+
+TEST_F(SweepServiceTest, HitOnAnotherProcessesEntryIndexesIt) {
+  const SweepJob a = job("fft", 0.002);
+  const SweepJob b = job("radix", 0.002);
+  const std::vector<std::uint64_t> size = entry_bytes({a, b});
+  ServiceConfig cfg = config();
+  cfg.max_cache_bytes = std::max(size[0], size[1]);  // one entry at a time
+  SweepService service(cfg);
+  {
+    SweepService other(config());  // stores A after `service` started
+    request(other, a);
+  }
+  EXPECT_TRUE(request(service, a).cache_hit);
+  request(service, b);
+  EXPECT_EQ(service.counters().snapshot().evictions, 1u);
+  EXPECT_FALSE(fs::exists(entry_of(a)));
+  EXPECT_TRUE(fs::exists(entry_of(b)));
 }
 
 TEST(SweepServiceConstruct, UnwritableCacheDirThrowsOneCleanError) {
