@@ -16,13 +16,13 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
     throw std::invalid_argument("set count must be a power of two");
   }
   line_shift_ = log2_exact(cfg.line_bytes);
+  set_mask_ = cfg.num_sets() - 1;
   set_slot_.assign(cfg.num_sets(), 0);
 }
 
 std::size_t Cache::set_of(Addr line) const {
   const Addr line_id = line >> line_shift_;
-  return static_cast<std::size_t>((line_id >> cfg_.index_shift) &
-                                  (cfg_.num_sets() - 1));
+  return static_cast<std::size_t>((line_id >> cfg_.index_shift) & set_mask_);
 }
 
 Cache::Way* Cache::set_ways(std::size_t set) {

@@ -130,6 +130,7 @@ class Cache {
 
   CacheConfig cfg_;
   unsigned line_shift_;
+  std::size_t set_mask_;  ///< num_sets() - 1: set_of() divides nothing
   /// Per set: 1 + its index among the touched sets, or 0 until a line is
   /// first installed there.  A run touches few of an L2 bank's sets, so
   /// the ways are allocated on first touch, not zero-filled up front.

@@ -12,10 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
+#include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "cpu/trace.hpp"
@@ -114,7 +114,7 @@ class SyntheticTrace final : public cpu::TraceSource {
   Addr a2a_own_off_ = 0;
   Addr a2a_peer_off_ = 0;
 
-  std::deque<cpu::TraceRecord> buffer_;
+  RingBuffer<cpu::TraceRecord> buffer_;  ///< at most 3 records per refill
 };
 
 /// One benchmark run: builds the shared plan and per-core streams.
