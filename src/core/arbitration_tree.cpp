@@ -27,7 +27,6 @@ ArbitrationTree::ArbitrationTree(std::size_t total_cores)
   levels_ = log2_exact(total_cores);
   gating_ = std::make_shared<const Gating>(total_cores - 1, 1);
   prefer_.assign(total_cores - 1, 0);
-  node_req_.assign(2 * total_cores - 1, 0);
 }
 
 std::size_t ArbitrationTree::configure(const PowerState& state) {
@@ -87,7 +86,12 @@ std::optional<CoreId> ArbitrationTree::arbitrate(const std::vector<bool>& reques
 }
 
 std::optional<CoreId> ArbitrationTree::arbitrate_sparse(const CoreId* candidates,
-                                                        std::size_t count) {
+                                                        std::size_t count,
+                                                        SparseScratch& scratch) {
+  std::vector<std::uint8_t>& node_req = scratch.node_req;
+  std::vector<std::uint32_t>& marked = scratch.marked;
+  const std::size_t nodes = 2 * total_cores_ - 1;
+  if (node_req.size() < nodes) node_req.assign(nodes, 0);
   // Phase 1: raise each candidate's request wire and propagate it upward
   // through powered switches.  A node's flag ends up true exactly when the
   // recursive descend() would report Outcome.requesting for it: the node is
@@ -97,20 +101,20 @@ std::optional<CoreId> ArbitrationTree::arbitrate_sparse(const CoreId* candidates
     const CoreId c = candidates[k];
     assert(c < total_cores_);
     std::size_t idx = total_cores_ - 1 + c;  // virtual leaf heap slot
-    if (node_req_[idx]) continue;
-    node_req_[idx] = 1;
-    marked_.push_back(static_cast<std::uint32_t>(idx));
+    if (node_req[idx]) continue;
+    node_req[idx] = 1;
+    marked.push_back(static_cast<std::uint32_t>(idx));
     while (idx != 0) {
       idx = (idx - 1) / 2;
-      if (node_req_[idx]) break;            // path already raised
-      if (powered[idx] == 0) break;         // gated subtree blocks the wire
-      node_req_[idx] = 1;
-      marked_.push_back(static_cast<std::uint32_t>(idx));
+      if (node_req[idx]) break;            // path already raised
+      if (powered[idx] == 0) break;        // gated subtree blocks the wire
+      node_req[idx] = 1;
+      marked.push_back(static_cast<std::uint32_t>(idx));
     }
   }
 
   std::optional<CoreId> winner;
-  if (node_req_[0]) {
+  if (node_req[0]) {
     // Phase 2: one root-to-leaf descent.  Each peek sees the same child
     // request flags the full recursive walk computes, so the round-robin
     // choices — and the committed spine — are identical.
@@ -119,7 +123,7 @@ std::optional<CoreId> ArbitrationTree::arbitrate_sparse(const CoreId* candidates
       const std::size_t l = idx * 2 + 1;
       const std::size_t r = idx * 2 + 2;
       const std::optional<unsigned> choice =
-          peek(idx, node_req_[l] != 0, node_req_[r] != 0);
+          peek(idx, node_req[l] != 0, node_req[r] != 0);
       assert(choice.has_value());
       commit(idx, *choice);
       idx = (*choice == 0) ? l : r;
@@ -127,8 +131,8 @@ std::optional<CoreId> ArbitrationTree::arbitrate_sparse(const CoreId* candidates
     winner = static_cast<CoreId>(idx - (total_cores_ - 1));
   }
 
-  for (const std::uint32_t m : marked_) node_req_[m] = 0;
-  marked_.clear();
+  for (const std::uint32_t m : marked) node_req[m] = 0;
+  marked.clear();
   return winner;
 }
 

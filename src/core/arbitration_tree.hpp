@@ -9,6 +9,8 @@
 // Gating depends only on the core mask, so every bank's tree of one
 // cluster shares one mask of powered switches, computed once per
 // configuration; a tree itself keeps one round-robin byte per switch.
+// The trees of one MotInterconnect arbitrate one at a time, so they also
+// share one arbitrate_sparse scratch, which the interconnect owns.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +30,17 @@ class ArbitrationTree {
   /// 2k+1 and 2k+2): a switch stays powered iff at least one core of its
   /// subtree is active.
   using Gating = std::vector<std::uint8_t>;
+
+  /// arbitrate_sparse's working memory: a request flag per heap node
+  /// (internal nodes share indices with the switches; leaves occupy
+  /// [total_cores-1, 2·total_cores-2]) and the flags one call raised,
+  /// which it clears before returning.  All zero between calls, so trees
+  /// that never arbitrate at the same time may share one; sized on first
+  /// use.
+  struct SparseScratch {
+    std::vector<std::uint8_t> node_req;
+    std::vector<std::uint32_t> marked;
+  };
 
   /// The gating of a `state.total_cores()`-input tree, computed bottom-up
   /// in O(cores).
@@ -56,9 +69,16 @@ class ArbitrationTree {
   /// descent evaluates the same peek decisions the recursive walk would
   /// and commits along the granted spine.  Cost is O(candidates · levels)
   /// instead of O(total_cores), which is what makes per-bank arbitration
-  /// affordable at 256-1024 cores.
+  /// affordable at 256-1024 cores.  Works in `scratch`, which no other
+  /// tree may be using at the same time.
   std::optional<CoreId> arbitrate_sparse(const CoreId* candidates,
-                                         std::size_t count);
+                                         std::size_t count,
+                                         SparseScratch& scratch);
+  /// The same, in the tree's own scratch.
+  std::optional<CoreId> arbitrate_sparse(const CoreId* candidates,
+                                         std::size_t count) {
+    return arbitrate_sparse(candidates, count, own_scratch_);
+  }
 
   std::size_t total_cores() const { return total_cores_; }
   unsigned levels() const { return levels_; }
@@ -89,12 +109,7 @@ class ArbitrationTree {
   std::shared_ptr<const Gating> gating_;
   /// Round-robin pointer per switch, heap order: the input a tie goes to.
   std::vector<std::uint8_t> prefer_;
-  /// arbitrate_sparse scratch: request flag per heap node (internal nodes
-  /// share indices with prefer_; leaves occupy [total_cores_-1, 2n-2]).
-  /// Touched entries are recorded in marked_ and cleared after each call,
-  /// so the per-call cost tracks the candidate count, not the tree size.
-  std::vector<std::uint8_t> node_req_;
-  std::vector<std::uint32_t> marked_;
+  SparseScratch own_scratch_;  ///< empty unless arbitrate_sparse uses it
 };
 
 }  // namespace mot3d::core

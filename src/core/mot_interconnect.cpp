@@ -127,7 +127,7 @@ void MotInterconnect::tick(Cycle now) {
     if (candidates_.empty()) return;
     const std::optional<CoreId> winner =
         bank_arbiters_[b].arbitrate_sparse(candidates_.data(),
-                                           candidates_.size());
+                                           candidates_.size(), arb_scratch_);
     assert(winner.has_value());
     InFlight& s = core_slot_[*winner];
     stats_.arbitration_wait_cycles += now - s.eligible;

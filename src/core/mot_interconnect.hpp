@@ -101,6 +101,9 @@ class MotInterconnect final : public Interconnect {
                                            ///< are identically configured)
   std::vector<ArbitrationTree> bank_arbiters_;  ///< one per physical bank,
                                                 ///< sharing one gating mask
+  /// The bank trees' one arbitrate_sparse scratch: tick() arbitrates one
+  /// bank at a time.
+  ArbitrationTree::SparseScratch arb_scratch_;
   std::vector<InFlight> core_slot_;        ///< one outstanding per core
   std::vector<Cycle> bank_free_at_;        ///< circuit hold per bank
   RingBuffer<PendingResponse> responses_;  ///< constant-delay return path
