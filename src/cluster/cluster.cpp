@@ -34,7 +34,9 @@ const char* fabric_name(Fabric f) {
   return "?";
 }
 
-Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
+Cluster::Cluster(ClusterConfig cfg)
+    : cfg_(std::move(cfg)),
+      event_driven_(cfg_.scheduler == SchedulerMode::kEventDriven) {
   // ---- derive Table I timing/energy from the CACTI-lite model ----
   const cacti::SramBankResult bank = cacti::evaluate(cfg_.l2_bank_sram);
   cfg_.l2.total_banks = cfg_.total_banks;
@@ -147,6 +149,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   const std::size_t n = core_arena_.size();
   injecting_ = acking_ = done_ = due_ = spinning_ = IndexSet(n);
   synced_.assign(n, 0);
+  if (event_driven_) refile_cores();
 
   // ---- thermal subsystem (opt-in; inert otherwise) ----
   if (cfg_.thermal.enabled) {
@@ -394,7 +397,7 @@ void Cluster::file_core(std::size_t i) {
   const cpu::Core& core = core_arena_[i];
   injecting_.assign(i, core.pending_request().has_value());
   if (core.done()) done_.insert(i);
-  if (!lazy_cores_) return;
+  if (!event_driven_) return;
   const Cycle wake = core.next_event(synced_[i]);
   if (wake <= synced_[i]) {
     due_.insert(i);
@@ -436,24 +439,13 @@ void Cluster::tick_due_cores() {
 }
 
 void Cluster::catch_up(std::size_t i, Cycle to) {
-  if (!lazy_cores_ || cores_frozen_) return;
+  if (!event_driven_ || cores_frozen_) return;
   core_arena_[i].skip(synced_[i], to);
   synced_[i] = to;
 }
 
 void Cluster::sync_cores() {
   for (std::size_t i = 0; i < core_arena_.size(); ++i) catch_up(i, now_);
-}
-
-void Cluster::set_lazy_cores(bool lazy) {
-  if (lazy == lazy_cores_) return;
-  if (lazy) {
-    lazy_cores_ = true;
-    refile_cores();
-  } else {
-    sync_cores();
-    lazy_cores_ = false;
-  }
 }
 
 void Cluster::refile_cores() {
@@ -466,28 +458,25 @@ void Cluster::refile_cores() {
   }
 }
 
-template <bool kGated, bool kTimed>
-void Cluster::tick() {
-  // Untimed ticks compile the stamps away.  drain_fabric_deliveries()
-  // touches core and bank state but runs on behalf of the fabric's
-  // deliveries, so its cost is charged to the fabric phase (documented
-  // convention).
+void Cluster::tick(bool timed) {
+  // drain_fabric_deliveries() touches core and bank state but runs on
+  // behalf of the fabric's deliveries, so its cost is charged to the
+  // fabric phase (documented convention).
   using PT = obs::PhaseTimer;
-  [[maybe_unused]] PT::clock::time_point mark;
-  if constexpr (kTimed) mark = PT::clock::now();
-  const auto phase_done = [&]([[maybe_unused]] PT::Phase phase) {
-    if constexpr (kTimed) {
-      const PT::clock::time_point t = PT::clock::now();
-      phase_timer_->add(phase, mark, t);
-      mark = t;
-    }
+  PT::clock::time_point mark;
+  if (timed) mark = PT::clock::now();
+  const auto phase_done = [&](PT::Phase phase) {
+    if (!timed) return;
+    const PT::clock::time_point t = PT::clock::now();
+    phase_timer_->add(phase, mark, t);
+    mark = t;
   };
   // Frozen cores are clock-held: no tick, no injection retry.  They are
   // also excluded from event-mode catch-up accounting, so both schedulers
   // see identical (frozen) core statistics.  The dense reference ticks
   // every core; event mode only the due ones.
   if (!cores_frozen_) {
-    if constexpr (kGated) {
+    if (event_driven_) {
       tick_due_cores();
     } else {
       for (std::size_t i = 0; i < core_arena_.size(); ++i) {
@@ -500,19 +489,15 @@ void Cluster::tick() {
   inject_coherence_acks();
   phase_done(PT::kCoherence);
   inject_demand_requests();
-  // Gated: a component ticks only when its next-event contract says this
-  // cycle can change its state — skipped ticks are no-ops by that
-  // contract.  The gates are evaluated just-in-time because earlier
-  // phases of the same cycle may stimulate later components (core ->
-  // interconnect -> L2 -> DRAM).
-  if (!kGated || interconnect_->next_event(now_) <= now_) {
-    interconnect_->tick(now_);
-    drain_fabric_deliveries();
-  }
+  // Every visited cycle ticks every component, as the dense loop does: a
+  // tick before a component's next event is a no-op by the next-event
+  // contract, so no component needs a gate of its own.
+  interconnect_->tick(now_);
+  drain_fabric_deliveries();
   phase_done(PT::kFabric);
-  if (!kGated || l2_->next_event(now_) <= now_) l2_->tick(now_);
+  l2_->tick(now_);
   phase_done(PT::kL2);
-  if (!kGated || dram_->next_event(now_) <= now_) dram_->tick(now_);
+  dram_->tick(now_);
   phase_done(PT::kDram);
   ++now_;
 }
@@ -542,46 +527,43 @@ Cycle Cluster::next_event_cycle() const {
   return std::max(next, now_);
 }
 
-bool Cluster::advance(bool event) {
+bool Cluster::advance(Cycle limit) {
   if (now_ >= cfg_.max_cycles) {
     throw std::runtime_error("simulation exceeded max_cycles — livelock?\n" +
                              progress_dump());
   }
-  set_lazy_cores(event);
   poll();
   if (run_failed_) return false;  // unrecoverable fault: structured outcome
-  if (event) {
+  if (event_driven_) {
     // Whenever nothing can happen this cycle, jump straight to the
-    // earliest future event.  The jump touches no core: each sleeping
-    // core's skipped cycles are batch-accounted (Core::skip) when it is
-    // next ticked, messaged or read, so every statistic stays
-    // bit-identical to the dense reference.
+    // earliest future event, no further than `limit`.  The jump touches
+    // no core: each sleeping core's skipped cycles are batch-accounted
+    // (Core::skip) when it is next ticked, messaged or read, so every
+    // statistic stays bit-identical to the dense reference.
     const Cycle next = next_event_cycle();
     if (next > now_) {
-      if (next == kNeverCycle) {
-        // With a watchdog engaged its next check is always a future
-        // event, so this branch only fires on watchdog-less wedges.
+      if (next == kNeverCycle && !finished()) {
+        // A finished run has no future event either: a step past its end
+        // just jumps.  With a watchdog engaged its next check is always a
+        // future event, so this only fires on watchdog-less wedges.
         throw std::runtime_error(
             "deadlock: no component reports a future event but the run "
             "has not finished\n" +
             progress_dump());
       }
-      now_ = std::min(next, cfg_.max_cycles);
+      now_ = std::min({next, limit, cfg_.max_cycles});
       return true;
     }
   }
-  const bool timed = phase_timer_ != nullptr && phase_timer_->should_sample();
-  if (event) {
-    timed ? tick<true, true>() : tick<true, false>();
-  } else {
-    timed ? tick<false, true>() : tick<false, false>();
-  }
+  tick(phase_timer_ != nullptr && phase_timer_->should_sample());
   return true;
 }
 
 void Cluster::step(Cycle cycles) {
-  for (Cycle i = 0; i < cycles && advance(/*event=*/false); ++i) {
+  const Cycle end = now_ + std::min(cycles, kNeverCycle - now_);
+  while (now_ < end && advance(end)) {
   }
+  sync_cores();
 }
 
 bool Cluster::finished() const {
@@ -590,10 +572,9 @@ bool Cluster::finished() const {
 }
 
 SimResult Cluster::run() {
-  const bool event = cfg_.scheduler == SchedulerMode::kEventDriven;
-  while (!finished() && advance(event)) {
+  while (!finished() && advance(kNeverCycle)) {
   }
-  set_lazy_cores(false);  // every core's books close at now_
+  sync_cores();  // every core's books close at now_
   thermal_finalize();
   obs_finalize();
   SimResult r = collect_result();
@@ -653,7 +634,7 @@ void Cluster::set_frozen(bool frozen) {
     freeze_begin_ = now_;
   } else {
     throttled_cycles_ += now_ - freeze_begin_;
-    if (lazy_cores_) refile_cores();
+    if (event_driven_) refile_cores();
   }
 }
 

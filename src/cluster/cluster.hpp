@@ -53,7 +53,7 @@ enum class Fabric { kMot, kTrueMesh3d, kHybridBusMesh, kHybridBusTree };
 
 const char* fabric_name(Fabric f);
 
-/// How Cluster::run() advances simulated time.
+/// How Cluster::run() and step() advance simulated time.
 ///
 /// kEventDriven fast-forwards over quiescent stretches (every component
 /// reports, via the next-event contract of DESIGN.md, the earliest cycle it
@@ -206,9 +206,11 @@ class Cluster final : private mem::ReadSink {
   /// Run to completion (all cores done, all queues drained).
   SimResult run();
 
-  /// Advance `cycles` dense iterations of the run loop, polls included,
-  /// regardless of the configured scheduler (examples / reconfiguration
-  /// demos); stops early if an unrecoverable fault failed the run.
+  /// Advance `cycles` cycles of the run loop under the configured
+  /// scheduler, polls included (examples / reconfiguration demos), then
+  /// catch every core's counters up; stops early if an unrecoverable fault
+  /// failed the run.  A step past the end of the run just advances the
+  /// clock, as dense ticks of a finished cluster do.
   void step(Cycle cycles);
 
   /// Current simulation time.
@@ -230,18 +232,17 @@ class Cluster final : private mem::ReadSink {
  private:
   /// One iteration of the run loop, the whole body of run() and step():
   /// the max-cycles guard, poll(), the failed-run exit, then (event mode)
-  /// a jump to the next event when nothing can happen this cycle, else one
-  /// tick.  Returns false once an unrecoverable fault failed the run.
-  bool advance(bool event);
+  /// a jump to the next event, but no further than `limit`, when nothing
+  /// can happen this cycle, else one tick.  Returns false once an
+  /// unrecoverable fault failed the run.
+  bool advance(Cycle limit);
 
   /// One cycle in the fixed phase order: cores, coherence acks, demand
-  /// injection, interconnect (+ delivery drain), L2, DRAM.  kGated ticks
-  /// a component only when its next-event contract says this cycle can
-  /// change its state (event mode).  kTimed stamps steady_clock between
-  /// phases for the 1-in-64 PhaseTimer sample; clock reads never touch
-  /// model state, so timing a run cannot perturb its modeled metrics.
-  template <bool kGated, bool kTimed>
-  void tick();
+  /// injection, interconnect (+ delivery drain), L2, DRAM.  `timed` stamps
+  /// steady_clock between phases for the 1-in-64 PhaseTimer sample; clock
+  /// reads never touch model state, so timing a run cannot perturb its
+  /// modeled metrics.
+  void tick(bool timed);
 
   /// Where every DRAM read ends, called from inside the backend's tick()
   /// before its arbitration (so a refill's dirty victim is granted this
@@ -275,9 +276,9 @@ class Cluster final : private mem::ReadSink {
   }
 
   /// Re-file slot `i` after its core ticked or took a message: the
-  /// injecting_ and done_ sets (both schedulers) and, while the cores run
-  /// lazily, its wake — due next cycle, a timed wake at the end of a
-  /// compute burst, or asleep until a delivery or a barrier release.
+  /// injecting_ and done_ sets (both schedulers) and, in an event-driven
+  /// run, its wake — due next cycle, a timed wake at the end of a compute
+  /// burst, or asleep until a delivery or a barrier release.
   void file_core(std::size_t i);
 
   /// Event-mode core phase: tick only the due cores, in arena order.
@@ -292,13 +293,8 @@ class Cluster final : private mem::ReadSink {
   /// catch_up() every core to now_: boundaries that read core counters.
   void sync_cores();
 
-  /// Switch between the dense reference (every core ticks every cycle)
-  /// and lazy event mode (only due cores tick, the rest catch up on
-  /// demand).  Leaving lazy mode syncs every core; entering it re-files
-  /// them all.
-  void set_lazy_cores(bool lazy);
-
-  /// Rebuild the wake set from the cores' states, synced at now_.
+  /// Rebuild the wake set from the cores' states, synced at now_ (event
+  /// mode: at construction and whenever a clock hold ends).
   void refile_cores();
 
   /// Minimum over every component's next_event(now_) and every subsystem
@@ -386,6 +382,9 @@ class Cluster final : private mem::ReadSink {
   std::string progress_dump();
 
   ClusterConfig cfg_;
+  /// The scheduler, fixed at construction: event mode ticks only the due
+  /// cores and jumps over cycles in which nothing can happen.
+  const bool event_driven_;
   std::unique_ptr<mem::MemoryBackend> dram_;
   dram3d::StackedDram* stacked_ = nullptr;  ///< non-null iff cfg_.stacked_dram
   std::unique_ptr<mem::L2System> l2_;
@@ -409,8 +408,7 @@ class Cluster final : private mem::ReadSink {
   IndexSet acking_;     ///< coherence acknowledgements queued
   IndexSet done_;       ///< trace finished (finished() reads the count)
   std::uint64_t core_ticks_ = 0;
-  // The wake set, live only while the cores run lazily (event mode).
-  bool lazy_cores_ = false;
+  // The wake set, live only in an event-driven run.
   IndexSet due_;       ///< tick this cycle
   IndexSet spinning_;  ///< asleep at a barrier not yet released
   /// Min-heap of (cycle, slot): compute bursts end and the core is due.

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "cluster/cluster.hpp"
+#include "same_result.hpp"
 
 namespace mot3d::cluster {
 namespace {
@@ -161,12 +162,22 @@ TEST(Cluster, FasterDramShortensRuns) {
 }
 
 TEST(Cluster, StepAndFinishedApi) {
-  Cluster c(small_cfg("fft", Fabric::kMot));
-  EXPECT_FALSE(c.finished());
-  c.step(100);
-  EXPECT_EQ(c.now(), 100u);
-  const SimResult partial = c.collect_result();
-  EXPECT_EQ(partial.cycles, 100u);
+  const SchedulerMode modes[] = {SchedulerMode::kDenseTick,
+                                 SchedulerMode::kEventDriven};
+  SimResult partial[2];
+  for (std::size_t m = 0; m < 2; ++m) {
+    ClusterConfig cfg = small_cfg("fft", Fabric::kMot);
+    cfg.scheduler = modes[m];
+    Cluster c(cfg);
+    EXPECT_FALSE(c.finished()) << scheduler_name(modes[m]);
+    c.step(100);
+    EXPECT_EQ(c.now(), 100u) << scheduler_name(modes[m]);
+    partial[m] = c.collect_result();
+    EXPECT_EQ(partial[m].cycles, 100u) << scheduler_name(modes[m]);
+  }
+  // step() catches every core up, so the snapshots agree counter for
+  // counter.
+  expect_same_result(partial[0], partial[1]);
 }
 
 TEST(Cluster, L1MissRatesInPlausibleBand) {

@@ -242,9 +242,9 @@ TEST(PollOrderPin, MotFaultsOnThermalBoundaries) {
       pin, "54ff5fb0a31043daf9989570f5d70ba6684bf5bffafdd511613926349c07b53c");
 }
 
-// step() is the dense loop iteration, polls included: stepping past the
-// first 10 000-cycle thermal and metrics boundary and then running to the
-// end must reproduce a plain run() exactly.
+// step() runs the configured scheduler's loop, polls included: stepping
+// past the first 10 000-cycle thermal and metrics boundary and then
+// running to the end must reproduce a plain run() exactly.
 TEST(RunLoop, StepThenRunMatchesRun) {
   const sim::ScenarioRun run = kMotConstantFft.run();
   for (SchedulerMode mode : {SchedulerMode::kDenseTick, SchedulerMode::kEventDriven}) {
@@ -259,6 +259,61 @@ TEST(RunLoop, StepThenRunMatchesRun) {
     EXPECT_EQ(sim::run_metrics_json(run, split), sim::run_metrics_json(run, whole))
         << scheduler_name(mode);
   }
+}
+
+constexpr SchedulerMode kBothModes[] = {SchedulerMode::kDenseTick,
+                                        SchedulerMode::kEventDriven};
+
+// A finished run has no future event.  Stepping an event-mode run far past
+// its end jumps there instead of throwing the deadlock check, and the
+// step's end closes every core's books as the dense loop's ticks do.
+TEST(RunLoop, StepPastTheFinishMatchesDense) {
+  constexpr Cycle kSteps = 200'000;
+  const auto cfg = [](SchedulerMode mode) {
+    return cfg_for("fft", Fabric::kMot, core::PowerState::full(),
+                   mem::DramPreset::kDdr3_200ns, mode);
+  };
+  ASSERT_LT(2 * Cluster(cfg(SchedulerMode::kEventDriven)).run().cycles, kSteps);
+  SimResult stepped[2];
+  for (std::size_t m = 0; m < 2; ++m) {
+    Cluster c(cfg(kBothModes[m]));
+    EXPECT_NO_THROW(c.step(kSteps)) << scheduler_name(kBothModes[m]);
+    EXPECT_TRUE(c.finished()) << scheduler_name(kBothModes[m]);
+    EXPECT_EQ(c.now(), kSteps) << scheduler_name(kBothModes[m]);
+    stepped[m] = c.collect_result();
+  }
+  expect_same_result(stepped[0], stepped[1]);
+}
+
+// The power_gating example's flow: step mid-run, step one cycle at a time
+// until the fabric idles (five cycles from this stop), gate to PC16-MB8
+// from outside the cluster, then run to the end.  Both schedulers must
+// agree on every byte.
+TEST(RunLoop, ReconfigureBetweenStepsMatchesDense) {
+  sim::ScenarioRun run;
+  run.app = "fft";
+  SimResult results[2];
+  for (std::size_t m = 0; m < 2; ++m) {
+    SCOPED_TRACE(scheduler_name(kBothModes[m]));
+    Cluster c(cfg_for("fft", Fabric::kMot, core::PowerState::full(),
+                      mem::DramPreset::kDdr3_200ns, kBothModes[m]));
+    c.step(24'985);
+    ASSERT_FALSE(c.finished());
+    Cycle drain = 0;
+    while (!c.interconnect().idle()) {
+      c.step(1);
+      ++drain;
+    }
+    EXPECT_GT(drain, 0u);
+    core::ReconfigManager mgr(*c.mot(), c.l2(), c.dram());
+    EXPECT_GT(mgr.apply(core::PowerState::pc16_mb8(), c.now()).dirty_lines_flushed,
+              0u);
+    results[m] = c.run();
+    EXPECT_EQ(c.l2().num_active_banks(), 8u);
+  }
+  EXPECT_EQ(sim::run_metrics_json(run, results[0]),
+            sim::run_metrics_json(run, results[1]));
+  expect_same_result(results[0], results[1]);
 }
 
 TEST(SchedulerDifferential, EventModeIsTheDefault) {
