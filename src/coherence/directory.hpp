@@ -98,8 +98,6 @@ class CoherenceDirectory {
 
   std::size_t occupancy() const { return entries_; }  ///< tracked lines, all slices
   std::size_t slice_entries(BankId b) const { return slices_[b].size; }
-  /// 64-bit words per sharer bitvector ((total_cores + 63) / 64).
-  std::size_t sharer_words() const { return words_; }
 
   const CoherenceStats& stats() const { return stats_; }
   const CoherenceConfig& config() const { return cfg_; }

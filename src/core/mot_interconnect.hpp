@@ -61,7 +61,6 @@ class MotInterconnect final : public Interconnect {
 
   const PowerState& state() const { return state_; }
   const MotStateTiming& state_timing() const { return state_timing_; }
-  const MotTimingModel& timing_model() const { return timing_; }
 
   /// Physical bank the current switch configuration sends `logical` to.
   BankId route(BankId logical) const;

@@ -42,7 +42,6 @@ struct MotBusConfig {
   std::size_t request_header_bits() const { return addr_bits + ctl_bits; }
   std::size_t response_header_bits() const { return ctl_bits; }
   std::size_t line_bits() const { return line_bytes * 8; }
-  std::size_t line_beats() const { return line_bits() / data_bits; }
 };
 
 /// Pipeline latencies of one power state.

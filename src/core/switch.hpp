@@ -111,7 +111,6 @@ class ArbitrationSwitch {
   /// Rotate priority after a grant travelled through this switch.
   void commit(unsigned winner) { prefer_ = static_cast<std::uint8_t>(1u - winner); }
 
-  unsigned preferred_input() const { return prefer_; }
   void set_powered(bool on) { powered_ = on; }
   bool powered() const { return powered_; }
 

@@ -90,7 +90,6 @@ class StackedDram final : public mem::MemoryBackend {
 
   // ---- stacked-specific surface --------------------------------------------
 
-  const Dram3dConfig& stacked_config() const { return cfg_; }
   std::size_t num_vaults() const { return cfg_.num_vaults; }
   std::size_t alive_vaults() const { return alive_count_; }
   bool vault_alive(std::size_t phys) const { return alive_.at(phys); }

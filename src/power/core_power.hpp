@@ -59,14 +59,6 @@ class CorePowerModel {
     return p_.leakage_mw * leakage_temp_scale(temp_c, temp);
   }
 
-  /// Static energy over `cycles` cycles at junction temperature `temp_c`
-  /// (temperature-scaled leakage + unscaled clock tree), in pJ.
-  double static_pj_at(std::uint64_t cycles, double temp_c,
-                      const LeakageTempParams& temp = {}) const {
-    return static_cast<double>(cycles) *
-           (leakage_mw_at(temp_c, temp) + p_.clock_tree_mw);
-  }
-
   const CorePowerParams& params() const { return p_; }
 
  private:

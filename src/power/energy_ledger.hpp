@@ -57,9 +57,6 @@ struct EnergySample {
   double power_w(Component c, Cycle cycles) const {
     return cycles == 0 ? 0.0 : total(c) / static_cast<double>(cycles);
   }
-  double dynamic_power_w(Component c, Cycle cycles) const {
-    return cycles == 0 ? 0.0 : dynamic(c) / static_cast<double>(cycles);
-  }
 };
 
 /// Per-run energy totals in picojoules, split dynamic vs. static.

@@ -45,7 +45,6 @@ class InterconnectPowerModel {
   double router_leakage_mw() const { return router_.leakage_mw; }
 
   const phys::WireModel& wire() const { return wire_; }
-  const RouterPowerParams& router_params() const { return router_; }
 
  private:
   phys::WireModel wire_;

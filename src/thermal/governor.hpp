@@ -65,7 +65,6 @@ class ThermalGovernor {
 
   bool holding() const { return level_ == 2 && !duty_release_; }
   unsigned level() const { return level_; }
-  const core::PowerState& current_state() const { return current_; }
   const GovernorStats& stats() const { return stats_; }
 
   /// The level-1 target: baseline cores, banks gated to the floor.
