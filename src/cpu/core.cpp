@@ -1,5 +1,6 @@
 #include "cpu/core.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace mot3d::cpu {
@@ -297,6 +298,8 @@ void Core::coherence_accepted(Cycle now) {
 
 void Core::warm_l1i(Addr base, std::size_t bytes) {
   const std::size_t line = cfg_.l1i.line_bytes;
+  // The code's lines touch at most this many sets.
+  l1i_.reserve_sets(std::min((bytes + line - 1) / line, cfg_.l1i.num_sets()));
   for (Addr a = base; a < base + bytes; a += line) {
     l1i_.insert(a, /*dirty=*/false);
   }

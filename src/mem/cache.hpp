@@ -87,6 +87,11 @@ class Cache {
   /// needs_upgrade until complete_upgrade() promotes it.
   InsertResult insert(Addr addr, bool dirty, bool shared = false);
 
+  /// Room for the ways of `sets` touched sets in one allocation, for a
+  /// warm-up about to fill that many (insert() would grow the pool by
+  /// doubling).
+  void reserve_sets(std::size_t sets) { ways_.reserve(sets * cfg_.associativity); }
+
   /// Coherence upgrade granted: promote the line to Modified (dirty,
   /// exclusive).  No-op if the line was invalidated while the upgrade was
   /// in flight; returns whether the line was present.
