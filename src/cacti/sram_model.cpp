@@ -47,11 +47,6 @@ SramBankResult evaluate(const SramBankConfig& cfg) {
   return r;
 }
 
-double leakage_mw_at(const SramBankConfig& cfg, double temp_c,
-                     const LeakageTempParams& temp) {
-  return evaluate(cfg).leakage_mw * leakage_temp_scale(temp_c, temp);
-}
-
 unsigned access_cycles(const SramBankConfig& cfg, double clock_period_ns) {
   const SramBankResult r = evaluate(cfg);
   // The array access takes ceil(access/clock) cycles, plus one TSV-bus

@@ -14,8 +14,6 @@
 
 #include <cstddef>
 
-#include "common/leakage.hpp"
-
 namespace mot3d::cacti {
 
 /// Organisation of one SRAM cache bank.
@@ -43,11 +41,5 @@ SramBankResult evaluate(const SramBankConfig& cfg);
 /// Access latency in whole 1 GHz cycles, incl. bank-side interface flops
 /// (decode-in + array + data-out pipeline as in the paper's 3-cycle bank).
 unsigned access_cycles(const SramBankConfig& cfg, double clock_period_ns);
-
-/// Bank leakage at junction temperature `temp_c`, mW.  `evaluate()` quotes
-/// leakage at the reference temperature of `temp`; the thermal subsystem's
-/// leakage-feedback loop evaluates this per tile each sampling interval.
-double leakage_mw_at(const SramBankConfig& cfg, double temp_c,
-                     const LeakageTempParams& temp = {});
 
 }  // namespace mot3d::cacti

@@ -155,13 +155,8 @@ Cluster::Cluster(ClusterConfig cfg)
   if (cfg_.thermal.enabled) {
     thermal_ = std::make_unique<thermal::ThermalModel>(cfg_.thermal,
                                                        cfg_.floorplan, cfg_.tech);
-    thermal::GovernorConfig gc;
-    gc.ceiling_c = cfg_.thermal.ceiling_c;
-    gc.hysteresis_c = cfg_.thermal.hysteresis_c;
-    gc.allow_bank_gating = cfg_.fabric == Fabric::kMot;
-    gc.min_banks = cfg_.thermal.governor_min_banks;
-    gc.max_hold_intervals = cfg_.thermal.governor_max_hold_intervals;
-    governor_ = std::make_unique<thermal::ThermalGovernor>(gc, cfg_.power_state);
+    governor_ = std::make_unique<thermal::ThermalGovernor>(
+        cfg_.thermal.ceiling_c, cfg_.fabric == Fabric::kMot, cfg_.power_state);
     prev_core_instr_.assign(cfg_.total_cores, 0);
     prev_core_spin_.assign(cfg_.total_cores, 0);
     prev_core_l1_.assign(cfg_.total_cores, 0);
@@ -191,8 +186,7 @@ Cluster::Cluster(ClusterConfig cfg)
         cfg_.fault, mot_ != nullptr, cfg_.total_banks,
         noc_ != nullptr ? noc_->num_routers() : 0);
     degrade_ = std::make_unique<fault::DegradationManager>(
-        mot_ != nullptr, cfg_.fault.min_banks,
-        stacked_ != nullptr ? stacked_->num_vaults() : 0);
+        mot_ != nullptr, stacked_ != nullptr ? stacked_->num_vaults() : 0);
     if (mot_ != nullptr) {
       mot_->set_fault_retry_energy_pj(cfg_.fault.retry_energy_pj);
     }
@@ -917,7 +911,7 @@ void Cluster::thermal_sample_interval() {
   if (interval > 0) {
     power::EnergyLedger snap;
     accumulate_dynamic_energy(snap);
-    const power::EnergySample delta = snap.delta_since(thermal_prev_snap_);
+    const power::EnergyLedger delta = snap.delta_since(thermal_prev_snap_);
     thermal_prev_snap_ = snap;
     thermal_->advance(thermal_build_sources(delta, interval), interval);
     // The clock tree is switching power, flat in temperature, and it
@@ -935,7 +929,7 @@ void Cluster::thermal_sample_interval() {
 }
 
 thermal::ThermalSources Cluster::thermal_build_sources(
-    const power::EnergySample& delta, Cycle interval) {
+    const power::EnergyLedger& delta, Cycle interval) {
   const thermal::ThermalFloorplan& flp = thermal_->floorplan();
   thermal::ThermalSources src = thermal_->make_sources();
   const power::CorePowerModel core_model(cfg_.core_power);
@@ -980,7 +974,7 @@ thermal::ThermalSources Cluster::thermal_build_sources(
     total_acc += d_acc[b];
     if (banks_on[b]) ++banks_active;
   }
-  const double l2_pj = delta.dynamic(power::Component::kL2);
+  const double l2_pj = delta.dynamic_pj(power::Component::kL2);
   for (BankId b = 0; b < cfg_.total_banks; ++b) {
     const std::size_t tile = flp.bank_tile(b);
     if (total_acc > 0) {
@@ -1005,7 +999,7 @@ thermal::ThermalSources Cluster::thermal_build_sources(
       mot_ != nullptr ? mot_->state() : cfg_.power_state;
   const std::vector<std::size_t> chan =
       flp.channel_tiles(state.active_cores(), state.active_banks());
-  const double icn_pj = delta.dynamic(power::Component::kInterconnect);
+  const double icn_pj = delta.dynamic_pj(power::Component::kInterconnect);
   const double icn_leak_w = interconnect_->leakage_mw() * 1e-3;
   const double n_chan = static_cast<double>(chan.size());
   for (std::size_t tile : chan) {

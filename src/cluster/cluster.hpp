@@ -332,7 +332,7 @@ class Cluster final : private mem::ReadSink {
 
   /// Per-tile power sources of the current interval from ledger deltas.
   thermal::ThermalSources thermal_build_sources(
-      const power::EnergySample& delta, Cycle interval);
+      const power::EnergyLedger& delta, Cycle interval);
 
   /// Refresh per-vault temperatures from the RC solver after a thermal
   /// step and track the running peak (no-op without the stacked backend).

@@ -48,8 +48,6 @@ class Interconnect {
  public:
   virtual ~Interconnect() = default;
 
-  virtual const char* name() const = 0;
-
   /// Core-side injection; false == port busy this cycle (retry next tick).
   virtual bool try_inject_request(const MemRequest& req, Cycle now) = 0;
 

@@ -1,12 +1,13 @@
-// Temperature dependence of sub-threshold leakage, shared by every power
-// model (cacti::sram_model, phys::wire, power::core_power, the MoT switch
-// leakage) and by the thermal subsystem's leakage-feedback fixed point.
+// Temperature dependence of sub-threshold leakage: the one law the thermal
+// subsystem's leakage-feedback fixed point applies (ThermalConfig::leakage).
 //
 // Sub-threshold leakage grows exponentially with junction temperature; over
 // the 40-110 °C range a single e-folding constant fits both BSIM curves and
-// published 45 nm silicon well.  Every model quotes its datasheet leakage at
-// the reference temperature and scales it with the same exponential, so the
-// closed power->temperature->leakage->power loop uses one consistent law.
+// published 45 nm silicon well.  Every power model (cacti::sram_model,
+// phys::wire, power::core_power, the MoT switch leakage) quotes its
+// datasheet leakage at the reference temperature; the fixed point scales
+// each tile's sum with this exponential, so the closed
+// power->temperature->leakage->power loop uses one consistent law.
 #pragma once
 
 #include <cmath>

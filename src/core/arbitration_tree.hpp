@@ -1,10 +1,12 @@
 // The per-bank arbitration tree of the 3-D MoT (paper Fig. 2(a)).
 //
-// A binary tree of 2-input round-robin arbitration switches merges the
-// requests of up to `total_cores` cores heading for one cache bank.  Every
-// cycle at most one contender wins and proceeds onto the bank's TSV bus;
-// the hierarchical round-robin pointers guarantee starvation freedom with
-// a worst-case wait bounded by the number of contenders.
+// A binary tree of 2-input round-robin arbitration switches (Fig. 2(c))
+// merges the requests of up to `total_cores` cores heading for one cache
+// bank: the packet "must be arbitrated among the other simultaneous
+// packets heading for the same cache bank".  Every cycle at most one
+// contender wins and proceeds onto the bank's TSV bus; the hierarchical
+// round-robin pointers guarantee starvation freedom with a worst-case
+// wait bounded by the number of contenders.
 //
 // Gating depends only on the core mask, so every bank's tree of one
 // cluster shares one mask of powered switches, computed once per
@@ -20,7 +22,6 @@
 
 #include "common/types.hpp"
 #include "core/power_state.hpp"
-#include "core/switch.hpp"
 
 namespace mot3d::core {
 
@@ -41,6 +42,17 @@ class ArbitrationTree {
     std::vector<std::uint8_t> node_req;
     std::vector<std::uint32_t> marked;
   };
+
+  /// One arbitration switch's grant: nothing when it is gated or neither
+  /// input requests, the one requester, or input `prefer` on a tie.  The
+  /// switch then gives the next tie to the loser.
+  static std::optional<unsigned> grant(bool powered, unsigned prefer,
+                                       bool req0, bool req1) {
+    if (!powered) return std::nullopt;
+    if (!req0 && !req1) return std::nullopt;
+    if (req0 && req1) return prefer;
+    return req0 ? 0u : 1u;
+  }
 
   /// The gating of a `state.total_cores()`-input tree, computed bottom-up
   /// in O(cores).
@@ -74,11 +86,6 @@ class ArbitrationTree {
   std::optional<CoreId> arbitrate_sparse(const CoreId* candidates,
                                          std::size_t count,
                                          SparseScratch& scratch);
-  /// The same, in the tree's own scratch.
-  std::optional<CoreId> arbitrate_sparse(const CoreId* candidates,
-                                         std::size_t count) {
-    return arbitrate_sparse(candidates, count, own_scratch_);
-  }
 
   std::size_t total_cores() const { return total_cores_; }
   unsigned levels() const { return levels_; }
@@ -93,9 +100,9 @@ class ArbitrationTree {
                   const std::vector<bool>& requesting);
   void commit_path(unsigned level, std::size_t index,
                    const std::vector<bool>& requesting);
-  /// ArbitrationSwitch::peek of the switch at heap node `k`.
+  /// The grant of the switch at heap node `k`, without rotating it.
   std::optional<unsigned> peek(std::size_t k, bool req0, bool req1) const {
-    return ArbitrationSwitch::grant((*gating_)[k] != 0, prefer_[k], req0, req1);
+    return grant((*gating_)[k] != 0, prefer_[k], req0, req1);
   }
   void commit(std::size_t k, unsigned winner) {
     prefer_[k] = static_cast<std::uint8_t>(1u - winner);
@@ -109,7 +116,6 @@ class ArbitrationTree {
   std::shared_ptr<const Gating> gating_;
   /// Round-robin pointer per switch, heap order: the input a tie goes to.
   std::vector<std::uint8_t> prefer_;
-  SparseScratch own_scratch_;  ///< empty unless arbitrate_sparse uses it
 };
 
 }  // namespace mot3d::core

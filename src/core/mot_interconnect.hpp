@@ -43,8 +43,6 @@ class MotInterconnect final : public Interconnect {
   MotInterconnect(const MotTimingModel& timing, const PowerState& initial,
                   MotInterconnectConfig cfg = {});
 
-  const char* name() const override { return "3-D MoT"; }
-
   bool try_inject_request(const MemRequest& req, Cycle now) override;
   bool try_inject_response(const MemResponse& resp, Cycle now) override;
   void tick(Cycle now) override;

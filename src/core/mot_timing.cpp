@@ -148,11 +148,4 @@ double MotTimingModel::leakage_mw(const PowerState& state) const {
   return switches + repeaters;
 }
 
-double MotTimingModel::leakage_mw_at(const PowerState& state, double temp_c,
-                                     const LeakageTempParams& temp) const {
-  // Switch logic and repeater inverters share the channel and leak by the
-  // same sub-threshold law, so the whole network scales with one factor.
-  return leakage_mw(state) * leakage_temp_scale(temp_c, temp);
-}
-
 }  // namespace mot3d::core

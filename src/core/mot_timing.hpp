@@ -81,11 +81,6 @@ class MotTimingModel {
   /// wires + powered routing/arbitration switches (both directions), mW.
   double leakage_mw(const PowerState& state) const;
 
-  /// Same at junction temperature `temp_c` (the thermal loop's view of the
-  /// channel; `leakage_mw` quotes the reference temperature of `temp`).
-  double leakage_mw_at(const PowerState& state, double temp_c,
-                       const LeakageTempParams& temp = {}) const;
-
   /// Powered switch instances (both networks) — Fig. 4's white+gray set.
   std::size_t powered_switches(const PowerState& state) const;
 

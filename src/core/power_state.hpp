@@ -18,6 +18,10 @@
 
 namespace mot3d::core {
 
+/// Table I's MB8: the fewest banks the thermal governor and graceful
+/// degradation gate a power state down to.
+inline constexpr std::size_t kMinGatedBanks = 8;
+
 class PowerState {
  public:
   /// `total_*` describe the physical cluster; `active_*` what stays on.

@@ -1,56 +1,9 @@
 #include "core/reconfig.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 namespace mot3d::core {
-
-ReconfigCost ReconfigManager::plan(const PowerState& next, bool execute, Cycle now) {
-  ReconfigCost cost;
-  const PowerState& current = interconnect_.state();
-  const mem::DramConfig& dram_cfg = dram_.config();
-  const mem::L2Config& l2_cfg = l2_.config();
-
-  for (BankId b = 0; b < current.total_banks(); ++b) {
-    const bool on_now = current.bank_active(b);
-    const bool on_next = next.bank_active(b);
-    if (!on_now || on_next) continue;  // only banks being switched off flush
-    const std::size_t dirty = l2_.dirty_lines(b);
-    cost.dirty_lines_flushed += dirty;
-    cost.flush_energy_pj += static_cast<double>(dirty) * l2_cfg.read_energy_pj;
-    if (execute) {
-      for (Addr line : l2_.flush_bank(b)) dram_.write(b, line, now);
-    }
-  }
-
-  // The Miss bus serialises the write-backs: each occupies the bus and the
-  // DRAM channel for the larger of the two occupancies.
-  const Cycle per_line = std::max<Cycle>(dram_cfg.bus_transfer_cycles,
-                                         dram_cfg.channel_burst_cycles);
-  cost.flush_cycles = cost.dirty_lines_flushed * per_line;
-
-  // ctr-signal distribution: one control word per routing-tree level,
-  // serialised over a narrow configuration chain.
-  cost.reprogram_cycles =
-      2 * (log2_exact(current.total_banks()) + log2_exact(current.total_cores()));
-
-  if (execute) {
-    interconnect_.configure(next);
-    l2_.set_active_banks(next.bank_mask());
-    if (dir_ != nullptr) {
-      // The drain precondition guarantees no transaction (and no
-      // invalidation) is in flight, so the directory can be re-sliced
-      // atomically: every tracked line moves to the physical bank its
-      // logical index now routes to.  Sharer/owner state survives — the
-      // L1s were not flushed, only the L2 banks being gated were.
-      const std::uint64_t before = dir_->stats().dir_migrations;
-      dir_->remap([this](BankId logical) { return interconnect_.route(logical); });
-      cost.dir_entries_migrated = dir_->stats().dir_migrations - before;
-    }
-  }
-  return cost;
-}
 
 ReconfigCost ReconfigManager::apply(const PowerState& next, Cycle now) {
   // The fault-degradation path can request arbitrary gating masks; a state
@@ -62,11 +15,42 @@ ReconfigCost ReconfigManager::apply(const PowerState& next, Cycle now) {
         "' would leave zero active banks");
   }
   assert(interconnect_.idle() && "cores must be quiesced before reconfiguration");
-  return plan(next, /*execute=*/true, now);
-}
 
-ReconfigCost ReconfigManager::estimate(const PowerState& next) const {
-  return const_cast<ReconfigManager*>(this)->plan(next, /*execute=*/false, 0);
+  ReconfigCost cost;
+  const PowerState& current = interconnect_.state();
+  const mem::L2Config& l2_cfg = l2_.config();
+
+  for (BankId b = 0; b < current.total_banks(); ++b) {
+    const bool on_now = current.bank_active(b);
+    const bool on_next = next.bank_active(b);
+    if (!on_now || on_next) continue;  // only banks being switched off flush
+    const std::size_t dirty = l2_.dirty_lines(b);
+    cost.dirty_lines_flushed += dirty;
+    cost.flush_energy_pj += static_cast<double>(dirty) * l2_cfg.read_energy_pj;
+    for (Addr line : l2_.flush_bank(b)) dram_.write(b, line, now);
+  }
+
+  // The write-backs serialise on the memory side's transfer path.
+  cost.flush_cycles = cost.dirty_lines_flushed * dram_.flush_line_cycles();
+
+  // ctr-signal distribution: one control word per routing-tree level,
+  // serialised over a narrow configuration chain.
+  cost.reprogram_cycles =
+      2 * (log2_exact(current.total_banks()) + log2_exact(current.total_cores()));
+
+  interconnect_.configure(next);
+  l2_.set_active_banks(next.bank_mask());
+  if (dir_ != nullptr) {
+    // The drain precondition guarantees no transaction (and no
+    // invalidation) is in flight, so the directory can be re-sliced
+    // atomically: every tracked line moves to the physical bank its
+    // logical index now routes to.  Sharer/owner state survives — the
+    // L1s were not flushed, only the L2 banks being gated were.
+    const std::uint64_t before = dir_->stats().dir_migrations;
+    dir_->remap([this](BankId logical) { return interconnect_.route(logical); });
+    cost.dir_entries_migrated = dir_->stats().dir_migrations - before;
+  }
+  return cost;
 }
 
 }  // namespace mot3d::core

@@ -8,7 +8,7 @@
 //
 // The manager performs exactly that protocol: with the cores quiesced it
 // (1) flushes the dirty lines of every bank about to be gated, posting the
-// write-backs on the round-robin Miss bus, (2) reprograms the ctr signals
+// write-backs to the memory backend, (2) reprograms the ctr signals
 // of every routing switch, (3) updates the L2 powered-bank mask.  Stale
 // lines in surviving banks are left to die by replacement, as in the paper.
 #pragma once
@@ -27,7 +27,9 @@ namespace mot3d::core {
 /// Cost summary of one state transition.
 struct ReconfigCost {
   std::uint64_t dirty_lines_flushed = 0;
-  Cycle flush_cycles = 0;       ///< Miss-bus serialisation of the write-backs
+  /// Serialisation of the write-backs: dirty lines x the backend's
+  /// MemoryBackend::flush_line_cycles().
+  Cycle flush_cycles = 0;
   Cycle reprogram_cycles = 0;   ///< ctr-signal distribution to the switches
   double flush_energy_pj = 0.0; ///< bank read-outs for the flushed lines
   /// Directory entries re-sliced onto the surviving banks (0 without a
@@ -51,17 +53,11 @@ class ReconfigManager {
   /// request the fault-degradation path can generate.
   ReconfigCost apply(const PowerState& next, Cycle now);
 
-  /// Write-back cost estimate without performing the transition (used by
-  /// runtime policies deciding whether a switch is worth it).
-  ReconfigCost estimate(const PowerState& next) const;
-
   /// Coherence directory to migrate alongside the bank remap (optional;
   /// null when the run has no sharing workload).
   void set_directory(coherence::CoherenceDirectory* dir) { dir_ = dir; }
 
  private:
-  ReconfigCost plan(const PowerState& next, bool execute, Cycle now);
-
   MotInterconnect& interconnect_;
   mem::L2System& l2_;
   mem::MemoryBackend& dram_;

@@ -28,14 +28,6 @@ StackedDram::StackedDram(const Dram3dConfig& cfg, std::size_t num_requesters)
         (static_cast<Cycle>(v + 1) * cfg_.refresh_interval_cycles) /
         cfg_.num_vaults;
   }
-  // The reconfiguration planner prices flushed lines off these knobs: one
-  // TSV link transfer per line, serialised on the vault port.
-  timing_view_.access_latency_ns = cfg_.row_miss_cycles;
-  timing_view_.bus_transfer_cycles = cfg_.link_cycles;
-  timing_view_.channel_burst_cycles = cfg_.link_cycles;
-  timing_view_.page_bytes = cfg_.row_bytes;
-  timing_view_.open_page_policy = true;
-  timing_view_.energy_per_access_pj = cfg_.energy_per_access_pj;
 }
 
 void StackedDram::enqueue(const Txn& txn) {

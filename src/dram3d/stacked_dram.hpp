@@ -81,8 +81,8 @@ class StackedDram final : public mem::MemoryBackend {
   void tick(Cycle now) override;
   Cycle next_event(Cycle now) const override;
 
-  /// Timing view for the reconfiguration planner's flush-cost math.
-  const mem::DramConfig& config() const override { return timing_view_; }
+  /// One TSV link transfer per line, serialised on the vault port.
+  Cycle flush_line_cycles() const override { return cfg_.link_cycles; }
 
   /// The shared counters plus refreshes, remaps and per-vault probes.
   void register_metrics(obs::MetricsRegistry& m,
@@ -138,7 +138,6 @@ class StackedDram final : public mem::MemoryBackend {
   void serve_vault(std::size_t v, Cycle now);
 
   Dram3dConfig cfg_;
-  mem::DramConfig timing_view_;
   std::size_t num_requesters_;
   std::vector<Vault> vaults_;
   std::vector<std::size_t> map_;  ///< logical -> physical vault

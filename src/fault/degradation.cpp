@@ -2,16 +2,13 @@
 
 namespace mot3d::fault {
 
-DegradationManager::DegradationManager(bool mot_fabric, std::size_t min_banks,
-                                       std::size_t num_vaults)
-    : mot_fabric_(mot_fabric),
-      min_banks_(min_banks == 0 ? 1 : min_banks),
-      num_vaults_(num_vaults) {}
+DegradationManager::DegradationManager(bool mot_fabric, std::size_t num_vaults)
+    : mot_fabric_(mot_fabric), num_vaults_(num_vaults) {}
 
 std::optional<core::PowerState> DegradationManager::gate_target(
     const core::PowerState& current, BankId faulted) const {
   std::size_t banks = current.active_banks();
-  while (banks / 2 >= min_banks_) {
+  while (banks / 2 >= core::kMinGatedBanks) {
     banks /= 2;
     core::PowerState next("PC" + std::to_string(current.active_cores()) +
                               "-MB" + std::to_string(banks),
@@ -99,7 +96,7 @@ DegradeAction DegradationManager::react(const FaultEvent& ev,
   act.kind = DegradeActionKind::kUnrecoverable;
   act.note = std::string(what) + " " + std::to_string(ev.target) +
              " hard-faulted inside the minimum centre group (MB" +
-             std::to_string(min_banks_) + ")";
+             std::to_string(core::kMinGatedBanks) + ")";
   return act;
 }
 

@@ -52,8 +52,8 @@ class DegradationManager {
  public:
   /// `num_vaults` > 0 enables the stacked-DRAM vault remap path; 0 means
   /// the constant-latency backend, for which a vault fault is fatal.
-  DegradationManager(bool mot_fabric, std::size_t min_banks,
-                     std::size_t num_vaults = 0);
+  /// Gating never goes below Table I's MB8 (core::kMinGatedBanks).
+  explicit DegradationManager(bool mot_fabric, std::size_t num_vaults = 0);
 
   /// Decide the reaction to `ev` given the fabric's current power state.
   /// `default_penalty_cycles` substitutes for a zero event magnitude.
@@ -68,7 +68,6 @@ class DegradationManager {
 
  private:
   bool mot_fabric_;
-  std::size_t min_banks_;
   std::size_t num_vaults_;
 };
 

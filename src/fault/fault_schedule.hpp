@@ -99,9 +99,6 @@ struct FaultConfig {
   /// Per-grant retry energy of a degraded MoT bank channel (the marginal
   /// via needs a stronger drive/retry pulse each circuit establishment).
   double retry_energy_pj = 0.5;
-  /// Smallest bank count graceful degradation may gate down to (Table I's
-  /// MB8 floor, matching the thermal governor).
-  std::size_t min_banks = 8;
 
   static FaultConfig from_envelope(const FaultEnvelope& env) {
     FaultConfig cfg;

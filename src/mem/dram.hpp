@@ -12,6 +12,7 @@
 // channel.  An optional open-page model refines the fixed latency.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -48,7 +49,10 @@ class DramBackend final : public MemoryBackend {
 
   Cycle next_event(Cycle now) const override;
 
-  const DramConfig& config() const override { return cfg_; }
+  /// The line holds the Miss bus and the channel; the longer sets the pace.
+  Cycle flush_line_cycles() const override {
+    return std::max<Cycle>(cfg_.bus_transfer_cycles, cfg_.channel_burst_cycles);
+  }
 
  private:
   void enqueue(const Txn& txn) override;

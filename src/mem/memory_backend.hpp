@@ -96,9 +96,9 @@ class MemoryBackend {
 
   const DramStats& stats() const { return stats_; }
 
-  /// Timing knobs the reconfiguration planner needs for flush-cost math
-  /// (bus occupancy and channel burst length per written-back line).
-  virtual const DramConfig& config() const = 0;
+  /// Cycles one written-back line occupies the transfer path: the
+  /// reconfiguration drain's flush cost per line.
+  virtual Cycle flush_line_cycles() const = 0;
 
   /// Observability: each read grant records its modeled service latency
   /// (enqueue -> data back at the cluster boundary) into `h`.  Computed

@@ -19,10 +19,9 @@ constexpr std::uint32_t ports_from(std::uint32_t from) {
 
 }  // namespace
 
-NocNetwork::NocNetwork(const char* name, const NocConfig& cfg,
+NocNetwork::NocNetwork(const NocConfig& cfg,
                        const power::InterconnectPowerModel& power)
-    : name_(name),
-      cfg_(cfg),
+    : cfg_(cfg),
       power_(power),
       endpoints_(cfg.num_endpoints()),
       busy_nis_(cfg.num_endpoints()) {}

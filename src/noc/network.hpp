@@ -76,8 +76,6 @@ struct Target {
 /// Which baseline make_noc() wires.
 enum class NocTopology { kTrueMesh3d, kHybridBusMesh, kHybridBusTree };
 
-const char* topology_name(NocTopology t);
-
 /// The packet-switched fabric.  Each message waits in a slot of a table
 /// from injection until its tail flit ejects, and its flits carry the
 /// slot's index; a worm's flits leave in order on one path, so no flit
@@ -86,8 +84,7 @@ class NocNetwork final : public Interconnect {
  public:
   /// A bare network: no routers, buses or wiring yet.  make_noc() wires
   /// one of the baselines into it; tests wire their own.
-  NocNetwork(const char* name, const NocConfig& cfg,
-             const power::InterconnectPowerModel& power);
+  NocNetwork(const NocConfig& cfg, const power::InterconnectPowerModel& power);
 
   /// Most ports a router may have: one bit each in its occupancy masks.
   static constexpr std::size_t kMaxRouterPorts = 32;
@@ -119,7 +116,6 @@ class NocNetwork final : public Interconnect {
   void set_route(std::uint32_t router, NodeId dst, std::uint32_t out_port);
 
   // ---- Interconnect ----
-  const char* name() const override { return name_; }
   /// Queue the message's flits at its source NI: one flit, plus
   /// line_flits() when it carries a line.  False when the NI queue has no
   /// room for them.
@@ -224,7 +220,6 @@ class NocNetwork final : public Interconnect {
   bool router_output_step(std::uint32_t ri, std::uint32_t po, std::uint8_t vc,
                           Cycle now);
 
-  const char* name_;
   NocConfig cfg_;
   power::InterconnectPowerModel power_;
   std::vector<Router> routers_;

@@ -269,15 +269,6 @@ void wire_hybrid_bus_tree(NocNetwork& net) {
 
 }  // namespace
 
-const char* topology_name(NocTopology t) {
-  switch (t) {
-    case NocTopology::kTrueMesh3d: return "True 3-D Mesh";
-    case NocTopology::kHybridBusMesh: return "3-D Hybrid Bus-Mesh";
-    case NocTopology::kHybridBusTree: return "3-D Hybrid Bus-Tree";
-  }
-  return "?";
-}
-
 std::unique_ptr<NocNetwork> make_noc(NocTopology topology, const NocConfig& cfg,
                                      const power::InterconnectPowerModel& power) {
   if (cfg.num_cores != 16 || cfg.num_banks != 32) {
@@ -285,7 +276,7 @@ std::unique_ptr<NocNetwork> make_noc(NocTopology topology, const NocConfig& cfg,
         "packet-switched baselines are hardwired to the 16-core/32-bank "
         "Table I cluster; scale-out shapes run the MoT fabric only");
   }
-  auto net = std::make_unique<NocNetwork>(topology_name(topology), cfg, power);
+  auto net = std::make_unique<NocNetwork>(cfg, power);
   switch (topology) {
     case NocTopology::kTrueMesh3d: wire_true_mesh_3d(*net); break;
     case NocTopology::kHybridBusMesh: wire_hybrid_bus_mesh(*net); break;

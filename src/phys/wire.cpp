@@ -72,9 +72,4 @@ double WireModel::leakage_uw_per_bit(double mm) const {
   return static_cast<double>(repeater_count(mm)) * tech_.repeater_leak_uw;
 }
 
-double WireModel::leakage_uw_per_bit_at(double mm, double temp_c,
-                                        const LeakageTempParams& temp) const {
-  return leakage_uw_per_bit(mm) * leakage_temp_scale(temp_c, temp);
-}
-
 }  // namespace mot3d::phys

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 
-#include "common/leakage.hpp"
 #include "phys/technology.hpp"
 
 namespace mot3d::phys {
@@ -47,11 +46,6 @@ class WireModel {
 
   /// Leakage of the repeaters along `mm` of one bit-wire, in microwatts.
   double leakage_uw_per_bit(double mm) const;
-
-  /// Repeater leakage at junction temperature `temp_c` (datasheet leakage
-  /// is quoted at the reference temperature of `temp`), in microwatts.
-  double leakage_uw_per_bit_at(double mm, double temp_c,
-                               const LeakageTempParams& temp = {}) const;
 
   const TechnologyParams& tech() const { return tech_; }
 

@@ -14,8 +14,6 @@
 
 #include <cstdint>
 
-#include "common/leakage.hpp"
-
 namespace mot3d::power {
 
 /// Per-core energy/power coefficients (45 nm, 1 V, 1 GHz defaults).
@@ -51,15 +49,6 @@ class CorePowerModel {
     // mW * ns == pJ.
     return static_cast<double>(cycles) * (p_.leakage_mw + p_.clock_tree_mw);
   }
-
-  /// Core leakage at junction temperature `temp_c`, mW.  The clock tree is
-  /// switching power, not sub-threshold leakage — it does not scale with
-  /// temperature and is excluded here.
-  double leakage_mw_at(double temp_c, const LeakageTempParams& temp = {}) const {
-    return p_.leakage_mw * leakage_temp_scale(temp_c, temp);
-  }
-
-  const CorePowerParams& params() const { return p_; }
 
  private:
   CorePowerParams p_;

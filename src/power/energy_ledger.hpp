@@ -8,7 +8,6 @@
 
 #include <array>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
@@ -35,35 +34,9 @@ inline const char* component_name(Component c) {
   return "?";
 }
 
-/// Per-component energy deltas between two ledger snapshots, pJ — the
-/// "what happened since the last sample" view that interval consumers
-/// (the thermal sampler, rate telemetry) need, so none of them re-diffs
-/// running totals by hand.
-struct EnergySample {
-  static constexpr std::size_t kNumComponents = 5;
-
-  std::array<double, kNumComponents> dynamic_pj{};
-  std::array<double, kNumComponents> static_pj{};
-
-  double dynamic(Component c) const {
-    return dynamic_pj[static_cast<std::size_t>(c)];
-  }
-  double total(Component c) const {
-    return dynamic(c) + static_pj[static_cast<std::size_t>(c)];
-  }
-
-  /// Average power of one component over an interval of `cycles` 1 ns
-  /// cycles, in watts (pJ / ns == W).
-  double power_w(Component c, Cycle cycles) const {
-    return cycles == 0 ? 0.0 : total(c) / static_cast<double>(cycles);
-  }
-};
-
 /// Per-run energy totals in picojoules, split dynamic vs. static.
 class EnergyLedger {
  public:
-  EnergyLedger() : dynamic_pj_(kNumComponents, 0.0), static_pj_(kNumComponents, 0.0) {}
-
   void add_dynamic(Component c, double pj) { dynamic_pj_[index(c)] += pj; }
   void add_static(Component c, double pj) { static_pj_[index(c)] += pj; }
 
@@ -115,27 +88,25 @@ class EnergyLedger {
     }
   }
 
-  /// Per-component delta of this ledger relative to an `earlier` snapshot
-  /// of the same accumulation.  The caller keeps the previous snapshot and
-  /// asks for the delta each sampling interval.
-  EnergySample delta_since(const EnergyLedger& earlier) const {
-    EnergySample s;
+  /// What this ledger accumulated since an `earlier` snapshot of the same
+  /// accumulation, per component — the "what happened since the last
+  /// sample" view the thermal sampler needs.  The caller keeps the
+  /// previous snapshot and asks for the delta each sampling interval.
+  EnergyLedger delta_since(const EnergyLedger& earlier) const {
+    EnergyLedger d;
     for (std::size_t i = 0; i < kNumComponents; ++i) {
-      s.dynamic_pj[i] = dynamic_pj_[i] - earlier.dynamic_pj_[i];
-      s.static_pj[i] = static_pj_[i] - earlier.static_pj_[i];
+      d.dynamic_pj_[i] = dynamic_pj_[i] - earlier.dynamic_pj_[i];
+      d.static_pj_[i] = static_pj_[i] - earlier.static_pj_[i];
     }
-    return s;
+    return d;
   }
 
  private:
   static constexpr std::size_t kNumComponents = 5;
-  static_assert(kNumComponents == EnergySample::kNumComponents,
-                "EnergySample's arrays are indexed with the ledger's "
-                "component count — update both together");
   static std::size_t index(Component c) { return static_cast<std::size_t>(c); }
 
-  std::vector<double> dynamic_pj_;
-  std::vector<double> static_pj_;
+  std::array<double, kNumComponents> dynamic_pj_{};
+  std::array<double, kNumComponents> static_pj_{};
 };
 
 }  // namespace mot3d::power

@@ -4,16 +4,19 @@
 
 namespace mot3d::thermal {
 
-ThermalGovernor::ThermalGovernor(const GovernorConfig& cfg,
+ThermalGovernor::ThermalGovernor(double ceiling_c, bool allow_bank_gating,
                                  const core::PowerState& baseline)
-    : cfg_(cfg), baseline_(baseline), current_(baseline) {}
+    : ceiling_c_(ceiling_c),
+      allow_bank_gating_(allow_bank_gating),
+      baseline_(baseline),
+      current_(baseline) {}
 
 bool ThermalGovernor::can_gate_banks() const {
-  return cfg_.allow_bank_gating && baseline_.active_banks() > cfg_.min_banks;
+  return allow_bank_gating_ && baseline_.active_banks() > core::kMinGatedBanks;
 }
 
 core::PowerState ThermalGovernor::gated_state() const {
-  const std::size_t banks = cfg_.min_banks;
+  const std::size_t banks = core::kMinGatedBanks;
   const std::size_t cores = baseline_.active_cores();
   return core::PowerState("PC" + std::to_string(cores) + "-MB" + std::to_string(banks),
                           baseline_.total_cores(), cores, baseline_.total_banks(),
@@ -22,8 +25,8 @@ core::PowerState ThermalGovernor::gated_state() const {
 
 GovernorDecision ThermalGovernor::decide(double peak_c) {
   GovernorDecision d;
-  const bool hot = peak_c >= cfg_.ceiling_c;
-  const bool cool = peak_c <= cfg_.ceiling_c - cfg_.hysteresis_c;
+  const bool hot = peak_c >= ceiling_c_;
+  const bool cool = peak_c <= ceiling_c_ - kHysteresisC;
 
   switch (level_) {
     case 0:
@@ -65,7 +68,7 @@ GovernorDecision ThermalGovernor::decide(double peak_c) {
         // The forced-release interval has passed; resume holding.
         duty_release_ = false;
         consecutive_holds_ = 0;
-      } else if (consecutive_holds_ >= cfg_.max_hold_intervals) {
+      } else if (consecutive_holds_ >= kMaxHoldIntervals) {
         duty_release_ = true;
         ++stats_.duty_cycle_releases;
       }

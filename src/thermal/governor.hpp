@@ -6,17 +6,18 @@
 // hottest tile temperature and escalates through a demotion ladder:
 //
 //   level 0  free running at the baseline power state
-//   level 1  L2 banks gated down to `min_banks` (MoT fabric only — the
-//            reconfigurable network is what makes this step exist; the
-//            packet-switched baselines skip straight to level 2)
+//   level 1  L2 banks gated down to Table I's MB8 (core::kMinGatedBanks;
+//            MoT fabric only — the reconfigurable network is what makes
+//            this step exist; the packet-switched baselines skip straight
+//            to level 2)
 //   level 2  cores clock-held (the classic stop-clock throttle); a
-//            duty-cycle guard forces a release after
-//            `max_hold_intervals` consecutive held intervals so the run
-//            always makes forward progress, whatever the ambient
+//            duty-cycle guard forces a release after kMaxHoldIntervals
+//            consecutive held intervals so the run always makes forward
+//            progress, whatever the ambient
 //
 // Demotion triggers when the peak crosses the ceiling; restoration walks
 // back down the ladder only once the peak has cooled below
-// ceiling - hysteresis, so the controller cannot chatter across the
+// ceiling - kHysteresisC, so the controller cannot chatter across the
 // threshold.  The governor itself only decides — the cluster executes
 // (drain + core::ReconfigManager for bank gating, tick gating for holds)
 // at deterministic cycle boundaries, which keeps both schedulers
@@ -29,14 +30,6 @@
 #include "core/power_state.hpp"
 
 namespace mot3d::thermal {
-
-struct GovernorConfig {
-  double ceiling_c = 80.0;
-  double hysteresis_c = 5.0;
-  bool allow_bank_gating = false;  ///< true only on the MoT fabric
-  std::size_t min_banks = 8;       ///< level-1 floor (Table I's MB8)
-  std::size_t max_hold_intervals = 4;  ///< duty-cycle forward-progress guard
-};
 
 /// What the cluster must do after one decide() call.
 struct GovernorDecision {
@@ -55,9 +48,17 @@ struct GovernorStats {
 
 class ThermalGovernor {
  public:
-  /// `baseline` is the power state the run was configured with — the
-  /// ceiling of every restoration.
-  ThermalGovernor(const GovernorConfig& cfg, const core::PowerState& baseline);
+  /// Restore margin below the ceiling, °C.
+  static constexpr double kHysteresisC = 5.0;
+  /// Consecutive held intervals before the duty-cycle guard forces a
+  /// released one.
+  static constexpr std::uint64_t kMaxHoldIntervals = 4;
+
+  /// Throttles above `ceiling_c`; gates banks only when
+  /// `allow_bank_gating` (the MoT fabric).  `baseline` is the power state
+  /// the run was configured with — the ceiling of every restoration.
+  ThermalGovernor(double ceiling_c, bool allow_bank_gating,
+                  const core::PowerState& baseline);
 
   /// One control step at a sampling boundary.  `peak_c` is the hottest
   /// tile of the interval that just ended.
@@ -73,7 +74,8 @@ class ThermalGovernor {
  private:
   bool can_gate_banks() const;
 
-  GovernorConfig cfg_;
+  double ceiling_c_;
+  bool allow_bank_gating_;
   core::PowerState baseline_;
   core::PowerState current_;
   unsigned level_ = 0;

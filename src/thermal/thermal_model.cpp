@@ -33,10 +33,9 @@ ThermalSources ThermalModel::make_sources() const {
 
 double ThermalModel::tile_leak_w(const ThermalSources& src, std::size_t i,
                                  double t_c) const {
-  // The same exponential law the per-module APIs (cacti::leakage_mw_at,
-  // WireModel::leakage_uw_per_bit_at, CorePowerModel::leakage_mw_at)
-  // expose, applied to their reference-temperature values per tile.  The
-  // clamp keeps genuine thermal runaway finite (see ThermalConfig).
+  // The one exponential law, applied to the per-tile reference-temperature
+  // leakage.  The clamp keeps genuine thermal runaway finite (see
+  // ThermalConfig).
   const double scale =
       leakage_temp_scale(std::min(t_c, cfg_.leakage_clamp_c), cfg_.leakage);
   return (src.core_leak_ref_w[i] + src.l2_leak_ref_w[i] + src.icn_leak_ref_w[i]) *

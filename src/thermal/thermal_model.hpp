@@ -7,9 +7,7 @@
 // *reference-temperature* leakage of cores / L2 banks / interconnect.
 // advance() then iterates leakage and temperature to a fixed point —
 // leakage is evaluated at the interval-end temperature estimate through
-// the shared exponential law (common/leakage.hpp, the same law
-// cacti::leakage_mw_at, phys::WireModel::leakage_uw_per_bit_at and
-// power::CorePowerModel::leakage_mw_at implement), the RC network is
+// the one exponential law (common/leakage.hpp), the RC network is
 // re-stepped from the saved interval-start state, and the loop repeats
 // until the end temperatures stop moving.  The converged, temperature-
 // scaled leakage energies are accumulated per component next to a
@@ -53,7 +51,6 @@ struct ThermalConfig {
   bool enabled = false;
   double ambient_c = 45.0;
   double ceiling_c = 80.0;       ///< governor throttling threshold
-  double hysteresis_c = 5.0;     ///< governor restore margin below ceiling
   Cycle sample_interval_cycles = 10'000;
   /// Thermal seconds per simulated second (see header comment).
   double time_scale = 2000.0;
@@ -69,19 +66,9 @@ struct ThermalConfig {
   /// a runaway saturates to a finite (still obviously catastrophic)
   /// temperature instead of overflowing; the reported peaks expose it.
   double leakage_clamp_c = 150.0;
-  /// THE temperature law of the feedback loop.  The per-model `_at` APIs
-  /// (cacti::leakage_mw_at, WireModel::leakage_uw_per_bit_at,
-  /// CorePowerModel::leakage_mw_at, MotTimingModel::leakage_mw_at) expose
-  /// the same shared exponential for external consumers (advisors,
-  /// tables, tests); keep their LeakageTempParams equal to this one or
-  /// the two views of leakage will disagree.
+  /// The temperature law of the feedback loop.
   LeakageTempParams leakage;
   ThermalStackParams stack;
-  /// Governor: lowest bank count a thermal demotion may gate down to.
-  std::size_t governor_min_banks = 8;
-  /// Governor: consecutive held intervals before a forced duty-cycle
-  /// release (guarantees forward progress under any ambient).
-  std::size_t governor_max_hold_intervals = 4;
 
   static ThermalConfig from_envelope(const ThermalEnvelope& env) {
     ThermalConfig cfg;

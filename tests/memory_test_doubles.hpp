@@ -35,7 +35,6 @@ struct FakeTransport final : Interconnect {
   std::vector<Cycle> answered_at;
   bool block = false;
 
-  const char* name() const override { return "fake"; }
   bool try_inject_request(const MemRequest&, Cycle) override { return false; }
   bool try_inject_response(const MemResponse& r, Cycle now) override {
     if (block) return false;

@@ -86,7 +86,7 @@ TEST(FaultSchedule, ZeroRatesNoEventsAndExplicitEventsPassThrough) {
 // ---- degradation policy ----------------------------------------------------
 
 TEST(DegradationManager, GateTargetCentreFoldsUntilFaultExcluded) {
-  const DegradationManager mot(/*mot=*/true, /*min_banks=*/8);
+  const DegradationManager mot(/*mot_fabric=*/true);
   // Bank 0 sits outside the 16-bank centre group (8..23): one halving.
   auto t = mot.gate_target(core::PowerState::full(), 0);
   ASSERT_TRUE(t.has_value());
@@ -106,7 +106,7 @@ TEST(DegradationManager, GateTargetCentreFoldsUntilFaultExcluded) {
 }
 
 TEST(DegradationManager, ReactMapsEveryFaultKind) {
-  const DegradationManager mot(true, 8);
+  const DegradationManager mot(true);
   const core::PowerState full = core::PowerState::full();
 
   DegradeAction act = mot.react({100, FaultKind::kTsvDegrade, 5, 0}, full, 2);
@@ -130,7 +130,7 @@ TEST(DegradationManager, ReactMapsEveryFaultKind) {
   EXPECT_NE(act.note.find("minimum centre group"), std::string::npos);
 
   // Packet fabrics have no reconfiguration path at all.
-  const DegradationManager mesh(false, 8);
+  const DegradationManager mesh(false);
   act = mesh.react({200, FaultKind::kBankFail, 0, 0}, full, 2);
   EXPECT_EQ(act.kind, DegradeActionKind::kUnrecoverable);
   EXPECT_NE(act.note.find("no reconfiguration path"), std::string::npos);
@@ -303,14 +303,14 @@ TEST(FaultCluster, PacketMeshFailsStructuredOnHardFault) {
 
 TEST(DegradationManager, VaultFaultNeedsAStackedBackend) {
   // Constant-latency backend (num_vaults == 0): nothing to remap onto.
-  const DegradationManager flat(true, 8, 0);
+  const DegradationManager flat(true, /*num_vaults=*/0);
   DegradeAction act =
       flat.react({100, FaultKind::kVaultFail, 3, 0}, core::PowerState::full(), 2);
   EXPECT_EQ(act.kind, DegradeActionKind::kUnrecoverable);
   EXPECT_NE(act.note.find("no stacked-DRAM backend"), std::string::npos);
 
   // Stacked backend present: route to the vault remap machinery.
-  const DegradationManager stacked(true, 8, 8);
+  const DegradationManager stacked(true, /*num_vaults=*/8);
   act = stacked.react({100, FaultKind::kVaultFail, 3, 0},
                       core::PowerState::full(), 2);
   EXPECT_EQ(act.kind, DegradeActionKind::kFailVault);

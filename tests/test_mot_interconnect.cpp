@@ -135,7 +135,6 @@ TEST_F(MotIcnTest, StatsCount) {
   for (Cycle t = 0; t <= 20; ++t) got.tick(icn, t);
   EXPECT_EQ(icn.stats().requests_injected, 1u);
   EXPECT_EQ(icn.stats().requests_delivered, 1u);
-  EXPECT_STREQ(icn.name(), "3-D MoT");
 }
 
 TEST_F(MotIcnTest, ReconfigureChangesTimingAndRouting) {

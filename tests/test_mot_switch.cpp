@@ -1,6 +1,6 @@
-// Unit tests for the MoT switch primitives: the modified routing switch of
-// Fig. 3 (mode/ctr-signal duality, conventional vs. user-defined routing,
-// power gating) and the round-robin arbitration switch of Fig. 2(c).
+// Unit tests for the modified routing switch of Fig. 3: conventional vs.
+// user-defined routing and power gating.  The arbitration switch's grant
+// rule is tested with its tree (test_mot_trees.cpp).
 #include <gtest/gtest.h>
 
 #include "core/switch.hpp"
@@ -30,69 +30,6 @@ TEST(RoutingSwitch, PowerGatedBlocks) {
   RoutingSwitch sw(0);
   sw.set_mode(RouteMode::kPowerGated);
   EXPECT_EQ(sw.route(0), std::nullopt);
-  EXPECT_FALSE(sw.powered());
-}
-
-TEST(RoutingSwitch, ControlSignalRoundTrip) {
-  // Fig. 3(b): every mode must map to a unique (ctr_1, ctr_0) pair and back.
-  RoutingSwitch sw(1);
-  for (RouteMode m : {RouteMode::kConventional, RouteMode::kForcePort0,
-                      RouteMode::kForcePort1, RouteMode::kPowerGated}) {
-    sw.set_mode(m);
-    const ControlSignals s = sw.control();
-    RoutingSwitch other(1);
-    other.set_control(s);
-    EXPECT_EQ(static_cast<int>(other.mode()), static_cast<int>(m));
-  }
-}
-
-TEST(RoutingSwitch, ControlEncodingTable) {
-  EXPECT_EQ(static_cast<int>(mode_from_signals({false, false})),
-            static_cast<int>(RouteMode::kConventional));
-  EXPECT_EQ(static_cast<int>(mode_from_signals({true, false})),
-            static_cast<int>(RouteMode::kForcePort0));
-  EXPECT_EQ(static_cast<int>(mode_from_signals({false, true})),
-            static_cast<int>(RouteMode::kForcePort1));
-  EXPECT_EQ(static_cast<int>(mode_from_signals({true, true})),
-            static_cast<int>(RouteMode::kPowerGated));
-}
-
-TEST(ArbitrationSwitch, SingleRequesterWins) {
-  ArbitrationSwitch sw;
-  EXPECT_EQ(sw.arbitrate(true, false), 0u);
-  EXPECT_EQ(sw.arbitrate(false, true), 1u);
-  EXPECT_EQ(sw.arbitrate(false, false), std::nullopt);
-}
-
-TEST(ArbitrationSwitch, RoundRobinAlternatesUnderContention) {
-  ArbitrationSwitch sw;
-  const unsigned first = *sw.arbitrate(true, true);
-  const unsigned second = *sw.arbitrate(true, true);
-  const unsigned third = *sw.arbitrate(true, true);
-  EXPECT_NE(first, second);
-  EXPECT_EQ(first, third);
-}
-
-TEST(ArbitrationSwitch, GrantRotatesPriorityEvenWithoutContention) {
-  ArbitrationSwitch sw;
-  EXPECT_EQ(*sw.arbitrate(true, false), 0u);
-  // After granting 0, a tie must go to 1.
-  EXPECT_EQ(*sw.arbitrate(true, true), 1u);
-}
-
-TEST(ArbitrationSwitch, PeekDoesNotMutate) {
-  ArbitrationSwitch sw;
-  const unsigned p1 = *sw.peek(true, true);
-  const unsigned p2 = *sw.peek(true, true);
-  EXPECT_EQ(p1, p2);
-  sw.commit(p1);
-  EXPECT_NE(*sw.peek(true, true), p1);
-}
-
-TEST(ArbitrationSwitch, GatedGrantsNothing) {
-  ArbitrationSwitch sw;
-  sw.set_powered(false);
-  EXPECT_EQ(sw.arbitrate(true, true), std::nullopt);
   EXPECT_FALSE(sw.powered());
 }
 

@@ -425,8 +425,8 @@ TEST(NocConstruction, BuildersRejectShapesTheyCannotWire) {
       cfg.num_banks = banks;
       try {
         (void)make_noc(topo, cfg, power_model());
-        ADD_FAILURE() << topology_name(topo) << " built " << cores << "x"
-                      << banks;
+        ADD_FAILURE() << "topology " << static_cast<int>(topo) << " built "
+                      << cores << "x" << banks;
       } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("16-core/32-bank"),
                   std::string::npos)
@@ -437,7 +437,7 @@ TEST(NocConstruction, BuildersRejectShapesTheyCannotWire) {
 }
 
 TEST(NocConstruction, RouterPortsAreBoundedByTheOccupancyMask) {
-  NocNetwork net("bare", NocConfig{}, power_model());
+  NocNetwork net(NocConfig{}, power_model());
   EXPECT_NO_THROW(net.add_router(NocNetwork::kMaxRouterPorts));
   EXPECT_THROW(net.add_router(NocNetwork::kMaxRouterPorts + 1),
                std::invalid_argument);
@@ -445,7 +445,7 @@ TEST(NocConstruction, RouterPortsAreBoundedByTheOccupancyMask) {
 }
 
 TEST(NocConstruction, BusAttachmentsAreBoundedByTheOccupancyMask) {
-  NocNetwork net("bare", NocConfig{}, power_model());
+  NocNetwork net(NocConfig{}, power_model());
   const std::uint32_t bus = net.add_bus(0.08, 2);
   for (std::size_t i = 0; i < NocNetwork::kMaxBusSlots; ++i) {
     EXPECT_EQ(net.add_bus_attachment(bus), i);
@@ -456,7 +456,7 @@ TEST(NocConstruction, BusAttachmentsAreBoundedByTheOccupancyMask) {
 TEST(NocConstruction, RoutesMustNameAPortOfTheRouter) {
   // A head routed to a missing port would never match an output and would
   // surface much later as a deadlock; the table rejects it instead.
-  NocNetwork net("bare", NocConfig{}, power_model());
+  NocNetwork net(NocConfig{}, power_model());
   const std::uint32_t r = net.add_router(4);
   EXPECT_NO_THROW(net.set_route(r, 0, 3));
   try {
@@ -478,7 +478,7 @@ TEST(NocConstruction, WidestRouterServesEveryPortInRoundRobinOrder) {
   constexpr std::uint32_t kPorts = NocNetwork::kMaxRouterPorts;
   const NocConfig cfg;
   ASSERT_EQ(cfg.num_banks, kPorts);
-  NocNetwork net("bare", cfg, power_model());
+  NocNetwork net(cfg, power_model());
   const std::uint32_t r = net.add_router(kPorts);
   net.set_output(r, 0, {Target::Kind::kEndpoint, 0, 0, 0.1});
   net.set_route(r, 0, 0);

@@ -1,13 +1,16 @@
 // Unit tests for the power-state reconfiguration protocol: dirty lines of
 // gated banks must be written back to DRAM, the switch fabric reprogrammed,
-// the L2 mask updated, and cost estimates consistent.
+// the L2 mask updated, and the transition's cost reported.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "cacti/sram_model.hpp"
 #include "core/mot_interconnect.hpp"
 #include "core/reconfig.hpp"
+#include "dram3d/stacked_dram.hpp"
 #include "mem/dram.hpp"
 #include "mem/l2_system.hpp"
 #include "memory_test_doubles.hpp"
@@ -15,22 +18,24 @@
 namespace mot3d::core {
 namespace {
 
-class ReconfigTest : public ::testing::Test {
- protected:
-  ReconfigTest()
-      : model(tech, fp, bank_cfg),
-        icn(model, PowerState::full()),
-        dram(dram_cfg(), 32),
-        l2(l2_cfg(), dram),
-        mgr(icn, l2, dram) {
-    dram.set_read_sink(&l2);
-    l2.set_transport(&transport);
-  }
-
+/// A Full-state MoT, a 32-bank L2 and a ReconfigManager over `backend`.
+struct ReconfigRig {
   static mem::DramConfig dram_cfg() {
     mem::DramConfig c;
     c.access_latency_ns = 200.0;
     return c;
+  }
+
+  explicit ReconfigRig(std::unique_ptr<mem::MemoryBackend> backend =
+                           std::make_unique<mem::DramBackend>(dram_cfg(), 32))
+      : model(tech, fp, bank_cfg),
+        icn(model, PowerState::full()),
+        backend_(std::move(backend)),
+        dram(*backend_),
+        l2(l2_cfg(), dram),
+        mgr(icn, l2, dram) {
+    dram.set_read_sink(&l2);
+    l2.set_transport(&transport);
   }
   static mem::L2Config l2_cfg() {
     mem::L2Config c;
@@ -64,12 +69,15 @@ class ReconfigTest : public ::testing::Test {
   cacti::SramBankConfig bank_cfg;
   MotTimingModel model;
   MotInterconnect icn;
-  mem::DramBackend dram;
+  std::unique_ptr<mem::MemoryBackend> backend_;
+  mem::MemoryBackend& dram;
   mem::L2System l2;
   FakeTransport transport;
   ReconfigManager mgr;
   Cycle now = 0;
 };
+
+class ReconfigTest : public ::testing::Test, protected ReconfigRig {};
 
 TEST_F(ReconfigTest, FlushWritesBackExactlyDirtyLines) {
   dirty_lines(0, 3);   // bank 0 will be gated by PC16-MB8
@@ -100,14 +108,32 @@ TEST_F(ReconfigTest, AppliesMasksAndTiming) {
   EXPECT_TRUE(l2.active_banks()[16]);
 }
 
-TEST_F(ReconfigTest, EstimateDoesNotMutate) {
-  dirty_lines(0, 4);
-  const ReconfigCost est = mgr.estimate(PowerState::pc16_mb8());
-  EXPECT_EQ(est.dirty_lines_flushed, 4u);
-  // Nothing actually flushed or reconfigured.
-  EXPECT_EQ(l2.dirty_lines(0), 4u);
-  EXPECT_EQ(icn.state().name(), "Full");
-  EXPECT_EQ(l2.num_active_banks(), 32u);
+TEST(ReconfigFlushCost, IsDirtyLinesTimesPerLineOccupancyOnBothBackends) {
+  // The constant-latency backend: a line holds the Miss bus and the
+  // channel, and the longer of the two sets the pace.
+  mem::DramConfig channel_bound = ReconfigRig::dram_cfg();
+  channel_bound.bus_transfer_cycles = 3;
+  channel_bound.channel_burst_cycles = 5;
+  mem::DramConfig bus_bound = ReconfigRig::dram_cfg();
+  bus_bound.bus_transfer_cycles = 6;
+  bus_bound.channel_burst_cycles = 2;
+  // The stacked backend: one TSV link transfer per line.
+  dram3d::Dram3dConfig stacked;
+  stacked.link_cycles = 7;
+
+  std::pair<std::unique_ptr<mem::MemoryBackend>, Cycle> cases[] = {
+      {std::make_unique<mem::DramBackend>(channel_bound, 32), 5},
+      {std::make_unique<mem::DramBackend>(bus_bound, 32), 6},
+      {std::make_unique<dram3d::StackedDram>(stacked, 32), 7},
+  };
+  for (auto& [backend, per_line] : cases) {
+    ReconfigRig rig(std::move(backend));
+    rig.dirty_lines(0, 3);   // both banks lie outside PC16-MB8's
+    rig.dirty_lines(31, 2);  // centre group 12..19
+    const ReconfigCost cost = rig.mgr.apply(PowerState::pc16_mb8(), rig.now);
+    EXPECT_EQ(cost.dirty_lines_flushed, 5u) << per_line;
+    EXPECT_EQ(cost.flush_cycles, 5 * per_line);
+  }
 }
 
 TEST_F(ReconfigTest, WakeUpCostsNoFlush) {
@@ -179,12 +205,23 @@ TEST_F(ReconfigTest, RoundTripThroughEveryStateRestoresFullExactly) {
 }
 
 TEST_F(ReconfigTest, FlushHappensOnlyWhenDirtyBanksTurnOff) {
-  dirty_lines(0, 3);  // bank 0: outside every gated centre group
-  // PC4-MB32 keeps all 32 banks — gating cores must not flush any cache.
-  EXPECT_EQ(mgr.estimate(PowerState::pc4_mb32()).dirty_lines_flushed, 0u);
-  // Both 8-bank states gate bank 0 — its dirty lines must go back to DRAM.
-  EXPECT_EQ(mgr.estimate(PowerState::pc16_mb8()).dirty_lines_flushed, 3u);
-  EXPECT_EQ(mgr.estimate(PowerState::pc4_mb8()).dirty_lines_flushed, 3u);
+  // Each state from Full, on a fresh rig whose bank 0 (outside every gated
+  // centre group) holds 3 dirty lines.  PC4-MB32 keeps all 32 banks —
+  // gating cores must not flush any cache; both 8-bank states gate bank 0,
+  // so its dirty lines must go back to DRAM.
+  const std::pair<PowerState, std::uint64_t> flushes[] = {
+      {PowerState::pc4_mb32(), 0},
+      {PowerState::pc16_mb8(), 3},
+      {PowerState::pc4_mb8(), 3},
+  };
+  for (const auto& [state, flushed] : flushes) {
+    ReconfigRig fresh;
+    fresh.dirty_lines(0, 3);
+    EXPECT_EQ(fresh.mgr.apply(state, fresh.now).dirty_lines_flushed, flushed)
+        << state.name();
+  }
+
+  dirty_lines(0, 3);
 
   // After actually gating, survivors in the centre group keep their data
   // and a same-mask transition (PC16-MB8 -> PC4-MB8) flushes nothing.

@@ -197,6 +197,7 @@ void lockstep_arbitration(std::size_t total_cores, const core::PowerState* state
                           std::uint64_t seed, int rounds) {
   core::ArbitrationTree dense(total_cores);
   core::ArbitrationTree sparse(total_cores);
+  core::ArbitrationTree::SparseScratch scratch;
   if (state != nullptr) {
     dense.configure(*state);
     sparse.configure(*state);
@@ -220,7 +221,8 @@ void lockstep_arbitration(std::size_t total_cores, const core::PowerState* state
       std::swap(candidates[i - 1], candidates[xorshift(s) % i]);
     }
     const auto want = dense.arbitrate(requesting);
-    const auto got = sparse.arbitrate_sparse(candidates.data(), candidates.size());
+    const auto got =
+        sparse.arbitrate_sparse(candidates.data(), candidates.size(), scratch);
     ASSERT_EQ(want.has_value(), got.has_value()) << "round " << round;
     if (want.has_value()) {
       ASSERT_EQ(*want, *got) << "round " << round;
@@ -245,9 +247,10 @@ TEST(ScaleOutArbitration, SparseMatchesDenseUnderCoreGating) {
 
 TEST(ScaleOutArbitration, SparseEmptyAndSingleton) {
   core::ArbitrationTree tree(256);
-  EXPECT_FALSE(tree.arbitrate_sparse(nullptr, 0).has_value());
+  core::ArbitrationTree::SparseScratch scratch;
+  EXPECT_FALSE(tree.arbitrate_sparse(nullptr, 0, scratch).has_value());
   const CoreId only = 200;
-  const auto got = tree.arbitrate_sparse(&only, 1);
+  const auto got = tree.arbitrate_sparse(&only, 1, scratch);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, only);
 }

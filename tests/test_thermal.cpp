@@ -1,9 +1,8 @@
 // Thermal subsystem tests: floorplan derivation, RC solver physics
 // (closed-form steady state, dt stability), a bitwise oracle for the
-// solver against the adjacency-list solve it replaced, leakage
-// monotonicity and the shared temperature law, governor hysteresis/duty-cycling, the
-// EnergyLedger delta API, and end-to-end determinism of thermal runs
-// across schedulers.
+// solver against the adjacency-list solve it replaced, the leakage
+// temperature law, governor hysteresis/duty-cycling, the EnergyLedger
+// delta API, and end-to-end determinism of thermal runs across schedulers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,12 +11,9 @@
 #include <limits>
 #include <random>
 
-#include "cacti/sram_model.hpp"
 #include "cluster/advisor.hpp"
 #include "cluster/cluster.hpp"
 #include "common/leakage.hpp"
-#include "phys/wire.hpp"
-#include "power/core_power.hpp"
 #include "power/energy_ledger.hpp"
 #include "sim/scenario.hpp"
 #include "thermal/floorplan.hpp"
@@ -394,52 +390,24 @@ TEST(ThermalRcOracle, IsolatedTiersMatchTheAdjacencyListToo) {
 
 // ---- leakage law -----------------------------------------------------------
 
-TEST(ThermalLeakage, MonotoneInTemperatureAcrossAllThreeModels) {
-  const cacti::SramBankConfig bank;
-  const phys::WireModel wire{phys::default_technology()};
-  const power::CorePowerModel core;
-
-  double prev_sram = 0.0, prev_wire = 0.0, prev_core = 0.0;
+TEST(ThermalLeakage, ScaleIsMonotoneAndOneAtReference) {
+  // The law the fixed point applies to every tile's reference leakage.
+  const LeakageTempParams law = thermal::ThermalConfig{}.leakage;
+  double prev = 0.0;
   for (double t = 25.0; t <= 110.0; t += 5.0) {
-    const double s = cacti::leakage_mw_at(bank, t);
-    const double w = wire.leakage_uw_per_bit_at(4.0, t);
-    const double c = core.leakage_mw_at(t);
-    EXPECT_GT(s, prev_sram);
-    EXPECT_GT(w, prev_wire);
-    EXPECT_GT(c, prev_core);
-    prev_sram = s;
-    prev_wire = w;
-    prev_core = c;
+    const double s = leakage_temp_scale(t, law);
+    EXPECT_GT(s, prev) << t;
+    prev = s;
   }
-
-  // At the reference temperature every *_at API equals its flat model.
-  const LeakageTempParams ref;
-  EXPECT_DOUBLE_EQ(cacti::leakage_mw_at(bank, ref.ref_temp_c),
-                   cacti::evaluate(bank).leakage_mw);
-  EXPECT_DOUBLE_EQ(wire.leakage_uw_per_bit_at(4.0, ref.ref_temp_c),
-                   wire.leakage_uw_per_bit(4.0));
-  EXPECT_DOUBLE_EQ(core.leakage_mw_at(ref.ref_temp_c), core.params().leakage_mw);
-
-  // All three share one law: the ratio at any temperature is the shared
-  // exponential scale.
-  EXPECT_DOUBLE_EQ(cacti::leakage_mw_at(bank, 85.0),
-                   cacti::evaluate(bank).leakage_mw * leakage_temp_scale(85.0));
+  // Every power model quotes its leakage at the reference temperature.
+  EXPECT_EQ(leakage_temp_scale(law.ref_temp_c, law), 1.0);
 }
 
 // ---- governor --------------------------------------------------------------
 
-thermal::GovernorConfig governor_cfg(bool banks) {
-  thermal::GovernorConfig cfg;
-  cfg.ceiling_c = 80.0;
-  cfg.hysteresis_c = 5.0;
-  cfg.allow_bank_gating = banks;
-  cfg.min_banks = 8;
-  cfg.max_hold_intervals = 3;
-  return cfg;
-}
-
 TEST(ThermalGovernor, DemotesBanksFirstOnMotThenHoldsAndRestoresWithHysteresis) {
-  thermal::ThermalGovernor gov(governor_cfg(true), core::PowerState::full());
+  thermal::ThermalGovernor gov(80.0, /*allow_bank_gating=*/true,
+                               core::PowerState::full());
 
   // Below the ceiling: nothing happens.
   auto d = gov.decide(70.0);
@@ -460,7 +428,7 @@ TEST(ThermalGovernor, DemotesBanksFirstOnMotThenHoldsAndRestoresWithHysteresis) 
   EXPECT_TRUE(d.hold_cores);
   EXPECT_EQ(gov.stats().core_hold_events, 1u);
 
-  // In the hysteresis band (ceiling-hys < T < ceiling): keep holding.
+  // In the hysteresis band (80 - 5 < T < 80): keep holding.
   d = gov.decide(77.0);
   EXPECT_TRUE(d.hold_cores);
 
@@ -478,7 +446,8 @@ TEST(ThermalGovernor, DemotesBanksFirstOnMotThenHoldsAndRestoresWithHysteresis) 
 }
 
 TEST(ThermalGovernor, PacketSwitchedFabricSkipsStraightToHolds) {
-  thermal::ThermalGovernor gov(governor_cfg(false), core::PowerState::full());
+  thermal::ThermalGovernor gov(80.0, /*allow_bank_gating=*/false,
+                               core::PowerState::full());
   const auto d = gov.decide(90.0);
   EXPECT_FALSE(d.reconfigure.has_value());
   EXPECT_TRUE(d.hold_cores);
@@ -486,20 +455,20 @@ TEST(ThermalGovernor, PacketSwitchedFabricSkipsStraightToHolds) {
 }
 
 TEST(ThermalGovernor, DutyCycleGuardForcesPeriodicProgress) {
-  thermal::ThermalGovernor gov(governor_cfg(false), core::PowerState::full());
-  EXPECT_TRUE(gov.decide(95.0).hold_cores);  // demote to holds
-  // Sustained heat: after max_hold_intervals consecutive holds the guard
-  // must force one released interval, then resume.
-  std::size_t released = 0, held = 0;
-  for (int i = 0; i < 16; ++i) {
-    if (gov.decide(95.0).hold_cores) {
-      ++held;
-    } else {
-      ++released;
-    }
+  thermal::ThermalGovernor gov(80.0, /*allow_bank_gating=*/false,
+                               core::PowerState::full());
+  // Sustained heat: the first interval demotes to holds; after
+  // kMaxHoldIntervals consecutive holds the guard forces one released
+  // interval, then holding resumes.
+  constexpr std::uint64_t kPeriod =
+      thermal::ThermalGovernor::kMaxHoldIntervals + 1;
+  std::size_t released = 0;
+  for (std::uint64_t i = 0; i < 3 * kPeriod; ++i) {
+    const bool hold = gov.decide(95.0).hold_cores;
+    EXPECT_EQ(hold, i % kPeriod != kPeriod - 1) << "interval " << i;
+    if (!hold) ++released;
   }
-  EXPECT_GE(released, 3u);  // ~one release per (max_hold_intervals + 1)
-  EXPECT_GT(held, released);
+  EXPECT_EQ(released, 3u);
   EXPECT_EQ(gov.stats().duty_cycle_releases, released);
 }
 
@@ -515,22 +484,24 @@ TEST(EnergyLedgerDelta, DeltaSinceReportsPerIntervalRates) {
   ledger.add_dynamic(power::Component::kDram, 10.0);
   ledger.add_static(power::Component::kL2, 5.0);
 
-  const power::EnergySample d = ledger.delta_since(snap);
-  EXPECT_DOUBLE_EQ(d.dynamic(power::Component::kCore), 60.0);
-  EXPECT_DOUBLE_EQ(d.dynamic(power::Component::kDram), 10.0);
-  EXPECT_DOUBLE_EQ(d.total(power::Component::kL2), 5.0);
-  EXPECT_DOUBLE_EQ(d.dynamic(power::Component::kL1), 0.0);
+  const power::EnergyLedger d = ledger.delta_since(snap);
+  EXPECT_DOUBLE_EQ(d.dynamic_pj(power::Component::kCore), 60.0);
+  EXPECT_DOUBLE_EQ(d.dynamic_pj(power::Component::kDram), 10.0);
+  EXPECT_DOUBLE_EQ(d.static_pj(power::Component::kL2), 5.0);
+  EXPECT_DOUBLE_EQ(d.component_pj(power::Component::kL2), 5.0);
+  EXPECT_DOUBLE_EQ(d.dynamic_pj(power::Component::kL1), 0.0);
 
-  // Rates: pJ over 1 ns cycles -> watts (100 pJ over 50 cycles = 2 mW).
-  EXPECT_DOUBLE_EQ(d.power_w(power::Component::kCore, 30), 2.0);
-  EXPECT_DOUBLE_EQ(d.power_w(power::Component::kCore, 0), 0.0);
+  // The interval's rate, as the thermal sampler takes it: pJ over 1 ns
+  // cycles -> watts (60 pJ over 30 cycles = 2 W).
+  EXPECT_DOUBLE_EQ(d.component_pj(power::Component::kCore) / 30.0, 2.0);
 
   // A fresh delta against the current state is all zeros.
-  const power::EnergySample z = ledger.delta_since(ledger);
+  const power::EnergyLedger z = ledger.delta_since(ledger);
+  EXPECT_DOUBLE_EQ(z.total_pj(), 0.0);
   for (auto c : {power::Component::kCore, power::Component::kL1,
                  power::Component::kL2, power::Component::kInterconnect,
                  power::Component::kDram}) {
-    EXPECT_DOUBLE_EQ(z.total(c), 0.0);
+    EXPECT_DOUBLE_EQ(z.component_pj(c), 0.0);
   }
 }
 
