@@ -477,10 +477,10 @@ int cmd_grid(const CliArgs& cli) {
 //    baseline (with the goldens) needs a deliberate refresh;
 //  * core_ticks (Core::tick calls) and output_visits (a packet fabric's
 //    router (output, VC) arbitration attempts; 0 on the MoT) are
-//    deterministic host work, so each must match exactly when the baseline
-//    records it: a scheduler that ticks more cores, or a switch allocator
-//    that visits idle outputs, fails even on a host fast enough to hide
-//    the cost;
+//    deterministic host work, so each must match exactly (every baseline
+//    cell records both, and its fabric): a scheduler that ticks more
+//    cores, or a switch allocator that visits idle outputs, fails even on
+//    a host fast enough to hide the cost;
 //  * cycles/s depends on the machine and its load, so a cell fails only
 //    below kThroughputFloor x its baseline — loose enough for shared-runner
 //    noise, tight enough for an O(cores) scan re-entering the hot path.
@@ -520,8 +520,8 @@ std::string bench_key(const std::string& app, std::size_t cores,
 struct BaselineCell {
   std::uint64_t cycles = 0;
   std::uint64_t instructions = 0;
-  std::optional<std::uint64_t> core_ticks;     ///< absent in older baselines
-  std::optional<std::uint64_t> output_visits;  ///< absent in older baselines
+  std::uint64_t core_ticks = 0;
+  std::uint64_t output_visits = 0;
   double cycles_per_second = 0.0;
 };
 
@@ -530,16 +530,10 @@ struct BaselineError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A baseline count (seed, cores, cycles, ...): a JSON number holding a
-/// non-negative integer below 2^53, where doubles stop being exact — far
-/// above any cell's budget, and a range the cast below is defined on.
+/// A baseline count (seed, cores, cycles, ...): JsonValue::as_count of a
+/// present field, below 2^53 — far above any cell's budget.
 std::optional<std::uint64_t> baseline_count(const sim::JsonValue* v) {
-  if (v == nullptr || v->type != sim::JsonValue::Type::kNumber ||
-      !(v->number >= 0.0 && v->number < 9007199254740992.0) ||
-      v->number != std::floor(v->number)) {
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(v->number);
+  return v != nullptr ? v->as_count() : std::nullopt;
 }
 
 /// The baseline's cells by key; the document must have been recorded with
@@ -572,29 +566,27 @@ std::map<std::string, BaselineCell> load_baseline(
                         " --seed=" + std::to_string(*seed) +
                         "; rerun with matching flags or refresh it");
   }
-  // A cell without "fabric" is a MoT cell.
   std::map<std::string, BaselineCell> out;
   for (const sim::JsonValue& c : cells->array) {
     const sim::JsonValue* app = c.find("app");
     const sim::JsonValue* fabric = c.find("fabric");
-    const sim::JsonValue* ticks = c.find("core_ticks");
-    const sim::JsonValue* visits = c.find("output_visits");
     const sim::JsonValue* cps = c.find("cycles_per_second");
     const std::optional<std::uint64_t> cores = baseline_count(c.find("cores"));
     const std::optional<std::uint64_t> cycles = baseline_count(c.find("cycles"));
     const std::optional<std::uint64_t> instrs =
         baseline_count(c.find("instructions"));
-    if (!app || app->type != Type::kString ||
-        (fabric && fabric->type != Type::kString) || !cores || !cycles ||
-        !instrs || (ticks && !baseline_count(ticks)) ||
-        (visits && !baseline_count(visits)) || !cps ||
-        cps->type != Type::kNumber) {
+    const std::optional<std::uint64_t> ticks =
+        baseline_count(c.find("core_ticks"));
+    const std::optional<std::uint64_t> visits =
+        baseline_count(c.find("output_visits"));
+    if (!app || app->type != Type::kString || !fabric ||
+        fabric->type != Type::kString || !cores || !cycles || !instrs ||
+        !ticks || !visits || !cps || cps->type != Type::kNumber) {
       throw BaselineError("malformed cell in '" + path + "'");
     }
-    const std::string key =
-        bench_key(app->string, *cores, fabric ? fabric->string : "mot");
-    if (!out.emplace(key, BaselineCell{*cycles, *instrs, baseline_count(ticks),
-                                       baseline_count(visits), cps->number})
+    const std::string key = bench_key(app->string, *cores, fabric->string);
+    if (!out.emplace(key, BaselineCell{*cycles, *instrs, *ticks, *visits,
+                                       cps->number})
              .second) {
       throw BaselineError("two cells of '" + path + "' share the key " + key);
     }
@@ -689,16 +681,15 @@ int count_regressions(const std::vector<BenchCell>& cells,
                 << c.instructions << " vs " << b.instructions
                 << " (simulator behaviour changed; refresh deliberately)\n";
       ++regressions;
-    } else if (b.core_ticks.has_value() && c.core_ticks != *b.core_ticks) {
+    } else if (c.core_ticks != b.core_ticks) {
       std::cerr << "REGRESSION " << c.key << ": work drift — core_ticks "
-                << c.core_ticks << " vs baseline " << *b.core_ticks
+                << c.core_ticks << " vs baseline " << b.core_ticks
                 << " (the scheduler changed how many cores it ticks; "
                    "refresh deliberately)\n";
       ++regressions;
-    } else if (b.output_visits.has_value() &&
-               c.output_visits != *b.output_visits) {
+    } else if (c.output_visits != b.output_visits) {
       std::cerr << "REGRESSION " << c.key << ": work drift — output_visits "
-                << c.output_visits << " vs baseline " << *b.output_visits
+                << c.output_visits << " vs baseline " << b.output_visits
                 << " (the switch allocator changed how many router outputs "
                    "it visits; refresh deliberately)\n";
       ++regressions;

@@ -1,9 +1,18 @@
 #include "sim/json_reader.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <stdexcept>
 
 namespace mot3d::sim {
+
+std::optional<std::uint64_t> JsonValue::as_count() const {
+  if (type != Type::kNumber || !(number >= 0.0 && number < 0x1p53) ||
+      number != std::floor(number)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(number);
+}
 
 std::optional<JsonValue> JsonReader::parse() {
   JsonValue v;
@@ -31,8 +40,15 @@ bool JsonReader::literal(const char* lit) {
 bool JsonReader::parse_value(JsonValue& out) {
   if (pos_ >= text_.size()) return false;
   switch (text_[pos_]) {
-    case '{': return parse_object(out);
-    case '[': return parse_array(out);
+    case '{':
+    case '[': {
+      if (depth_ == kMaxDepth) return false;
+      ++depth_;
+      const bool ok =
+          text_[pos_] == '{' ? parse_object(out) : parse_array(out);
+      --depth_;
+      return ok;
+    }
     case '"':
       out.type = JsonValue::Type::kString;
       return parse_string(out.string);

@@ -6,6 +6,8 @@
 // else is malformed input and parses to std::nullopt, never a guess.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <utility>
@@ -28,10 +30,19 @@ struct JsonValue {
     }
     return nullptr;
   }
+
+  /// The value as a count: a number holding an integer in [0, 2^53), the
+  /// range a double holds exactly; std::nullopt for anything else.
+  std::optional<std::uint64_t> as_count() const;
 };
 
 class JsonReader {
  public:
+  /// Deepest nesting of arrays and objects a document may have; deeper is
+  /// malformed, so a hostile line cannot exhaust the parser's stack.
+  /// Request lines and BENCH baselines nest at most four levels.
+  static constexpr std::size_t kMaxDepth = 32;
+
   explicit JsonReader(std::string text) : text_(std::move(text)) {}
 
   /// Whole-document parse: trailing junk is malformed (std::nullopt).
@@ -48,6 +59,7 @@ class JsonReader {
 
   std::string text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace mot3d::sim

@@ -459,11 +459,12 @@ double number_field(const JsonValue& v, const char* field) {
 }
 
 std::uint64_t u64_field(const JsonValue& v, const char* field) {
-  const double d = number_field(v, field);
-  if (d < 0.0 || d != std::floor(d)) {
-    bad_request(std::string("'") + field + "' must be a non-negative integer");
+  number_field(v, field);
+  const std::optional<std::uint64_t> n = v.as_count();
+  if (!n) {
+    bad_request(std::string("'") + field + "' must be an integer in [0, 2^53)");
   }
-  return static_cast<std::uint64_t>(d);
+  return *n;
 }
 
 }  // namespace

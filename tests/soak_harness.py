@@ -395,16 +395,16 @@ def bench_tests(binary):
                 forbid_patterns=[r"REGRESSION all_to_all@16:"]))
 
         # The switch allocator's work counter (router-output visits) must
-        # match exactly; a baseline recorded before it existed still loads.
+        # match exactly, and a baseline cell must record it.
         for label, doctor, rc, pattern in (
                 ("output_visits drift exits 1",
                  lambda cell: cell.__setitem__("output_visits",
                                                cell["output_visits"] - 1),
                  1, r"REGRESSION all_to_all@16@bustree: work drift "
                     r".*output_visits"),
-                ("baseline without output_visits passes (exit 0)",
+                ("baseline without output_visits exits 3",
                  lambda cell: cell.pop("output_visits"),
-                 0, r"baseline OK")):
+                 3, r"baseline error: malformed cell")):
             doctored = os.path.join(tmp, "noc_visits.json")
             try:
                 with open(noc_base, encoding="utf-8") as f:

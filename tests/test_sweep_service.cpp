@@ -692,6 +692,31 @@ TEST(ServiceRequestParse, MalformedRequestsThrowWithOneLineReasons) {
       std::invalid_argument);
   EXPECT_THROW(parse_service_request(R"({"id":[1],"apps":["fft"]})"),
                std::invalid_argument);  // non-scalar id
+
+  // Nesting past the reader's limit is malformed, not a stack overflow;
+  // the limit itself still parses.
+  EXPECT_THROW(parse_service_request(std::string(100'000, '[')),
+               std::invalid_argument);
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(JsonReader(nested(JsonReader::kMaxDepth)).parse().has_value());
+  EXPECT_FALSE(JsonReader(nested(JsonReader::kMaxDepth + 1)).parse());
+
+  // A seed must be an integer in [0, 2^53): past 2^64 the cast is
+  // undefined, and above 2^53 a double no longer holds it exactly
+  // (9007199254740993 reads as ...992).
+  for (const char* seed : {"1e30", "18446744073709551616", "9007199254740993",
+                           "9007199254740992"}) {
+    EXPECT_THROW(parse_service_request(std::string(R"({"apps":["fft"],"seed":)") +
+                                       seed + "}"),
+                 std::invalid_argument)
+        << seed;
+  }
+  const ServiceRequest largest =
+      parse_service_request(R"({"apps":["fft"],"seed":9007199254740991})");
+  ASSERT_FALSE(largest.jobs.empty());
+  EXPECT_EQ(largest.jobs.front().seed, 9007199254740991u);
 }
 
 // ---- the loop, end to end over stringstreams -------------------------------
