@@ -1,8 +1,8 @@
-# Runs a command and requires an exact exit code and a regex match in its
-# combined output: ctest's WILL_FAIL accepts any non-zero code, and
-# PASS_REGULAR_EXPRESSION ignores the code altogether.
+# Runs a command and requires an exact exit code and, when MATCH is given,
+# a regex match in its combined output: ctest's WILL_FAIL accepts any
+# non-zero code, and PASS_REGULAR_EXPRESSION ignores the code altogether.
 #
-#   cmake -DEXPECT=<code> -DMATCH=<regex> -P expect_exit.cmake -- <cmd> [arg...]
+#   cmake -DEXPECT=<code> [-DMATCH=<regex>] -P expect_exit.cmake -- <cmd> [arg...]
 set(cmd "")
 set(after_dashes FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -20,6 +20,6 @@ message("${out}")
 if(NOT code STREQUAL "${EXPECT}")
   message(FATAL_ERROR "exit code ${code}, expected ${EXPECT}")
 endif()
-if(NOT out MATCHES "${MATCH}")
+if(DEFINED MATCH AND NOT out MATCHES "${MATCH}")
   message(FATAL_ERROR "output does not match /${MATCH}/")
 endif()

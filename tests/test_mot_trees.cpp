@@ -82,29 +82,6 @@ TEST(RoutingTree, OutOfRangeBankRejected) {
   EXPECT_EQ(rt.resolve(8), std::nullopt);
 }
 
-TEST(ArbitrationTree, GrantRuleTruthTable) {
-  // One switch of Fig. 2(c), for either round-robin preference.
-  for (unsigned prefer : {0u, 1u}) {
-    SCOPED_TRACE(prefer);
-    // Gated: nothing passes, whoever requests.
-    EXPECT_EQ(ArbitrationTree::grant(false, prefer, true, true), std::nullopt);
-    EXPECT_EQ(ArbitrationTree::grant(false, prefer, true, false), std::nullopt);
-    // No request.
-    EXPECT_EQ(ArbitrationTree::grant(true, prefer, false, false), std::nullopt);
-    // One request: it wins, whatever the preference.
-    EXPECT_EQ(ArbitrationTree::grant(true, prefer, true, false), 0u);
-    EXPECT_EQ(ArbitrationTree::grant(true, prefer, false, true), 1u);
-    // Both request: the preferred input wins.
-    EXPECT_EQ(ArbitrationTree::grant(true, prefer, true, true), prefer);
-  }
-  // A one-switch tree gives the next tie to the loser of every grant,
-  // contended or not.
-  ArbitrationTree one(2);
-  EXPECT_EQ(one.arbitrate({true, false}), 0u);
-  EXPECT_EQ(one.arbitrate({true, true}), 1u);
-  EXPECT_EQ(one.arbitrate({true, true}), 0u);
-}
-
 TEST(ArbitrationTree, SingleRequesterAlwaysWins) {
   ArbitrationTree at(16);
   at.configure(PowerState::full());
