@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
   // Phase 3: reconfigure to PC16-MB8.
   std::size_t dirty_before = 0;
   for (BankId b = 0; b < 32; ++b) dirty_before += cluster.l2().dirty_lines(b);
-  core::ReconfigManager mgr(*mot, cluster.l2(), cluster.dram());
   const core::ReconfigCost cost =
-      mgr.apply(core::PowerState::pc16_mb8(), cluster.now());
+      core::reconfigure(*mot, cluster.l2(), cluster.dram(), nullptr,
+                        core::PowerState::pc16_mb8(), cluster.now());
 
   TextTable t("reconfiguration Full -> PC16-MB8");
   t.set_header({"metric", "value"});

@@ -4,10 +4,34 @@
 
 namespace mot3d::cluster {
 
-StateRecommendation recommend_power_state(const SimResult& profile,
-                                          std::size_t resident_l2_lines,
-                                          std::size_t line_bytes,
-                                          AdvisorThresholds thresholds) {
+namespace {
+
+/// Spin-cycles / (cores * cycles) above which the app is treated as
+/// scalability-limited (recommend 4 cores).  Measured on the paper's
+/// workloads at Full connection: the limited group spins 0.78-0.83 of all
+/// core-cycles (serial phases are further stretched by their memory
+/// stalls), the scalable group 0.28-0.34 (barrier jitter only).
+constexpr double kSpinRatioLimit = 0.50;
+/// Serial sections have a signature plain load imbalance lacks: thread 0
+/// keeps working while every other core spins.  Only when thread 0's spin
+/// time is below this fraction of the others' average is the spin
+/// attributed to Amdahl serialisation rather than barrier jitter.
+constexpr double kSpinAsymmetryLimit = 0.60;
+/// Resident L2 footprint (fraction of the 8-bank capacity) below which
+/// bank gating is considered safe at 200 ns DRAM.
+constexpr double kMb8FillLimit = 1.00;
+/// At fast on-chip DRAM (< 100 ns), the footprint guard is relaxed by this
+/// factor — extra misses are cheap (the Fig. 8 effect).
+constexpr double kFastDramRelax = 2.5;
+/// Fraction of the profiling run spent with cores held by the thermal
+/// governor above which the workload is considered thermally limited.
+constexpr double kThrottledFractionLimit = 0.02;
+/// L2 line size the resident footprint is counted in, bytes.
+constexpr std::size_t kLineBytes = 32;
+
+}  // namespace
+
+StateRecommendation recommend_power_state(const SimResult& profile) {
   StateRecommendation rec;
   if (profile.cycles == 0 || profile.cores.empty()) {
     rec.rationale = "empty profile: stay at Full connection";
@@ -31,15 +55,15 @@ StateRecommendation recommend_power_state(const SimResult& profile,
                 static_cast<double>(profile.cores.size() - 1)
           : 0.0;
   const bool asymmetric =
-      spin_others > 0.0 && spin0 < thresholds.spin_asymmetry_limit * spin_others;
-  rec.gate_cores = asymmetric && rec.spin_ratio > thresholds.spin_ratio_limit;
+      spin_others > 0.0 && spin0 < kSpinAsymmetryLimit * spin_others;
+  rec.gate_cores = asymmetric && rec.spin_ratio > kSpinRatioLimit;
 
   // --- L2 demand: resident footprint vs. the 8-bank capacity ---
-  rec.resident_l2_bytes = resident_l2_lines * line_bytes;
+  rec.resident_l2_bytes = profile.l2_resident_lines * kLineBytes;
   const double mb8_capacity = 8.0 * 64.0 * 1024.0;
-  double fill_limit = thresholds.mb8_fill_limit;
+  double fill_limit = kMb8FillLimit;
   const bool fast_dram = profile.dram_latency_ns < 100.0;
-  if (fast_dram) fill_limit *= thresholds.fast_dram_relax;
+  if (fast_dram) fill_limit *= kFastDramRelax;
   // With 4 cores the private share of the footprint shrinks too; be
   // slightly more permissive when cores are also gated.
   if (rec.gate_cores) fill_limit *= 1.25;
@@ -69,10 +93,8 @@ StateRecommendation recommend_power_state(const SimResult& profile,
   return rec;
 }
 
-StateRecommendation recommend_power_state_thermal(
-    const SimResult& profile, AdvisorThresholds thresholds,
-    ThermalAdvisorThresholds thermal_thresholds) {
-  StateRecommendation rec = recommend_power_state(profile, thresholds);
+StateRecommendation recommend_power_state_thermal(const SimResult& profile) {
+  StateRecommendation rec = recommend_power_state(profile);
   const thermal::ThermalSummary& t = profile.thermal;
   if (!t.enabled) return rec;
 
@@ -82,7 +104,7 @@ StateRecommendation recommend_power_state_thermal(
           : static_cast<double>(t.throttled_cycles) /
                 static_cast<double>(profile.cycles);
   const bool limited = t.throttle_events > 0 ||
-                       throttled > thermal_thresholds.throttled_fraction_limit ||
+                       throttled > kThrottledFractionLimit ||
                        t.peak_c >= t.ceiling_c;
   if (!limited || rec.gate_banks) return rec;
 

@@ -24,26 +24,6 @@
 
 namespace mot3d::cluster {
 
-struct AdvisorThresholds {
-  /// Spin-cycles / (cores * cycles) above which the app is treated as
-  /// scalability-limited (recommend 4 cores).  Measured on the paper's
-  /// workloads at Full connection: the limited group spins 0.78-0.83 of
-  /// all core-cycles (serial phases are further stretched by their memory
-  /// stalls), the scalable group 0.28-0.34 (barrier jitter only).
-  double spin_ratio_limit = 0.50;
-  /// Serial sections have a signature plain load imbalance lacks: thread 0
-  /// keeps working while every other core spins.  Only when thread 0's
-  /// spin time is below this fraction of the others' average is the spin
-  /// attributed to Amdahl serialisation rather than barrier jitter.
-  double spin_asymmetry_limit = 0.60;
-  /// Resident L2 footprint (fraction of the 8-bank capacity) below which
-  /// bank gating is considered safe at 200 ns DRAM.
-  double mb8_fill_limit = 1.00;
-  /// At fast on-chip DRAM (< 100 ns), the footprint guard is relaxed by
-  /// this factor — extra misses are cheap (the Fig. 8 effect).
-  double fast_dram_relax = 2.5;
-};
-
 struct StateRecommendation {
   core::PowerState state = core::PowerState::full();
   double spin_ratio = 0.0;          ///< measured Amdahl waste
@@ -53,23 +33,9 @@ struct StateRecommendation {
   std::string rationale;
 };
 
-/// Analyse a Full-connection profiling run and recommend the Table I state.
-StateRecommendation recommend_power_state(const SimResult& profile,
-                                          std::size_t resident_l2_lines,
-                                          std::size_t line_bytes = 32,
-                                          AdvisorThresholds thresholds = {});
-
-/// Convenience overload using the footprint recorded in the result.
-inline StateRecommendation recommend_power_state(const SimResult& profile,
-                                                 AdvisorThresholds thresholds = {}) {
-  return recommend_power_state(profile, profile.l2_resident_lines, 32, thresholds);
-}
-
-struct ThermalAdvisorThresholds {
-  /// Fraction of the profiling run spent with cores held by the thermal
-  /// governor above which the workload is considered thermally limited.
-  double throttled_fraction_limit = 0.02;
-};
+/// Analyse a Full-connection profiling run and recommend the Table I state
+/// (the footprint is the result's l2_resident_lines of 32-byte lines).
+StateRecommendation recommend_power_state(const SimResult& profile);
 
 /// Thermal-aware layer over recommend_power_state: when the profiling run
 /// carried a thermal summary (SimResult::thermal) showing throttling or a
@@ -77,8 +43,6 @@ struct ThermalAdvisorThresholds {
 /// gating 24 banks removes their leakage *and* shrinks the hot TSV field,
 /// which buys thermal headroom even when the footprint guard alone would
 /// have kept the capacity.  Performance advice defers to the envelope.
-StateRecommendation recommend_power_state_thermal(
-    const SimResult& profile, AdvisorThresholds thresholds = {},
-    ThermalAdvisorThresholds thermal_thresholds = {});
+StateRecommendation recommend_power_state_thermal(const SimResult& profile);
 
 }  // namespace mot3d::cluster

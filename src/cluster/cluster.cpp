@@ -7,12 +7,17 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/reconfig.hpp"
+
 namespace mot3d::cluster {
 
 namespace {
 
 /// Events a fault run's flight recorder keeps for the watchdog dump.
 constexpr std::size_t kFlightRecorderEvents = 128;
+
+/// Livelock guard: a run still going at this cycle throws.
+constexpr Cycle kMaxCycles = 200'000'000;
 
 }  // namespace
 
@@ -35,8 +40,8 @@ const char* fabric_name(Fabric f) {
 }
 
 Cluster::Cluster(ClusterConfig cfg)
-    : cfg_(std::move(cfg)),
-      event_driven_(cfg_.scheduler == SchedulerMode::kEventDriven) {
+    : event_driven_(cfg.scheduler == SchedulerMode::kEventDriven),
+      cfg_(std::move(cfg)) {
   // ---- derive Table I timing/energy from the CACTI-lite model ----
   const cacti::SramBankResult bank = cacti::evaluate(cfg_.l2_bank_sram);
   cfg_.l2.total_banks = cfg_.total_banks;
@@ -49,7 +54,6 @@ Cluster::Cluster(ClusterConfig cfg)
   cfg_.l2.write_energy_pj = bank.write_energy_pj;
   cfg_.l2.leakage_mw_per_bank = bank.leakage_mw;
   cfg_.dram.access_latency_ns = mem::dram_latency_ns(cfg_.dram_preset);
-  cfg_.core.l2_banks = cfg_.total_banks;
   cfg_.floorplan.max_cores = cfg_.total_cores;
   cfg_.floorplan.max_banks = cfg_.total_banks;
 
@@ -101,15 +105,15 @@ Cluster::Cluster(ClusterConfig cfg)
     mot_ = mot.get();
     interconnect_ = std::move(mot);
   } else {
-    cfg_.noc.num_cores = cfg_.total_cores;
-    cfg_.noc.num_banks = cfg_.total_banks;
-    cfg_.noc.line_bytes = cfg_.l2.line_bytes;
-    const power::InterconnectPowerModel pm(phys::WireModel(cfg_.tech),
-                                           cfg_.router_power);
+    noc::NocConfig nc;
+    nc.num_cores = cfg_.total_cores;
+    nc.num_banks = cfg_.total_banks;
+    nc.line_bytes = cfg_.l2.line_bytes;
+    const power::InterconnectPowerModel pm{phys::WireModel(cfg_.tech)};
     noc::NocTopology topo = noc::NocTopology::kTrueMesh3d;
     if (cfg_.fabric == Fabric::kHybridBusMesh) topo = noc::NocTopology::kHybridBusMesh;
     if (cfg_.fabric == Fabric::kHybridBusTree) topo = noc::NocTopology::kHybridBusTree;
-    auto noc = noc::make_noc(topo, cfg_.noc, pm);
+    auto noc = noc::make_noc(topo, nc, pm);
     noc_ = noc.get();
     interconnect_ = std::move(noc);
   }
@@ -125,6 +129,8 @@ Cluster::Cluster(ClusterConfig cfg)
       cfg_.app, cfg_.power_state.active_cores(), cfg_.scale, cfg_.seed);
   barriers_.set_participants(cfg_.power_state.active_cores());
 
+  cpu::CoreConfig core_cfg;
+  core_cfg.l2_banks = cfg_.total_banks;
   cores_.resize(cfg_.total_cores, nullptr);
   traces_.resize(cfg_.total_cores);
   auto ifetch_issue = [this](CoreId c, Addr addr, Cycle now) {
@@ -139,7 +145,7 @@ Cluster::Cluster(ClusterConfig cfg)
   for (std::size_t t = 0; t < cfg_.power_state.active_cores(); ++t) {
     const CoreId c = cfg_.power_state.core_of_thread(t);
     traces_[c] = workload_->make_trace(t);
-    core_arena_.emplace_back(c, cfg_.core, *traces_[c], barriers_, ifetch_issue);
+    core_arena_.emplace_back(c, core_cfg, *traces_[c], barriers_, ifetch_issue);
     cores_[c] = &core_arena_.back();
     if (cfg_.warm_instruction_caches) {
       cores_[c]->warm_l1i(workload::AddressMap::kCodeBase, cfg_.app.code_bytes);
@@ -172,14 +178,6 @@ Cluster::Cluster(ClusterConfig cfg)
     }
   }
 
-  // Both the thermal governor and the fault-degradation path gate banks
-  // through the same drain -> flush -> remap sequencer (MoT only: packet
-  // fabrics have no reconfiguration path).
-  if (mot_ != nullptr && (cfg_.thermal.enabled || cfg_.fault.enabled)) {
-    reconfig_ = std::make_unique<core::ReconfigManager>(*mot_, *l2_, *dram_);
-    reconfig_->set_directory(coh_dir_.get());
-  }
-
   // ---- fault injection + watchdog (opt-in; inert otherwise) ----
   if (cfg_.fault.enabled) {
     fault_sched_ = std::make_unique<fault::FaultSchedule>(
@@ -187,9 +185,6 @@ Cluster::Cluster(ClusterConfig cfg)
         noc_ != nullptr ? noc_->num_routers() : 0);
     degrade_ = std::make_unique<fault::DegradationManager>(
         mot_ != nullptr, stacked_ != nullptr ? stacked_->num_vaults() : 0);
-    if (mot_ != nullptr) {
-      mot_->set_fault_retry_energy_pj(cfg_.fault.retry_energy_pj);
-    }
     if (!fault_sched_->events().empty()) {
       next_fault_cycle_ = fault_sched_->events().front().cycle;
     }
@@ -522,7 +517,7 @@ Cycle Cluster::next_event_cycle() const {
 }
 
 bool Cluster::advance(Cycle limit) {
-  if (now_ >= cfg_.max_cycles) {
+  if (now_ >= kMaxCycles) {
     throw std::runtime_error("simulation exceeded max_cycles — livelock?\n" +
                              progress_dump());
   }
@@ -545,7 +540,7 @@ bool Cluster::advance(Cycle limit) {
             "has not finished\n" +
             progress_dump());
       }
-      now_ = std::min({next, limit, cfg_.max_cycles});
+      now_ = std::min({next, limit, kMaxCycles});
       return true;
     }
   }
@@ -642,7 +637,11 @@ void Cluster::try_complete_drain() {
     return;
   }
   if (drain_target_.has_value()) {
-    const core::ReconfigCost cost = reconfig_->apply(*drain_target_, now_);
+    // Both the thermal governor and the fault-degradation path gate banks
+    // through this one drain -> flush -> remap sequence (MoT only: packet
+    // fabrics have no reconfiguration path).
+    const core::ReconfigCost cost = core::reconfigure(
+        *mot_, *l2_, *dram_, coh_dir_.get(), *drain_target_, now_);
     governor_flush_pj_ += cost.flush_energy_pj;
     frozen_until_ = now_ + cost.reprogram_cycles;
     if (trace_ != nullptr) {
@@ -654,7 +653,7 @@ void Cluster::try_complete_drain() {
   } else {
     stacked_->swap_physical(pending_vault_swap_->hot, pending_vault_swap_->cool,
                             now_);
-    frozen_until_ = now_ + cfg_.vault_remap.migrate_freeze_cycles;
+    frozen_until_ = now_ + dram3d::VaultRemapPolicy::kMigrateFreezeCycles;
     if (trace_ != nullptr) {
       trace_->complete("vault_remap", trk_dram_, drain_begin_,
                        now_ - drain_begin_, "hot", pending_vault_swap_->hot,
@@ -702,8 +701,7 @@ void Cluster::fault_poll() {
 
 void Cluster::apply_fault(const fault::FaultEvent& ev) {
   const core::PowerState& current = mot_ != nullptr ? mot_->state() : cfg_.power_state;
-  const fault::DegradeAction act =
-      degrade_->react(ev, current, cfg_.fault.degrade_penalty_cycles);
+  const fault::DegradeAction act = degrade_->react(ev, current);
   switch (act.kind) {
     case fault::DegradeActionKind::kNone:
       ++fault_summary_.recovered;  // already masked by an earlier action
@@ -711,14 +709,14 @@ void Cluster::apply_fault(const fault::FaultEvent& ev) {
     case fault::DegradeActionKind::kDegradeMotBank:
       assert(mot_ != nullptr);
       mot_->add_bank_fault_penalty(act.unit, act.penalty_cycles);
-      fault_repair_pj_ += cfg_.fault.repair_energy_pj;
+      fault_repair_pj_ += fault::kRepairEnergyPj;
       ++fault_summary_.recovered;
       mark_degraded();
       break;
     case fault::DegradeActionKind::kThrottleRouter:
       assert(noc_ != nullptr);
       noc_->set_router_throttle(act.unit, act.penalty_cycles);
-      fault_repair_pj_ += cfg_.fault.repair_energy_pj;
+      fault_repair_pj_ += fault::kRepairEnergyPj;
       ++fault_summary_.recovered;
       mark_degraded();
       break;
@@ -737,7 +735,7 @@ void Cluster::apply_fault(const fault::FaultEvent& ev) {
       assert(act.target.has_value());
       ++fault_summary_.recovered;
       ++fault_summary_.bank_gate_events;
-      fault_repair_pj_ += cfg_.fault.repair_energy_pj;
+      fault_repair_pj_ += fault::kRepairEnergyPj;
       mark_degraded();
       drain_target_ = act.target;
       drain_begin_ = now_;
@@ -747,7 +745,7 @@ void Cluster::apply_fault(const fault::FaultEvent& ev) {
       std::string note;
       if (stacked_->fail_vault(act.unit, now_, &note)) {
         ++fault_summary_.recovered;
-        fault_repair_pj_ += cfg_.fault.repair_energy_pj;
+        fault_repair_pj_ += fault::kRepairEnergyPj;
         mark_degraded();
         if (trace_ != nullptr) {
           trace_->instant("vault_fail", trk_dram_, now_, "vault", act.unit);
@@ -851,7 +849,7 @@ void Cluster::thermal_boundary() {
   thermal_sample_interval();
   if (!draining()) {
     const thermal::GovernorDecision d = governor_->decide(thermal_->peak_c());
-    if (d.reconfigure.has_value() && reconfig_ != nullptr &&
+    if (d.reconfigure.has_value() && mot_ != nullptr &&
         !(*d.reconfigure == mot_->state())) {
       drain_target_ = d.reconfigure;
       drain_begin_ = now_;

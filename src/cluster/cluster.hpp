@@ -21,7 +21,6 @@
 #include "common/types.hpp"
 #include "core/mot_interconnect.hpp"
 #include "core/power_state.hpp"
-#include "core/reconfig.hpp"
 #include "cpu/barrier.hpp"
 #include "cpu/core.hpp"
 #include "dram3d/stacked_dram.hpp"
@@ -69,7 +68,6 @@ struct ClusterConfig {
   // -- architecture (Table I) --
   std::size_t total_cores = 16;
   std::size_t total_banks = 32;
-  cpu::CoreConfig core;                 ///< L1 geometry etc.
   mem::L2Config l2;                     ///< timing/energy filled from CACTI-lite
   mem::DramPreset dram_preset = mem::DramPreset::kDdr3_200ns;
   mem::DramConfig dram;                 ///< latency overridden by the preset
@@ -83,14 +81,12 @@ struct ClusterConfig {
   // -- interconnect --
   Fabric fabric = Fabric::kMot;
   core::PowerState power_state = core::PowerState::full();
-  noc::NocConfig noc;                   ///< for the packet-switched baselines
 
   // -- physical / power models --
   phys::TechnologyParams tech = phys::default_technology();
   phys::FloorplanParams floorplan;
   cacti::SramBankConfig l2_bank_sram;
   power::CorePowerParams core_power;
-  power::RouterPowerParams router_power;
 
   // -- workload --
   workload::AppProfile app;
@@ -112,7 +108,6 @@ struct ClusterConfig {
 
   // -- simulation --
   SchedulerMode scheduler = SchedulerMode::kEventDriven;
-  Cycle max_cycles = 200'000'000;       ///< runaway guard
   /// Pre-load each core's L1I with the app's code footprint.  Scaled-down
   /// traces over-weight cold-start instruction misses; the paper's numbers
   /// are steady-state over full SPLASH-2 runs.
@@ -222,8 +217,6 @@ class Cluster final : private mem::ReadSink {
   core::MotInterconnect* mot() { return mot_; }
   mem::L2System& l2() { return *l2_; }
   mem::MemoryBackend& dram() { return *dram_; }
-  dram3d::StackedDram* stacked_dram() { return stacked_; }
-  const ClusterConfig& config() const { return cfg_; }
 
   /// Snapshot results so far: after run() (which calls this at
   /// completion) or step(), when every core's counters are caught up.
@@ -231,7 +224,7 @@ class Cluster final : private mem::ReadSink {
 
  private:
   /// One iteration of the run loop, the whole body of run() and step():
-  /// the max-cycles guard, poll(), the failed-run exit, then (event mode)
+  /// the livelock guard (kMaxCycles), poll(), the failed-run exit, then (event mode)
   /// a jump to the next event, but no further than `limit`, when nothing
   /// can happen this cycle, else one tick.  Returns false once an
   /// unrecoverable fault failed the run.
@@ -381,10 +374,29 @@ class Cluster final : private mem::ReadSink {
   /// diagnostics (syncs the cores first).
   std::string progress_dump();
 
-  ClusterConfig cfg_;
+  // -- what every loop iteration reads, declared ahead of cfg_ so that a
+  //    config edit never moves it --
+
   /// The scheduler, fixed at construction: event mode ticks only the due
   /// cores and jumps over cycles in which nothing can happen.
   const bool event_driven_;
+  bool cores_frozen_ = false;   ///< clock-held (governor or drain)
+  bool governor_hold_ = false;  ///< governor demands held cores
+  bool run_failed_ = false;     ///< unrecoverable topology
+  bool obs_hist_ = false;       ///< record latency histograms this run
+  Cycle now_ = 0;
+  Cycle frozen_until_ = 0;      ///< reprogramming delay after apply
+  // Subsystem boundaries; kNeverCycle while the subsystem is off.
+  Cycle next_thermal_cycle_ = kNeverCycle;
+  Cycle next_metrics_cycle_ = kNeverCycle;
+  Cycle next_fault_cycle_ = kNeverCycle;     ///< next schedule entry's cycle
+  Cycle next_watchdog_cycle_ = kNeverCycle;  ///< watchdog_->next_check_cycle()
+  std::optional<core::PowerState> drain_target_;  ///< reconfiguration drain
+  /// A thermal vault swap waiting for the same drain (never set together
+  /// with drain_target_: the governor and the remap policy defer to an
+  /// in-flight drain and re-decide at a later boundary).
+  std::optional<dram3d::VaultSwap> pending_vault_swap_;
+
   std::unique_ptr<mem::MemoryBackend> dram_;
   dram3d::StackedDram* stacked_ = nullptr;  ///< non-null iff cfg_.stacked_dram
   std::unique_ptr<mem::L2System> l2_;
@@ -392,17 +404,18 @@ class Cluster final : private mem::ReadSink {
   std::unique_ptr<Interconnect> interconnect_;
   core::MotInterconnect* mot_ = nullptr;  ///< non-null when fabric == kMot
   noc::NocNetwork* noc_ = nullptr;        ///< non-null for packet fabrics
-  std::unique_ptr<core::MotTimingModel> mot_timing_;
-  cpu::BarrierController barriers_;
-  std::unique_ptr<workload::Workload> workload_;
-  std::vector<std::unique_ptr<workload::SyntheticTrace>> traces_;
+  /// Trace sink: unbounded under cfg_.obs.trace, else a bounded
+  /// flight-recorder ring on fault runs (which always carry a watchdog);
+  /// never for timeout-only watchdogs — the perf guardrail uses those.
+  /// shared_ptr because the const collect_result() hands it to SimResult.
+  std::shared_ptr<obs::TraceBuffer> trace_;
+  std::unique_ptr<obs::PhaseTimer> phase_timer_;
+
   /// Active cores live contiguously in thread order (the order every
   /// per-core loop and FP accumulation uses), so the per-cycle core sweep
   /// walks a flat arena instead of chasing per-core heap allocations.
   std::vector<cpu::Core> core_arena_;
   std::vector<cpu::Core*> cores_;  ///< by CoreId into the arena; null if gated
-  std::vector<CoreId> active_cores_;
-
   // Per-core work sets by arena slot, kept under both schedulers.
   IndexSet injecting_;  ///< a demand request waits for a fabric slot
   IndexSet acking_;     ///< coherence acknowledgements queued
@@ -415,35 +428,29 @@ class Cluster final : private mem::ReadSink {
   std::vector<std::pair<Cycle, std::uint32_t>> timed_wakes_;
   /// Slot i's counters are accounted for every cycle before synced_[i].
   std::vector<Cycle> synced_;
-
-  Cycle now_ = 0;
   Histogram l2_latency_{1, 256};
   Histogram l2_hit_latency_{1, 256};
+
+  // -- configuration and per-run setup --
+  ClusterConfig cfg_;
+  std::unique_ptr<core::MotTimingModel> mot_timing_;
+  cpu::BarrierController barriers_;
+  std::unique_ptr<workload::Workload> workload_;
+  std::vector<std::unique_ptr<workload::SyntheticTrace>> traces_;
+  std::vector<CoreId> active_cores_;
 
   // -- thermal subsystem state (engaged only when cfg_.thermal.enabled) --
   std::unique_ptr<thermal::ThermalModel> thermal_;
   std::unique_ptr<thermal::ThermalGovernor> governor_;
-  /// MoT fabric only; constructed for thermal *or* fault runs — both the
-  /// governor and the degradation path gate banks through it.
-  std::unique_ptr<core::ReconfigManager> reconfig_;
   power::EnergyLedger thermal_prev_snap_;   ///< ledger at the last boundary
   std::vector<std::uint64_t> prev_core_instr_, prev_core_spin_, prev_core_l1_;
   std::vector<std::uint64_t> prev_bank_accesses_;
-  Cycle next_thermal_cycle_ = kNeverCycle;
   Cycle last_thermal_cycle_ = 0;
-  std::optional<core::PowerState> drain_target_;  ///< reconfiguration drain
-  /// A thermal vault swap waiting for the same drain (never set together
-  /// with drain_target_: the governor and the remap policy defer to an
-  /// in-flight drain and re-decide at a later boundary).
-  std::optional<dram3d::VaultSwap> pending_vault_swap_;
   std::unique_ptr<dram3d::VaultRemapPolicy> vault_remap_;
   std::vector<double> vault_temp_c_;        ///< per-physical-vault, last sample
   std::vector<double> prev_vault_energy_;   ///< per-vault pJ at last boundary
   double peak_vault_c_ = 0.0;
   std::size_t peak_vault_ = 0;
-  bool governor_hold_ = false;              ///< governor demands held cores
-  Cycle frozen_until_ = 0;                  ///< reprogramming delay after apply
-  bool cores_frozen_ = false;
   Cycle freeze_begin_ = 0;
   std::uint64_t throttled_cycles_ = 0;
   std::uint64_t frozen_at_last_sample_ = 0;  ///< clock-tree gating bookkeeping
@@ -454,32 +461,21 @@ class Cluster final : private mem::ReadSink {
   std::unique_ptr<fault::FaultSchedule> fault_sched_;
   std::unique_ptr<fault::DegradationManager> degrade_;
   std::size_t fault_event_idx_ = 0;         ///< next schedule entry to fire
-  Cycle next_fault_cycle_ = kNeverCycle;    ///< its cycle
   std::deque<fault::FaultEvent> deferred_faults_;  ///< queued behind a drain
   fault::FaultSummary fault_summary_;
   std::uint64_t drop_invalidates_remaining_ = 0;  ///< directed-test wedge
   Cycle first_degraded_cycle_ = kNeverCycle;
-  bool run_failed_ = false;                 ///< unrecoverable topology
   std::string fail_reason_;
   double fault_repair_pj_ = 0.0;            ///< repair actions (ledger: icn)
 
   // -- watchdog (engaged when cfg_.watchdog.enabled or faults are on) --
   std::unique_ptr<fault::Watchdog> watchdog_;
-  Cycle next_watchdog_cycle_ = kNeverCycle;  ///< watchdog_->next_check_cycle()
 
   // -- observability state (engaged only via cfg_.obs; see src/obs/) --
-  /// Trace sink: unbounded under cfg_.obs.trace, else a bounded
-  /// flight-recorder ring on fault runs (which always carry a watchdog);
-  /// never for timeout-only watchdogs — the perf guardrail uses those.
-  /// shared_ptr because the const collect_result() hands it to SimResult.
-  std::shared_ptr<obs::TraceBuffer> trace_;
   std::shared_ptr<obs::MetricsRegistry> metrics_;
-  std::unique_ptr<obs::PhaseTimer> phase_timer_;
   power::EnergyLedger obs_ledger_;  ///< refreshed by a prepare hook per sample
   obs::LatencyHistogram obs_l2_rt_, obs_inv_rt_, obs_dram_;
   std::vector<obs::LatencyHistogram> obs_vault_;  ///< stacked runs only
-  bool obs_hist_ = false;           ///< record latency histograms this run
-  Cycle next_metrics_cycle_ = kNeverCycle;
   Cycle drain_begin_ = 0;           ///< start cycle of the pending drain
   std::uint32_t trk_governor_ = 0, trk_fabric_ = 0, trk_fault_ = 0;
   std::uint32_t trk_core_base_ = 0, trk_bank_base_ = 0;

@@ -42,14 +42,15 @@
 
 namespace mot3d::coherence {
 
+/// Energy of one directory slice consult (lookup + state update), pJ — a
+/// narrow tag/bitvector array next to the 64 KB data bank.  Charged to the
+/// L2 component of the EnergyLedger.
+inline constexpr double kDirAccessEnergyPj = 2.0;
+
 struct CoherenceConfig {
   std::size_t total_cores = 16;
   std::size_t total_banks = 32;
   std::size_t line_bytes = 32;
-  /// Energy of one directory slice consult (lookup + state update), pJ —
-  /// a narrow tag/bitvector array next to the 64 KB data bank.  Charged to
-  /// the L2 component of the EnergyLedger.
-  double dir_access_energy_pj = 2.0;
 };
 
 /// Run-wide coherence counters (surfaced in the canonical metrics JSON).
@@ -100,7 +101,6 @@ class CoherenceDirectory {
   std::size_t slice_entries(BankId b) const { return slices_[b].size; }
 
   const CoherenceStats& stats() const { return stats_; }
-  const CoherenceConfig& config() const { return cfg_; }
 
   /// Registers the protocol counters under `prefix` (e.g. "coherence").
   void register_metrics(obs::MetricsRegistry& m,

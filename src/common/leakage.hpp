@@ -1,5 +1,5 @@
 // Temperature dependence of sub-threshold leakage: the one law the thermal
-// subsystem's leakage-feedback fixed point applies (ThermalConfig::leakage).
+// subsystem's leakage-feedback fixed point applies.
 //
 // Sub-threshold leakage grows exponentially with junction temperature; over
 // the 40-110 °C range a single e-folding constant fits both BSIM curves and
@@ -14,16 +14,16 @@
 
 namespace mot3d {
 
-/// Exponential leakage-vs-temperature law: scale = exp((T - Tref) / T0).
-struct LeakageTempParams {
-  double ref_temp_c = 45.0;  ///< temperature the datasheet leakage is quoted at
-  double efold_c = 25.0;     ///< e-folding constant (leakage doubles per ~17 °C)
-};
+/// Temperature the datasheet leakage is quoted at, °C.
+inline constexpr double kLeakageRefTempC = 45.0;
+/// E-folding constant of the law, °C (leakage doubles per ~17 °C).
+inline constexpr double kLeakageEfoldC = 25.0;
 
-/// Multiplier on reference leakage at junction temperature `temp_c`.
-/// Equal to 1 at the reference temperature; monotone increasing in `temp_c`.
-inline double leakage_temp_scale(double temp_c, const LeakageTempParams& p = {}) {
-  return std::exp((temp_c - p.ref_temp_c) / p.efold_c);
+/// Multiplier on reference leakage at junction temperature `temp_c`:
+/// exp((T - Tref) / T0).  Equal to 1 at kLeakageRefTempC; monotone
+/// increasing in `temp_c`.
+inline double leakage_temp_scale(double temp_c) {
+  return std::exp((temp_c - kLeakageRefTempC) / kLeakageEfoldC);
 }
 
 }  // namespace mot3d

@@ -22,7 +22,6 @@ class TextTable {
   /// Render with column widths fitted to content.
   void print(std::ostream& os) const;
 
-  const std::string& title() const { return title_; }
   std::size_t num_rows() const { return rows_.size(); }
 
  private:

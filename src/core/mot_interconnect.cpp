@@ -144,8 +144,8 @@ void MotInterconnect::tick(Cycle now) {
     bank_free_at_[b] = now + cfg_.bank_hold_cycles + bank_fault_penalty_[b];
     if (bank_fault_penalty_[b] > 0) {
       // Degraded TSV column: the circuit establishment needs retry pulses.
-      dynamic_energy_pj_ += fault_retry_pj_per_grant_;
-      fault_retry_pj_ += fault_retry_pj_per_grant_;
+      dynamic_energy_pj_ += kFaultRetryEnergyPj;
+      fault_retry_pj_ += kFaultRetryEnergyPj;
     }
     MemRequest delivered = s.req;
     delivered.bank = b;  // physical

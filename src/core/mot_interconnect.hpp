@@ -53,8 +53,8 @@ class MotInterconnect final : public Interconnect {
   double leakage_mw() const override { return timing_.leakage_mw(state_); }
 
   /// Reprogram every switch for `state` (the ctr_0/ctr_1 distribution of
-  /// Fig. 3); instantaneous — drain + flush sequencing is the
-  /// ReconfigManager's job.
+  /// Fig. 3); instantaneous — drain + flush sequencing is
+  /// core::reconfigure's job.
   void configure(const PowerState& state);
 
   const PowerState& state() const { return state_; }
@@ -63,12 +63,15 @@ class MotInterconnect final : public Interconnect {
   /// Physical bank the current switch configuration sends `logical` to.
   BankId route(BankId logical) const;
 
+  /// Per-grant retry energy of a degraded bank channel, pJ (the marginal
+  /// via needs a stronger drive/retry pulse each circuit establishment).
+  static constexpr double kFaultRetryEnergyPj = 0.5;
+
   /// Fault injection: a marginal TSV via on bank `b`'s column.  Every
   /// grant to the bank holds the circuit `cycles` longer (degraded-latency
-  /// mode) and pays the per-grant retry energy.  Cumulative and permanent
-  /// — reconfiguration does not heal silicon.
+  /// mode) and pays kFaultRetryEnergyPj.  Cumulative and permanent —
+  /// reconfiguration does not heal silicon.
   void add_bank_fault_penalty(BankId b, unsigned cycles);
-  void set_fault_retry_energy_pj(double pj) { fault_retry_pj_per_grant_ = pj; }
 
   /// Retry energy charged so far to degraded-bank grants (already included
   /// in dynamic_energy_pj(); broken out for the fault report).
@@ -119,7 +122,6 @@ class MotInterconnect final : public Interconnect {
   std::array<double, 2> response_pj_{};
   double dynamic_energy_pj_ = 0.0;
   double fault_retry_pj_ = 0.0;
-  double fault_retry_pj_per_grant_ = 0.0;
 };
 
 }  // namespace mot3d::core

@@ -36,7 +36,6 @@ namespace mot3d::core {
 struct MotBusConfig {
   std::size_t addr_bits = 32;
   std::size_t ctl_bits = 8;
-  std::size_t data_bits = 64;   ///< per-beat datapath width
   std::size_t line_bytes = 32;  ///< cache-line transfer granule
 
   std::size_t request_header_bits() const { return addr_bits + ctl_bits; }
@@ -88,7 +87,6 @@ class MotTimingModel {
   /// the paper explicitly power-gates), summed over all bus bits.
   std::size_t powered_repeaters(const PowerState& state) const;
 
-  const phys::ClusterGeometry& geometry() const { return geometry_; }
   const phys::WireModel& wire() const { return wire_; }
   const MotBusConfig& bus() const { return bus_; }
   unsigned bank_access_cycles() const { return bank_cycles_; }

@@ -6,11 +6,13 @@
 // that does not belong to cache banks any more will be removed by the
 // cache replacement policy."
 //
-// The manager performs exactly that protocol: with the cores quiesced it
-// (1) flushes the dirty lines of every bank about to be gated, posting the
-// write-backs to the memory backend, (2) reprograms the ctr signals
-// of every routing switch, (3) updates the L2 powered-bank mask.  Stale
-// lines in surviving banks are left to die by replacement, as in the paper.
+// core::reconfigure performs exactly that protocol: with the cores quiesced
+// it (1) flushes the dirty lines of every bank about to be gated, posting
+// the write-backs to the memory backend, (2) reprograms the ctr signals of
+// every routing switch, (3) updates the L2 powered-bank mask, and (4)
+// re-slices the coherence directory, if any, onto the surviving banks.
+// Stale lines in surviving banks are left to die by replacement, as in the
+// paper.
 #pragma once
 
 #include <cstdint>
@@ -36,32 +38,17 @@ struct ReconfigCost {
   /// coherence directory).  L1 contents are not flushed by a bank-gating
   /// transition, so the sharer/owner state must follow the remap.
   std::uint64_t dir_entries_migrated = 0;
-
-  Cycle total_cycles() const { return flush_cycles + reprogram_cycles; }
 };
 
-class ReconfigManager {
- public:
-  ReconfigManager(MotInterconnect& interconnect, mem::L2System& l2,
-                  mem::MemoryBackend& dram)
-      : interconnect_(interconnect), l2_(l2), dram_(dram) {}
-
-  /// Transition to `next` at time `now`.  Preconditions: the cores are
-  /// quiesced (no request in flight through the interconnect) — asserted
-  /// via Interconnect::idle().  Throws std::invalid_argument (a clear
-  /// error, not an assert) if `next` would leave zero active banks — a
-  /// request the fault-degradation path can generate.
-  ReconfigCost apply(const PowerState& next, Cycle now);
-
-  /// Coherence directory to migrate alongside the bank remap (optional;
-  /// null when the run has no sharing workload).
-  void set_directory(coherence::CoherenceDirectory* dir) { dir_ = dir; }
-
- private:
-  MotInterconnect& interconnect_;
-  mem::L2System& l2_;
-  mem::MemoryBackend& dram_;
-  coherence::CoherenceDirectory* dir_ = nullptr;
-};
+/// Transition `mot`, `l2` and (when non-null) `dir` to `next` at time
+/// `now`, posting the gated banks' dirty lines to `dram`.  Precondition:
+/// the cores are quiesced (no request in flight through the interconnect)
+/// — asserted via Interconnect::idle().  Throws std::invalid_argument (a
+/// clear error, not an assert) if `next` would leave zero active banks — a
+/// request the fault-degradation path can generate.
+ReconfigCost reconfigure(MotInterconnect& mot, mem::L2System& l2,
+                         mem::MemoryBackend& dram,
+                         coherence::CoherenceDirectory* dir,
+                         const PowerState& next, Cycle now);
 
 }  // namespace mot3d::core

@@ -35,9 +35,6 @@ class RoutingSwitch {
   void set_mode(RouteMode m) { mode_ = m; }
   RouteMode mode() const { return mode_; }
 
-  /// Which bank-index bit the conventional decode examines.
-  unsigned addr_bit() const { return addr_bit_; }
-
   /// Route a packet destined for logical bank `bank_index`.
   /// Returns the output port (0 or 1), or nullopt if the switch is gated.
   std::optional<unsigned> route(BankId bank_index) const {

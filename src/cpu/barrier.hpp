@@ -19,7 +19,6 @@ class BarrierController {
       : participants_(participants) {}
 
   void set_participants(std::size_t n) { participants_ = n; }
-  std::size_t participants() const { return participants_; }
 
   /// Register one participant's arrival at barrier `id` in cycle `now`.
   void arrive(std::uint32_t id, Cycle now) {

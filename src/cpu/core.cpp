@@ -113,7 +113,8 @@ const char* Core::state_name() const {
 void Core::process_next_record(Cycle now) {
   // Instruction-cache hits are overlapped with execution (zero cost), so we
   // may chain through a bounded number of them within one cycle.
-  for (unsigned chained = 0; chained <= cfg_.max_zero_cost_records; ++chained) {
+  constexpr unsigned kMaxZeroCostRecords = 4;
+  for (unsigned chained = 0; chained <= kMaxZeroCostRecords; ++chained) {
     const TraceRecord r = trace_->next();
     switch (r.kind) {
       case TraceKind::kEnd:

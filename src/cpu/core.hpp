@@ -32,7 +32,6 @@ struct CoreConfig {
                        .associativity = 4,
                        .index_shift = 0};
   std::size_t l2_banks = 32;       ///< logical bank count for bank hashing
-  unsigned max_zero_cost_records = 4;  ///< ifetch-hit chaining bound per cycle
 };
 
 struct CoreStats {

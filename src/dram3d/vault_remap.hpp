@@ -19,9 +19,6 @@ struct VaultRemapConfig {
   double too_hot_c = 70.0;     ///< a vault above this is a swap candidate
   double min_delta_c = 3.0;    ///< hysteresis: hot-cool spread must exceed
   Cycle cooldown_cycles = 30'000;  ///< minimum spacing between swaps
-  /// Cores stay clock-held this long after a swap while the logical
-  /// address map migrates (charged like a reconfig reprogram delay).
-  Cycle migrate_freeze_cycles = 500;
 };
 
 /// An accepted decision: exchange the traffic of two physical vaults.
@@ -32,6 +29,10 @@ struct VaultSwap {
 
 class VaultRemapPolicy {
  public:
+  /// Cores stay clock-held this long after a swap while the logical
+  /// address map migrates (charged like a reconfig reprogram delay).
+  static constexpr Cycle kMigrateFreezeCycles = 500;
+
   explicit VaultRemapPolicy(const VaultRemapConfig& cfg) : cfg_(cfg) {}
 
   /// Evaluate one thermal sample: `temps[v]` is the current temperature of
@@ -40,8 +41,6 @@ class VaultRemapPolicy {
   /// alive vault clears the hysteresis band, and the cooldown has elapsed.
   std::optional<VaultSwap> decide(const std::vector<double>& temps,
                                   const std::vector<bool>& alive, Cycle now);
-
-  const VaultRemapConfig& config() const { return cfg_; }
 
  private:
   VaultRemapConfig cfg_;

@@ -20,11 +20,10 @@ std::optional<core::PowerState> DegradationManager::gate_target(
 }
 
 DegradeAction DegradationManager::react(const FaultEvent& ev,
-                                        const core::PowerState& current,
-                                        unsigned default_penalty_cycles) const {
+                                        const core::PowerState& current) const {
   DegradeAction act;
   act.unit = ev.target;
-  act.penalty_cycles = ev.magnitude != 0 ? ev.magnitude : default_penalty_cycles;
+  act.penalty_cycles = ev.magnitude != 0 ? ev.magnitude : kDefaultPenaltyCycles;
 
   switch (ev.kind) {
     case FaultKind::kTsvDegrade:

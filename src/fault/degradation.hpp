@@ -1,6 +1,6 @@
 // Graceful-degradation policy: maps an injected fault to the reaction the
 // cluster executes through its existing machinery (bank-gating drains via
-// ReconfigManager, MoT grant penalties, NoC router throttles) or to a
+// core::reconfigure, MoT grant penalties, NoC router throttles) or to a
 // structured unrecoverable verdict.
 //
 // The state machine (see DESIGN.md):
@@ -50,15 +50,17 @@ struct DegradeAction {
 
 class DegradationManager {
  public:
+  /// Extra circuit-hold / serialisation cycles of a degraded unit when the
+  /// event's magnitude is zero.
+  static constexpr unsigned kDefaultPenaltyCycles = 2;
+
   /// `num_vaults` > 0 enables the stacked-DRAM vault remap path; 0 means
   /// the constant-latency backend, for which a vault fault is fatal.
   /// Gating never goes below Table I's MB8 (core::kMinGatedBanks).
   explicit DegradationManager(bool mot_fabric, std::size_t num_vaults = 0);
 
   /// Decide the reaction to `ev` given the fabric's current power state.
-  /// `default_penalty_cycles` substitutes for a zero event magnitude.
-  DegradeAction react(const FaultEvent& ev, const core::PowerState& current,
-                      unsigned default_penalty_cycles) const;
+  DegradeAction react(const FaultEvent& ev, const core::PowerState& current) const;
 
   /// Smallest centre-fold state (halving active banks, cores unchanged)
   /// that excludes `faulted`, or nullopt if the bank sits inside the

@@ -37,12 +37,12 @@ FaultSchedule::FaultSchedule(const FaultConfig& cfg, bool mot_fabric,
   // All randomness happens here, in a fixed draw order, from one seeded
   // SplitMix64 stream: the trace is a pure function of the config.
   Rng rng(cfg.seed);
-  const std::uint64_t n_degrade = expected_events(cfg.tsv_fault_rate, cfg.horizon_cycles);
-  const std::uint64_t n_hard = expected_events(cfg.bank_fault_rate, cfg.horizon_cycles);
+  const std::uint64_t n_degrade = expected_events(cfg.tsv_fault_rate, kFaultHorizonCycles);
+  const std::uint64_t n_hard = expected_events(cfg.bank_fault_rate, kFaultHorizonCycles);
 
   for (std::uint64_t i = 0; i < n_degrade; ++i) {
     FaultEvent ev;
-    ev.cycle = 1 + rng.next_below(cfg.horizon_cycles);
+    ev.cycle = 1 + rng.next_below(kFaultHorizonCycles);
     if (mot_fabric || num_routers == 0) {
       ev.kind = FaultKind::kTsvDegrade;
       ev.target = static_cast<std::uint32_t>(rng.next_below(total_banks));
@@ -55,7 +55,7 @@ FaultSchedule::FaultSchedule(const FaultConfig& cfg, bool mot_fabric,
 
   for (std::uint64_t i = 0; i < n_hard; ++i) {
     FaultEvent ev;
-    ev.cycle = 1 + rng.next_below(cfg.horizon_cycles);
+    ev.cycle = 1 + rng.next_below(kFaultHorizonCycles);
     ev.target = static_cast<std::uint32_t>(rng.next_below(total_banks));
     // On the MoT, alternate between the two hard-fault flavours (a dead
     // TSV column and a dead bank array reach the same gating path but are

@@ -13,7 +13,7 @@
 //                   every grant pays extra circuit-hold cycles (degraded-
 //                   latency mode) plus a retry-energy charge.
 //   kTsvFail        MoT: the TSV column is dead — the bank is unreachable
-//                   and must be gated out via the ReconfigManager.
+//                   and must be gated out via core::reconfigure.
 //   kBankFail       an L2 bank hard-faults.  The MoT gates around it
 //                   (drain, flush, directory migration, remap); the
 //                   packet-switched baselines have no reconfiguration
@@ -55,9 +55,19 @@ enum class FaultKind {
 
 const char* fault_kind_name(FaultKind k);
 
+/// Injection horizon: generated fault cycles are uniform in
+/// [1, kFaultHorizonCycles]; events past the run's end never fire.
+inline constexpr Cycle kFaultHorizonCycles = 20'000;
+
+/// One-off control/repair action cost (drain sequencing, ctr reprogram
+/// masking, spare-resource switch) charged to the interconnect ledger per
+/// applied degradation action, pJ.
+inline constexpr double kRepairEnergyPj = 50.0;
+
 /// One timed fault.  `target` is a physical bank id (MoT/bank faults) or a
 /// router id (NoC faults); `magnitude` is the degrade penalty in cycles
-/// (0 = the configured default) or the drop count for kDropInvalidate.
+/// (0 = DegradationManager::kDefaultPenaltyCycles) or the drop count for
+/// kDropInvalidate.
 struct FaultEvent {
   Cycle cycle = 0;
   FaultKind kind = FaultKind::kTsvDegrade;
@@ -87,18 +97,6 @@ struct FaultConfig {
   double tsv_fault_rate = 0.0;
   double bank_fault_rate = 0.0;
   std::uint64_t seed = 7;
-  /// Injection horizon: generated fault cycles are uniform in
-  /// [1, horizon_cycles]; events past the run's end never fire.
-  Cycle horizon_cycles = 20'000;
-  /// Default extra circuit-hold / serialisation cycles of a degraded unit.
-  unsigned degrade_penalty_cycles = 2;
-  /// One-off control/repair action cost (drain sequencing, ctr reprogram
-  /// masking, spare-resource switch) charged to the interconnect ledger
-  /// per applied degradation action.
-  double repair_energy_pj = 50.0;
-  /// Per-grant retry energy of a degraded MoT bank channel (the marginal
-  /// via needs a stronger drive/retry pulse each circuit establishment).
-  double retry_energy_pj = 0.5;
 
   static FaultConfig from_envelope(const FaultEnvelope& env) {
     FaultConfig cfg;

@@ -132,7 +132,7 @@ bool Cache::line_shared(Addr addr) const {
 
 std::vector<Addr> Cache::flush() {
   // Set order, then way order, whatever order the sets were touched in:
-  // ReconfigManager posts the write-backs to DRAM in this order.
+  // core::reconfigure posts the write-backs to DRAM in this order.
   std::vector<Addr> dirty;
   for (std::size_t set = 0; set < set_slot_.size(); ++set) {
     Way* ways = set_ways(set);

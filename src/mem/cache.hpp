@@ -115,7 +115,6 @@ class Cache {
   std::size_t dirty_lines() const;
 
   const CacheStats& stats() const { return stats_; }
-  const CacheConfig& config() const { return cfg_; }
 
  private:
   struct Way {

@@ -37,7 +37,7 @@ void L2System::deliver(const MemRequest& req, Cycle now) {
   if (dir_ != nullptr &&
       (req.kind == ReqKind::kInvAck || req.kind == ReqKind::kDataForward)) {
     dir_->on_ack(req);
-    stats_.dynamic_energy_pj += dir_->config().dir_access_energy_pj;
+    stats_.dynamic_energy_pj += coherence::kDirAccessEnergyPj;
     Bank& bank = banks_[req.bank];
     assert(bank.coh_pending.has_value() && bank.coh_pending->acks_remaining > 0 &&
            "ack without a stalled transaction");
@@ -174,7 +174,7 @@ void L2System::tick(Cycle now) {
 
       if (dir_ != nullptr) {
         const coherence::DirOutcome d = dir_->on_request(pa.req, b);
-        stats_.dynamic_energy_pj += dir_->config().dir_access_energy_pj;
+        stats_.dynamic_energy_pj += coherence::kDirAccessEnergyPj;
         if (!d.invalidate.empty()) {
           // Invalidations ride the response network to the sharers; the
           // transaction parks at the bank head until every ack is back.

@@ -41,7 +41,6 @@ struct DramConfig {
   std::size_t page_bytes = 4096;      ///< Table I page size
   bool open_page_policy = false;      ///< row-hit shortcut (off: fixed)
   double row_hit_fraction_saved = 0.35;
-  std::size_t capacity_bytes = 256ull * 1024 * 1024;  ///< 2 Gb
   double energy_per_access_pj = 8000.0;  ///< tracked, excluded from EDP
 };
 

@@ -45,7 +45,6 @@ struct TechnologyParams {
   double tsv_cap_ff = 35.0;
   double tsv_height_um = 40.0;
   double bump_pitch_x_um = 40.0;
-  double bump_pitch_y_um = 50.0;
   double tsv_energy_fj_per_bit = 17.5;  ///< 0.5 * C_tsv * Vdd^2
 };
 

@@ -2,10 +2,6 @@
 
 namespace mot3d::phys {
 
-double TsvModel::tsv_rc_ns() const {
-  return tech_.tsv_res_ohm * tech_.tsv_cap_ff * 1e-15 * 1e9;
-}
-
 double TsvModel::tsv_delay_ns() const {
   // 0.69 * (R_drv + R_tsv) * C_tsv: driver charging the TSV capacitance.
   const double r = tech_.repeater_res_ohm + tech_.tsv_res_ohm;

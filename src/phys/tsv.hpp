@@ -17,9 +17,6 @@ class TsvModel {
  public:
   explicit TsvModel(const TechnologyParams& tech) : tech_(tech) {}
 
-  /// RC product of a single TSV (lumped), in ns.
-  double tsv_rc_ns() const;
-
   /// Signal propagation delay through one TSV including its driver,
   /// in ns.  Dominated by the driver; TSVs are electrically short.
   double tsv_delay_ns() const;

@@ -19,7 +19,7 @@
 // back down the ladder only once the peak has cooled below
 // ceiling - kHysteresisC, so the controller cannot chatter across the
 // threshold.  The governor itself only decides — the cluster executes
-// (drain + core::ReconfigManager for bank gating, tick gating for holds)
+// (drain + core::reconfigure for bank gating, tick gating for holds)
 // at deterministic cycle boundaries, which keeps both schedulers
 // bit-identical.
 #pragma once

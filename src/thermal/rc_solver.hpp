@@ -37,15 +37,12 @@ class ThermalRcSolver {
   /// `ambient_c`.
   ThermalRcSolver(const ThermalFloorplan& flp, double ambient_c);
 
-  std::size_t node_count() const { return cap_.size(); }
-  double ambient_c() const { return ambient_c_; }
-
   /// Largest forward-Euler step that is stable for this network, seconds
   /// (min_i C_i / sum(G_i), before the safety factor).
   double stable_dt_s() const { return stable_dt_s_; }
 
   /// Advance the transient solution by `dt_s` seconds with per-tile heat
-  /// input `power_w` (W, size node_count()), internally subdividing into
+  /// input `power_w` (W, one per tile), internally subdividing into
   /// stability-bounded substeps.
   void step(const std::vector<double>& power_w, double dt_s);
 

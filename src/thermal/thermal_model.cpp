@@ -4,7 +4,24 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/leakage.hpp"
+
 namespace mot3d::thermal {
+
+namespace {
+
+/// Thermal seconds per simulated second (see the header comment).
+constexpr double kTimeScale = 2000.0;
+/// Leakage fixed-point convergence, °C.
+constexpr double kLeakageTolC = 1e-6;
+/// Temperature cap for leakage evaluation.  Above roughly 60-65 °C
+/// ambient this package's leakage loop gain exceeds one — genuine thermal
+/// runaway.  The exponential is evaluated at min(T, cap) so a runaway
+/// saturates to a finite (still obviously catastrophic) temperature
+/// instead of overflowing; the reported peaks expose it.
+constexpr double kLeakageClampC = 150.0;
+
+}  // namespace
 
 ThermalModel::ThermalModel(const ThermalConfig& cfg,
                            const phys::FloorplanParams& fp,
@@ -34,10 +51,8 @@ ThermalSources ThermalModel::make_sources() const {
 double ThermalModel::tile_leak_w(const ThermalSources& src, std::size_t i,
                                  double t_c) const {
   // The one exponential law, applied to the per-tile reference-temperature
-  // leakage.  The clamp keeps genuine thermal runaway finite (see
-  // ThermalConfig).
-  const double scale =
-      leakage_temp_scale(std::min(t_c, cfg_.leakage_clamp_c), cfg_.leakage);
+  // leakage.  The clamp keeps genuine thermal runaway finite.
+  const double scale = leakage_temp_scale(std::min(t_c, kLeakageClampC));
   return (src.core_leak_ref_w[i] + src.l2_leak_ref_w[i] + src.icn_leak_ref_w[i]) *
          scale;
 }
@@ -47,13 +62,12 @@ void ThermalModel::advance(const ThermalSources& src, Cycle cycles) {
   assert(src.dynamic_w.size() == n);
   if (cycles == 0) return;
 
-  if (cfg_.warm_start && !warmed_) {
+  if (!warmed_) {
     solver_.set_temperatures(steady_fixed_point(src, unconverged_solves_));
     warmed_ = true;
   }
 
-  const double dt_s =
-      static_cast<double>(cycles) * 1e-9 * cfg_.time_scale;
+  const double dt_s = static_cast<double>(cycles) * 1e-9 * kTimeScale;
   const std::vector<double> start = solver_.temperatures_c();
   std::vector<double> end_estimate = start;
   std::vector<double> power(n, 0.0);
@@ -70,7 +84,7 @@ void ThermalModel::advance(const ThermalSources& src, Cycle cycles) {
       max_delta = std::max(max_delta, std::abs(end[i] - end_estimate[i]));
     }
     end_estimate = end;
-    if (max_delta < cfg_.leakage_tol_c) break;
+    if (max_delta < kLeakageTolC) break;
   }
 
   // Static energy of the interval at the converged temperatures (the
@@ -79,8 +93,8 @@ void ThermalModel::advance(const ThermalSources& src, Cycle cycles) {
   const double cyc = static_cast<double>(cycles);
   double core_w = 0.0, l2_w = 0.0, icn_w = 0.0, ref_w = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double scale = leakage_temp_scale(
-        std::min(end_estimate[i], cfg_.leakage_clamp_c), cfg_.leakage);
+    const double scale =
+        leakage_temp_scale(std::min(end_estimate[i], kLeakageClampC));
     core_w += src.core_leak_ref_w[i] * scale;
     l2_w += src.l2_leak_ref_w[i] * scale;
     icn_w += src.icn_leak_ref_w[i] * scale;
@@ -122,7 +136,7 @@ std::vector<double> ThermalModel::steady_fixed_point(
       max_delta = std::max(max_delta, std::abs(next[i] - temps[i]));
     }
     temps = next;
-    if (max_delta < cfg_.leakage_tol_c) break;
+    if (max_delta < kLeakageTolC) break;
   }
   return temps;
 }

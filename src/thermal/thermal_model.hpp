@@ -15,17 +15,20 @@
 // delta the 3-D stack actually costs.
 //
 // Thermal time scale: RC time constants are milliseconds while scaled-down
-// traces simulate micro-seconds, so the thermal clock runs `time_scale`
-// times faster than simulated time (the synthetic traces stand in for
-// full-length SPLASH-2 runs; the stretch restores the thermal trajectory
-// of the full run).  Energy bookkeeping always uses *simulated* time —
-// only the RC dynamics are accelerated.
+// traces simulate micro-seconds, so the thermal clock runs kTimeScale
+// (thermal_model.cpp) times faster than simulated time (the synthetic
+// traces stand in for full-length SPLASH-2 runs; the stretch restores the
+// thermal trajectory of the full run).  Energy bookkeeping always uses
+// *simulated* time — only the RC dynamics are accelerated.
+//
+// The first interval warm-starts the tiles from the steady state of its
+// power (HotSpot's "-init steady" convention), so short runs report
+// meaningful temperatures instead of a cold start.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "common/leakage.hpp"
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
 #include "phys/geometry.hpp"
@@ -52,22 +55,7 @@ struct ThermalConfig {
   double ambient_c = 45.0;
   double ceiling_c = 80.0;       ///< governor throttling threshold
   Cycle sample_interval_cycles = 10'000;
-  /// Thermal seconds per simulated second (see header comment).
-  double time_scale = 2000.0;
-  /// Initialise tile temperatures from the steady state of the first
-  /// sampling interval's power (HotSpot's "-init steady" convention) so
-  /// short runs report meaningful temperatures instead of a cold start.
-  bool warm_start = true;
   std::size_t max_leakage_iters = 12;
-  double leakage_tol_c = 1e-6;   ///< fixed-point convergence, °C
-  /// Temperature cap for leakage evaluation.  Above roughly 60-65 °C
-  /// ambient this package's leakage loop gain exceeds one — genuine
-  /// thermal runaway.  The exponential is evaluated at min(T, clamp) so
-  /// a runaway saturates to a finite (still obviously catastrophic)
-  /// temperature instead of overflowing; the reported peaks expose it.
-  double leakage_clamp_c = 150.0;
-  /// The temperature law of the feedback loop.
-  LeakageTempParams leakage;
   ThermalStackParams stack;
 
   static ThermalConfig from_envelope(const ThermalEnvelope& env) {
@@ -123,7 +111,6 @@ class ThermalModel {
 
   const ThermalFloorplan& floorplan() const { return flp_; }
   const ThermalRcSolver& solver() const { return solver_; }
-  const ThermalConfig& config() const { return cfg_; }
 
   ThermalSources make_sources() const;
 

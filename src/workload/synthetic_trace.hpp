@@ -129,7 +129,6 @@ class Workload {
   /// independent generator over the same plan.
   std::unique_ptr<SyntheticTrace> make_trace(std::size_t thread) const;
 
-  std::size_t num_threads() const { return num_threads_; }
   const AppProfile& profile() const { return profile_; }
   const PhasePlan& plan() const { return plan_; }
 

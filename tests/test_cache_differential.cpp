@@ -233,10 +233,10 @@ TEST(CacheDirected, FlushReturnsExactlyTheDirtyLines) {
 }
 
 TEST(CacheDirected, FlushReturnsSetOrderThenWayOrder) {
-  // 8 sets x 4 ways; line(s, k) is the k-th line of set s.  ReconfigManager
-  // posts flushed lines to DRAM in the order flush() returns them, so the
-  // order is pinned: set order, then way order — not the order the sets
-  // or lines were filled in.
+  // 8 sets x 4 ways; line(s, k) is the k-th line of set s.
+  // core::reconfigure posts flushed lines to DRAM in the order flush()
+  // returns them, so the order is pinned: set order, then way order — not
+  // the order the sets or lines were filled in.
   const CacheConfig cfg{.capacity_bytes = 1024,
                         .line_bytes = 32,
                         .associativity = 4,

@@ -259,7 +259,7 @@ TEST(CoherenceCluster, SharingRunsWorkOnNocAndGatedMot) {
   EXPECT_GT(gated.coherence.data_forwards, 0u) << "migratory must forward dirty";
 }
 
-// Directory <-> bank-gating interaction through the full ReconfigManager
+// Directory <-> bank-gating interaction through the full core::reconfigure
 // protocol: drain, flush, ctr reprogram, directory re-slice.
 TEST(CoherenceCluster, ReconfigMigratesDirectoryOntoSurvivingBanks) {
   const phys::TechnologyParams tech = phys::default_technology();
@@ -273,8 +273,6 @@ TEST(CoherenceCluster, ReconfigMigratesDirectoryOntoSurvivingBanks) {
   mem::L2System l2(l2_cfg, dram);
   coherence::CoherenceDirectory dir(coherence::CoherenceConfig{});
   l2.attach_directory(&dir);
-  core::ReconfigManager mgr(mot, l2, dram);
-  mgr.set_directory(&dir);
 
   // Track lines covering every logical bank from two cores.
   for (BankId b = 0; b < 32; ++b) {
@@ -285,7 +283,8 @@ TEST(CoherenceCluster, ReconfigMigratesDirectoryOntoSurvivingBanks) {
   const std::size_t before = dir.occupancy();
   ASSERT_EQ(before, 64u);
 
-  const core::ReconfigCost cost = mgr.apply(core::PowerState::pc16_mb8(), 0);
+  const core::ReconfigCost cost =
+      core::reconfigure(mot, l2, dram, &dir, core::PowerState::pc16_mb8(), 0);
   EXPECT_GT(cost.dir_entries_migrated, 0u);
   EXPECT_EQ(dir.occupancy(), before);
   for (BankId b = 0; b < 32; ++b) {
@@ -294,7 +293,7 @@ TEST(CoherenceCluster, ReconfigMigratesDirectoryOntoSurvivingBanks) {
     }
   }
   // Round trip back to Full re-slices again without losing state.
-  (void)mgr.apply(core::PowerState::full(), 100);
+  (void)core::reconfigure(mot, l2, dram, &dir, core::PowerState::full(), 100);
   EXPECT_EQ(dir.occupancy(), before);
 }
 

@@ -41,7 +41,7 @@ TEST(FaultSchedule, SameSeedSameTraceEveryConstruction) {
   for (const FaultEvent& ev : a.events()) {
     EXPECT_GE(ev.cycle, prev);  // sorted
     EXPECT_GE(ev.cycle, 1u);
-    EXPECT_LE(ev.cycle, cfg.horizon_cycles);
+    EXPECT_LE(ev.cycle, kFaultHorizonCycles);
     EXPECT_LT(ev.target, 32u);
     prev = ev.cycle;
   }
@@ -109,34 +109,34 @@ TEST(DegradationManager, ReactMapsEveryFaultKind) {
   const DegradationManager mot(true);
   const core::PowerState full = core::PowerState::full();
 
-  DegradeAction act = mot.react({100, FaultKind::kTsvDegrade, 5, 0}, full, 2);
+  DegradeAction act = mot.react({100, FaultKind::kTsvDegrade, 5, 0}, full);
   EXPECT_EQ(act.kind, DegradeActionKind::kDegradeMotBank);
-  EXPECT_EQ(act.penalty_cycles, 2u);  // zero magnitude -> configured default
-  act = mot.react({100, FaultKind::kTsvDegrade, 5, 9}, full, 2);
+  EXPECT_EQ(act.penalty_cycles, 2u);  // zero magnitude -> the default penalty
+  act = mot.react({100, FaultKind::kTsvDegrade, 5, 9}, full);
   EXPECT_EQ(act.penalty_cycles, 9u);
 
-  act = mot.react({200, FaultKind::kBankFail, 0, 0}, full, 2);
+  act = mot.react({200, FaultKind::kBankFail, 0, 0}, full);
   EXPECT_EQ(act.kind, DegradeActionKind::kGateBanks);
   ASSERT_TRUE(act.target.has_value());
   EXPECT_EQ(act.target->name(), "PC16-MB16");
 
   // An already-gated bank hard-faulting is benign.
-  act = mot.react({200, FaultKind::kBankFail, 0, 0}, core::PowerState::pc16_mb8(), 2);
+  act = mot.react({200, FaultKind::kBankFail, 0, 0}, core::PowerState::pc16_mb8());
   EXPECT_EQ(act.kind, DegradeActionKind::kNone);
 
   // Inside the minimum centre group there is no gating escape.
-  act = mot.react({200, FaultKind::kTsvFail, 15, 0}, full, 2);
+  act = mot.react({200, FaultKind::kTsvFail, 15, 0}, full);
   EXPECT_EQ(act.kind, DegradeActionKind::kUnrecoverable);
   EXPECT_NE(act.note.find("minimum centre group"), std::string::npos);
 
   // Packet fabrics have no reconfiguration path at all.
   const DegradationManager mesh(false);
-  act = mesh.react({200, FaultKind::kBankFail, 0, 0}, full, 2);
+  act = mesh.react({200, FaultKind::kBankFail, 0, 0}, full);
   EXPECT_EQ(act.kind, DegradeActionKind::kUnrecoverable);
   EXPECT_NE(act.note.find("no reconfiguration path"), std::string::npos);
-  act = mesh.react({200, FaultKind::kRouterFail, 3, 0}, full, 2);
+  act = mesh.react({200, FaultKind::kRouterFail, 3, 0}, full);
   EXPECT_EQ(act.kind, DegradeActionKind::kUnrecoverable);
-  act = mesh.react({300, FaultKind::kLinkDegrade, 3, 0}, full, 2);
+  act = mesh.react({300, FaultKind::kLinkDegrade, 3, 0}, full);
   EXPECT_EQ(act.kind, DegradeActionKind::kThrottleRouter);
 }
 
@@ -305,14 +305,13 @@ TEST(DegradationManager, VaultFaultNeedsAStackedBackend) {
   // Constant-latency backend (num_vaults == 0): nothing to remap onto.
   const DegradationManager flat(true, /*num_vaults=*/0);
   DegradeAction act =
-      flat.react({100, FaultKind::kVaultFail, 3, 0}, core::PowerState::full(), 2);
+      flat.react({100, FaultKind::kVaultFail, 3, 0}, core::PowerState::full());
   EXPECT_EQ(act.kind, DegradeActionKind::kUnrecoverable);
   EXPECT_NE(act.note.find("no stacked-DRAM backend"), std::string::npos);
 
   // Stacked backend present: route to the vault remap machinery.
   const DegradationManager stacked(true, /*num_vaults=*/8);
-  act = stacked.react({100, FaultKind::kVaultFail, 3, 0},
-                      core::PowerState::full(), 2);
+  act = stacked.react({100, FaultKind::kVaultFail, 3, 0}, core::PowerState::full());
   EXPECT_EQ(act.kind, DegradeActionKind::kFailVault);
   EXPECT_EQ(act.unit, 3u);
 }

@@ -18,7 +18,8 @@
 namespace mot3d::core {
 namespace {
 
-/// A Full-state MoT, a 32-bank L2 and a ReconfigManager over `backend`.
+/// A Full-state MoT and a 32-bank L2 over `backend`, reconfigured through
+/// core::reconfigure.
 struct ReconfigRig {
   static mem::DramConfig dram_cfg() {
     mem::DramConfig c;
@@ -32,8 +33,7 @@ struct ReconfigRig {
         icn(model, PowerState::full()),
         backend_(std::move(backend)),
         dram(*backend_),
-        l2(l2_cfg(), dram),
-        mgr(icn, l2, dram) {
+        l2(l2_cfg(), dram) {
     dram.set_read_sink(&l2);
     l2.set_transport(&transport);
   }
@@ -42,6 +42,11 @@ struct ReconfigRig {
     c.total_banks = 32;
     c.bank_capacity_bytes = 64 * 1024;
     return c;
+  }
+
+  /// Transition the rig to `next` at `at` (no coherence directory).
+  ReconfigCost apply(const PowerState& next, Cycle at) {
+    return reconfigure(icn, l2, dram, nullptr, next, at);
   }
 
   /// Warm bank `b` with `n` dirty lines via direct delivery + DRAM drain.
@@ -73,7 +78,6 @@ struct ReconfigRig {
   mem::MemoryBackend& dram;
   mem::L2System l2;
   FakeTransport transport;
-  ReconfigManager mgr;
   Cycle now = 0;
 };
 
@@ -84,7 +88,7 @@ TEST_F(ReconfigTest, FlushWritesBackExactlyDirtyLines) {
   dirty_lines(15, 2);  // bank 15 survives (centre group 12..19)
   const std::uint64_t writes_before = dram.stats().writes;
 
-  const ReconfigCost cost = mgr.apply(PowerState::pc16_mb8(), now);
+  const ReconfigCost cost = apply(PowerState::pc16_mb8(), now);
   EXPECT_EQ(cost.dirty_lines_flushed, 3u);
   EXPECT_GT(cost.flush_cycles, 0u);
   EXPECT_GT(cost.flush_energy_pj, 0.0);
@@ -100,7 +104,7 @@ TEST_F(ReconfigTest, FlushWritesBackExactlyDirtyLines) {
 }
 
 TEST_F(ReconfigTest, AppliesMasksAndTiming) {
-  mgr.apply(PowerState::pc4_mb8(), 0);
+  apply(PowerState::pc4_mb8(), 0);
   EXPECT_EQ(l2.num_active_banks(), 8u);
   EXPECT_EQ(icn.state().name(), "PC4-MB8");
   EXPECT_EQ(icn.state_timing().l2_round_trip(), 7u);
@@ -130,23 +134,23 @@ TEST(ReconfigFlushCost, IsDirtyLinesTimesPerLineOccupancyOnBothBackends) {
     ReconfigRig rig(std::move(backend));
     rig.dirty_lines(0, 3);   // both banks lie outside PC16-MB8's
     rig.dirty_lines(31, 2);  // centre group 12..19
-    const ReconfigCost cost = rig.mgr.apply(PowerState::pc16_mb8(), rig.now);
+    const ReconfigCost cost = rig.apply(PowerState::pc16_mb8(), rig.now);
     EXPECT_EQ(cost.dirty_lines_flushed, 5u) << per_line;
     EXPECT_EQ(cost.flush_cycles, 5 * per_line);
   }
 }
 
 TEST_F(ReconfigTest, WakeUpCostsNoFlush) {
-  mgr.apply(PowerState::pc16_mb8(), 0);
-  const ReconfigCost cost = mgr.apply(PowerState::full(), 100);
+  apply(PowerState::pc16_mb8(), 0);
+  const ReconfigCost cost = apply(PowerState::full(), 100);
   EXPECT_EQ(cost.dirty_lines_flushed, 0u);  // turning banks ON flushes nothing
   EXPECT_EQ(l2.num_active_banks(), 32u);
   EXPECT_GT(cost.reprogram_cycles, 0u);
 }
 
 TEST_F(ReconfigTest, RoundTripPreservesOperation) {
-  mgr.apply(PowerState::pc4_mb8(), 0);
-  mgr.apply(PowerState::full(), 50);
+  apply(PowerState::pc4_mb8(), 0);
+  apply(PowerState::full(), 50);
   EXPECT_EQ(icn.route(0), 0u);  // conventional routing restored
   EXPECT_EQ(icn.state_timing().l2_round_trip(), 12u);
 }
@@ -164,9 +168,9 @@ TEST_F(ReconfigTest, EveryOrderedStatePairKeepsMasksAndTimingConsistent) {
   const auto& states = PowerState::paper_states();
   for (const PowerState& from : states) {
     for (const PowerState& to : states) {
-      mgr.apply(from, now);
+      apply(from, now);
       now += 100;
-      const ReconfigCost cost = mgr.apply(to, now);
+      const ReconfigCost cost = apply(to, now);
       now += 100;
 
       // The fabric and the L2 must agree on the new state after EVERY
@@ -190,9 +194,9 @@ TEST_F(ReconfigTest, EveryOrderedStatePairKeepsMasksAndTimingConsistent) {
 
 TEST_F(ReconfigTest, RoundTripThroughEveryStateRestoresFullExactly) {
   for (const PowerState& s : PowerState::paper_states()) {
-    mgr.apply(s, now);
+    apply(s, now);
     now += 100;
-    mgr.apply(PowerState::full(), now);
+    apply(PowerState::full(), now);
     now += 100;
     EXPECT_EQ(icn.state().name(), "Full") << "via " << s.name();
     EXPECT_EQ(l2.num_active_banks(), 32u) << "via " << s.name();
@@ -217,7 +221,7 @@ TEST_F(ReconfigTest, FlushHappensOnlyWhenDirtyBanksTurnOff) {
   for (const auto& [state, flushed] : flushes) {
     ReconfigRig fresh;
     fresh.dirty_lines(0, 3);
-    EXPECT_EQ(fresh.mgr.apply(state, fresh.now).dirty_lines_flushed, flushed)
+    EXPECT_EQ(fresh.apply(state, fresh.now).dirty_lines_flushed, flushed)
         << state.name();
   }
 
@@ -226,10 +230,10 @@ TEST_F(ReconfigTest, FlushHappensOnlyWhenDirtyBanksTurnOff) {
   // After actually gating, survivors in the centre group keep their data
   // and a same-mask transition (PC16-MB8 -> PC4-MB8) flushes nothing.
   dirty_lines(15, 2);  // centre group 12..19 survives both 8-bank states
-  mgr.apply(PowerState::pc16_mb8(), now);
+  apply(PowerState::pc16_mb8(), now);
   now += 2000;
   EXPECT_EQ(l2.dirty_lines(15), 2u);
-  const ReconfigCost cost = mgr.apply(PowerState::pc4_mb8(), now);
+  const ReconfigCost cost = apply(PowerState::pc4_mb8(), now);
   EXPECT_EQ(cost.dirty_lines_flushed, 0u);
   EXPECT_EQ(l2.dirty_lines(15), 2u);
 }
@@ -240,7 +244,7 @@ TEST_F(ReconfigTest, FlushHappensOnlyWhenDirtyBanksTurnOff) {
 // with no powered bank would brick the cluster mid-run.  Every layer that
 // could produce one throws a clear std::invalid_argument instead of
 // tripping asserts downstream: the PowerState constructor (0 is not a
-// power of two), the L2 mask setter, and ReconfigManager::apply's guard.
+// power of two), the L2 mask setter, and core::reconfigure's guard.
 
 TEST_F(ReconfigTest, ZeroBankPowerStateCannotBeConstructed) {
   EXPECT_THROW(PowerState("dead", 16, 16, 32, 0), std::invalid_argument);
@@ -264,9 +268,9 @@ TEST_F(ReconfigTest, AllOffBankMaskIsRejectedWithClearError) {
 
 TEST_F(ReconfigTest, DirtySurvivorsPersistAcrossFullRoundTrip) {
   dirty_lines(15, 4);  // centre bank: survives PC16-MB8
-  mgr.apply(PowerState::pc16_mb8(), now);
+  apply(PowerState::pc16_mb8(), now);
   now += 2000;
-  mgr.apply(PowerState::full(), now);
+  apply(PowerState::full(), now);
   now += 2000;
   // Waking banks up neither flushes nor invalidates the survivors.
   EXPECT_EQ(l2.dirty_lines(15), 4u);

@@ -10,6 +10,7 @@
 
 #include "cluster/cluster.hpp"
 #include "common/sha256.hpp"
+#include "core/reconfig.hpp"
 #include "same_result.hpp"
 #include "sim/scenario.hpp"
 
@@ -305,8 +306,9 @@ TEST(RunLoop, ReconfigureBetweenStepsMatchesDense) {
       ++drain;
     }
     EXPECT_GT(drain, 0u);
-    core::ReconfigManager mgr(*c.mot(), c.l2(), c.dram());
-    EXPECT_GT(mgr.apply(core::PowerState::pc16_mb8(), c.now()).dirty_lines_flushed,
+    EXPECT_GT(core::reconfigure(*c.mot(), c.l2(), c.dram(), nullptr,
+                                core::PowerState::pc16_mb8(), c.now())
+                  .dirty_lines_flushed,
               0u);
     results[m] = c.run();
     EXPECT_EQ(c.l2().num_active_banks(), 8u);

@@ -392,15 +392,14 @@ TEST(ThermalRcOracle, IsolatedTiersMatchTheAdjacencyListToo) {
 
 TEST(ThermalLeakage, ScaleIsMonotoneAndOneAtReference) {
   // The law the fixed point applies to every tile's reference leakage.
-  const LeakageTempParams law = thermal::ThermalConfig{}.leakage;
   double prev = 0.0;
   for (double t = 25.0; t <= 110.0; t += 5.0) {
-    const double s = leakage_temp_scale(t, law);
+    const double s = leakage_temp_scale(t);
     EXPECT_GT(s, prev) << t;
     prev = s;
   }
   // Every power model quotes its leakage at the reference temperature.
-  EXPECT_EQ(leakage_temp_scale(law.ref_temp_c, law), 1.0);
+  EXPECT_EQ(leakage_temp_scale(kLeakageRefTempC), 1.0);
 }
 
 // ---- governor --------------------------------------------------------------
