@@ -628,6 +628,12 @@ cluster::Fabric fabric_by_key(const std::string& key) {
 }
 
 core::PowerState power_state_by_name(const std::string& name) {
+  // The largest scale-out shape a name may ask for, Full1024x2048: the
+  // largest any test, golden or BENCH cell runs.  A MoT cluster holds one
+  // arbitration tree of cores - 1 switches per bank, so a bigger name
+  // could ask for terabytes before anything else rejects it.
+  constexpr std::size_t kMaxCores = 1024;
+  constexpr std::size_t kMaxBanks = 2048;
   for (const core::PowerState& s : core::PowerState::paper_states()) {
     if (s.name() == name) return s;
   }
@@ -644,6 +650,12 @@ core::PowerState power_state_by_name(const std::string& name) {
   // the scale_smoke scenario run these on the MoT fabric.
   if (std::sscanf(name.c_str(), "Full%zux%zu%n", &cores, &banks, &consumed) == 2 &&
       static_cast<std::size_t>(consumed) == name.size()) {
+    if (cores > kMaxCores || banks > kMaxBanks) {
+      throw std::invalid_argument("power state '" + name +
+                                  "' is larger than Full1024x2048 (at most " +
+                                  std::to_string(kMaxCores) + " cores and " +
+                                  std::to_string(kMaxBanks) + " banks)");
+    }
     return core::PowerState(name, cores, cores, banks, banks);
   }
   throw std::invalid_argument(

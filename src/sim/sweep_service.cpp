@@ -114,8 +114,11 @@ SweepService::Probe SweepService::load_entry(const std::string& path,
                                              const std::string& hash,
                                              std::string* payload,
                                              std::string* reason) const {
-  std::ifstream f(path, std::ios::binary);
+  // Opened at the end, so the file's size is known before anything is read.
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   if (!f) return Probe::kMiss;
+  const std::streamoff file_bytes = f.tellg();
+  f.seekg(0);
 
   auto corrupt = [&](const char* why) {
     *reason = why;
@@ -143,6 +146,13 @@ SweepService::Probe SweepService::load_entry(const std::string& path,
     return corrupt("malformed payload length");
   }
   if (!std::getline(f, line)) return corrupt("missing spec document");
+  // The claimed length sizes the buffer, so it must fit in the bytes the
+  // file has left: a corrupt length reads as a truncated payload, never as
+  // a resize to whatever the header says.
+  const std::streamoff at = f.tellg();
+  if (at < 0 || payload_bytes > static_cast<std::uint64_t>(file_bytes - at)) {
+    return corrupt("truncated payload");
+  }
   payload->resize(payload_bytes);
   f.read(payload->data(), static_cast<std::streamsize>(payload_bytes));
   if (static_cast<std::size_t>(f.gcount()) != payload_bytes) {

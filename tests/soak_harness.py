@@ -27,11 +27,13 @@ Usage:
   --serve    also exercise the sweep-service contract: cold/warm batch
              determinism over a pipe, an interactive serve session with
              request/response round trips (the watchdog converting a
-             wedged job into a structured error), and the
+             wedged job into a structured error), a cache entry with
+             a corrupt payload length recomputed, and the
              unwritable-cache-dir error path
 """
 
 import argparse
+import glob
 import json
 import os
 import re
@@ -650,9 +652,49 @@ def serve_session(binary, cache_dir):
         proc.kill()
 
 
+def oversized_length_batch(binary, cache, requests):
+    """An entry whose header claims 2^64 - 1 payload bytes (what "-1"
+    parses to) is corrupt: the next batch counts it, recomputes the same
+    result and exits 0 instead of dying on the allocation."""
+    name = "batch: an entry claiming 2^64 - 1 payload bytes is recomputed"
+    print(f"Running: {name}...")
+    args = ["batch", f"--cache-dir={cache}"]
+    try:
+        warm = run_cmd(binary, args, requests)
+        entries = sorted(glob.glob(os.path.join(cache, "*.entry")))
+        if warm.returncode != 0 or not entries:
+            return TestResult(name, False, f"warm batch exit {warm.returncode}"
+                              f" with {len(entries)} entries")
+        with open(entries[0], "rb") as f:
+            text = f.read()
+        text = re.sub(rb"(?m)^payload_bytes \d+$",
+                      b"payload_bytes 18446744073709551615", text, count=1)
+        with open(entries[0], "wb") as f:
+            f.write(text)
+        again = run_cmd(binary, args, requests)
+    except (subprocess.TimeoutExpired, OSError) as e:
+        return TestResult(name, False, str(e))
+    if again.returncode != 0:
+        return TestResult(name, False,
+                          f"exit code {again.returncode}, expected 0\n"
+                          f"stderr: {again.stderr.strip()[:500]}")
+    summary = json.loads(again.stdout.splitlines()[-1])
+    if summary.get("corrupt_entries") != 1 or summary.get("errors") != 0:
+        return TestResult(name, False, f"bad summary: {summary!r}")
+
+    def results(out):
+        docs = [json.loads(line) for line in out.splitlines()]
+        return [(d["id"], d["result"]) for d in docs if "result" in d]
+
+    if results(again.stdout) != results(warm.stdout):
+        return TestResult(name, False, "recomputed results differ from warm")
+    return TestResult(name, True, "corrupt_entries 1, errors 0, same results")
+
+
 def serve_tests(binary):
-    """Sweep-service contract: batch cold/warm determinism over a pipe, an
-    interactive serve session, and the unwritable-cache-dir error path."""
+    """Sweep-service contract: batch cold/warm determinism over a pipe, a
+    corrupt payload length recomputed, an interactive serve session, and
+    the unwritable-cache-dir error path."""
     results = []
     requests = ('{"id":1,"apps":["fft"],"scale":0.01,"seed":7}\n'
                 '{"id":2,"apps":["radix"],"scale":0.01,"seed":7}\n')
@@ -672,6 +714,7 @@ def serve_tests(binary):
             expect_patterns=[r'"cache_misses": 0, "computed": 0, "errors": 0'],
             forbid_patterns=[r'"cache_hit": false'])
         results.append(warm)
+        results.append(oversized_length_batch(binary, cache, requests))
         # A fresh cache dir: the session's cold/warm expectations must not
         # be satisfied by entries the batch tests above already stored.
         results.append(serve_session(binary, os.path.join(tmp, "serve_cache")))

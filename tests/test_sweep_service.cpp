@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -384,6 +385,36 @@ TEST_F(SweepServiceTest, TamperedPayloadFailsItsHashAndIsNeverServed) {
   EXPECT_GE(service.counters().snapshot().corrupt_entries, 1u);
 }
 
+TEST_F(SweepServiceTest, OversizedPayloadLengthIsRecomputed) {
+  SweepService service(config());
+  const auto cold = service.run_batch({job("fft")});
+  ASSERT_TRUE(cold[0].ok());
+  // Claim the largest length the header can spell (what "-1" parses to):
+  // it must read as a truncated entry, not size a buffer.
+  const fs::path entry = entry_file();
+  std::string text;
+  {
+    std::ifstream in(entry, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::string key = "\npayload_bytes ";
+  const std::size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t value = at + key.size();
+  text.replace(value, text.find('\n', value) - value, "18446744073709551615");
+  std::ofstream(entry, std::ios::binary | std::ios::trunc) << text;
+
+  const auto recomputed = service.run_batch({job("fft")});
+  ASSERT_TRUE(recomputed[0].ok()) << recomputed[0].error;
+  EXPECT_FALSE(recomputed[0].cache_hit);
+  EXPECT_EQ(recomputed[0].payload, cold[0].payload);
+  EXPECT_EQ(service.counters().snapshot().corrupt_entries, 1u);
+
+  const auto warm = service.run_batch({job("fft")});
+  EXPECT_TRUE(warm[0].cache_hit);
+  EXPECT_EQ(warm[0].payload, cold[0].payload);
+}
+
 TEST_F(SweepServiceTest, ErrorsAreNeverCached) {
   SweepService service(config());
   SweepJob wedged = job("fft");
@@ -692,6 +723,12 @@ TEST(ServiceRequestParse, MalformedRequestsThrowWithOneLineReasons) {
       std::invalid_argument);
   EXPECT_THROW(parse_service_request(R"({"id":[1],"apps":["fft"]})"),
                std::invalid_argument);  // non-scalar id
+  // A state name may ask for no shape beyond Full1024x2048.
+  EXPECT_THROW(parse_service_request(R"({"states":["Full2048x4096"]})"),
+               std::invalid_argument);
+  EXPECT_FALSE(
+      parse_service_request(R"({"apps":["fft"],"states":["Full1024x2048"]})")
+          .jobs.empty());
 
   // Nesting past the reader's limit is malformed, not a stack overflow;
   // the limit itself still parses.
