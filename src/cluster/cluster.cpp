@@ -518,7 +518,7 @@ Cycle Cluster::next_event_cycle() const {
 
 bool Cluster::advance(Cycle limit) {
   if (now_ >= kMaxCycles) {
-    throw std::runtime_error("simulation exceeded max_cycles — livelock?\n" +
+    throw std::runtime_error("simulation exceeded kMaxCycles — livelock?\n" +
                              progress_dump());
   }
   poll();

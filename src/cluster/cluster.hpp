@@ -224,10 +224,10 @@ class Cluster final : private mem::ReadSink {
 
  private:
   /// One iteration of the run loop, the whole body of run() and step():
-  /// the livelock guard (kMaxCycles), poll(), the failed-run exit, then (event mode)
-  /// a jump to the next event, but no further than `limit`, when nothing
-  /// can happen this cycle, else one tick.  Returns false once an
-  /// unrecoverable fault failed the run.
+  /// the livelock guard (kMaxCycles), poll(), the failed-run exit, then
+  /// (event mode) a jump to the next event, but no further than `limit`,
+  /// when nothing can happen this cycle, else one tick.  Returns false
+  /// once an unrecoverable fault failed the run.
   bool advance(Cycle limit);
 
   /// One cycle in the fixed phase order: cores, coherence acks, demand

@@ -150,7 +150,8 @@ SweepService::Probe SweepService::load_entry(const std::string& path,
   // file has left: a corrupt length reads as a truncated payload, never as
   // a resize to whatever the header says.
   const std::streamoff at = f.tellg();
-  if (at < 0 || payload_bytes > static_cast<std::uint64_t>(file_bytes - at)) {
+  if (at < 0 || file_bytes < at ||
+      payload_bytes > static_cast<std::uint64_t>(file_bytes - at)) {
     return corrupt("truncated payload");
   }
   payload->resize(payload_bytes);
