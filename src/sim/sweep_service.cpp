@@ -1,9 +1,16 @@
 #include "sim/sweep_service.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -23,11 +30,60 @@ namespace mot3d::sim {
 
 namespace {
 
-constexpr const char* kMagic = "mot3d-cache v1";
-constexpr const char* kEntryExt = ".entry";
+constexpr std::string_view kMagic = "mot3d-cache v1";
+constexpr std::string_view kEntryExt = ".entry";
 
 bool is_entry_file(const fs::directory_entry& e) {
   return e.is_regular_file() && e.path().extension() == kEntryExt;
+}
+
+/// Owns a file descriptor and closes it on every path out of its scope.
+class FileDescriptor {
+ public:
+  explicit FileDescriptor(int fd) : fd_(fd) {}
+  FileDescriptor(const FileDescriptor&) = delete;
+  FileDescriptor& operator=(const FileDescriptor&) = delete;
+  ~FileDescriptor() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+/// Reads up to `bytes` into `out` (one read for a regular file); returns
+/// how many arrived before end of file or an error.
+std::size_t read_up_to(int fd, char* out, std::size_t bytes) {
+  std::size_t got = 0;
+  while (got < bytes) {
+    const ssize_t n = ::read(fd, out + got, bytes - got);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n == 0 || errno != EINTR) {
+      break;
+    }
+  }
+  return got;
+}
+
+/// Stamps the modification time of `path` with CLOCK_REALTIME now, the
+/// one clock hits and stores both order the cache by (the kernel's own
+/// write stamp is coarser).  Best effort: a read-only cache still serves.
+void stamp_now(const std::string& path) {
+  struct timespec times[2] = {{0, UTIME_OMIT}, {}};
+  ::clock_gettime(CLOCK_REALTIME, &times[1]);
+  ::utimensat(AT_FDCWD, path.c_str(), times, 0);
+}
+
+/// std::getline over a buffer: the next line without its '\n' (or the
+/// unterminated rest), false once nothing is left.
+bool next_line(std::string_view& rest, std::string_view* line) {
+  if (rest.empty()) return false;
+  const std::size_t end = std::min(rest.find('\n'), rest.size());
+  *line = rest.substr(0, end);
+  rest.remove_prefix(std::min(end + 1, rest.size()));
+  return true;
 }
 
 }  // namespace
@@ -107,78 +163,74 @@ SweepService::SweepService(ServiceConfig cfg) : cfg_(std::move(cfg)) {
 }
 
 std::string SweepService::entry_path(const std::string& hash) const {
-  return (fs::path(cfg_.cache_dir) / (hash + kEntryExt)).string();
+  std::string path;
+  path.reserve(cfg_.cache_dir.size() + 1 + hash.size() + kEntryExt.size());
+  path.append(cfg_.cache_dir).append("/").append(hash).append(kEntryExt);
+  return path;
 }
 
 SweepService::Probe SweepService::load_entry(const std::string& path,
                                              const std::string& hash,
                                              std::string* payload,
                                              std::string* reason) const {
-  // Opened at the end, so the file's size is known before anything is read.
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  if (!f) return Probe::kMiss;
-  const std::streamoff file_bytes = f.tellg();
-  f.seekg(0);
+  // One open, fstat and read bring the whole entry into `payload`; the
+  // header is parsed in place and cut off the front of a hit.
+  const FileDescriptor fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  struct stat st;
+  if (fd.get() < 0 || ::fstat(fd.get(), &st) != 0) return Probe::kMiss;
+  payload->resize(static_cast<std::size_t>(st.st_size));
+  payload->resize(read_up_to(fd.get(), payload->data(), payload->size()));
 
   auto corrupt = [&](const char* why) {
     *reason = why;
     return Probe::kCorrupt;
   };
-  std::string line;
-  if (!std::getline(f, line) || line != kMagic) return corrupt("bad magic");
-  if (!std::getline(f, line) || line != "spec_sha256 " + hash) {
+  constexpr std::string_view kSpecKey = "spec_sha256 ";
+  constexpr std::string_view kPayloadShaKey = "payload_sha256 ";
+  constexpr std::string_view kPayloadBytesKey = "payload_bytes ";
+  std::string_view rest(*payload);
+  std::string_view line;
+  if (!next_line(rest, &line) || line != kMagic) return corrupt("bad magic");
+  if (!next_line(rest, &line) || !line.starts_with(kSpecKey) ||
+      line.substr(kSpecKey.size()) != hash) {
     return corrupt("spec hash mismatch");
   }
-  std::string payload_sha;
-  if (!std::getline(f, line) || line.rfind("payload_sha256 ", 0) != 0) {
+  if (!next_line(rest, &line) || !line.starts_with(kPayloadShaKey)) {
     return corrupt("missing payload hash");
   }
-  payload_sha = line.substr(15);
-  std::size_t payload_bytes = 0;
-  if (!std::getline(f, line) || line.rfind("payload_bytes ", 0) != 0) {
+  const std::string_view payload_sha = line.substr(kPayloadShaKey.size());
+  if (!next_line(rest, &line) || !line.starts_with(kPayloadBytesKey)) {
     return corrupt("missing payload length");
   }
-  try {
-    std::size_t used = 0;
-    payload_bytes = std::stoull(line.substr(14), &used);
-    if (used != line.size() - 14) return corrupt("malformed payload length");
-  } catch (const std::exception&) {
+  line.remove_prefix(kPayloadBytesKey.size());
+  std::uint64_t payload_bytes = 0;
+  const auto [end, ec] =
+      std::from_chars(line.data(), line.data() + line.size(), payload_bytes);
+  if (ec != std::errc() || end != line.data() + line.size()) {
     return corrupt("malformed payload length");
   }
-  if (!std::getline(f, line)) return corrupt("missing spec document");
-  // The claimed length sizes the buffer, so it must fit in the bytes the
-  // file has left: a corrupt length reads as a truncated payload, never as
-  // a resize to whatever the header says.
-  const std::streamoff at = f.tellg();
-  if (at < 0 || file_bytes < at ||
-      payload_bytes > static_cast<std::uint64_t>(file_bytes - at)) {
-    return corrupt("truncated payload");
-  }
-  payload->resize(payload_bytes);
-  f.read(payload->data(), static_cast<std::streamsize>(payload_bytes));
-  if (static_cast<std::size_t>(f.gcount()) != payload_bytes) {
-    return corrupt("truncated payload");
-  }
-  if (f.peek() != std::ifstream::traits_type::eof()) {
+  if (!next_line(rest, &line)) return corrupt("missing spec document");
+  // What is left is the payload: a corrupt length reads as a truncated
+  // payload, never as a buffer of whatever size the header says.
+  if (payload_bytes > rest.size()) return corrupt("truncated payload");
+  if (payload_bytes < rest.size()) {
     return corrupt("trailing bytes after payload");
   }
-  if (sha256_hex(*payload) != payload_sha) {
-    return corrupt("payload hash mismatch");
-  }
+  if (sha256_hex(rest) != payload_sha) return corrupt("payload hash mismatch");
+  payload->erase(0, payload->size() - rest.size());
   return Probe::kHit;
 }
 
 void SweepService::touch_entry(const std::string& path, const std::string& hash) {
   std::lock_guard<std::mutex> lock(store_mutex_);
-  std::error_code ec;
   if (const auto it = by_hash_.find(hash); it != by_hash_.end()) {
     lru_.splice(lru_.end(), lru_, it->second);
   } else {
+    std::error_code ec;
     const std::uintmax_t bytes = fs::file_size(path, ec);
     if (!ec) record(hash, bytes);
   }
-  // Best effort: a read-only cache still serves hits.
-  fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
+  stamp_now(path);
 }
 
 bool SweepService::store_entry(const SweepJob& job, const std::string& hash,
@@ -220,7 +272,7 @@ bool SweepService::store_entry(const SweepJob& job, const std::string& hash,
   }
   // Stamp with the clock hits use: the kernel's own write stamp is coarser
   // and can sort before an earlier hit's.
-  fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
+  stamp_now(path);
   record(hash, entry.size());
   if (cfg_.max_cache_bytes > 0) evict_over_cap();
   return true;
@@ -282,21 +334,28 @@ std::size_t SweepService::cache_clear() {
 std::vector<JobOutcome> SweepService::run_batch(const std::vector<SweepJob>& jobs) {
   enum class State { kUnresolved, kResolved, kCompute, kWait };
   struct Unique {
-    std::string hash;
-    std::size_t job = 0;  ///< first job index with this hash
+    std::size_t job = 0;   ///< first job index with this hash
+    std::size_t last = 0;  ///< last job index with this hash
     JobOutcome outcome;
     State state = State::kUnresolved;
     std::shared_ptr<InFlight> flight;
+    const std::string& hash() const { return outcome.spec_hash; }
   };
 
-  // Deduplicate within the batch, preserving first-occurrence order.
+  // Deduplicate within the batch, preserving first-occurrence order.  The
+  // map's keys view the strings in `hashes`, which never move.
   std::vector<std::string> hashes(jobs.size());
-  std::unordered_map<std::string, std::size_t> index_of;
+  std::unordered_map<std::string_view, std::size_t> index_of;
   std::vector<Unique> uniq;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     hashes[i] = job_hash(jobs[i]);
-    if (index_of.emplace(hashes[i], uniq.size()).second) {
-      uniq.push_back(Unique{hashes[i], i, {}, State::kUnresolved, nullptr});
+    const auto [it, fresh] = index_of.emplace(hashes[i], uniq.size());
+    if (fresh) {
+      Unique& q = uniq.emplace_back();
+      q.job = q.last = i;
+      q.outcome.spec_hash = hashes[i];
+    } else {
+      uniq[it->second].last = i;
     }
   }
 
@@ -307,10 +366,9 @@ std::vector<JobOutcome> SweepService::run_batch(const std::vector<SweepJob>& job
   std::vector<std::size_t> to_compute;
   for (std::size_t u = 0; u < uniq.size(); ++u) {
     Unique& q = uniq[u];
-    q.outcome.spec_hash = q.hash;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      auto it = inflight_.find(q.hash);
+      auto it = inflight_.find(q.hash());
       if (it != inflight_.end()) {
         q.flight = it->second;
         q.state = State::kWait;
@@ -318,10 +376,10 @@ std::vector<JobOutcome> SweepService::run_batch(const std::vector<SweepJob>& job
       }
     }
     std::string payload, reason;
-    const std::string path = entry_path(q.hash);
-    const Probe probe = load_entry(path, q.hash, &payload, &reason);
+    const std::string path = entry_path(q.hash());
+    const Probe probe = load_entry(path, q.hash(), &payload, &reason);
     if (probe == Probe::kHit) {
-      touch_entry(path, q.hash);
+      touch_entry(path, q.hash());
       counters_.add_hit();
       q.outcome.cache_hit = true;
       q.outcome.payload = std::move(payload);
@@ -330,12 +388,12 @@ std::vector<JobOutcome> SweepService::run_batch(const std::vector<SweepJob>& job
     }
     if (probe == Probe::kCorrupt) {
       counters_.add_corrupt();
-      std::cerr << "warning: cache entry " << q.hash << " is corrupt (" << reason
-                << "); recomputing\n";
+      std::cerr << "warning: cache entry " << q.hash() << " is corrupt ("
+                << reason << "); recomputing\n";
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      auto it = inflight_.find(q.hash);
+      auto it = inflight_.find(q.hash());
       if (it != inflight_.end()) {
         // Raced with another batch that claimed it between our probe and
         // now — wait on theirs instead of computing twice.
@@ -344,7 +402,7 @@ std::vector<JobOutcome> SweepService::run_batch(const std::vector<SweepJob>& job
         continue;
       }
       q.flight = std::make_shared<InFlight>();
-      inflight_.emplace(q.hash, q.flight);
+      inflight_.emplace(q.hash(), q.flight);
     }
     counters_.add_miss();
     counters_.enqueue();
@@ -376,8 +434,8 @@ std::vector<JobOutcome> SweepService::run_batch(const std::vector<SweepJob>& job
       if (computed[k].ok()) {
         q.outcome.payload =
             run_metrics_json(jobs[q.job].run, computed[k].result);
-        if (!store_entry(jobs[q.job], q.hash, q.outcome.payload)) {
-          std::cerr << "warning: could not write cache entry " << q.hash
+        if (!store_entry(jobs[q.job], q.hash(), q.outcome.payload)) {
+          std::cerr << "warning: could not write cache entry " << q.hash()
                     << " under '" << cfg_.cache_dir << "'\n";
         }
       } else {
@@ -393,7 +451,7 @@ std::vector<JobOutcome> SweepService::run_batch(const std::vector<SweepJob>& job
       q.flight->cv.notify_all();
       {
         std::lock_guard<std::mutex> lock(mutex_);
-        inflight_.erase(q.hash);
+        inflight_.erase(q.hash());
       }
       counters_.dequeue();
       q.state = State::kResolved;
@@ -416,9 +474,15 @@ std::vector<JobOutcome> SweepService::run_batch(const std::vector<SweepJob>& job
     q.state = State::kResolved;
   }
 
+  // The last job with a spec takes its outcome; earlier ones copy it.
   std::vector<JobOutcome> out(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    out[i] = uniq[index_of.at(hashes[i])].outcome;
+    Unique& q = uniq[index_of.at(hashes[i])];
+    if (i == q.last) {
+      out[i] = std::move(q.outcome);
+    } else {
+      out[i] = q.outcome;
+    }
     if (!out[i].ok()) counters_.add_job_error();
   }
   return out;
@@ -433,7 +497,7 @@ constexpr const char* kGridAxes[] = {"apps", "fabrics", "states", "dram",
                                      "dram_backends"};
 
 [[noreturn]] void bad_request(const std::string& why) {
-  throw std::invalid_argument("bad request: " + why);
+  throw BadRequest("bad request: " + why, "");
 }
 
 /// Re-serialise a scalar "id" verbatim (arrays/objects are rejected: the
@@ -478,19 +542,14 @@ std::uint64_t u64_field(const JsonValue& v, const char* field) {
   return *n;
 }
 
-}  // namespace
-
-ServiceRequest parse_service_request(const std::string& line) {
-  std::optional<JsonValue> doc = JsonReader(line).parse();
-  if (!doc || doc->type != JsonValue::Type::kObject) {
-    bad_request("not a JSON object");
-  }
-
+/// The request in `doc`, an object whose "id" re-serialises as `id` (empty
+/// when it has none).
+ServiceRequest request_from(const JsonValue& doc, const std::string& id) {
   static const char* kKnown[] = {"id",     "cmd",   "scenario",
                                  "apps",   "fabrics", "states",
                                  "dram",   "dram_backends", "scale",
                                  "seed",   "timeout_seconds"};
-  for (const auto& [key, value] : doc->object) {
+  for (const auto& [key, value] : doc.object) {
     (void)value;
     bool known = false;
     for (const char* k : kKnown) known = known || key == k;
@@ -498,9 +557,9 @@ ServiceRequest parse_service_request(const std::string& line) {
   }
 
   ServiceRequest req;
-  if (const JsonValue* id = doc->find("id")) req.id = id_json(*id);
+  if (!id.empty()) req.id = id;
 
-  if (const JsonValue* cmd = doc->find("cmd")) {
+  if (const JsonValue* cmd = doc.find("cmd")) {
     if (cmd->type != JsonValue::Type::kString) {
       bad_request("'cmd' must be a string");
     }
@@ -509,7 +568,7 @@ ServiceRequest parse_service_request(const std::string& line) {
       bad_request("unknown cmd '" + cmd->string +
                   "' (want ping|stats|shutdown)");
     }
-    if (doc->object.size() > (doc->find("id") ? 2u : 1u)) {
+    if (doc.object.size() > (doc.find("id") ? 2u : 1u)) {
       bad_request("'cmd' requests take no other fields");
     }
     req.cmd = cmd->string;
@@ -518,14 +577,14 @@ ServiceRequest parse_service_request(const std::string& line) {
 
   // Modeled-input knobs shared by both request shapes.
   double timeout_seconds = 0.0;
-  if (const JsonValue* t = doc->find("timeout_seconds")) {
+  if (const JsonValue* t = doc.find("timeout_seconds")) {
     timeout_seconds = number_field(*t, "timeout_seconds");
     if (!std::isfinite(timeout_seconds) || timeout_seconds < 0.0) {
       bad_request("'timeout_seconds' must be non-negative and finite");
     }
   }
-  const JsonValue* scale_v = doc->find("scale");
-  const JsonValue* seed_v = doc->find("seed");
+  const JsonValue* scale_v = doc.find("scale");
+  const JsonValue* seed_v = doc.find("seed");
   if (scale_v != nullptr) {
     const double s = number_field(*scale_v, "scale");
     if (!std::isfinite(s) || s <= 0.0) {
@@ -537,9 +596,9 @@ ServiceRequest parse_service_request(const std::string& line) {
   const ScenarioSpec* spec = nullptr;
   double scale = 0.0;
   std::uint64_t seed = 0;
-  if (const JsonValue* scen = doc->find("scenario")) {
+  if (const JsonValue* scen = doc.find("scenario")) {
     for (const char* axis : kGridAxes) {
-      if (doc->find(axis) != nullptr) {
+      if (doc.find(axis) != nullptr) {
         bad_request(std::string("request mixes 'scenario' with grid axis '") +
                     axis + "'");
       }
@@ -563,7 +622,7 @@ ServiceRequest parse_service_request(const std::string& line) {
     // An absent axis is an empty list: adhoc_grid's default.
     std::array<std::vector<std::string>, std::size(kGridAxes)> axes;
     for (std::size_t i = 0; i < axes.size(); ++i) {
-      if (const JsonValue* v = doc->find(kGridAxes[i])) {
+      if (const JsonValue* v = doc.find(kGridAxes[i])) {
         axes[i] = string_list(*v, kGridAxes[i]);
       }
     }
@@ -586,6 +645,23 @@ ServiceRequest parse_service_request(const std::string& line) {
   return req;
 }
 
+}  // namespace
+
+ServiceRequest parse_service_request(const std::string& line) {
+  std::optional<JsonValue> doc = JsonReader(line).parse();
+  if (!doc || doc->type != JsonValue::Type::kObject) {
+    bad_request("not a JSON object");
+  }
+  // The id first, so that every later error can echo it.
+  std::string id;
+  if (const JsonValue* v = doc->find("id")) id = id_json(*v);
+  try {
+    return request_from(*doc, id);
+  } catch (const std::invalid_argument& e) {
+    throw BadRequest(e.what(), id);
+  }
+}
+
 int service_loop(std::istream& in, std::ostream& out, SweepService& service,
                  ServiceLoopMode mode) {
   const bool serve = mode == ServiceLoopMode::kServe;
@@ -606,9 +682,10 @@ int service_loop(std::istream& in, std::ostream& out, SweepService& service,
     ServiceRequest req;
     try {
       req = parse_service_request(line);
-    } catch (const std::invalid_argument& e) {
+    } catch (const BadRequest& e) {
       counters.add_protocol_error();
       JsonObject err;
+      if (!e.id.empty()) err.set_raw("id", e.id);
       err.set("error", e.what());
       out << err.str() << "\n";
       if (serve) out.flush();

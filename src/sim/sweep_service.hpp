@@ -32,9 +32,11 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/service_metrics.hpp"
@@ -171,6 +173,15 @@ struct ServiceRequest {
   std::size_t skipped_invalid = 0;
 };
 
+/// A malformed request line.  `id` is the line's "id" re-serialised, as
+/// its responses would carry it, or empty when none parsed: the line was
+/// not an object, had no "id", or had a non-scalar one.
+struct BadRequest : std::invalid_argument {
+  BadRequest(const std::string& what, std::string line_id)
+      : std::invalid_argument(what), id(std::move(line_id)) {}
+  std::string id;
+};
+
 /// Parse one newline-delimited request document.  Two request shapes:
 ///   {"id":1,"scenario":"fig6b_exec_time"}            registered sweep at
 ///                                                    its golden options
@@ -179,9 +190,9 @@ struct ServiceRequest {
 ///                                                    defaults as `grid`)
 /// plus commands {"cmd":"ping"|"stats"|"shutdown"}.  Optional fields:
 /// "scale", "seed" (override the defaults), "timeout_seconds" (per-job
-/// watchdog).  Throws std::invalid_argument with a one-line reason on
-/// malformed input — the loop answers with an error document and keeps
-/// serving.
+/// watchdog).  Throws BadRequest with a one-line reason on malformed
+/// input — the loop answers with an error document, which echoes the id
+/// when one parsed, and keeps serving.
 ServiceRequest parse_service_request(const std::string& line);
 
 enum class ServiceLoopMode {

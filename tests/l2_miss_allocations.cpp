@@ -19,6 +19,10 @@
 // of the network's table, and the flit queues and delivery batches have
 // reached their steady-state capacity.
 //
+// Served cache hits: a one-job run_batch that the sweep service answers
+// from its cache reads the entry with one read straight into the payload
+// it returns, and hands that outcome over without copying it.
+//
 // Construction: a MoT cluster requests heap for what a run can touch
 // from the start, not for every L2 set it might touch later: a cache set
 // gets its ways on its first line, an idle Miss-bus queue holds no
@@ -27,8 +31,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "cacti/sram_model.hpp"
 #include "cluster/cluster.hpp"
@@ -37,6 +43,7 @@
 #include "mem/l2_system.hpp"
 #include "memory_test_doubles.hpp"
 #include "noc/network.hpp"
+#include "sim/sweep_service.hpp"
 #include "workload/app_profile.hpp"
 
 namespace {
@@ -223,6 +230,45 @@ TEST(NocRoundTripAllocations, NoAllocationPerMessage) {
     EXPECT_LT(per_message, 0.01) << g_allocations << " allocations over "
                                  << messages << " messages";
   }
+}
+
+TEST(ServedHitAllocations, OneJobHitStaysAtItsCount) {
+  // 16 today: the spec JSON and its digest (7), the batch's hash, dedupe
+  // and outcome containers (5), the outcome's spec hash, the entry's path,
+  // the payload buffer and the payload's digest.  No count depends on the
+  // cache directory's path.
+  constexpr double kMaxPerHit = 16;
+  constexpr int kHits = 100;
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "served_hit_allocations";
+  fs::remove_all(dir);
+  sim::ServiceConfig cfg;
+  cfg.cache_dir = dir.string();
+  cfg.threads = 1;
+  sim::SweepService service(cfg);
+  sim::SweepJob job;
+  job.run.app = "fft";
+  job.scale = 0.005;
+  const std::vector<sim::SweepJob> jobs = {job};
+  ASSERT_FALSE(service.run_batch(jobs).at(0).cache_hit);
+  ASSERT_TRUE(service.run_batch(jobs).at(0).cache_hit);  // warm-up
+
+  g_allocations = 0;
+  g_counting = true;
+  for (int i = 0; i < kHits; ++i) {
+    const std::vector<sim::JobOutcome> out = service.run_batch(jobs);
+    g_counting = false;
+    ASSERT_TRUE(out.at(0).cache_hit);
+    g_counting = true;
+  }
+  g_counting = false;
+  fs::remove_all(dir);
+
+  const double per_hit =
+      static_cast<double>(g_allocations) / static_cast<double>(kHits);
+  RecordProperty("allocations_per_hit", std::to_string(per_hit));
+  EXPECT_LE(per_hit, kMaxPerHit);
 }
 
 /// Heap bytes the Cluster constructor requests for `cfg`.

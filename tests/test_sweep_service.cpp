@@ -118,9 +118,47 @@ TEST(Sha256, Fips180KnownVectors) {
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
   EXPECT_EQ(sha256_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-  // Exercise the two-tail-block padding path (length 56..63 mod 64).
-  EXPECT_EQ(sha256_hex(std::string(56, 'a')).size(), 64u);
-  EXPECT_NE(sha256_hex(std::string(64, 'a')), sha256_hex(std::string(65, 'a')));
+  EXPECT_EQ(sha256_hex(std::string(1'000'000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, KnownAnswersAtEveryPaddingBoundary) {
+  // n x 'a' either side of each boundary: 55 is the longest tail that
+  // pads in one block, 56..63 need a second, 64 and 120 start the next.
+  const struct {
+    std::size_t n;
+    const char* digest;
+  } cases[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& c : cases) {
+    const std::string data(c.n, 'a');
+    EXPECT_EQ(sha256_hex(data), c.digest) << c.n;
+    EXPECT_EQ(detail::sha256_hex_portable(data), c.digest) << c.n;
+  }
+}
+
+TEST(Sha256, HardwareCompressionMatchesThePortableReference) {
+  // sha256_hex uses the SHA extensions where CPUID reports them; the
+  // portable compression is the reference on every length through 1 100
+  // bytes (every tail length, up to 17 whole blocks) and one 64 KiB + 7.
+  RecordProperty("sha256_hardware",
+                 detail::sha256_uses_hardware() ? "yes" : "no");
+  SplitMix64 rng(42);
+  std::string data;
+  for (std::size_t n = 0; n <= 1'100; ++n) {
+    EXPECT_EQ(sha256_hex(data), detail::sha256_hex_portable(data)) << n;
+    data.push_back(static_cast<char>(rng.next()));
+  }
+  data.resize(64 * 1024 + 7);
+  for (char& c : data) c = static_cast<char>(rng.next());
+  EXPECT_EQ(sha256_hex(data), detail::sha256_hex_portable(data));
 }
 
 // ---- spec hash stability ---------------------------------------------------
@@ -247,6 +285,108 @@ TEST(SpecHash, CanonicalJsonIsByteStable) {
   // reordering (which would orphan every existing cache) fails here.
   EXPECT_EQ(doc.rfind(R"({"format": 1, "app": "fft", "fabric": "mot")", 0), 0u)
       << doc;
+}
+
+TEST(SpecHash, PinnedForAFixedJob) {
+  // The content address of every entry in an existing --cache-dir: a
+  // change here orphans them all.
+  EXPECT_EQ(job_hash(make_job("fft")),
+            "85e622de63add86f5b665c5051efe347ce53a30459d2d09d6afc87516b7b41fc");
+}
+
+// ---- on-disk entry format --------------------------------------------------
+
+/// make_job("fft")'s entry in the v1 layout, byte for byte as store_entry
+/// writes it: magic, spec hash, payload hash, payload length, the spec
+/// JSON, then the payload.  The payload is a stand-in; the reader checks
+/// only that it matches its own hash and length.
+constexpr const char* kV1Payload = R"({"app": "fft", "cycles": 123456})";
+constexpr const char* kV1Entry =
+    "mot3d-cache v1\n"
+    "spec_sha256 85e622de63add86f5b665c5051efe347ce53a30459d2d09d6afc87516b7b41fc\n"
+    "payload_sha256 f34a86f1fc2d58b18c1eec0ebaebcb3cb78127ae69dac5886c1d3bb9108f4b1d\n"
+    "payload_bytes 32\n"
+    R"({"format": 1, "app": "fft", "fabric": "mot", "state": "Full", )"
+    R"("dram_ns": 200, "dram_backend": "constant", "thermal_enabled": false, )"
+    R"("thermal_ambient_c": 45, "thermal_ceiling_c": 80, "fault_enabled": false, )"
+    R"("fault_tsv_rate": 0, "fault_bank_rate": 0, "fault_seed": 7, "scale": 0.01, )"
+    R"("seed": 7})"
+    "\n"
+    R"({"app": "fft", "cycles": 123456})";
+
+TEST_F(SweepServiceTest, EntryInTheV1LayoutIsServedAsAHit) {
+  fs::create_directories(dir_);
+  std::ofstream(entry_of(job("fft")), std::ios::binary) << kV1Entry;
+  SweepService service(config());
+  const JobOutcome hit = request(service, job("fft"));
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.payload, kV1Payload);
+  const obs::ServiceSnapshot s = service.counters().snapshot();
+  EXPECT_EQ(s.computed, 0u);
+  EXPECT_EQ(s.corrupt_entries, 0u);
+}
+
+TEST_F(SweepServiceTest, StoreWritesTheV1Layout) {
+  SweepService service(config());
+  const SweepJob j = job("fft");
+  const JobOutcome cold = request(service, j);
+  std::ifstream in(entry_of(j), std::ios::binary);
+  const std::string text(std::istreambuf_iterator<char>(in), {});
+  EXPECT_EQ(text, "mot3d-cache v1\nspec_sha256 " + job_hash(j) +
+                      "\npayload_sha256 " + sha256_hex(cold.payload) +
+                      "\npayload_bytes " + std::to_string(cold.payload.size()) +
+                      "\n" + canonical_job_json(j) + "\n" + cold.payload);
+}
+
+TEST_F(SweepServiceTest, EveryCorruptEntryIsRecomputedWithItsReason) {
+  // One defect of the v1 entry per case; each is counted, logged with its
+  // reason and recomputed, never served.
+  const std::string good = kV1Entry;
+  auto replaced = [&good](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  const std::string header_only =
+      good.substr(0, good.find("\n{\"format\"") + 1);
+  const struct {
+    std::string text;
+    const char* reason;
+  } cases[] = {
+      {"", "bad magic"},
+      {replaced("cache v1", "cache v0"), "bad magic"},
+      {replaced("spec_sha256 85e6", "spec_sha256 95e6"), "spec hash mismatch"},
+      {replaced("payload_sha256 ", "payload_sha255 "), "missing payload hash"},
+      {replaced("payload_bytes ", "payload_count "), "missing payload length"},
+      {replaced("payload_bytes 32", "payload_bytes 3x2"),
+       "malformed payload length"},
+      {replaced("payload_bytes 32", "payload_bytes "),
+       "malformed payload length"},
+      {replaced("payload_bytes 32", "payload_bytes 18446744073709551616"),
+       "malformed payload length"},
+      {header_only, "missing spec document"},
+      {replaced("payload_bytes 32", "payload_bytes 18446744073709551615"),
+       "truncated payload"},
+      {good.substr(0, good.size() - 1), "truncated payload"},
+      {good + "\n", "trailing bytes after payload"},
+      {replaced("123456}", "123457}"), "payload hash mismatch"},
+  };
+  SweepService service(config());
+  std::uint64_t corrupt = 0;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.reason);
+    std::ofstream(entry_of(job("fft")), std::ios::binary | std::ios::trunc)
+        << c.text;
+    ::testing::internal::CaptureStderr();
+    const JobOutcome out = request(service, job("fft"));
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(out.cache_hit);
+    EXPECT_NE(out.payload, kV1Payload);
+    EXPECT_NE(log.find(std::string("(") + c.reason + ")"), std::string::npos)
+        << log;
+    EXPECT_EQ(service.counters().snapshot().corrupt_entries, ++corrupt);
+  }
 }
 
 // ---- cache behaviour -------------------------------------------------------
@@ -828,6 +968,37 @@ TEST_F(SweepServiceTest, BatchLoopExitsNonZeroOnProtocolOrJobErrors) {
               std::string::npos);
     EXPECT_EQ(field(docs[1], "errors")->number, 1.0);
   }
+}
+
+TEST_F(SweepServiceTest, BadRequestLinesEchoTheIdThatParsed) {
+  SweepService service(config());
+  std::istringstream in(
+      "{\"id\":1,\"states\":[\"Full1048576x2097152\"]}\n"
+      "{\"id\":\"b\",\"frobnicate\":1}\n"
+      "{\"id\":[3],\"apps\":[\"fft\"]}\n"
+      "{\"apps\":[\"notanapp\"]}\n"
+      "[1,2]\n"
+      "this is not json\n");
+  std::ostringstream out;
+  EXPECT_EQ(service_loop(in, out, service, ServiceLoopMode::kBatch), 1);
+  const std::string text = out.str();
+  EXPECT_EQ(
+      text.rfind(R"({"id": 1, "error": "bad request: power state )", 0), 0u)
+      << text;
+  const std::vector<JsonValue> docs = parse_lines(text);
+  ASSERT_EQ(docs.size(), 7u) << text;  // six errors + batch_done
+  for (std::size_t i = 0; i < 6; ++i) {
+    ASSERT_NE(field(docs[i], "error"), nullptr) << i;
+  }
+  ASSERT_NE(field(docs[0], "id"), nullptr);
+  EXPECT_EQ(field(docs[0], "id")->number, 1.0);
+  ASSERT_NE(field(docs[1], "id"), nullptr);
+  EXPECT_EQ(field(docs[1], "id")->string, "b");
+  // A non-scalar id, no id, or no object at all: nothing to echo.
+  for (std::size_t i = 2; i < 6; ++i) {
+    EXPECT_EQ(field(docs[i], "id"), nullptr) << i;
+  }
+  EXPECT_EQ(field(docs[6], "protocol_errors")->number, 6.0);
 }
 
 TEST_F(SweepServiceTest, WarmBatchReportsZeroMissesByteIdentically) {
