@@ -1,10 +1,23 @@
 #include "sim/json_reader.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <stdexcept>
 
 namespace mot3d::sim {
+
+namespace {
+
+/// Members an object gets room for up front: every field a request line
+/// may carry (11) and a BENCH baseline cell's 12, with one allocation.
+constexpr std::size_t kObjectMembers = 16;
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// std::isspace in the "C" locale, which the program never leaves: ' ',
+/// '\t', '\n', '\v', '\f' and '\r'.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
 
 std::optional<std::uint64_t> JsonValue::as_count() const {
   if (type != Type::kNumber || !(number >= 0.0 && number < 0x1p53) ||
@@ -24,16 +37,12 @@ std::optional<JsonValue> JsonReader::parse() {
 }
 
 void JsonReader::skip_ws() {
-  while (pos_ < text_.size() &&
-         std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-    ++pos_;
-  }
+  while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
 }
 
-bool JsonReader::literal(const char* lit) {
-  const std::size_t n = std::string(lit).size();
-  if (text_.compare(pos_, n, lit) != 0) return false;
-  pos_ += n;
+bool JsonReader::literal(std::string_view lit) {
+  if (!text_.substr(pos_).starts_with(lit)) return false;
+  pos_ += lit.size();
   return true;
 }
 
@@ -72,17 +81,16 @@ bool JsonReader::parse_object(JsonValue& out) {
   ++pos_;  // '{'
   skip_ws();
   if (pos_ < text_.size() && text_[pos_] == '}') { ++pos_; return true; }
+  out.object.reserve(kObjectMembers);
   while (true) {
     skip_ws();
-    std::string key;
+    auto& [key, value] = out.object.emplace_back();
     if (!parse_string(key)) return false;
     skip_ws();
     if (pos_ >= text_.size() || text_[pos_] != ':') return false;
     ++pos_;
     skip_ws();
-    JsonValue v;
-    if (!parse_value(v)) return false;
-    out.object.emplace_back(std::move(key), std::move(v));
+    if (!parse_value(value)) return false;
     skip_ws();
     if (pos_ >= text_.size()) return false;
     if (text_[pos_] == ',') { ++pos_; continue; }
@@ -98,9 +106,7 @@ bool JsonReader::parse_array(JsonValue& out) {
   if (pos_ < text_.size() && text_[pos_] == ']') { ++pos_; return true; }
   while (true) {
     skip_ws();
-    JsonValue v;
-    if (!parse_value(v)) return false;
-    out.array.push_back(std::move(v));
+    if (!parse_value(out.array.emplace_back())) return false;
     skip_ws();
     if (pos_ >= text_.size()) return false;
     if (text_[pos_] == ',') { ++pos_; continue; }
@@ -114,44 +120,56 @@ bool JsonReader::parse_string(std::string& out) {
   ++pos_;
   out.clear();
   while (pos_ < text_.size()) {
-    const char c = text_[pos_++];
-    if (c == '"') return true;
-    if (c == '\\') {
-      if (pos_ >= text_.size()) return false;
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        default: return false;  // \uXXXX never appears in our writer
-      }
-    } else {
-      out.push_back(c);
+    // Copy the run up to the next quote or escape with one append.
+    std::size_t run = pos_;
+    while (run < text_.size() && text_[run] != '"' && text_[run] != '\\') ++run;
+    out.append(text_.substr(pos_, run - pos_));
+    pos_ = run;
+    if (pos_ == text_.size()) break;
+    if (text_[pos_++] == '"') return true;
+    if (pos_ >= text_.size()) return false;
+    const char e = text_[pos_++];
+    switch (e) {
+      case '"': out.push_back('"'); break;
+      case '\\': out.push_back('\\'); break;
+      case '/': out.push_back('/'); break;
+      case 'n': out.push_back('\n'); break;
+      case 't': out.push_back('\t'); break;
+      case 'r': out.push_back('\r'); break;
+      case 'b': out.push_back('\b'); break;
+      case 'f': out.push_back('\f'); break;
+      default: return false;  // \uXXXX never appears in our writer
     }
   }
   return false;
 }
 
 bool JsonReader::parse_number(JsonValue& out) {
+  // RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   const std::size_t start = pos_;
-  while (pos_ < text_.size() &&
-         (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-          text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-          text_[pos_] == 'e' || text_[pos_] == 'E')) {
+  const auto take = [this](char c) {
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
     ++pos_;
+    return true;
+  };
+  const auto digits = [this] {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+    return pos_ > from;
+  };
+  take('-');
+  if (!take('0') && !digits()) return false;
+  if (take('.') && !digits()) return false;
+  if (take('e') || take('E')) {
+    if (!take('+')) take('-');
+    if (!digits()) return false;
   }
-  if (pos_ == start) return false;
-  try {
-    std::size_t used = 0;
-    const std::string tok = text_.substr(start, pos_ - start);
-    out.number = std::stod(tok, &used);
-    if (used != tok.size()) return false;
-  } catch (const std::exception&) {
+  const char* const end = text_.data() + pos_;
+  const auto [ptr, ec] = std::from_chars(text_.data() + start, end, out.number);
+  // Out of range either way, as strtod reports it: an overflow, or an
+  // underflow to a subnormal.
+  if (ec != std::errc() || ptr != end ||
+      std::fpclassify(out.number) == FP_SUBNORMAL) {
     return false;
   }
   out.type = JsonValue::Type::kNumber;

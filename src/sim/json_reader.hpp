@@ -4,12 +4,16 @@
 // Deliberately supports only the subset our own writer emits — objects,
 // arrays, strings, numbers, bools, null; no \uXXXX escapes — anything
 // else is malformed input and parses to std::nullopt, never a guess.
+// Numbers follow RFC 8259's grammar exactly (no "+1", ".5", "1." or
+// "01"), and a value a double cannot hold (1e400, a subnormal) is
+// malformed too.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -24,11 +28,14 @@ struct JsonValue {
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;
 
-  const JsonValue* find(const std::string& key) const {
+  const JsonValue* find(std::string_view key) const {
     for (const auto& [k, v] : object) {
       if (k == key) return &v;
     }
     return nullptr;
+  }
+  JsonValue* find(std::string_view key) {
+    return const_cast<JsonValue*>(std::as_const(*this).find(key));
   }
 
   /// The value as a count: a number holding an integer in [0, 2^53), the
@@ -43,21 +50,22 @@ class JsonReader {
   /// Request lines and BENCH baselines nest at most four levels.
   static constexpr std::size_t kMaxDepth = 32;
 
-  explicit JsonReader(std::string text) : text_(std::move(text)) {}
+  /// Reads `text` in place: it must outlive parse().
+  explicit JsonReader(std::string_view text) : text_(text) {}
 
   /// Whole-document parse: trailing junk is malformed (std::nullopt).
   std::optional<JsonValue> parse();
 
  private:
   void skip_ws();
-  bool literal(const char* lit);
+  bool literal(std::string_view lit);
   bool parse_value(JsonValue& out);
   bool parse_object(JsonValue& out);
   bool parse_array(JsonValue& out);
   bool parse_string(std::string& out);
   bool parse_number(JsonValue& out);
 
-  std::string text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
   std::size_t depth_ = 0;  ///< arrays and objects open at pos_
 };

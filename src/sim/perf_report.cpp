@@ -66,10 +66,10 @@ std::string json_string(std::string_view s) {
 }
 
 std::string& JsonObject::field(std::string_view key) {
-  if (!fields_.empty()) fields_ += ", ";
-  append_string(fields_, key);
-  fields_ += ": ";
-  return fields_;
+  if (text_.size() > 1) text_ += ", ";
+  append_string(text_, key);
+  text_ += ": ";
+  return text_;
 }
 
 JsonObject& JsonObject::set(std::string_view key, std::string_view value) {
@@ -100,19 +100,23 @@ JsonObject& JsonObject::set_raw(std::string_view key, std::string_view raw_json)
 }
 
 JsonObject& JsonObject::merge(const JsonObject& other) {
-  if (other.fields_.empty()) return *this;
-  if (!fields_.empty()) fields_ += ", ";
-  fields_ += other.fields_;
+  if (other.text_.size() == 1) return *this;
+  if (text_.size() > 1) text_ += ", ";
+  text_.append(other.text_, 1);
   return *this;
 }
 
-std::string JsonObject::str() const {
+std::string JsonObject::str() const& {
   std::string out;
-  out.reserve(fields_.size() + 2);
-  out += '{';
-  out += fields_;
+  out.reserve(text_.size() + 1);
+  out += text_;
   out += '}';
   return out;
+}
+
+std::string JsonObject::str() && {
+  text_ += '}';
+  return std::move(text_);
 }
 
 JsonArray& JsonArray::push(const JsonObject& obj) {

@@ -28,12 +28,21 @@ std::string json_string(std::string_view s);
 class JsonArray;
 
 /// Flat JSON object with insertion-ordered, deterministic serialisation.
-/// Each set() appends `, "key": value` straight into one buffer: escaping
-/// copies runs of plain characters in place and numbers are formatted
-/// into it directly, so a field costs no allocation of its own.  str()
-/// adds the braces.
+/// Each set() appends `, "key": value` straight into one buffer that
+/// opens with the '{': escaping copies runs of plain characters in place
+/// and numbers are formatted into it directly, so a field costs no
+/// allocation of its own.  str() adds the closing brace.
 class JsonObject {
  public:
+  JsonObject() : text_("{") {}
+
+  /// Room for `bytes` of serialised object, so an object whose size the
+  /// caller can bound grows its buffer once.
+  JsonObject& reserve(std::size_t bytes) {
+    text_.reserve(bytes);
+    return *this;
+  }
+
   JsonObject& set(std::string_view key, std::string_view value);
   /// Without this overload a string literal would convert to bool.
   JsonObject& set(std::string_view key, const char* value) {
@@ -51,14 +60,16 @@ class JsonObject {
   /// Append every field of `other` after this object's own fields.
   JsonObject& merge(const JsonObject& other);
 
-  std::string str() const;
+  std::string str() const&;
+  /// Closes the buffer and hands it over without copying it.
+  std::string str() &&;
 
  private:
   /// Appends the separator, the quoted key and ": "; returns the buffer
   /// for the value to be appended to.
   std::string& field(std::string_view key);
 
-  std::string fields_;  ///< `"key": value` pairs joined by ", "
+  std::string text_;  ///< '{' then `"key": value` pairs joined by ", "
 };
 
 /// JSON array of already-serialised values, one element per line when

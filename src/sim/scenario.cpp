@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iostream>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 
 #include "common/table.hpp"
@@ -298,21 +299,23 @@ std::size_t ScenarioSpec::grid_size() const {
 std::vector<ScenarioRun> expand_grid(const ScenarioSpec& spec, std::size_t* skipped) {
   // An empty thermal axis is one implicit disabled cell, so non-thermal
   // specs expand to exactly the grids they always did.
-  const std::vector<thermal::ThermalEnvelope> envelopes =
+  static const thermal::ThermalEnvelope kNoThermal{};
+  const std::span<const thermal::ThermalEnvelope> envelopes =
       spec.thermal_envelopes.empty()
-          ? std::vector<thermal::ThermalEnvelope>{thermal::ThermalEnvelope{}}
-          : spec.thermal_envelopes;
+          ? std::span(&kNoThermal, 1)
+          : std::span(spec.thermal_envelopes);
   // Same trick for the fault axis: absent means one disabled cell.
-  const std::vector<fault::FaultEnvelope> fault_envs =
-      spec.fault_envelopes.empty()
-          ? std::vector<fault::FaultEnvelope>{fault::FaultEnvelope{}}
-          : spec.fault_envelopes;
+  static const fault::FaultEnvelope kNoFault{};
+  const std::span<const fault::FaultEnvelope> fault_envs =
+      spec.fault_envelopes.empty() ? std::span(&kNoFault, 1)
+                                   : std::span(spec.fault_envelopes);
   // And the backend axis: absent means one constant-latency cell.
-  const std::vector<DramBackendMode> backends =
-      spec.dram_backends.empty()
-          ? std::vector<DramBackendMode>{DramBackendMode::kConstant}
-          : spec.dram_backends;
+  static constexpr DramBackendMode kConstant = DramBackendMode::kConstant;
+  const std::span<const DramBackendMode> backends =
+      spec.dram_backends.empty() ? std::span(&kConstant, 1)
+                                 : std::span(spec.dram_backends);
   std::vector<ScenarioRun> runs;
+  runs.reserve(spec.grid_size());
   std::size_t dropped = 0;
   for (const std::string& app : spec.apps) {
     for (cluster::Fabric fabric : spec.fabrics) {
@@ -444,7 +447,10 @@ cluster::ClusterConfig make_run_config(const ScenarioRun& run,
 }
 
 std::string run_metrics_json(const ScenarioRun& run, const cluster::SimResult& r) {
-  return run_metrics(run, r).str();
+  // A copy sized to fit: the payload outlives the JsonObject (served,
+  // stored, kept by callers), whose buffer carries its growth slack.
+  const JsonObject metrics = run_metrics(run, r);
+  return metrics.str();
 }
 
 std::string scenario_metrics_json(const ScenarioOutcome& outcome) {

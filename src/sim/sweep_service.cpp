@@ -32,6 +32,12 @@ namespace {
 
 constexpr std::string_view kMagic = "mot3d-cache v1";
 constexpr std::string_view kEntryExt = ".entry";
+/// The largest entry file a probe reads; a larger one is corrupt before
+/// any of it is read.  The largest run document in the goldens is 1 911 B.
+constexpr std::uint64_t kMaxEntryBytes = std::uint64_t{1} << 20;
+/// The canonical spec JSON is about 300 B; room for it, so it is written
+/// into one buffer.
+constexpr std::size_t kSpecBytes = 384;
 
 bool is_entry_file(const fs::directory_entry& e) {
   return e.is_regular_file() && e.path().extension() == kEntryExt;
@@ -67,14 +73,14 @@ std::size_t read_up_to(int fd, char* out, std::size_t bytes) {
   return got;
 }
 
-/// Stamps the modification time of `path` with CLOCK_REALTIME now, the
-/// one clock hits and stores both order the cache by (the kernel's own
-/// write stamp is coarser).  Best effort: a read-only cache still serves.
-void stamp_now(const std::string& path) {
+/// File times that leave the access time alone and set the modification
+/// time to CLOCK_REALTIME now, the one clock hits and stores both order
+/// the cache by (the kernel's own write stamp is coarser).  Stamping is
+/// best effort: a read-only cache still serves.
+struct StampNow {
+  StampNow() { ::clock_gettime(CLOCK_REALTIME, &times[1]); }
   struct timespec times[2] = {{0, UTIME_OMIT}, {}};
-  ::clock_gettime(CLOCK_REALTIME, &times[1]);
-  ::utimensat(AT_FDCWD, path.c_str(), times, 0);
-}
+};
 
 /// std::getline over a buffer: the next line without its '\n' (or the
 /// unterminated rest), false once nothing is left.
@@ -96,7 +102,8 @@ std::string canonical_job_json(const SweepJob& job) {
   // by name, which maps 1:1 to a cluster shape for every state the CLI
   // and registry can construct ("Full", "PC<c>-MB<b>", "Full<c>x<b>").
   JsonObject o;
-  o.set("format", std::uint64_t{1})
+  o.reserve(kSpecBytes)
+      .set("format", std::uint64_t{1})
       .set("app", job.run.app)
       .set("fabric", fabric_key(job.run.fabric))
       .set("state", job.run.state.name())
@@ -111,7 +118,7 @@ std::string canonical_job_json(const SweepJob& job) {
       .set("fault_seed", job.run.fault.seed)
       .set("scale", job.scale)
       .set("seed", job.seed);
-  return o.str();
+  return std::move(o).str();
 }
 
 std::string job_hash(const SweepJob& job) {
@@ -172,19 +179,25 @@ std::string SweepService::entry_path(const std::string& hash) const {
 SweepService::Probe SweepService::load_entry(const std::string& path,
                                              const std::string& hash,
                                              std::string* payload,
+                                             std::uint64_t* bytes,
                                              std::string* reason) const {
   // One open, fstat and read bring the whole entry into `payload`; the
-  // header is parsed in place and cut off the front of a hit.
-  const FileDescriptor fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  // header is parsed in place and cut off the front of a hit.  O_NONBLOCK:
+  // opening a FIFO waits for no writer, and fstat then rejects it.
+  const FileDescriptor fd(
+      ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK));
   struct stat st;
   if (fd.get() < 0 || ::fstat(fd.get(), &st) != 0) return Probe::kMiss;
-  payload->resize(static_cast<std::size_t>(st.st_size));
-  payload->resize(read_up_to(fd.get(), payload->data(), payload->size()));
-
   auto corrupt = [&](const char* why) {
     *reason = why;
     return Probe::kCorrupt;
   };
+  if (!S_ISREG(st.st_mode)) return corrupt("not a regular file");
+  *bytes = static_cast<std::uint64_t>(st.st_size);
+  if (*bytes > kMaxEntryBytes) return corrupt("oversized entry");
+  payload->resize(*bytes);
+  payload->resize(read_up_to(fd.get(), payload->data(), payload->size()));
+
   constexpr std::string_view kSpecKey = "spec_sha256 ";
   constexpr std::string_view kPayloadShaKey = "payload_sha256 ";
   constexpr std::string_view kPayloadBytesKey = "payload_bytes ";
@@ -217,20 +230,20 @@ SweepService::Probe SweepService::load_entry(const std::string& path,
     return corrupt("trailing bytes after payload");
   }
   if (sha256_hex(rest) != payload_sha) return corrupt("payload hash mismatch");
+  // Stamp the file that was verified: a stamp by path could land on an
+  // entry another process renamed into place since.
+  ::futimens(fd.get(), StampNow().times);
   payload->erase(0, payload->size() - rest.size());
   return Probe::kHit;
 }
 
-void SweepService::touch_entry(const std::string& path, const std::string& hash) {
+void SweepService::touch_entry(const std::string& hash, std::uint64_t bytes) {
   std::lock_guard<std::mutex> lock(store_mutex_);
   if (const auto it = by_hash_.find(hash); it != by_hash_.end()) {
     lru_.splice(lru_.end(), lru_, it->second);
   } else {
-    std::error_code ec;
-    const std::uintmax_t bytes = fs::file_size(path, ec);
-    if (!ec) record(hash, bytes);
+    record(hash, bytes);
   }
-  stamp_now(path);
 }
 
 bool SweepService::store_entry(const SweepJob& job, const std::string& hash,
@@ -272,7 +285,7 @@ bool SweepService::store_entry(const SweepJob& job, const std::string& hash,
   }
   // Stamp with the clock hits use: the kernel's own write stamp is coarser
   // and can sort before an earlier hit's.
-  stamp_now(path);
+  ::utimensat(AT_FDCWD, path.c_str(), StampNow().times, 0);
   record(hash, entry.size());
   if (cfg_.max_cache_bytes > 0) evict_over_cap();
   return true;
@@ -376,10 +389,11 @@ std::vector<JobOutcome> SweepService::run_batch(const std::vector<SweepJob>& job
       }
     }
     std::string payload, reason;
-    const std::string path = entry_path(q.hash());
-    const Probe probe = load_entry(path, q.hash(), &payload, &reason);
+    std::uint64_t bytes = 0;
+    const Probe probe =
+        load_entry(entry_path(q.hash()), q.hash(), &payload, &bytes, &reason);
     if (probe == Probe::kHit) {
-      touch_entry(path, q.hash());
+      touch_entry(q.hash(), bytes);
       counters_.add_hit();
       q.outcome.cache_hit = true;
       q.outcome.payload = std::move(payload);
@@ -512,16 +526,18 @@ std::string id_json(const JsonValue& v) {
   }
 }
 
-std::vector<std::string> string_list(const JsonValue& v, const char* field) {
+/// The names in `v`, a non-empty array of strings, moved out of it.
+std::vector<std::string> string_list(JsonValue& v, const char* field) {
   if (v.type != JsonValue::Type::kArray || v.array.empty()) {
     bad_request(std::string("'") + field + "' must be a non-empty array");
   }
   std::vector<std::string> out;
-  for (const JsonValue& e : v.array) {
+  out.reserve(v.array.size());
+  for (JsonValue& e : v.array) {
     if (e.type != JsonValue::Type::kString) {
       bad_request(std::string("'") + field + "' must contain only strings");
     }
-    out.push_back(e.string);
+    out.push_back(std::move(e.string));
   }
   return out;
 }
@@ -544,16 +560,16 @@ std::uint64_t u64_field(const JsonValue& v, const char* field) {
 
 /// The request in `doc`, an object whose "id" re-serialises as `id` (empty
 /// when it has none).
-ServiceRequest request_from(const JsonValue& doc, const std::string& id) {
-  static const char* kKnown[] = {"id",     "cmd",   "scenario",
-                                 "apps",   "fabrics", "states",
-                                 "dram",   "dram_backends", "scale",
-                                 "seed",   "timeout_seconds"};
+ServiceRequest request_from(JsonValue& doc, const std::string& id) {
+  static constexpr std::string_view kKnown[] = {
+      "id",   "cmd",           "scenario", "apps", "fabrics",        "states",
+      "dram", "dram_backends", "scale",    "seed", "timeout_seconds"};
   for (const auto& [key, value] : doc.object) {
     (void)value;
-    bool known = false;
-    for (const char* k : kKnown) known = known || key == k;
-    if (!known) bad_request("unknown field '" + key + "'");
+    if (std::find(std::begin(kKnown), std::end(kKnown), key) ==
+        std::end(kKnown)) {
+      bad_request("unknown field '" + key + "'");
+    }
   }
 
   ServiceRequest req;
@@ -619,10 +635,12 @@ ServiceRequest request_from(const JsonValue& doc, const std::string& id) {
     scale = spec->golden_scale;
     seed = spec->seed;
   } else {
-    // An absent axis is an empty list: adhoc_grid's default.
+    // An absent axis is an empty list: adhoc_grid's default.  The names
+    // move from the document into the lists, and the lists go to
+    // adhoc_grid uncopied.
     std::array<std::vector<std::string>, std::size(kGridAxes)> axes;
     for (std::size_t i = 0; i < axes.size(); ++i) {
-      if (const JsonValue* v = doc.find(kGridAxes[i])) {
+      if (JsonValue* v = doc.find(kGridAxes[i])) {
         axes[i] = string_list(*v, kGridAxes[i]);
       }
     }
@@ -639,10 +657,27 @@ ServiceRequest request_from(const JsonValue& doc, const std::string& id) {
   if (scale_v != nullptr) scale = scale_v->number;
   if (seed_v != nullptr) seed = u64_field(*seed_v, "seed");
 
-  for (const ScenarioRun& run : expand_grid(*spec, &req.skipped_invalid)) {
-    req.jobs.push_back(SweepJob{run, scale, seed, timeout_seconds});
+  std::vector<ScenarioRun> runs = expand_grid(*spec, &req.skipped_invalid);
+  req.jobs.reserve(runs.size());
+  for (ScenarioRun& run : runs) {
+    req.jobs.push_back(SweepJob{std::move(run), scale, seed, timeout_seconds});
   }
   return req;
+}
+
+/// Room for a job line besides its id, app, state name and result or
+/// error, for a done line besides its id, and for a batch summary: every
+/// key, a spec hash and 20-digit counts.
+constexpr std::size_t kJobLineBytes = 200;
+constexpr std::size_t kDoneLineBytes = 200;
+constexpr std::size_t kSummaryBytes = 312;
+
+/// Writes `line` and its newline with one call.  A line reserved with room
+/// for both is closed without growing or copying its buffer.
+void write_line(std::ostream& out, JsonObject&& line) {
+  std::string text = std::move(line).str();
+  text += '\n';
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 }  // namespace
@@ -672,7 +707,8 @@ int service_loop(std::istream& in, std::ostream& out, SweepService& service,
     ready.set("ready", true)
         .set("cache_dir", service.config().cache_dir)
         .set("cache_entries", stats.entries);
-    out << ready.str() << "\n" << std::flush;
+    write_line(out, std::move(ready));
+    out.flush();
   }
 
   bool shutdown = false;
@@ -687,7 +723,7 @@ int service_loop(std::istream& in, std::ostream& out, SweepService& service,
       JsonObject err;
       if (!e.id.empty()) err.set_raw("id", e.id);
       err.set("error", e.what());
-      out << err.str() << "\n";
+      write_line(out, std::move(err));
       if (serve) out.flush();
       continue;
     }
@@ -696,7 +732,7 @@ int service_loop(std::istream& in, std::ostream& out, SweepService& service,
     if (req.cmd == "ping") {
       JsonObject o;
       o.set_raw("id", req.id).set("pong", true);
-      out << o.str() << "\n";
+      write_line(out, std::move(o));
     } else if (req.cmd == "stats") {
       const obs::ServiceSnapshot s = counters.snapshot();
       const CacheStats cache = service.cache_stats();
@@ -715,11 +751,11 @@ int service_loop(std::istream& in, std::ostream& out, SweepService& service,
           .set("service.cache_bytes", cache.bytes);
       JsonObject o;
       o.set_raw("id", req.id).set_raw("stats", stats.str());
-      out << o.str() << "\n";
+      write_line(out, std::move(o));
     } else if (req.cmd == "shutdown") {
       JsonObject o;
       o.set_raw("id", req.id).set("bye", true);
-      out << o.str() << "\n";
+      write_line(out, std::move(o));
       shutdown = true;
     } else {
       const std::vector<JobOutcome> outcomes = service.run_batch(req.jobs);
@@ -727,12 +763,15 @@ int service_loop(std::istream& in, std::ostream& out, SweepService& service,
       for (std::size_t i = 0; i < outcomes.size(); ++i) {
         const SweepJob& job = req.jobs[i];
         const JobOutcome& r = outcomes[i];
+        const std::string& state = job.run.state.name();
         JsonObject o;
-        o.set_raw("id", req.id)
+        o.reserve(kJobLineBytes + req.id.size() + job.run.app.size() +
+                  state.size() + (r.ok() ? r.payload : r.error).size())
+            .set_raw("id", req.id)
             .set("job", static_cast<std::uint64_t>(i))
             .set("app", job.run.app)
             .set("fabric", fabric_key(job.run.fabric))
-            .set("state", job.run.state.name())
+            .set("state", state)
             .set("spec_hash", r.spec_hash)
             .set("cache_hit", r.cache_hit);
         if (r.ok()) {
@@ -742,17 +781,18 @@ int service_loop(std::istream& in, std::ostream& out, SweepService& service,
           ++errors;
           o.set("error", r.error);
         }
-        out << o.str() << "\n";
+        write_line(out, std::move(o));
       }
       JsonObject done;
-      done.set_raw("id", req.id)
+      done.reserve(kDoneLineBytes + req.id.size())
+          .set_raw("id", req.id)
           .set("done", true)
           .set("jobs", static_cast<std::uint64_t>(outcomes.size()))
           .set("skipped_invalid", static_cast<std::uint64_t>(req.skipped_invalid))
           .set("cache_hits", hits)
           .set("cache_misses", misses)
           .set("errors", errors);
-      out << done.str() << "\n";
+      write_line(out, std::move(done));
     }
     if (serve) out.flush();
   }
@@ -760,7 +800,8 @@ int service_loop(std::istream& in, std::ostream& out, SweepService& service,
   if (mode == ServiceLoopMode::kBatch) {
     const obs::ServiceSnapshot s = counters.snapshot();
     JsonObject o;
-    o.set("batch_done", true)
+    o.reserve(kSummaryBytes)
+        .set("batch_done", true)
         .set("requests", s.requests)
         .set("cache_hits", s.hits)
         .set("cache_misses", s.misses)
@@ -769,7 +810,7 @@ int service_loop(std::istream& in, std::ostream& out, SweepService& service,
         .set("protocol_errors", s.protocol_errors)
         .set("evictions", s.evictions)
         .set("corrupt_entries", s.corrupt_entries);
-    out << o.str() << "\n";
+    write_line(out, std::move(o));
     return (s.job_errors > 0 || s.protocol_errors > 0) ? 1 : 0;
   }
   return 0;

@@ -135,13 +135,15 @@ class SweepService {
   using Lru = std::list<Indexed>;
 
   std::string entry_path(const std::string& hash) const;
-  /// Read and verify the entry at `path` (entry_path(hash)).
+  /// Read and verify the entry at `path` (entry_path(hash)).  A hit's file
+  /// time is stamped through the descriptor it was read from, and `bytes`
+  /// receives the entry file's size.
   Probe load_entry(const std::string& path, const std::string& hash,
-                   std::string* payload, std::string* reason) const;
-  /// A verified hit: move the entry to the most-recent end (indexing it
-  /// with its file size if another process stored it) and refresh its
-  /// file time.
-  void touch_entry(const std::string& path, const std::string& hash);
+                   std::string* payload, std::uint64_t* bytes,
+                   std::string* reason) const;
+  /// A verified hit: move the entry to the most-recent end, indexing it
+  /// with its file size `bytes` if another process stored it.
+  void touch_entry(const std::string& hash, std::uint64_t bytes);
   bool store_entry(const SweepJob& job, const std::string& hash,
                    const std::string& payload);
   /// Index `hash` as most recent with `bytes`.  Caller holds store_mutex_.

@@ -21,7 +21,10 @@
 //
 // Served cache hits: a one-job run_batch that the sweep service answers
 // from its cache reads the entry with one read straight into the payload
-// it returns, and hands that outcome over without copying it.
+// it returns, and hands that outcome over without copying it.  Through
+// the request loop, the request is parsed in place and each response line
+// is built in one buffer.  An entry past the size bound is rejected
+// before a buffer is sized for it.
 //
 // Construction: a MoT cluster requests heap for what a run can touch
 // from the start, not for every L2 set it might touch later: a cache set
@@ -33,6 +36,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <new>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -233,11 +237,11 @@ TEST(NocRoundTripAllocations, NoAllocationPerMessage) {
 }
 
 TEST(ServedHitAllocations, OneJobHitStaysAtItsCount) {
-  // 16 today: the spec JSON and its digest (7), the batch's hash, dedupe
+  // 11 today: the spec JSON and its digest (2), the batch's hash, dedupe
   // and outcome containers (5), the outcome's spec hash, the entry's path,
   // the payload buffer and the payload's digest.  No count depends on the
   // cache directory's path.
-  constexpr double kMaxPerHit = 16;
+  constexpr double kMaxPerHit = 11;
   constexpr int kHits = 100;
   namespace fs = std::filesystem;
   const fs::path dir =
@@ -269,6 +273,93 @@ TEST(ServedHitAllocations, OneJobHitStaysAtItsCount) {
       static_cast<double>(g_allocations) / static_cast<double>(kHits);
   RecordProperty("allocations_per_hit", std::to_string(per_hit));
   EXPECT_LE(per_hit, kMaxPerHit);
+}
+
+TEST(ServedHitAllocations, ServedRequestLineStaysAtItsCount) {
+  // One request line answered from the cache through the batch loop, as
+  // perfbench's service_replay serves it: 29 today.  Parsing makes 14
+  // (the document's members and its four axis arrays, the four axis
+  // lists, the spec's three parsed axes, the grid and the job list),
+  // run_batch 11 (above), and the loop 4: the request line and the three
+  // response lines, each built in one buffer.
+  constexpr double kMaxPerHit = 29;
+  constexpr int kHits = 100;
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "served_request_allocations";
+  fs::remove_all(dir);
+  sim::ServiceConfig cfg;
+  cfg.cache_dir = dir.string();
+  cfg.threads = 1;
+  sim::SweepService service(cfg);
+  const std::string line =
+      R"({"id": 17, "apps": ["fft"], "fabrics": ["mot"], "states": ["Full"], )"
+      R"("dram": ["200"], "scale": 0.005, "seed": 42})";
+  std::istringstream in;
+  std::ostringstream out;
+  // The streams are reset outside the count, as a client's would be.
+  const auto serve = [&](bool count) {
+    in.clear();
+    in.str(line);
+    out.str("");
+    g_counting = count;
+    const int rc =
+        sim::service_loop(in, out, service, sim::ServiceLoopMode::kBatch);
+    g_counting = false;
+    return rc;
+  };
+  ASSERT_EQ(serve(false), 0);
+  ASSERT_EQ(serve(false), 0);  // warm-up: a hit
+  g_allocations = 0;
+  for (int i = 0; i < kHits; ++i) {
+    ASSERT_EQ(serve(true), 0);
+    ASSERT_NE(out.str().find(R"("cache_hit": true)"), std::string::npos);
+  }
+  fs::remove_all(dir);
+
+  const double per_hit =
+      static_cast<double>(g_allocations) / static_cast<double>(kHits);
+  RecordProperty("allocations_per_served_hit", std::to_string(per_hit));
+  EXPECT_LE(per_hit, kMaxPerHit);
+}
+
+TEST(ServedHitAllocations, OversizedEntryIsNotReadIntoMemory) {
+  // A sparse entry one byte past the 1 MiB bound is corrupt before any of
+  // it is read: the batch that finds it requests no more heap than a
+  // plain miss of the same job, which recomputes and stores it too.
+  constexpr std::int64_t kBound = std::int64_t{1} << 20;
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "oversized_entry_allocations";
+  fs::remove_all(dir);
+  sim::ServiceConfig cfg;
+  cfg.cache_dir = dir.string();
+  cfg.threads = 1;
+  sim::SweepService service(cfg);
+  sim::SweepJob job;
+  job.run.app = "fft";
+  job.scale = 0.005;
+  const std::vector<sim::SweepJob> jobs = {job};
+  const fs::path entry = dir / (sim::job_hash(job) + ".entry");
+  const auto miss_bytes = [&] {
+    g_bytes = 0;
+    g_counting = true;
+    const std::vector<sim::JobOutcome> out = service.run_batch(jobs);
+    g_counting = false;
+    EXPECT_TRUE(out.at(0).ok());
+    EXPECT_FALSE(out[0].cache_hit);
+    return static_cast<std::int64_t>(g_bytes);
+  };
+  miss_bytes();  // warm-up
+  fs::remove(entry);
+  const std::int64_t plain = miss_bytes();
+  fs::resize_file(entry, kBound + 1);
+  const std::int64_t oversized = miss_bytes();
+  fs::remove_all(dir);
+
+  EXPECT_EQ(service.counters().snapshot().corrupt_entries, 1u);
+  RecordProperty("oversized_probe_bytes", std::to_string(oversized - plain));
+  EXPECT_LT(oversized - plain, kBound / 16);
 }
 
 /// Heap bytes the Cluster constructor requests for `cfg`.

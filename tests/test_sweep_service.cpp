@@ -12,8 +12,10 @@
 //    request streams give identical counts, and a restarted service
 //    reads the same use order back from the file times.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -374,19 +376,32 @@ TEST_F(SweepServiceTest, EveryCorruptEntryIsRecomputedWithItsReason) {
   };
   SweepService service(config());
   std::uint64_t corrupt = 0;
-  for (const auto& c : cases) {
-    SCOPED_TRACE(c.reason);
-    std::ofstream(entry_of(job("fft")), std::ios::binary | std::ios::trunc)
-        << c.text;
+  const fs::path entry = entry_of(job("fft"));
+  auto expect_recomputed = [&](const char* reason) {
+    SCOPED_TRACE(reason);
     ::testing::internal::CaptureStderr();
     const JobOutcome out = request(service, job("fft"));
     const std::string log = ::testing::internal::GetCapturedStderr();
     EXPECT_FALSE(out.cache_hit);
     EXPECT_NE(out.payload, kV1Payload);
-    EXPECT_NE(log.find(std::string("(") + c.reason + ")"), std::string::npos)
+    EXPECT_NE(log.find(std::string("(") + reason + ")"), std::string::npos)
         << log;
     EXPECT_EQ(service.counters().snapshot().corrupt_entries, ++corrupt);
+  };
+  for (const auto& c : cases) {
+    std::ofstream(entry, std::ios::binary | std::ios::trunc) << c.text;
+    expect_recomputed(c.reason);
   }
+  // Defects of the file itself.  A FIFO would block an open that waits
+  // for a writer forever (the ctest timeout turns that into a failure).
+  fs::remove(entry);
+  ASSERT_EQ(::mkfifo(entry.c_str(), 0600), 0);
+  expect_recomputed("not a regular file");
+  ASSERT_TRUE(fs::is_regular_file(entry)) << "the rewrite replaces the FIFO";
+  // A sparse file one byte past the 1 MiB bound is rejected unread.
+  fs::resize_file(entry, (std::uint64_t{1} << 20) + 1);
+  expect_recomputed("oversized entry");
+  EXPECT_TRUE(request(service, job("fft")).cache_hit);
 }
 
 // ---- cache behaviour -------------------------------------------------------
@@ -894,6 +909,55 @@ TEST(ServiceRequestParse, MalformedRequestsThrowWithOneLineReasons) {
       parse_service_request(R"({"apps":["fft"],"seed":9007199254740991})");
   ASSERT_FALSE(largest.jobs.empty());
   EXPECT_EQ(largest.jobs.front().seed, 9007199254740991u);
+
+  // Numbers JSON's grammar forbids: none of these is a seed 3 at scale
+  // 0.002, and none is an id.
+  for (const char* request :
+       {R"({"id":1,"apps":["fft"],"scale":.002,"seed":+3})",
+        R"({"apps":["fft"],"scale":.002})", R"({"apps":["fft"],"seed":+3})",
+        R"({"apps":["fft"],"scale":2.})", R"({"apps":["fft"],"seed":03})",
+        R"({"id":+1,"apps":["fft"]})", R"({"apps":["fft"],"seed":0x3})",
+        R"({"apps":["fft"],"scale":NaN})", R"({"apps":["fft"],"scale":1e400})"}) {
+    EXPECT_THROW(parse_service_request(request), std::invalid_argument)
+        << request;
+  }
+}
+
+TEST(JsonReaderNumbers, FollowTheJsonGrammarExactly) {
+  const auto number = [](const std::string& text) -> std::optional<double> {
+    const std::optional<JsonValue> v = JsonReader(text).parse();
+    if (!v) return std::nullopt;
+    EXPECT_EQ(v->type, JsonValue::Type::kNumber) << text;
+    return v->number;
+  };
+  // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, each value rounded
+  // as strtod rounds it.
+  const std::pair<const char*, double> valid[] = {
+      {"0", 0.0},        {"-0", -0.0},        {"7", 7.0},
+      {"-12", -12.0},    {"0.5", 0.5},        {"-0.002", -0.002},
+      {"1e5", 1e5},      {"1E5", 1e5},        {"1e+05", 1e5},
+      {"25e-1", 2.5},    {"1.25E-3", 1.25e-3}, {"0e0", 0.0},
+      {"1e308", 1e308},  {"2.2250738585072014e-308", 2.2250738585072014e-308},
+      {"9007199254740993", 9007199254740992.0},
+  };
+  for (const auto& [text, want] : valid) {
+    const std::optional<double> got = number(text);
+    ASSERT_TRUE(got.has_value()) << text;
+    EXPECT_EQ(*got, want) << text;
+    EXPECT_EQ(std::signbit(*got), std::signbit(want)) << text;
+  }
+  // The grammar's rejections, then values a double cannot hold (an
+  // overflow, an underflow to a subnormal) and names that are no numbers.
+  for (const char* text :
+       {"+1", ".5", "1.", "01", "-01", "00", "-", "--1", "-.5", "1.e5", "1e",
+        "1e+", "e5", ".", "1.5.5", "1e5e5", "0x10", " 1 2", "1e400", "-1e400",
+        "1e-400", "4e-320", "NaN", "nan", "Infinity", "-Infinity"}) {
+    EXPECT_FALSE(number(text).has_value()) << text;
+  }
+  // Inside arrays and objects too.
+  EXPECT_FALSE(JsonReader("[1,+2]").parse());
+  EXPECT_FALSE(JsonReader(R"({"a":01})").parse());
+  EXPECT_TRUE(JsonReader(R"({"a":[-0.5e-3, 10]})").parse());
 }
 
 // ---- the loop, end to end over stringstreams -------------------------------
@@ -1049,6 +1113,54 @@ TEST_F(SweepServiceTest, WarmBatchReportsZeroMissesByteIdentically) {
     EXPECT_EQ(cold_lines[i], warm_lines[i]) << "warm line " << i
                                             << " is not bit-identical";
   }
+}
+
+TEST_F(SweepServiceTest, WarmOneJobResponseIsPinnedByteForByte) {
+  // One fixed one-job request, cold and then warm: the warm output (job
+  // line, done line, batch summary) spelled out byte for byte.  Comparing
+  // warm with cold alone would pass a line writer that changed both.
+  const std::string request =
+      R"({"id":"hit-17","apps":["fft"],"states":["PC4-MB8"],)"
+      R"("scale":0.002,"seed":3001})"
+      "\n";
+  std::string text;
+  for (const bool warm : {false, true}) {
+    SweepService service(config());
+    std::istringstream in(request);
+    std::ostringstream out;
+    EXPECT_EQ(service_loop(in, out, service, ServiceLoopMode::kBatch), 0);
+    EXPECT_EQ(service.counters().snapshot().hits, warm ? 1u : 0u);
+    text = out.str();
+  }
+  EXPECT_EQ(text,
+      R"({"id": "hit-17", "job": 0, "app": "fft", "fabric": "mot", )"
+      R"("state": "PC4-MB8", )"
+      R"("spec_hash": "edfa6f019292105cfb2b2f710d1267efbb7b2bba001ceee3956fb42e07e33750", )"
+      R"("cache_hit": true, "result": {"app": "fft", "fabric": "3-D MoT", )"
+      R"("state": "PC4-MB8", "dram_ns": 200, "cycles": 25679, )"
+      R"("instructions": 3926, "ipc": 0.1528875735036411, "l2_hits": 7, )"
+      R"("l2_misses": 214, "l2_writebacks": 0, )"
+      R"("l2_bank_conflict_cycles": 0, "l2_bank_hit_rate_min": 0, )"
+      R"("l2_bank_hit_rate_max": 0.1351351351351351, )"
+      R"("l2_bank_hit_rate_spread": 0.1351351351351351, )"
+      R"("l2_resident_lines": 214, )"
+      R"("l2_hit_latency_mean": 7.714285714285714, )"
+      R"("l2_latency_mean": 205.6787330316742, "l2_latency_p95": 213, )"
+      R"("dram_reads": 214, "dram_writes": 0, "dram_wait_cycles": 23, )"
+      R"("icn_requests_injected": 221, "icn_requests_delivered": 221, )"
+      R"("icn_responses_delivered": 221, )"
+      R"("icn_arbitration_wait_cycles": 10, )"
+      R"("l1d_miss_rate": 0.1925133689839572, "l1i_miss_rate": 0, )"
+      R"("energy_core_pj": 3091800, "energy_l1_pj": 11608, )"
+      R"("energy_l2_pj": 282923.6386520001, )"
+      R"("energy_icn_pj": 57486.84800000016, "energy_dram_pj": 1712000, )"
+      R"("edp_energy_pj": 3443818.4866520003, )"
+      R"("edp_pj_s": 88.43381491873672, "avg_power_w": 0.1341103036197671}})" "\n"
+      R"({"id": "hit-17", "done": true, "jobs": 1, "skipped_invalid": 0, )"
+      R"("cache_hits": 1, "cache_misses": 0, "errors": 0})" "\n"
+      R"({"batch_done": true, "requests": 1, "cache_hits": 1, )"
+      R"("cache_misses": 0, "computed": 0, "errors": 0, )"
+      R"("protocol_errors": 0, "evictions": 0, "corrupt_entries": 0})" "\n");
 }
 
 }  // namespace
