@@ -27,9 +27,9 @@ Usage:
   --serve    also exercise the sweep-service contract: cold/warm batch
              determinism over a pipe, an interactive serve session with
              request/response round trips (the watchdog converting a
-             wedged job into a structured error), a cache entry with
-             a corrupt payload length recomputed, and the
-             unwritable-cache-dir error path
+             wedged job into a structured error), cache entries with
+             a corrupt payload length, a FIFO and an oversized sparse
+             file recomputed, and the unwritable-cache-dir error path
 """
 
 import argparse
@@ -691,10 +691,48 @@ def oversized_length_batch(binary, cache, requests):
     return TestResult(name, True, "corrupt_entries 1, errors 0, same results")
 
 
+def bad_file_batch(binary, cache, requests):
+    """Entries that are no valid file to read: a FIFO, which a blocking
+    open would wait on for a writer forever, and a sparse file one byte
+    past the 1 MiB bound.  The next batch must finish within the
+    subprocess timeout, count both as corrupt, recompute the same
+    results and exit 0."""
+    name = "batch: a FIFO entry and an oversized sparse entry are recomputed"
+    print(f"Running: {name}...")
+    args = ["batch", f"--cache-dir={cache}"]
+    try:
+        warm = run_cmd(binary, args, requests)
+        entries = sorted(glob.glob(os.path.join(cache, "*.entry")))
+        if warm.returncode != 0 or len(entries) < 2:
+            return TestResult(name, False, f"warm batch exit {warm.returncode}"
+                              f" with {len(entries)} entries")
+        os.remove(entries[0])
+        os.mkfifo(entries[0])
+        os.truncate(entries[1], 2**20 + 1)
+        again = run_cmd(binary, args, requests)
+    except (subprocess.TimeoutExpired, OSError) as e:
+        return TestResult(name, False, str(e))
+    if again.returncode != 0:
+        return TestResult(name, False,
+                          f"exit code {again.returncode}, expected 0\n"
+                          f"stderr: {again.stderr.strip()[:500]}")
+    summary = json.loads(again.stdout.splitlines()[-1])
+    if summary.get("corrupt_entries") != 2 or summary.get("errors") != 0:
+        return TestResult(name, False, f"bad summary: {summary!r}")
+
+    def results(out):
+        docs = [json.loads(line) for line in out.splitlines()]
+        return [(d["id"], d["result"]) for d in docs if "result" in d]
+
+    if results(again.stdout) != results(warm.stdout):
+        return TestResult(name, False, "recomputed results differ from warm")
+    return TestResult(name, True, "corrupt_entries 2, errors 0, same results")
+
+
 def serve_tests(binary):
     """Sweep-service contract: batch cold/warm determinism over a pipe, a
-    corrupt payload length recomputed, an interactive serve session, and
-    the unwritable-cache-dir error path."""
+    corrupt payload length, a FIFO and an oversized entry recomputed, an
+    interactive serve session, and the unwritable-cache-dir error path."""
     results = []
     requests = ('{"id":1,"apps":["fft"],"scale":0.01,"seed":7}\n'
                 '{"id":2,"apps":["radix"],"scale":0.01,"seed":7}\n')
@@ -715,6 +753,7 @@ def serve_tests(binary):
             forbid_patterns=[r'"cache_hit": false'])
         results.append(warm)
         results.append(oversized_length_batch(binary, cache, requests))
+        results.append(bad_file_batch(binary, cache, requests))
         # A fresh cache dir: the session's cold/warm expectations must not
         # be satisfied by entries the batch tests above already stored.
         results.append(serve_session(binary, os.path.join(tmp, "serve_cache")))
