@@ -231,31 +231,6 @@ Cluster::Cluster(ClusterConfig cfg)
   if (cfg_.obs.metrics) {
     metrics_ =
         std::make_shared<obs::MetricsRegistry>(cfg_.obs.metrics_epoch_cycles);
-    metrics_->add("cluster.instructions", [this] {
-      std::uint64_t n = 0;
-      for (const cpu::Core& core : core_arena_) n += core.stats().instructions;
-      return static_cast<double>(n);
-    });
-    // Aggregate latency probes carry an emptiness predicate: an empty stat
-    // exports as JSON null, never as the fabricated 0.0 the accessors of
-    // common/stats.hpp return before the first sample.
-    metrics_->add(
-        "cluster.l2_latency_mean", [this] { return l2_latency_.mean(); },
-        [this] { return l2_latency_.count() == 0; });
-    metrics_->add(
-        "cluster.l2_latency_max",
-        [this] { return static_cast<double>(l2_latency_.max()); },
-        [this] { return l2_latency_.count() == 0; });
-    interconnect_->register_metrics(*metrics_, "fabric");
-    l2_->register_metrics(*metrics_, "l2");
-    dram_->register_metrics(*metrics_, "dram");
-    if (coh_dir_ != nullptr) coh_dir_->register_metrics(*metrics_, "coherence");
-    if (thermal_ != nullptr) thermal_->register_metrics(*metrics_, "thermal");
-    metrics_->add_prepare([this] {
-      obs_ledger_ = power::EnergyLedger{};
-      accumulate_dynamic_energy(obs_ledger_);
-    });
-    obs_ledger_.register_metrics(*metrics_, "energy");
     next_metrics_cycle_ = cfg_.obs.metrics_epoch_cycles;
   }
   if (cfg_.obs.phase_timing) {
@@ -599,7 +574,7 @@ void Cluster::poll() {
   //    lands on it (next_event_cycle() includes it).
   if (now_ == next_metrics_cycle_) {
     sync_cores();
-    metrics_->sample(now_);
+    sample_metrics();
     next_metrics_cycle_ = now_ + cfg_.obs.metrics_epoch_cycles;
   }
 }
@@ -609,8 +584,85 @@ void Cluster::obs_finalize() {
   // so short runs export at least one row.  Both schedulers finish at the
   // same now_, so the tail row is deterministic too.
   if (metrics_ != nullptr && metrics_->last_sample_cycle() != now_) {
-    metrics_->sample(now_);
+    sample_metrics();
   }
+}
+
+void Cluster::sample_metrics() {
+  constexpr double kNull = obs::MetricsRegistry::kNull;
+  obs::MetricsRegistry& m = *metrics_;
+  m.start_row(now_);
+  std::uint64_t instructions = 0;
+  for (const cpu::Core& core : core_arena_) {
+    instructions += core.stats().instructions;
+  }
+  m.put("cluster.instructions", instructions);
+  // An empty latency stat is put as null, never as the fabricated 0.0
+  // the accessors of common/stats.hpp return before the first sample.
+  const bool no_latency = l2_latency_.count() == 0;
+  m.put("cluster.l2_latency_mean", no_latency ? kNull : l2_latency_.mean());
+  m.put("cluster.l2_latency_max",
+        no_latency ? kNull : static_cast<double>(l2_latency_.max()));
+
+  const InterconnectStats& fabric = interconnect_->stats();
+  m.put("fabric.requests_delivered", fabric.requests_delivered);
+  m.put("fabric.responses_delivered", fabric.responses_delivered);
+  m.put("fabric.arbitration_wait_cycles", fabric.arbitration_wait_cycles);
+  m.put("fabric.dynamic_energy_pj", interconnect_->dynamic_energy_pj());
+
+  const mem::L2Stats& l2 = l2_->stats();
+  m.put("l2.hits", l2.hits);
+  m.put("l2.misses", l2.misses);
+  m.put("l2.writebacks", l2.writebacks);
+  m.put("l2.bank_conflict_cycles", l2.bank_conflict_cycles);
+  m.put("l2.dynamic_energy_pj", l2.dynamic_energy_pj);
+
+  const mem::DramStats& dram = dram_->stats();
+  m.put("dram.reads", dram.reads);
+  m.put("dram.writes", dram.writes);
+  m.put("dram.page_hits", dram.page_hits);
+  m.put("dram.page_misses", dram.page_misses);
+  m.put("dram.total_wait_cycles", dram.total_wait_cycles);
+  m.put("dram.dynamic_energy_pj", dram.dynamic_energy_pj);
+  if (stacked_ != nullptr) {
+    m.put("dram.refreshes", stacked_->total_refreshes());
+    m.put("dram.remaps", stacked_->remap_count());
+    const std::vector<dram3d::VaultStats>& vaults = stacked_->vault_stats();
+    for (std::size_t v = 0; v < vaults.size(); ++v) {
+      const std::string vp = "dram.vault" + std::to_string(v);
+      m.put(vp + ".accesses", vaults[v].reads + vaults[v].writes);
+      m.put(vp + ".row_hits", vaults[v].row_hits);
+      m.put(vp + ".refreshes", vaults[v].refreshes);
+      m.put(vp + ".energy_pj", vaults[v].energy_pj);
+    }
+  }
+
+  if (coh_dir_ != nullptr) {
+    const coherence::CoherenceStats& coh = coh_dir_->stats();
+    m.put("coherence.invalidations", coh.invalidations);
+    m.put("coherence.inv_acks", coh.inv_acks);
+    m.put("coherence.data_forwards", coh.data_forwards);
+    m.put("coherence.upgrades", coh.upgrades);
+    m.put("coherence.sharing_misses", coh.sharing_misses);
+    m.put("coherence.dir_occupancy", coh_dir_->occupancy());
+  }
+
+  if (thermal_ != nullptr) {
+    m.put("thermal.peak_c", thermal_->peak_c());
+    m.put("thermal.samples", thermal_->samples());
+    m.put("thermal.leakage_pj", thermal_->core_static_pj() +
+                                    thermal_->l2_static_pj() +
+                                    thermal_->icn_static_pj());
+  }
+
+  power::EnergyLedger energy;
+  accumulate_dynamic_energy(energy);
+  using power::Component;
+  m.put("energy.core_pj", energy.dynamic_pj(Component::kCore));
+  m.put("energy.l1_pj", energy.dynamic_pj(Component::kL1));
+  m.put("energy.l2_pj", energy.dynamic_pj(Component::kL2));
+  m.put("energy.interconnect_pj", energy.dynamic_pj(Component::kInterconnect));
+  m.put("energy.dram_pj", energy.dynamic_pj(Component::kDram));
 }
 
 void Cluster::set_frozen(bool frozen) {

@@ -366,6 +366,10 @@ class Cluster final : private mem::ReadSink {
   /// boundary) so short runs export at least one row.
   void obs_finalize();
 
+  /// One metrics row at now_: every interval counter, read from the
+  /// components' stats (the one place the metric names are spelled).
+  void sample_metrics();
+
   /// Monotone count of real forward progress (instructions, L2/DRAM
   /// traffic, delivered messages) — frozen exactly when the run is wedged.
   std::uint64_t progress_signature() const;
@@ -473,7 +477,6 @@ class Cluster final : private mem::ReadSink {
 
   // -- observability state (engaged only via cfg_.obs; see src/obs/) --
   std::shared_ptr<obs::MetricsRegistry> metrics_;
-  power::EnergyLedger obs_ledger_;  ///< refreshed by a prepare hook per sample
   obs::LatencyHistogram obs_l2_rt_, obs_inv_rt_, obs_dram_;
   std::vector<obs::LatencyHistogram> obs_vault_;  ///< stacked runs only
   Cycle drain_begin_ = 0;           ///< start cycle of the pending drain

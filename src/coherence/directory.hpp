@@ -38,7 +38,6 @@
 
 #include "common/messages.hpp"
 #include "common/types.hpp"
-#include "obs/metrics.hpp"
 
 namespace mot3d::coherence {
 
@@ -101,23 +100,6 @@ class CoherenceDirectory {
   std::size_t slice_entries(BankId b) const { return slices_[b].size; }
 
   const CoherenceStats& stats() const { return stats_; }
-
-  /// Registers the protocol counters under `prefix` (e.g. "coherence").
-  void register_metrics(obs::MetricsRegistry& m,
-                        const std::string& prefix) const {
-    m.add(prefix + ".invalidations",
-          [this] { return static_cast<double>(stats_.invalidations); });
-    m.add(prefix + ".inv_acks",
-          [this] { return static_cast<double>(stats_.inv_acks); });
-    m.add(prefix + ".data_forwards",
-          [this] { return static_cast<double>(stats_.data_forwards); });
-    m.add(prefix + ".upgrades",
-          [this] { return static_cast<double>(stats_.upgrades); });
-    m.add(prefix + ".sharing_misses",
-          [this] { return static_cast<double>(stats_.sharing_misses); });
-    m.add(prefix + ".dir_occupancy",
-          [this] { return static_cast<double>(occupancy()); });
-  }
 
  private:
   /// One slice: an open-addressing (linear-probe, tombstone-delete) table

@@ -12,7 +12,6 @@
 #include "common/messages.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "obs/metrics.hpp"
 
 namespace mot3d::obs {
 class TraceBuffer;
@@ -103,21 +102,6 @@ class Interconnect {
   void set_trace(obs::TraceBuffer* trace, std::uint32_t track) {
     trace_ = trace;
     trace_track_ = track;
-  }
-
-  /// Registers the transport counters under `prefix` (e.g. "fabric").
-  void register_metrics(obs::MetricsRegistry& m,
-                        const std::string& prefix) const {
-    m.add(prefix + ".requests_delivered", [this] {
-      return static_cast<double>(stats_.requests_delivered);
-    });
-    m.add(prefix + ".responses_delivered", [this] {
-      return static_cast<double>(stats_.responses_delivered);
-    });
-    m.add(prefix + ".arbitration_wait_cycles", [this] {
-      return static_cast<double>(stats_.arbitration_wait_cycles);
-    });
-    m.add(prefix + ".dynamic_energy_pj", [this] { return dynamic_energy_pj(); });
   }
 
  protected:

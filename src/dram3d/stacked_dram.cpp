@@ -144,29 +144,6 @@ std::uint64_t StackedDram::total_refreshes() const {
   return sum;
 }
 
-void StackedDram::register_metrics(obs::MetricsRegistry& m,
-                                   const std::string& prefix) const {
-  MemoryBackend::register_metrics(m, prefix);
-  m.add(prefix + ".refreshes",
-        [this] { return static_cast<double>(total_refreshes()); });
-  m.add(prefix + ".remaps",
-        [this] { return static_cast<double>(remap_count_); });
-  for (std::size_t v = 0; v < vault_stats_.size(); ++v) {
-    const std::string vp = prefix + ".vault" + std::to_string(v);
-    m.add(vp + ".accesses", [this, v] {
-      return static_cast<double>(vault_stats_[v].reads +
-                                 vault_stats_[v].writes);
-    });
-    m.add(vp + ".row_hits", [this, v] {
-      return static_cast<double>(vault_stats_[v].row_hits);
-    });
-    m.add(vp + ".refreshes", [this, v] {
-      return static_cast<double>(vault_stats_[v].refreshes);
-    });
-    m.add(vp + ".energy_pj", [this, v] { return vault_stats_[v].energy_pj; });
-  }
-}
-
 void StackedDram::swap_physical(std::size_t hot, std::size_t cool,
                                 Cycle /*now*/) {
   if (hot >= cfg_.num_vaults || cool >= cfg_.num_vaults || hot == cool) {

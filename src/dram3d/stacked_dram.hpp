@@ -84,10 +84,6 @@ class StackedDram final : public mem::MemoryBackend {
   /// One TSV link transfer per line, serialised on the vault port.
   Cycle flush_line_cycles() const override { return cfg_.link_cycles; }
 
-  /// The shared counters plus refreshes, remaps and per-vault probes.
-  void register_metrics(obs::MetricsRegistry& m,
-                        const std::string& prefix) const override;
-
   // ---- stacked-specific surface --------------------------------------------
 
   std::size_t num_vaults() const { return cfg_.num_vaults; }

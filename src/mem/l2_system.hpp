@@ -27,7 +27,6 @@
 #include "common/types.hpp"
 #include "mem/cache.hpp"
 #include "mem/memory_backend.hpp"
-#include "obs/metrics.hpp"
 
 namespace mot3d {
 class Interconnect;
@@ -134,22 +133,6 @@ class L2System final : public ReadSink {
   void set_trace(obs::TraceBuffer* trace, std::uint32_t bank_track_base) {
     trace_ = trace;
     trace_bank_base_ = bank_track_base;
-  }
-
-  /// Registers the L2 counters under `prefix` (e.g. "l2").
-  void register_metrics(obs::MetricsRegistry& m,
-                        const std::string& prefix) const {
-    m.add(prefix + ".hits",
-          [this] { return static_cast<double>(stats_.hits); });
-    m.add(prefix + ".misses",
-          [this] { return static_cast<double>(stats_.misses); });
-    m.add(prefix + ".writebacks",
-          [this] { return static_cast<double>(stats_.writebacks); });
-    m.add(prefix + ".bank_conflict_cycles", [this] {
-      return static_cast<double>(stats_.bank_conflict_cycles);
-    });
-    m.add(prefix + ".dynamic_energy_pj",
-          [this] { return stats_.dynamic_energy_pj; });
   }
 
   /// Parked-state snapshot of one bank for watchdog / deadlock dumps.

@@ -25,12 +25,10 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
 #include "obs/latency.hpp"
-#include "obs/metrics.hpp"
 
 namespace mot3d::mem {
 
@@ -104,23 +102,6 @@ class MemoryBackend {
   /// from model quantities only, so it is identical in both scheduler
   /// modes; null (the default) costs one untaken branch per grant.
   void set_service_histogram(obs::LatencyHistogram* h) { service_hist_ = h; }
-
-  /// Registers the backend counters under `prefix` (e.g. "dram").
-  virtual void register_metrics(obs::MetricsRegistry& m,
-                                const std::string& prefix) const {
-    m.add(prefix + ".reads",
-          [this] { return static_cast<double>(stats_.reads); });
-    m.add(prefix + ".writes",
-          [this] { return static_cast<double>(stats_.writes); });
-    m.add(prefix + ".page_hits",
-          [this] { return static_cast<double>(stats_.page_hits); });
-    m.add(prefix + ".page_misses",
-          [this] { return static_cast<double>(stats_.page_misses); });
-    m.add(prefix + ".total_wait_cycles",
-          [this] { return static_cast<double>(stats_.total_wait_cycles); });
-    m.add(prefix + ".dynamic_energy_pj",
-          [this] { return stats_.dynamic_energy_pj; });
-  }
 
  protected:
   struct Txn {

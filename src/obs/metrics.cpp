@@ -1,8 +1,8 @@
 #include "obs/metrics.hpp"
 
+#include <cassert>
 #include <charconv>
 #include <cmath>
-#include <limits>
 
 namespace mot3d::obs {
 
@@ -29,24 +29,18 @@ void write_escaped(std::ostream& os, const std::string& s) {
 
 }  // namespace
 
-void MetricsRegistry::add(std::string name, std::function<double()> probe,
-                          std::function<bool()> empty) {
-  Counter c;
-  c.name = std::move(name);
-  c.probe = std::move(probe);
-  c.empty = std::move(empty);
-  c.series.reserve(16);
-  counters_.push_back(std::move(c));
+void MetricsRegistry::start_row(Cycle now) {
+  assert(next_ == counters_.size() && "the previous row is incomplete");
+  cycles_.push_back(now);
+  next_ = 0;
 }
 
-void MetricsRegistry::sample(Cycle now) {
-  for (const auto& hook : prepare_) hook();
-  cycles_.push_back(now);
-  for (Counter& c : counters_) {
-    const bool is_empty = c.empty && c.empty();
-    c.series.push_back(is_empty ? std::numeric_limits<double>::quiet_NaN()
-                                : c.probe());
-  }
+void MetricsRegistry::put(std::string_view name, double value) {
+  assert(!cycles_.empty() && "put() before start_row()");
+  if (cycles_.size() == 1) counters_.push_back(Counter{std::string(name), {}});
+  assert(next_ < counters_.size() && counters_[next_].name == name &&
+         "a later row must put the first row's names in its order");
+  counters_[next_++].series.push_back(value);
 }
 
 void MetricsRegistry::write_json(std::ostream& os) const {

@@ -1,25 +1,27 @@
-// Interval metrics registry: hierarchical named counters sampled on
+// Interval metrics registry: a named table of counter samples taken on
 // deterministic epoch boundaries.
 //
-// Components register read-only probes ("l2.misses", "fabric.grants",
-// "energy.core_pj"…) at construction time; the cluster samples every
-// probe when the simulated clock crosses an epoch boundary.  The
-// boundary is folded into the cluster's next_event computation — the
-// same pattern as thermal sampling — so the event-driven scheduler
-// lands on exactly the cycles the dense scheduler walks through, and
-// the exported time series is bit-identical between the two (pinned by
-// tests/test_obs.cpp).
+// It has one producer: Cluster::sample_metrics() opens a row when the
+// simulated clock crosses an epoch boundary, and once more at the
+// run-end flush, then puts every counter (cluster.*, fabric.*, l2.*,
+// dram.*, coherence.*, thermal.*, energy.*) read from the components'
+// public stats.  The boundary is folded into the cluster's next_event
+// computation — the same pattern as thermal sampling — so the
+// event-driven scheduler lands on exactly the cycles the dense
+// scheduler walks through, and the exported time series is
+// bit-identical between the two (pinned by tests/test_obs.cpp).
 //
-// A probe may be paired with an `empty` predicate: statistics with no
-// samples yet (RunningStat and friends return 0.0 for min()/max() when
-// empty, indistinguishable from a real zero) are recorded as NaN and
-// serialised as explicit JSON null / an empty CSV cell.
+// NaN is the explicit null.  A statistic with no samples yet (RunningStat
+// and friends return 0.0 for min()/max() when empty, indistinguishable
+// from a real zero) is put as kNull and serialised as JSON null / an
+// empty CSV cell.
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <limits>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -28,24 +30,20 @@ namespace mot3d::obs {
 
 class MetricsRegistry {
  public:
+  /// The explicit null sample.
+  static constexpr double kNull = std::numeric_limits<double>::quiet_NaN();
+
   explicit MetricsRegistry(Cycle epoch_cycles) : epoch_(epoch_cycles) {}
 
   Cycle epoch_cycles() const { return epoch_; }
 
-  /// Hook run once per sample before any probe is read (e.g. refresh a
-  /// scratch EnergyLedger that several probes then read).
-  void add_prepare(std::function<void()> hook) {
-    prepare_.push_back(std::move(hook));
-  }
+  /// Opens the row of simulated cycle `now`; put() fills it.
+  void start_row(Cycle now);
 
-  /// Registers counter `name` (dotted hierarchy, e.g. "l2.misses").
-  /// When `empty` is provided and true at sample time, the sample is
-  /// recorded as null instead of the probe value.
-  void add(std::string name, std::function<double()> probe,
-           std::function<bool()> empty = nullptr);
-
-  /// Records one row at simulated cycle `now`.
-  void sample(Cycle now);
+  /// Puts the open row's next counter under its dotted `name`; an
+  /// integer count converts exactly below 2^53.  The first row names the
+  /// columns; every later row must put the same names in the same order.
+  void put(std::string_view name, double value);
 
   std::size_t counter_count() const { return counters_.size(); }
   const std::string& counter_name(std::size_t i) const {
@@ -70,15 +68,13 @@ class MetricsRegistry {
  private:
   struct Counter {
     std::string name;
-    std::function<double()> probe;
-    std::function<bool()> empty;  ///< may be null: never empty
     std::vector<double> series;
   };
 
   Cycle epoch_;
   std::vector<Cycle> cycles_;
-  std::vector<std::function<void()>> prepare_;
   std::vector<Counter> counters_;
+  std::size_t next_ = 0;  ///< the column the open row's next put() fills
 };
 
 }  // namespace mot3d::obs

@@ -7,10 +7,8 @@
 #pragma once
 
 #include <array>
-#include <string>
 
 #include "common/types.hpp"
-#include "obs/metrics.hpp"
 
 namespace mot3d::power {
 
@@ -72,19 +70,6 @@ class EnergyLedger {
     for (std::size_t i = 0; i < kNumComponents; ++i) {
       dynamic_pj_[i] += other.dynamic_pj_[i];
       static_pj_[i] += other.static_pj_[i];
-    }
-  }
-
-  /// Registers one dynamic-energy counter per component under `prefix`
-  /// (e.g. "energy.core_pj").  The probes read *this* ledger, so the
-  /// owner must keep it refreshed (the cluster re-accumulates a scratch
-  /// ledger in a MetricsRegistry prepare hook before each sample).
-  void register_metrics(obs::MetricsRegistry& m,
-                        const std::string& prefix) const {
-    for (Component c : {Component::kCore, Component::kL1, Component::kL2,
-                        Component::kInterconnect, Component::kDram}) {
-      m.add(prefix + '.' + component_name(c) + "_pj",
-            [this, c] { return dynamic_pj(c); });
     }
   }
 

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "obs/metrics.hpp"
 #include "phys/geometry.hpp"
 #include "phys/technology.hpp"
 #include "thermal/floorplan.hpp"
@@ -121,6 +120,9 @@ class ThermalModel {
   /// Hottest tile right now, °C.
   double peak_c() const { return solver_.peak_c(); }
 
+  /// Sampling intervals advanced so far.
+  std::uint64_t samples() const { return samples_; }
+
   /// Per-component temperature-scaled static energy so far, pJ.
   double core_static_pj() const { return core_static_pj_; }
   double l2_static_pj() const { return l2_static_pj_; }
@@ -129,18 +131,6 @@ class ThermalModel {
   /// Temperature, peak and leakage bookkeeping for the final report;
   /// computes the steady-state solve at run-average power.
   ThermalSummary summary() const;
-
-  /// Registers current-temperature / leakage probes under `prefix` (e.g.
-  /// "thermal").  Cheap reads only — no steady-state solve per sample.
-  void register_metrics(obs::MetricsRegistry& m,
-                        const std::string& prefix) const {
-    m.add(prefix + ".peak_c", [this] { return peak_c(); });
-    m.add(prefix + ".samples",
-          [this] { return static_cast<double>(samples_); });
-    m.add(prefix + ".leakage_pj", [this] {
-      return core_static_pj_ + l2_static_pj_ + icn_static_pj_;
-    });
-  }
 
  private:
   /// Leakage power of tile `i` at temperature `t_c`, W.

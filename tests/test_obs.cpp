@@ -7,7 +7,8 @@
 //    the dense-tick and event-driven schedulers, on coherent and
 //    fault-injected runs alike;
 // plus the cross-check that per-component event counts derived from a
-// trace exactly equal the statistics aggregates.
+// trace exactly equal the statistics aggregates, and digests of two whole
+// metrics documents.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +17,7 @@
 #include <string>
 
 #include "cluster/cluster.hpp"
+#include "common/sha256.hpp"
 #include "fault/fault_schedule.hpp"
 #include "obs/latency.hpp"
 #include "obs/metrics.hpp"
@@ -102,17 +104,14 @@ TEST(LatencyHistogram, OverflowBucketKeepsCountAndTrueMax) {
 // fake zero sample.
 
 TEST(MetricsRegistry, EmptyStatSerialisesAsNullThenRealValue) {
-  bool empty = true;
-  double value = 0.0;
   MetricsRegistry reg(100);
-  reg.add("stat.min", [&] { return value; }, [&] { return empty; });
-
-  reg.sample(100);  // stat still empty -> null
-  empty = false;
-  value = 3.5;
-  reg.sample(200);  // first real sample
+  reg.start_row(100);
+  reg.put("stat.min", MetricsRegistry::kNull);  // stat still empty
+  reg.start_row(200);
+  reg.put("stat.min", 3.5);  // first real sample
 
   ASSERT_EQ(reg.sample_count(), 2u);
+  ASSERT_EQ(reg.counter_count(), 1u);
   EXPECT_TRUE(std::isnan(reg.value(0, 0)));
   EXPECT_DOUBLE_EQ(reg.value(0, 1), 3.5);
 
@@ -127,15 +126,6 @@ TEST(MetricsRegistry, EmptyStatSerialisesAsNullThenRealValue) {
       << csv.str();  // empty value cell, not 0
   EXPECT_NE(csv.str().find("runA,200,stat.min,3.5\n"), std::string::npos)
       << csv.str();
-}
-
-TEST(MetricsRegistry, PrepareHookRunsBeforeProbes) {
-  double staged = 0.0;
-  MetricsRegistry reg(10);
-  reg.add_prepare([&] { staged = 42.0; });
-  reg.add("x", [&] { return staged; });
-  reg.sample(10);
-  EXPECT_DOUBLE_EQ(reg.value(0, 0), 42.0);
 }
 
 // ---- cluster integration ---------------------------------------------------
@@ -301,7 +291,7 @@ TEST(ObsCluster, RouteEventsMatchPacketFabricDeliveriesDenseTick) {
 
 // Satellite cross-check, DRAM leg: the final metrics-registry sample of
 // every "dram.*" counter equals the corresponding stats aggregate — the
-// probes read the same model state, not a parallel accounting.
+// sampler reads the same model state, not a parallel accounting.
 double final_metric(const cluster::SimResult& r, const std::string& name) {
   const std::size_t last = r.metrics->sample_count() - 1;
   for (std::size_t i = 0; i < r.metrics->counter_count(); ++i) {
@@ -397,6 +387,55 @@ TEST(ObsCluster, TraceAndMetricsBitIdenticalUnderInjectedFaults) {
   cfg.fault = fault::FaultConfig::from_envelope(
       fault::FaultEnvelope{true, 1.0, 0.5, 101});
   expect_obs_documents_identical(cfg);
+}
+
+// Whole metrics documents, pinned: a sampler that reorders, renames or
+// drops a counter moves these digests under both schedulers, where the
+// dense == event differential above cannot see it.  Run (a) carries every
+// counter family, dram.vault0-7 included; run (b) is a packet-fabric run
+// on the constant-latency backend.
+void expect_metrics_pinned(cluster::ClusterConfig cfg, std::size_t counters,
+                           std::size_t rows, const char* json_digest,
+                           const char* csv_digest) {
+  cfg.obs.metrics = true;
+  cfg.obs.metrics_epoch_cycles = 2'000;
+  for (const cluster::SchedulerMode mode :
+       {cluster::SchedulerMode::kDenseTick,
+        cluster::SchedulerMode::kEventDriven}) {
+    SCOPED_TRACE(cluster::scheduler_name(mode));
+    cfg.scheduler = mode;
+    const cluster::SimResult r = cluster::Cluster(cfg).run();
+    ASSERT_NE(r.metrics, nullptr);
+    EXPECT_EQ(r.metrics->counter_count(), counters);
+    EXPECT_EQ(r.metrics->sample_count(), rows);
+    std::ostringstream csv;
+    r.metrics->write_csv_rows(csv, "run");
+    EXPECT_EQ(sha256_hex(metrics_json(r)), json_digest);
+    EXPECT_EQ(sha256_hex(csv.str()), csv_digest);
+  }
+}
+
+TEST(ObsCluster, MetricsDocumentsPinnedOnStackedThermalRun) {
+  cluster::ClusterConfig cfg =
+      paper_cfg("producer_consumer", cluster::Fabric::kMot,
+                cluster::SchedulerMode::kEventDriven, 0.02);
+  cfg.stacked_dram = true;
+  cfg.vault_remap.enabled = true;
+  cfg.thermal = thermal::ThermalConfig::from_envelope(
+      thermal::ThermalEnvelope{true, 60.0, 70.0});
+  expect_metrics_pinned(
+      cfg, 66, 8,
+      "7858af4da10285ad209cacccd9a69ea48de05bfc33dda5e0a0db4251161aa727",
+      "e2a04495a872c5e85a395685e1ad60d4035547b246de7f589d4e207fb188a739");
+}
+
+TEST(ObsCluster, MetricsDocumentsPinnedOnMesh3dRun) {
+  expect_metrics_pinned(
+      paper_cfg("producer_consumer", cluster::Fabric::kTrueMesh3d,
+                cluster::SchedulerMode::kEventDriven),
+      29, 10,
+      "be59c75da2a53d99c664c6445e5c948f2974be11e57541e000e958090b82bea3",
+      "a6372d10600e90bfbb85327b7efd0bb73830b6e43a97499103fcd93489b31697");
 }
 
 }  // namespace
