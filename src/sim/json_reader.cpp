@@ -13,9 +13,13 @@ constexpr std::size_t kObjectMembers = 16;
 
 bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
-/// std::isspace in the "C" locale, which the program never leaves: ' ',
-/// '\t', '\n', '\v', '\f' and '\r'.
-bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+/// JSON's whitespace (RFC 8259): space, tab, LF and CR; not \v or \f.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+/// A byte a JSON string must escape: a raw one inside quotes is malformed.
+bool is_control(char c) { return static_cast<unsigned char>(c) < 0x20; }
 
 }  // namespace
 
@@ -120,14 +124,18 @@ bool JsonReader::parse_string(std::string& out) {
   ++pos_;
   out.clear();
   while (pos_ < text_.size()) {
-    // Copy the run up to the next quote or escape with one append.
+    // Copy up to the next quote, escape or control byte with one append.
     std::size_t run = pos_;
-    while (run < text_.size() && text_[run] != '"' && text_[run] != '\\') ++run;
+    while (run < text_.size() && text_[run] != '"' && text_[run] != '\\' &&
+           !is_control(text_[run])) {
+      ++run;
+    }
     out.append(text_.substr(pos_, run - pos_));
     pos_ = run;
     if (pos_ == text_.size()) break;
-    if (text_[pos_++] == '"') return true;
-    if (pos_ >= text_.size()) return false;
+    const char stop = text_[pos_++];
+    if (stop == '"') return true;
+    if (stop != '\\' || pos_ >= text_.size()) return false;
     const char e = text_[pos_++];
     switch (e) {
       case '"': out.push_back('"'); break;

@@ -6,7 +6,8 @@
 // else is malformed input and parses to std::nullopt, never a guess.
 // Numbers follow RFC 8259's grammar exactly (no "+1", ".5", "1." or
 // "01"), and a value a double cannot hold (1e400, a subnormal) is
-// malformed too.
+// malformed too.  So are a raw byte below 0x20 inside a string (it must
+// be escaped) and whitespace beyond space, tab, LF and CR (\v, \f).
 #pragma once
 
 #include <cstddef>

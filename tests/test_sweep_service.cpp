@@ -921,6 +921,21 @@ TEST(ServiceRequestParse, MalformedRequestsThrowWithOneLineReasons) {
     EXPECT_THROW(parse_service_request(request), std::invalid_argument)
         << request;
   }
+
+  // A raw control byte inside a string, and whitespace JSON does not name
+  // (\v, \f): none of these is served, and no id echoes a raw tab.
+  for (const char* request :
+       {"{\"id\":\"a\tb\",\"apps\":[\"fft\"],\"scale\":0.002}",
+        "{\"id\":\"a\nb\",\"apps\":[\"fft\"],\"scale\":0.002}",
+        "{\"id\":\"a\x01z\",\"apps\":[\"fft\"],\"scale\":0.002}",
+        "\v{\"apps\":[\"fft\"],\"scale\":0.002}\f"}) {
+    EXPECT_THROW(parse_service_request(request), std::invalid_argument)
+        << request;
+  }
+  // A CRLF request file still parses: CR is whitespace.
+  EXPECT_FALSE(
+      parse_service_request("{\"apps\":[\"fft\"],\"scale\":0.002}\r")
+          .jobs.empty());
 }
 
 TEST(JsonReaderNumbers, FollowTheJsonGrammarExactly) {
@@ -958,6 +973,32 @@ TEST(JsonReaderNumbers, FollowTheJsonGrammarExactly) {
   EXPECT_FALSE(JsonReader("[1,+2]").parse());
   EXPECT_FALSE(JsonReader(R"({"a":01})").parse());
   EXPECT_TRUE(JsonReader(R"({"a":[-0.5e-3, 10]})").parse());
+}
+
+TEST(JsonReaderText, OnlyJsonWhitespaceAndEscapedControlBytes) {
+  // RFC 8259: whitespace is space, tab, LF and CR, and a string escapes
+  // every byte below 0x20.
+  const std::string malformed[] = {
+      "\"a\tb\"", "\"a\nb\"", "\"a\rb\"", "\"a\x01z\"",
+      std::string("\"a\0b\"", 5), "\v[1]\f", "\v[1]", "[1]\f",
+      "[1,\f2]", "{\"a\":\v1}", "{\"a\tb\":1}"};
+  for (const std::string& text : malformed) {
+    EXPECT_FALSE(JsonReader(text).parse()) << text;
+  }
+  // The escaped forms stay valid, bytes >= 0x80 pass through, and CRLF
+  // and tabs between tokens are whitespace.
+  const std::optional<JsonValue> doc =
+      JsonReader("\t[\"a\\tb\",\"a\\nb\",\"a\\rb\",\"a\\fb\",\"a\\bb\","
+                 "\"\xc3\xa9\"] \r\n")
+          .parse();
+  ASSERT_TRUE(doc);
+  ASSERT_EQ(doc->array.size(), 6u);
+  EXPECT_EQ(doc->array[0].string, "a\tb");
+  EXPECT_EQ(doc->array[1].string, "a\nb");
+  EXPECT_EQ(doc->array[2].string, "a\rb");
+  EXPECT_EQ(doc->array[3].string, "a\fb");
+  EXPECT_EQ(doc->array[4].string, "a\bb");
+  EXPECT_EQ(doc->array[5].string, "\xc3\xa9");
 }
 
 // ---- the loop, end to end over stringstreams -------------------------------
