@@ -313,11 +313,11 @@ CliArgs parse_cli(int argc, char** argv, const CliFlagSet& allow) {
     } else if (allow.axes && flag == "--dram=") {
       out.dram = split_csv(arg, value);
     } else if (allow.dir && flag == "--dir=") {
-      out.golden_dir = value;
+      out.golden_dir = path_value(flag, value);
     } else if (allow.service && flag == "--cache-dir=") {
       out.cache_dir = value;
     } else if (allow.service && flag == "--requests=") {
-      out.requests_path = value;
+      out.requests_path = path_value(flag, value);
     } else if (allow.service && flag == "--max-cache-bytes=") {
       out.max_cache_bytes = parse_number<std::uint64_t>(arg, value);
     } else if (sweep && flag == "--threads=") {
