@@ -31,10 +31,4 @@ std::uint64_t Histogram::quantile(double q) const {
   return max();
 }
 
-void Histogram::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  overflow_ = 0;
-  stat_.reset();
-}
-
 }  // namespace mot3d

@@ -32,12 +32,11 @@ class RunningStat {
   double mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
   // min()/max() return 0.0 when empty — indistinguishable from a real
   // zero sample, so serialisers must consult empty() and emit an
-  // explicit null/omission instead (obs::MetricsRegistry does).
+  // explicit null/omission instead (the metrics sampler puts
+  // obs::MetricsRegistry::kNull).
   double min() const { return count_ == 0 ? 0.0 : min_; }
   double max() const { return count_ == 0 ? 0.0 : max_; }
   bool empty() const { return count_ == 0; }
-
-  void reset() { *this = RunningStat{}; }
 
  private:
   std::uint64_t count_ = 0;

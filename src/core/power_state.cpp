@@ -36,10 +36,6 @@ unsigned PowerState::forced_bank_levels() const {
   return log2_exact(total_banks_ / active_banks_);
 }
 
-unsigned PowerState::forced_core_levels() const {
-  return log2_exact(total_cores_ / active_cores_);
-}
-
 std::uint32_t PowerState::centre_base(std::size_t total, std::size_t active,
                                       bool upper_half) {
   const auto t = static_cast<std::uint32_t>(total);
@@ -73,14 +69,6 @@ std::vector<bool> PowerState::bank_mask() const {
   std::vector<bool> mask(total_banks_, false);
   for (std::size_t b = 0; b < total_banks_; ++b) {
     mask[b] = bank_active(static_cast<BankId>(b));
-  }
-  return mask;
-}
-
-std::vector<bool> PowerState::core_mask() const {
-  std::vector<bool> mask(total_cores_, false);
-  for (std::size_t c = 0; c < total_cores_; ++c) {
-    mask[c] = core_active(static_cast<CoreId>(c));
   }
   return mask;
 }

@@ -45,8 +45,6 @@ class PowerState {
   /// Number of routing-tree levels running in user-defined mode
   /// (log2(total/active) bank-index bits become don't-care).
   unsigned forced_bank_levels() const;
-  /// Same for the response-side routing by core index.
-  unsigned forced_core_levels() const;
 
   /// Physical bank serving logical bank `logical` in this state — the
   /// centre-fold map implemented by the user-defined routing switches.
@@ -58,8 +56,6 @@ class PowerState {
 
   /// Powered-bank mask over the physical banks.
   std::vector<bool> bank_mask() const;
-  /// Powered-core mask over the physical cores.
-  std::vector<bool> core_mask() const;
 
   bool bank_active(BankId b) const;
   bool core_active(CoreId c) const;

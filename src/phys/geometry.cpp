@@ -70,25 +70,4 @@ double ClusterGeometry::longest_link_mm(std::size_t cores, std::size_t banks) co
   return fp_.core_to_channel_mm + root_r + root_a + vertical_mm(2);
 }
 
-double ClusterGeometry::total_network_wire_mm(std::size_t cores, std::size_t banks) const {
-  // Routing trees: one per core, each with `levels` levels; level l has 2^(l+1)
-  // edges of length span/2^(l+1) -> each level contributes `span` mm of wire.
-  const unsigned rt_levels = banks > 1 ? log2_exact(banks) : 0;
-  const unsigned at_levels = cores > 1 ? log2_exact(cores) : 0;
-  const double span_b = bank_field_span_mm(banks);
-  const double span_c = core_field_span_mm(cores);
-  const double per_routing_tree = static_cast<double>(rt_levels) * span_b;
-  const double per_arb_tree = static_cast<double>(at_levels) * span_c;
-  // Request network: cores routing trees + banks arbitration trees.
-  const double request = static_cast<double>(cores) * per_routing_tree +
-                         static_cast<double>(banks) * per_arb_tree;
-  // Response network mirrors it: banks routing trees over the core field +
-  // cores collection trees over the bank field.
-  const double per_resp_routing = static_cast<double>(at_levels) * span_c;
-  const double per_resp_collect = static_cast<double>(rt_levels) * span_b;
-  const double response = static_cast<double>(banks) * per_resp_routing +
-                          static_cast<double>(cores) * per_resp_collect;
-  return request + response;
-}
-
 }  // namespace mot3d::phys

@@ -62,10 +62,6 @@ class ClusterGeometry {
   /// one clock), Fig. 5's quantity, in mm.
   double longest_link_mm(std::size_t cores, std::size_t banks) const;
 
-  /// Total wire length of the whole request+response network (all trees,
-  /// all levels, per bit), in mm — the leakage length.
-  double total_network_wire_mm(std::size_t cores, std::size_t banks) const;
-
   /// Vertical distance crossed to reach a bank on stacked tier `tier`
   /// (1 or 2), in mm.
   double vertical_mm(std::size_t tier) const {

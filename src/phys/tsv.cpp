@@ -12,10 +12,4 @@ double TsvModel::stack_delay_ns(std::size_t tiers_crossed) const {
   return static_cast<double>(tiers_crossed) * tsv_delay_ns();
 }
 
-double TsvModel::bus_length_mm(std::size_t signals, std::size_t rows) const {
-  if (rows == 0) rows = 1;
-  const std::size_t per_row = (signals + rows - 1) / rows;
-  return static_cast<double>(per_row) * tech_.bump_pitch_x_um * 1e-3;
-}
-
 }  // namespace mot3d::phys

@@ -28,10 +28,6 @@ class TsvModel {
   /// Dynamic energy of toggling one TSV once, in femtojoules.
   double energy_fj_per_bit() const { return tech_.tsv_energy_fj_per_bit; }
 
-  /// Footprint of a `signals`-wide TSV bus laid out in `rows` bump rows,
-  /// in mm (length along the MoT channel).  Determines the bank-site pitch
-  /// used by the cluster geometry.
-  double bus_length_mm(std::size_t signals, std::size_t rows) const;
 
  private:
   TechnologyParams tech_;

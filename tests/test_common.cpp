@@ -111,8 +111,6 @@ TEST(RunningStat, Basics) {
   EXPECT_DOUBLE_EQ(s.mean(), 4.0);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 6.0);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
 }
 
 TEST(Histogram, BucketsAndOverflow) {
@@ -138,14 +136,6 @@ TEST(Histogram, MeanAndQuantile) {
   EXPECT_NEAR(static_cast<double>(h.quantile(0.99)), 99.0, 1.0);
   EXPECT_EQ(h.quantile(0.0), 1u);
   EXPECT_EQ(h.quantile(1.0), 100u);
-}
-
-TEST(Histogram, Reset) {
-  Histogram h(1, 8);
-  h.add(3);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.bucket_count(3), 0u);
 }
 
 TEST(TextTable, RendersAlignedRows) {

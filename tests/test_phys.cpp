@@ -94,12 +94,6 @@ TEST_F(TsvTest, StackDelayScalesWithTiers) {
   EXPECT_NEAR(tsv.stack_delay_ns(2), 2.0 * tsv.tsv_delay_ns(), 1e-12);
 }
 
-TEST_F(TsvTest, BusLengthFromBumpPitch) {
-  // 100 signals in 2 rows at 40 µm pitch: 50 bumps * 0.04 mm = 2 mm.
-  EXPECT_NEAR(tsv.bus_length_mm(100, 2), 2.0, 1e-9);
-  EXPECT_NEAR(tsv.bus_length_mm(100, 0), 4.0, 1e-9);  // rows clamped to 1
-}
-
 class GeometryTest : public ::testing::Test {
  protected:
   TechnologyParams tech = default_technology();
@@ -142,13 +136,6 @@ TEST_F(GeometryTest, PathLengthsShrinkWithGating) {
 
 TEST_F(GeometryTest, RequestAndResponsePathsMirror) {
   EXPECT_NEAR(geo.request_path_mm(16, 32), geo.response_path_mm(16, 32), 1e-9);
-}
-
-TEST_F(GeometryTest, TotalNetworkWireShrinksWithGating) {
-  const double full = geo.total_network_wire_mm(16, 32);
-  const double gated = geo.total_network_wire_mm(4, 8);
-  EXPECT_GT(full, 10.0 * gated);
-  EXPECT_GT(full, 1000.0);  // ~1.7 m of bit-wire channel in the full cluster
 }
 
 TEST_F(GeometryTest, VerticalDistanceTiny) {

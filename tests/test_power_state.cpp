@@ -24,8 +24,6 @@ TEST(PowerState, PaperPresets) {
 TEST(PowerState, ForcedLevels) {
   EXPECT_EQ(PowerState::full().forced_bank_levels(), 0u);
   EXPECT_EQ(PowerState::pc16_mb8().forced_bank_levels(), 2u);
-  EXPECT_EQ(PowerState::pc4_mb32().forced_core_levels(), 2u);
-  EXPECT_EQ(PowerState::full().forced_core_levels(), 0u);
 }
 
 TEST(PowerState, Fig4ExampleExactRemap) {
@@ -90,12 +88,12 @@ TEST(PowerState, SingleBankDegenerateCase) {
 
 TEST(PowerState, CoreMaskCentred) {
   const PowerState s = PowerState::pc4_mb32();
-  std::vector<bool> mask = s.core_mask();
   std::size_t active = 0;
-  for (bool m : mask) active += m ? 1 : 0;
+  for (CoreId c = 0; c < s.total_cores(); ++c) active += s.core_active(c);
   EXPECT_EQ(active, 4u);
-  EXPECT_TRUE(mask[6] && mask[7] && mask[8] && mask[9]);
-  EXPECT_FALSE(mask[5] || mask[10]);
+  EXPECT_TRUE(s.core_active(6) && s.core_active(7) && s.core_active(8) &&
+              s.core_active(9));
+  EXPECT_FALSE(s.core_active(5) || s.core_active(10));
 }
 
 TEST(PowerState, ThreadPlacement) {
