@@ -23,7 +23,9 @@ Usage:
   --obs      also exercise the observability contract: run a traced
              scenario, parse the Chrome-trace and interval-metrics
              documents, and check track names, required keys, and
-             per-track timestamp monotonicity
+             per-track timestamp monotonicity; then write a stacked-DRAM
+             sweep's metrics CSV under both schedulers and require the
+             same bytes and every counter family
   --serve    also exercise the sweep-service contract: cold/warm batch
              determinism over a pipe, an interactive serve session with
              request/response round trips (the watchdog converting a
@@ -443,6 +445,9 @@ def bench_tests(binary):
 REQUIRED_TRACK_NAMES = ("governor", "fabric", "faults")
 REQUIRED_METRIC_COUNTERS = ("cluster.instructions", "l2.hits", "l2.misses",
                             "fabric.requests_delivered", "energy.l2_pj")
+# Counter families a stacked-DRAM thermal sweep's metrics must carry.
+STACKED_METRIC_FAMILIES = ("cluster.", "fabric.", "l2.", "dram.",
+                           "dram.vault0.", "thermal.", "energy.")
 
 
 def check_trace_document(name, path):
@@ -493,8 +498,9 @@ def check_trace_document(name, path):
     return TestResult(name, True, f"{payload} events on {len(tracks)} tracks")
 
 
-def check_metrics_document(name, path):
-    """Grade the interval-metrics file: runs, counters, epoch cycles."""
+def check_metrics_document(name, path, families=()):
+    """Grade the interval-metrics file: runs, counters, epoch cycles, and a
+    counter of each of `families` (dotted prefixes) in every run."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
@@ -518,6 +524,10 @@ def check_metrics_document(name, path):
         for want in REQUIRED_METRIC_COUNTERS:
             if want not in counters:
                 return TestResult(name, False, f"missing counter '{want}'")
+        for family in families:
+            if not any(c.startswith(family) for c in counters):
+                return TestResult(name, False,
+                                  f"no '{family}*' counter in '{run['run']}'")
         for cname, series in counters.items():
             if len(series) != len(cycles):
                 return TestResult(
@@ -525,6 +535,30 @@ def check_metrics_document(name, path):
                     f"counter '{cname}' has {len(series)} samples for "
                     f"{len(cycles)} epochs")
     return TestResult(name, True, f"{len(runs)} runs ok")
+
+
+def check_metrics_csv(name, event_path, dense_path):
+    """Grade a CSV metrics file written under both schedulers: the two are
+    byte-identical, long-format, and carry every stacked-run family."""
+    try:
+        with open(event_path, "rb") as f:
+            event = f.read()
+        with open(dense_path, "rb") as f:
+            dense = f.read()
+    except OSError as e:
+        return TestResult(name, False, f"unreadable metrics CSV: {e}")
+    if event != dense:
+        return TestResult(name, False, "dense and event metrics CSVs differ")
+    lines = event.decode("utf-8").splitlines()
+    if not lines or lines[0] != "run,cycle,counter,value":
+        return TestResult(name, False, "missing 'run,cycle,counter,value' header")
+    counters = {line.split(",")[2] for line in lines[1:]}
+    for family in STACKED_METRIC_FAMILIES:
+        if not any(c.startswith(family) for c in counters):
+            return TestResult(name, False, f"no '{family}*' counter")
+    return TestResult(name, True,
+                      f"{len(lines) - 1} rows, {len(counters)} counters, "
+                      "dense == event")
 
 
 def obs_tests(binary):
@@ -544,7 +578,21 @@ def obs_tests(binary):
         results.append(check_trace_document("Chrome-trace document shape",
                                             trace))
         results.append(check_metrics_document("interval-metrics document shape",
-                                              metrics))
+                                              metrics, families=("coherence.",)))
+        # The CSV form through the binary: dense and event write the same
+        # bytes, and every counter family of a stacked thermal run is there.
+        csv = {}
+        for scheduler in ("event", "dense"):
+            csv[scheduler] = os.path.join(tmp, f"stacked.{scheduler}.csv")
+            results.append(run_test(
+                binary, f"trace writes the metrics CSV ({scheduler})",
+                ["trace", "stacked_dram", "--golden",
+                 f"--scheduler={scheduler}", f"--metrics={csv[scheduler]}"],
+                expect_patterns=[r"\[obs\] metrics written to "]))
+            if not results[-1].success:
+                return results
+        results.append(check_metrics_csv("metrics CSV: dense == event, every family",
+                                         csv["event"], csv["dense"]))
         # Unwritable destination: one structured line, non-zero exit.
         results.append(run_test(
             binary, "unwritable trace path fails loudly",
