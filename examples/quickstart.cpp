@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   t.add_row({"L2 hit rate", fmt_percent(r.l2.hit_rate())});
   t.add_row({"L2 access latency (hits)", fmt_fixed(r.l2_hit_latency.mean(), 1) +
                                              " cycles (min " +
-                                             std::to_string(r.l2_hit_latency.min()) +
+                                             std::to_string(r.l2_hit_latency.digest().min) +
                                              ")"});
   t.add_row({"DRAM reads", std::to_string(r.dram.reads)});
   t.add_row({"energy (core+L1+L2+icn)",

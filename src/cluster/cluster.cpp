@@ -279,9 +279,8 @@ void Cluster::deliver_response(const MemResponse& resp) {
     return;
   }
   const Cycle lat = now_ - resp.issue_cycle;
-  l2_latency_.add(lat);
-  if (resp.l2_hit) l2_hit_latency_.add(lat);
-  if (obs_hist_) obs_l2_rt_.record(lat);
+  l2_latency_.record(lat);
+  if (resp.l2_hit) l2_hit_latency_.record(lat);
   if (trace_ != nullptr) {
     trace_->complete(resp_kind_name(resp.kind), trk_core_base_ + resp.core,
                      resp.issue_cycle, lat, "bank", resp.bank, "hit",
@@ -597,12 +596,12 @@ void Cluster::sample_metrics() {
     instructions += core.stats().instructions;
   }
   m.put("cluster.instructions", instructions);
-  // An empty latency stat is put as null, never as the fabricated 0.0
-  // the accessors of common/stats.hpp return before the first sample.
+  // An empty latency histogram is put as null, never as the 0.0 its
+  // mean and digest read before the first sample.
   const bool no_latency = l2_latency_.count() == 0;
   m.put("cluster.l2_latency_mean", no_latency ? kNull : l2_latency_.mean());
   m.put("cluster.l2_latency_max",
-        no_latency ? kNull : static_cast<double>(l2_latency_.max()));
+        no_latency ? kNull : static_cast<double>(l2_latency_.digest().max));
 
   const InterconnectStats& fabric = interconnect_->stats();
   m.put("fabric.requests_delivered", fabric.requests_delivered);
@@ -1214,7 +1213,7 @@ SimResult Cluster::collect_result() const {
 
   if (obs_hist_) {
     r.obs.enabled = true;
-    r.obs.l2_rt = obs_l2_rt_.digest();
+    r.obs.l2_rt = l2_latency_.digest();
     r.obs.inv_rt = obs_inv_rt_.digest();
     r.obs.dram_service = obs_dram_.digest();
     for (const obs::LatencyHistogram& h : obs_vault_) {

@@ -17,7 +17,6 @@
 #include "coherence/directory.hpp"
 #include "common/index_set.hpp"
 #include "common/interconnect.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "core/mot_interconnect.hpp"
 #include "core/power_state.hpp"
@@ -125,8 +124,8 @@ struct SimResult {
   std::uint64_t instructions = 0;
 
   // L2 access latency measured at the cores: injection -> response.
-  Histogram l2_latency{1, 256};       ///< all L2 transactions
-  Histogram l2_hit_latency{1, 256};   ///< L2 hits only (interconnect + bank)
+  obs::LatencyHistogram l2_latency;      ///< all L2 transactions
+  obs::LatencyHistogram l2_hit_latency;  ///< L2 hits only (interconnect + bank)
 
   mem::L2Stats l2;
   mem::DramStats dram;
@@ -432,8 +431,8 @@ class Cluster final : private mem::ReadSink {
   std::vector<std::pair<Cycle, std::uint32_t>> timed_wakes_;
   /// Slot i's counters are accounted for every cycle before synced_[i].
   std::vector<Cycle> synced_;
-  Histogram l2_latency_{1, 256};
-  Histogram l2_hit_latency_{1, 256};
+  obs::LatencyHistogram l2_latency_;
+  obs::LatencyHistogram l2_hit_latency_;
 
   // -- configuration and per-run setup --
   ClusterConfig cfg_;
@@ -477,7 +476,7 @@ class Cluster final : private mem::ReadSink {
 
   // -- observability state (engaged only via cfg_.obs; see src/obs/) --
   std::shared_ptr<obs::MetricsRegistry> metrics_;
-  obs::LatencyHistogram obs_l2_rt_, obs_inv_rt_, obs_dram_;
+  obs::LatencyHistogram obs_inv_rt_, obs_dram_;
   std::vector<obs::LatencyHistogram> obs_vault_;  ///< stacked runs only
   Cycle drain_begin_ = 0;           ///< start cycle of the pending drain
   std::uint32_t trk_governor_ = 0, trk_fabric_ = 0, trk_fault_ = 0;

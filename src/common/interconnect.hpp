@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/messages.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace mot3d::obs {

@@ -1,12 +1,12 @@
 // Exact-bucket latency histograms with true percentiles.
 //
-// The simulator's latencies are small integers (cycles), so instead of
-// log-spaced buckets with conservative upper-bound quantiles
-// (common/stats.hpp Histogram), observability keeps one exact count per
-// latency value up to kMaxExact and computes p50/p95/p99 by rank walk —
-// the reported percentile is a latency that actually occurred.  Values
-// above kMaxExact land in a single overflow bucket that remembers its
-// maximum (a percentile that falls there reports that maximum).
+// The simulator's latencies are small integers (cycles), so the one
+// latency histogram keeps one exact count per latency value up to
+// kMaxExact and computes p50/p95/p99 by rank walk: the reported
+// percentile is a latency that actually occurred.  Values above
+// kMaxExact land in a single overflow bucket that remembers its maximum
+// (a percentile that falls there reports that maximum).  An integer sum
+// of every sample gives the exact mean.
 #pragma once
 
 #include <cstddef>
@@ -37,6 +37,7 @@ class LatencyHistogram {
 
   void record(Cycle v) {
     ++count_;
+    sum_ += v;
     if (v >= kMaxExact) {
       ++overflow_count_;
       if (v > overflow_max_) overflow_max_ = v;
@@ -47,14 +48,23 @@ class LatencyHistogram {
   }
 
   std::uint64_t count() const { return count_; }
+  /// Mean of every sample; 0.0 when empty (consult count() first where
+  /// an empty population must read differently from a zero latency).
+  double mean() const {
+    return count_ == 0 ? 0.0
+                       : static_cast<double>(sum_) / static_cast<double>(count_);
+  }
 
   /// Exact percentiles (or the overflow maximum when the rank falls in
   /// the overflow bucket); all zero when no sample was recorded.
   LatencyDigest digest() const;
 
+  bool operator==(const LatencyHistogram&) const = default;
+
  private:
   std::vector<std::uint64_t> counts_;
   std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
   std::uint64_t overflow_count_ = 0;
   Cycle overflow_max_ = 0;
 };

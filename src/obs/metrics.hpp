@@ -11,10 +11,10 @@
 // scheduler walks through, and the exported time series is
 // bit-identical between the two (pinned by tests/test_obs.cpp).
 //
-// NaN is the explicit null.  A statistic with no samples yet (RunningStat
-// and friends return 0.0 for min()/max() when empty, indistinguishable
-// from a real zero) is put as kNull and serialised as JSON null / an
-// empty CSV cell.
+// NaN is the explicit null.  A statistic with no samples yet (an empty
+// LatencyHistogram's mean and digest read 0, indistinguishable from a
+// real zero) is put as kNull and serialised as JSON null / an empty CSV
+// cell.
 #pragma once
 
 #include <cstddef>

@@ -191,6 +191,13 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const ScenarioOptions& op
 cluster::ClusterConfig make_run_config(const ScenarioRun& run,
                                        const ScenarioOptions& opt);
 
+/// The run JSON's `l2_latency_p95`, which the Fig. 6(a) table prints too:
+/// the exact p95 of `r.l2_latency` below 256 cycles, and the run's
+/// maximum latency from 256 up.  The golden baselines pin this rule: they
+/// were recorded with a histogram of 256 one-cycle buckets, whose
+/// percentile read as the maximum once it passed the last bucket.
+Cycle l2_latency_p95(const cluster::SimResult& r);
+
 /// Canonical modeled-metrics JSON for ONE run — one element of the "runs"
 /// array in scenario_metrics_json, and the byte-stable payload the sweep
 /// service caches (a cache hit must be bit-identical to recomputation).

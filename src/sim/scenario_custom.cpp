@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/mot_interconnect.hpp"
+#include "obs/latency.hpp"
 #include "phys/wire.hpp"
 #include "sim/scenario.hpp"
 
@@ -76,7 +77,7 @@ int run_ablation_pipeline(const ScenarioSpec&, const ScenarioOptions& opt,
     const core::PowerState& s = *combos[i].state;
     const double rate = combos[i].rate;
     core::MotInterconnect icn(model, s);
-    Histogram lat(1, 128);
+    obs::LatencyHistogram lat;
     // Cores re-inject after delivery with probability `rate` per cycle.
     Rng rng(7);
     const Cycle horizon = 20000;
@@ -93,7 +94,7 @@ int run_ablation_pipeline(const ScenarioSpec&, const ScenarioOptions& opt,
       }
       icn.tick(t);
       for (const MemRequest& r : icn.delivered_requests()) {
-        lat.add(t - r.issue_cycle);
+        lat.record(t - r.issue_cycle);
       }
       icn.clear_deliveries();
     }
@@ -101,7 +102,7 @@ int run_ablation_pipeline(const ScenarioSpec&, const ScenarioOptions& opt,
         static_cast<double>(icn.stats().arbitration_wait_cycles) /
         static_cast<double>(std::max<std::uint64_t>(1, icn.stats().requests_delivered));
     rows[i] = {s.name(), fmt_fixed(rate, 2), fmt_fixed(lat.mean(), 1),
-               std::to_string(lat.quantile(0.95)), fmt_fixed(waits, 2)};
+               std::to_string(lat.digest().p95), fmt_fixed(waits, 2)};
   });
   for (const auto& row : rows) tbl.add_row(row);
   tbl.print(os);

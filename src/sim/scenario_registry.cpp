@@ -134,7 +134,7 @@ void present_fig6a(const ScenarioOutcome& out, std::ostream& os) {
       hit_means[fi].push_back(r.l2_hit_latency.mean());
       row.push_back(fmt_fixed(r.l2_hit_latency.mean(), 1) + " / " +
                     fmt_fixed(r.l2_latency.mean(), 1) + " / " +
-                    std::to_string(r.l2_latency.quantile(0.95)));
+                    std::to_string(l2_latency_p95(r)));
     }
     tbl.add_row(row);
   }

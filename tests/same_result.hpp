@@ -13,26 +13,13 @@
 
 namespace mot3d::cluster {
 
-inline void expect_same_histogram(const Histogram& a, const Histogram& b,
-                                  const char* what) {
-  ASSERT_EQ(a.num_buckets(), b.num_buckets()) << what;
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
-  EXPECT_DOUBLE_EQ(a.mean(), b.mean()) << what;
-  EXPECT_EQ(a.overflow(), b.overflow()) << what;
-  for (std::size_t i = 0; i < a.num_buckets(); ++i) {
-    ASSERT_EQ(a.bucket_count(i), b.bucket_count(i)) << what << " bucket " << i;
-  }
-}
-
 inline void expect_same_result(const SimResult& dense, const SimResult& event) {
   EXPECT_EQ(dense.cycles, event.cycles);
   EXPECT_EQ(dense.instructions, event.instructions);
 
-  expect_same_histogram(dense.l2_latency, event.l2_latency, "l2_latency");
-  expect_same_histogram(dense.l2_hit_latency, event.l2_hit_latency,
-                        "l2_hit_latency");
+  // Every bucket, the count and the sum.
+  EXPECT_TRUE(dense.l2_latency == event.l2_latency);
+  EXPECT_TRUE(dense.l2_hit_latency == event.l2_hit_latency);
 
   EXPECT_EQ(dense.l2.hits, event.l2.hits);
   EXPECT_EQ(dense.l2.misses, event.l2.misses);

@@ -71,7 +71,7 @@ TEST(Cluster, MotHitLatencyMatchesTableI) {
   Cluster c(small_cfg("fft", Fabric::kMot));
   const SimResult r = c.run();
   ASSERT_GT(r.l2_hit_latency.count(), 0u);
-  EXPECT_EQ(r.l2_hit_latency.min(), 12u);
+  EXPECT_EQ(r.l2_hit_latency.digest().min, 12u);
   EXPECT_GE(r.l2_hit_latency.mean(), 12.0);
 }
 
@@ -79,7 +79,7 @@ TEST(Cluster, Pc4Mb8HitLatencyMatchesTableI) {
   Cluster c(small_cfg("fft", Fabric::kMot, core::PowerState::pc4_mb8()));
   const SimResult r = c.run();
   ASSERT_GT(r.l2_hit_latency.count(), 0u);
-  EXPECT_EQ(r.l2_hit_latency.min(), 7u);
+  EXPECT_EQ(r.l2_hit_latency.digest().min, 7u);
 }
 
 TEST(Cluster, PowerGatedRunUsesOnlyActiveResources) {

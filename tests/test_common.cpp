@@ -1,5 +1,5 @@
-// Unit tests for the common substrate: deterministic RNG, statistics,
-// table rendering, and the shared integer helpers.
+// Unit tests for the common substrate: deterministic RNG, table
+// rendering, and the shared integer helpers.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -8,7 +8,6 @@
 
 #include "common/index_set.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
 
@@ -98,44 +97,6 @@ TEST(Rng, GeometricMeanApprox) {
 TEST(Rng, GeometricRespectsCap) {
   Rng r(3);
   for (int i = 0; i < 1000; ++i) EXPECT_LE(r.next_geometric(0.01, 5), 5u);
-}
-
-TEST(RunningStat, Basics) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  s.add(2.0);
-  s.add(4.0);
-  s.add(6.0);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 6.0);
-}
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(10, 4);  // [0,10) [10,20) [20,30) [30,40) + overflow
-  h.add(0);
-  h.add(9);
-  h.add(10);
-  h.add(35);
-  h.add(1000);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(1), 1u);
-  EXPECT_EQ(h.bucket_count(3), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.max(), 1000u);
-}
-
-TEST(Histogram, MeanAndQuantile) {
-  Histogram h(1, 128);
-  for (std::uint64_t v = 1; v <= 100; ++v) h.add(v);
-  EXPECT_NEAR(h.mean(), 50.5, 1e-9);
-  EXPECT_NEAR(static_cast<double>(h.quantile(0.5)), 50.0, 1.0);
-  EXPECT_NEAR(static_cast<double>(h.quantile(0.99)), 99.0, 1.0);
-  EXPECT_EQ(h.quantile(0.0), 1u);
-  EXPECT_EQ(h.quantile(1.0), 100u);
 }
 
 TEST(TextTable, RendersAlignedRows) {

@@ -124,8 +124,8 @@ TEST(ExperimentShapes, TableIGatedStatesAreFasterPerAccess) {
   const SimResult full = run("fft", Fabric::kMot, core::PowerState::full(), dram);
   const SimResult pc4mb8 =
       run("fft", Fabric::kMot, core::PowerState::pc4_mb8(), dram);
-  EXPECT_EQ(full.l2_hit_latency.min(), 12u);
-  EXPECT_EQ(pc4mb8.l2_hit_latency.min(), 7u);
+  EXPECT_EQ(full.l2_hit_latency.digest().min, 12u);
+  EXPECT_EQ(pc4mb8.l2_hit_latency.digest().min, 7u);
 }
 
 }  // namespace

@@ -80,6 +80,7 @@ TEST(LatencyHistogram, ExactPercentilesOnKnownDistribution) {
   EXPECT_EQ(d.p50, 50u);
   EXPECT_EQ(d.p95, 95u);
   EXPECT_EQ(d.p99, 99u);
+  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
 }
 
 TEST(LatencyHistogram, EmptyDigestIsExplicitlyEmptyNotZeroLatency) {
@@ -99,9 +100,9 @@ TEST(LatencyHistogram, OverflowBucketKeepsCountAndTrueMax) {
 }
 
 // ---- metrics registry: explicit null for empty statistics ------------------
-// Regression for the RunningStat::min()/max()==0.0-when-empty ambiguity: an
-// empty stat must serialise as JSON null / an empty CSV cell, never as a
-// fake zero sample.
+// An empty statistic (a histogram's mean and max read 0.0 before the first
+// sample) must serialise as JSON null / an empty CSV cell, never as a fake
+// zero sample.
 
 TEST(MetricsRegistry, EmptyStatSerialisesAsNullThenRealValue) {
   MetricsRegistry reg(100);
