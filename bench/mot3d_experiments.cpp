@@ -544,8 +544,14 @@ std::map<std::string, BaselineCell> load_baseline(
   if (!in) throw BaselineError("cannot open '" + path + "'");
   std::stringstream buf;
   buf << in.rdbuf();
-  const std::optional<sim::JsonValue> doc = sim::JsonReader(buf.str()).parse();
-  if (!doc || doc->type != sim::JsonValue::Type::kObject) {
+  const std::string text = buf.str();
+  sim::JsonReader reader(text);
+  const std::optional<sim::JsonValue> doc = reader.parse();
+  if (!doc) {
+    throw BaselineError("'" + path + "' holds malformed JSON at byte " +
+                        std::to_string(reader.error_offset()));
+  }
+  if (doc->type != sim::JsonValue::Type::kObject) {
     throw BaselineError("'" + path + "' is not a JSON object");
   }
   using Type = sim::JsonValue::Type;

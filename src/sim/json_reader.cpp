@@ -1,5 +1,6 @@
 #include "sim/json_reader.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 
@@ -45,7 +46,14 @@ void JsonReader::skip_ws() {
 }
 
 bool JsonReader::literal(std::string_view lit) {
-  if (!text_.substr(pos_).starts_with(lit)) return false;
+  const std::string_view rest = text_.substr(pos_);
+  if (!rest.starts_with(lit)) {
+    // Stop at the first byte that differs: the one rejected.
+    pos_ += static_cast<std::size_t>(
+        std::mismatch(lit.begin(), lit.end(), rest.begin(), rest.end()).first -
+        lit.begin());
+    return false;
+  }
   pos_ += lit.size();
   return true;
 }
@@ -133,11 +141,11 @@ bool JsonReader::parse_string(std::string& out) {
     out.append(text_.substr(pos_, run - pos_));
     pos_ = run;
     if (pos_ == text_.size()) break;
-    const char stop = text_[pos_++];
-    if (stop == '"') return true;
-    if (stop != '\\' || pos_ >= text_.size()) return false;
-    const char e = text_[pos_++];
-    switch (e) {
+    // A failure leaves pos_ on the byte rejected: a raw control byte, or
+    // the letter of an unknown escape.
+    if (text_[pos_] == '"') { ++pos_; return true; }
+    if (text_[pos_] != '\\' || ++pos_ >= text_.size()) return false;
+    switch (text_[pos_]) {
       case '"': out.push_back('"'); break;
       case '\\': out.push_back('\\'); break;
       case '/': out.push_back('/'); break;
@@ -148,6 +156,7 @@ bool JsonReader::parse_string(std::string& out) {
       case 'f': out.push_back('\f'); break;
       default: return false;  // \uXXXX never appears in our writer
     }
+    ++pos_;
   }
   return false;
 }
@@ -178,6 +187,7 @@ bool JsonReader::parse_number(JsonValue& out) {
   // underflow to a subnormal.
   if (ec != std::errc() || ptr != end ||
       std::fpclassify(out.number) == FP_SUBNORMAL) {
+    pos_ = start;
     return false;
   }
   out.type = JsonValue::Type::kNumber;

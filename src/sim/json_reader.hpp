@@ -57,6 +57,11 @@ class JsonReader {
   /// Whole-document parse: trailing junk is malformed (std::nullopt).
   std::optional<JsonValue> parse();
 
+  /// After parse() returned std::nullopt: the offset in `text` of the
+  /// first byte the reader rejected (text.size() when the text ended
+  /// too soon).  A number out of range is rejected at its first byte.
+  std::size_t error_offset() const { return pos_; }
+
  private:
   void skip_ws();
   bool literal(std::string_view lit);
@@ -67,7 +72,7 @@ class JsonReader {
   bool parse_number(JsonValue& out);
 
   std::string_view text_;
-  std::size_t pos_ = 0;
+  std::size_t pos_ = 0;     ///< after a failure, the byte rejected
   std::size_t depth_ = 0;  ///< arrays and objects open at pos_
 };
 

@@ -683,10 +683,13 @@ void write_line(std::ostream& out, JsonObject&& line) {
 }  // namespace
 
 ServiceRequest parse_service_request(const std::string& line) {
-  std::optional<JsonValue> doc = JsonReader(line).parse();
-  if (!doc || doc->type != JsonValue::Type::kObject) {
-    bad_request("not a JSON object");
+  JsonReader reader(line);
+  std::optional<JsonValue> doc = reader.parse();
+  if (!doc) {
+    bad_request("malformed JSON at byte " +
+                std::to_string(reader.error_offset()));
   }
+  if (doc->type != JsonValue::Type::kObject) bad_request("not a JSON object");
   // The id first, so that every later error can echo it.
   std::string id;
   if (const JsonValue* v = doc->find("id")) id = id_json(*v);

@@ -936,6 +936,36 @@ TEST(ServiceRequestParse, MalformedRequestsThrowWithOneLineReasons) {
   EXPECT_FALSE(
       parse_service_request("{\"apps\":[\"fft\"],\"scale\":0.002}\r")
           .jobs.empty());
+
+  // A line that does not parse names the first byte the reader rejected:
+  // a raw tab, a leading \v, a '}' where a key belongs.  "not a JSON
+  // object" is kept for a document that parses to something else.
+  const std::pair<const char*, const char*> reasons[] = {
+      {"{\"id\":\"a\tb\",\"apps\":[\"fft\"],\"scale\":0.002}",
+       "bad request: malformed JSON at byte 8"},
+      {"\v{\"apps\":[\"fft\"],\"scale\":0.002}\f",
+       "bad request: malformed JSON at byte 0"},
+      {R"({"id":7,"apps":["fft"],"scale":0.002,})",
+       "bad request: malformed JSON at byte 37"},
+      {R"({"id":1,"apps":["fft"],"scale":0.002)",
+       "bad request: malformed JSON at byte 36"},
+      {R"({"id":1,"apps":["fft"],"scale":0.0.2})",
+       "bad request: malformed JSON at byte 34"},
+      {R"({"id":1,"apps":["fft"],"scale":1e400})",
+       "bad request: malformed JSON at byte 31"},
+      {R"({"id":nul,"apps":["fft"]})", "bad request: malformed JSON at byte 9"},
+      {R"({"id":"a\qb","apps":["fft"]})",
+       "bad request: malformed JSON at byte 9"},
+      {"[1]", "bad request: not a JSON object"},
+  };
+  for (const auto& [request, reason] : reasons) {
+    try {
+      (void)parse_service_request(request);
+      ADD_FAILURE() << "served " << request;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), reason) << request;
+    }
+  }
 }
 
 TEST(JsonReaderNumbers, FollowTheJsonGrammarExactly) {
