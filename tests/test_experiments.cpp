@@ -117,16 +117,5 @@ TEST(ExperimentShapes, Fig8FasterDramFavoursBankGating) {
   EXPECT_LT(e42, e200);
 }
 
-// ---- Table I shape ----
-
-TEST(ExperimentShapes, TableIGatedStatesAreFasterPerAccess) {
-  const auto dram = mem::DramPreset::kDdr3_200ns;
-  const SimResult full = run("fft", Fabric::kMot, core::PowerState::full(), dram);
-  const SimResult pc4mb8 =
-      run("fft", Fabric::kMot, core::PowerState::pc4_mb8(), dram);
-  EXPECT_EQ(full.l2_hit_latency.digest().min, 12u);
-  EXPECT_EQ(pc4mb8.l2_hit_latency.digest().min, 7u);
-}
-
 }  // namespace
 }  // namespace mot3d::cluster

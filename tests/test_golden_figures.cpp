@@ -3,7 +3,9 @@
 // compared byte-for-byte against the committed baseline under tests/golden/.
 // Each scenario is checked under BOTH schedulers — the event-driven loop
 // must serialise to the exact bytes of the dense-tick reference, so a
-// scheduler bug and a model drift are caught by the same net.
+// scheduler bug and a model drift are caught by the same net.  Every
+// "shape check:" line the scenario's presenter prints must read PASS:
+// `run` prints a CHECK and still exits 0.
 //
 // To change a baseline on purpose (a deliberate model change):
 //   ./build/mot3d_experiments update-golden
@@ -57,6 +59,18 @@ TEST_P(GoldenFigures, MatchesBaselineUnderBothSchedulers) {
         << cluster::scheduler_name(mode)
         << " scheduler.  If the model change is intentional, regenerate with "
            "mot3d_experiments update-golden and commit the diff.";
+
+    if (!spec->present) continue;
+    std::ostringstream text;
+    spec->present(out, text);
+    std::istringstream lines(text.str());
+    for (std::string line; std::getline(lines, line);) {
+      if (line.starts_with("shape check:")) {
+        EXPECT_TRUE(line.ends_with(": PASS"))
+            << spec->name << " under the " << cluster::scheduler_name(mode)
+            << " scheduler: " << line;
+      }
+    }
   }
 }
 
