@@ -66,13 +66,6 @@ class EnergyLedger {
     return edp_energy_pj() * 1e-12 / (static_cast<double>(cycles) * 1e-9);
   }
 
-  void merge(const EnergyLedger& other) {
-    for (std::size_t i = 0; i < kNumComponents; ++i) {
-      dynamic_pj_[i] += other.dynamic_pj_[i];
-      static_pj_[i] += other.static_pj_[i];
-    }
-  }
-
   /// What this ledger accumulated since an `earlier` snapshot of the same
   /// accumulation, per component — the "what happened since the last
   /// sample" view the thermal sampler needs.  The caller keeps the

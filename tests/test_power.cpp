@@ -60,16 +60,6 @@ TEST(EnergyLedger, EdpArithmetic) {
   EXPECT_NEAR(l.average_power_w(1000), 0.002, 1e-12);
 }
 
-TEST(EnergyLedger, Merge) {
-  EnergyLedger a, b;
-  a.add_dynamic(Component::kL1, 5.0);
-  b.add_dynamic(Component::kL1, 7.0);
-  b.add_static(Component::kL2, 2.0);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.component_pj(Component::kL1), 12.0);
-  EXPECT_DOUBLE_EQ(a.static_pj(Component::kL2), 2.0);
-}
-
 TEST(EnergyLedger, ComponentNames) {
   EXPECT_STREQ(component_name(Component::kCore), "core");
   EXPECT_STREQ(component_name(Component::kDram), "dram");
