@@ -446,7 +446,6 @@ cluster::ClusterConfig make_run_config(const ScenarioRun& run,
 }
 
 Cycle l2_latency_p95(const cluster::SimResult& r) {
-  // The old histogram's last bucket held 255; a rank past it read max.
   constexpr Cycle kPinnedBuckets = 256;
   const obs::LatencyDigest d = r.l2_latency.digest();
   return d.p95 < kPinnedBuckets ? d.p95 : d.max;
